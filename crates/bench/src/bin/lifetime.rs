@@ -20,6 +20,7 @@
 
 use std::fmt::Write as _;
 
+use nssd_bench::artifact::{json_opt, ArtifactArgs};
 use nssd_core::{Architecture, Checkpoint, Drive, SsdConfig, SsdSim};
 use nssd_host::{IoOp, IoRequest};
 use nssd_sim::{DetRng, Histogram, Rng, SimTime};
@@ -64,13 +65,6 @@ struct SegmentRecord {
     win_p99_us: Option<f64>,
     /// Checkpoint size for this segment boundary.
     ckpt_bytes: usize,
-}
-
-fn opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.1}"),
-        None => "null".into(),
-    }
 }
 
 /// Closed-loop segment traffic: page-sized requests, 80% writes over a
@@ -237,10 +231,10 @@ fn to_json(records: &[LifetimeRecord]) -> String {
                 s.way_imbalance,
                 s.grown_bad,
                 s.retired,
-                opt(s.seg_p50_us),
-                opt(s.seg_p99_us),
-                opt(s.win_p50_us),
-                opt(s.win_p99_us),
+                json_opt(s.seg_p50_us),
+                json_opt(s.seg_p99_us),
+                json_opt(s.win_p50_us),
+                json_opt(s.win_p99_us),
                 s.ckpt_bytes,
                 if j + 1 < rec.segments.len() { "," } else { "" },
             );
@@ -256,14 +250,8 @@ fn to_json(records: &[LifetimeRecord]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/lifetime.json".into());
-    let (segments, per_segment) = if smoke { (3, 1_500) } else { (20, 6_000) };
+    let args = ArtifactArgs::from_env("target/lifetime.json");
+    let (segments, per_segment) = if args.smoke { (3, 1_500) } else { (20, 6_000) };
 
     let archs = [
         Architecture::BaseSsd,
@@ -297,8 +285,8 @@ fn main() {
                     last.grown_bad,
                     last.retired,
                     last.write_amp,
-                    opt(first.seg_p99_us),
-                    opt(last.seg_p99_us),
+                    json_opt(first.seg_p99_us),
+                    json_opt(last.seg_p99_us),
                     match rec.died_in_segment {
                         Some(s) => format!(", died in segment {s}"),
                         None => String::new(),
@@ -313,12 +301,5 @@ fn main() {
         }
     }
 
-    let json = to_json(&records);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write lifetime report");
-    eprintln!("wrote {out_path}");
+    args.write(&to_json(&records));
 }

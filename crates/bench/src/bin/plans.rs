@@ -10,17 +10,12 @@
 
 use std::fmt::Write as _;
 
+use nssd_bench::artifact::ArtifactArgs;
 use nssd_bench::gc_experiments::{plan_ablation_reports, plan_grid};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/plans.json".into());
-    let requests = if smoke {
+    let args = ArtifactArgs::from_env("target/plans.json");
+    let requests = if args.smoke {
         1_500
     } else {
         nssd_bench::setup::gc_requests_per_run()
@@ -67,12 +62,5 @@ fn main() {
         );
     }
     json.push_str("  ]\n}\n");
-
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write plan ablation report");
-    eprintln!("wrote {out_path}");
+    args.write(&json);
 }

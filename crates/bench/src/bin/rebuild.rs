@@ -18,6 +18,7 @@
 
 use std::fmt::Write as _;
 
+use nssd_bench::artifact::{json_opt, ArtifactArgs};
 use nssd_core::{prepare_trace, Architecture, SimReport, SsdConfig};
 use nssd_flash::Geometry;
 use nssd_ftl::RedundancyConfig;
@@ -117,13 +118,6 @@ fn record(
     })
 }
 
-fn opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.1}"),
-        None => "null".into(),
-    }
-}
-
 fn to_json(records: &[RebuildRecord]) -> String {
     let mut out = String::from("{\n  \"experiment\": \"rebuild\",\n  \"runs\": [\n");
     for (i, r) in records.iter().enumerate() {
@@ -139,12 +133,12 @@ fn to_json(records: &[RebuildRecord]) -> String {
             r.completed,
             r.read_p99_us,
             r.control_read_p99_us,
-            opt(r.degraded_p99_us),
+            json_opt(r.degraded_p99_us),
             r.degraded_reads,
             r.reconstructed_reads,
             r.pages_degraded,
             r.rebuild_pages,
-            opt(r.rebuild_time_us),
+            json_opt(r.rebuild_time_us),
             r.pages_lost,
             r.host_io_errors,
             if i + 1 < records.len() { "," } else { "" },
@@ -155,14 +149,12 @@ fn to_json(records: &[RebuildRecord]) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "target/rebuild.json".into());
-    let (requests, widths): (usize, &[u32]) = if smoke { (600, &[2]) } else { (4_000, &[2, 4]) };
+    let args = ArtifactArgs::from_env("target/rebuild.json");
+    let (requests, widths): (usize, &[u32]) = if args.smoke {
+        (600, &[2])
+    } else {
+        (4_000, &[2, 4])
+    };
 
     let archs = [
         Architecture::BaseSsd,
@@ -204,11 +196,11 @@ fn main() {
                         rec.read_p99_us,
                         rec.control_read_p99_us,
                         rec.read_p99_us / rec.control_read_p99_us,
-                        opt(rec.degraded_p99_us),
+                        json_opt(rec.degraded_p99_us),
                         rec.degraded_reads,
                         rec.reconstructed_reads,
                         rec.rebuild_pages,
-                        opt(rec.rebuild_time_us),
+                        json_opt(rec.rebuild_time_us),
                         rec.pages_lost,
                     );
                     records.push(rec);
@@ -221,12 +213,5 @@ fn main() {
         }
     }
 
-    let json = to_json(&records);
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).expect("create output directory");
-        }
-    }
-    std::fs::write(&out_path, &json).expect("write rebuild report");
-    eprintln!("wrote {out_path}");
+    args.write(&to_json(&records));
 }

@@ -1,12 +1,16 @@
 //! Experiment harness for the Networked SSD reproduction.
 //!
 //! Each figure/table of the paper's evaluation is a shared experiment
-//! function registered in [`all`]; the `figure` binary runs any of them by
-//! name (`figure -- fig14 fig19`, `figure -- --list`), and
-//! `all_experiments` runs the complete set and emits Markdown for
-//! `EXPERIMENTS.md`.
+//! function registered in [`all`]; the design-choice sweeps and §VIII
+//! extensions live in [`ablations::all_ablations`] and
+//! [`extensions::all_extensions`]. The `figure` binary runs any of them by
+//! id or a whole registry by group name (`figure -- fig14 fig19`,
+//! `figure -- --md experiments_results.md paper`, `figure -- --list`).
+//! Simulator performance is measured by the separate `benchmark/` package,
+//! not here.
 //!
-//! Scale knobs (environment variables):
+//! Scale knobs (environment variables; a value that is not a positive
+//! integer is an error):
 //!
 //! * `NSSD_REQUESTS` — requests per no-GC run (default 20000).
 //! * `NSSD_GC_REQUESTS` — requests per preconditioned GC run (default 6000).
@@ -17,10 +21,10 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod artifact;
 pub mod experiments;
 pub mod extensions;
 pub mod gc_experiments;
-pub mod queuebench;
 pub mod reliability;
 pub mod setup;
 mod table;

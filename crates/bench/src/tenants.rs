@@ -20,10 +20,7 @@ use crate::table::{fmt_us, Table};
 
 /// Requests per tenant per cell; override with `NSSD_TENANT_REQUESTS`.
 pub fn tenant_requests_per_run() -> usize {
-    std::env::var("NSSD_TENANT_REQUESTS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2_000)
+    setup::env_count("NSSD_TENANT_REQUESTS", 2_000)
 }
 
 /// Outstanding-request budget shared by the tenants in every cell.

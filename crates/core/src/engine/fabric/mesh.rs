@@ -42,14 +42,13 @@ impl MeshFabric {
         tag: usize,
     ) -> SimTime {
         let ser = self.params.link.flit_time(flits);
-        let links = self.mesh.route(src, dst);
         let mut ready = at;
         let mut end = at;
-        for l in links {
+        self.mesh.for_each_link(src, dst, |l| {
             let r = ctx.mesh_links[l.0].reserve_tagged(ready, ser, tag);
             ready = r.start + self.params.hop_latency;
             end = r.end;
-        }
+        });
         end
     }
 

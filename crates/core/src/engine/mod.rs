@@ -310,8 +310,18 @@ impl SsdSim {
         let v_channels = (0..fabric.v_channel_count())
             .map(|_| Resource::with_recorder(cfg.util_window, Traffic::COUNT))
             .collect();
+        // Only the edge links (injection `c`, ejection `channels + c`) feed
+        // the utilization report; interior links keep plain busy accounting,
+        // so routing a packet never grows a recorder it would not read.
+        let edge_links = 2 * g.channels as usize;
         let mesh_links = (0..fabric.mesh_link_count())
-            .map(|_| Resource::with_recorder(cfg.util_window, Traffic::COUNT))
+            .map(|l| {
+                if l < edge_links {
+                    Resource::with_recorder(cfg.util_window, Traffic::COUNT)
+                } else {
+                    Resource::new()
+                }
+            })
             .collect();
 
         let sim = SsdSim {

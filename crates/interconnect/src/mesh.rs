@@ -150,64 +150,80 @@ impl Mesh {
         LinkId((base + r * (self.cols - 1) + c) as usize)
     }
 
-    fn x_route(&self, row: u32, from: u32, to: u32, out: &mut Vec<LinkId>) {
+    fn x_route(&self, row: u32, from: u32, to: u32, visit: &mut impl FnMut(LinkId)) {
         if from <= to {
             for c in from..to {
-                out.push(self.h_right(row, c));
+                visit(self.h_right(row, c));
             }
         } else {
             for c in (to..from).rev() {
-                out.push(self.h_left(row, c));
+                visit(self.h_left(row, c));
             }
         }
     }
 
-    fn y_route(&self, col: u32, from: u32, to: u32, out: &mut Vec<LinkId>) {
+    fn y_route(&self, col: u32, from: u32, to: u32, visit: &mut impl FnMut(LinkId)) {
         if from <= to {
             for r in from..to {
-                out.push(self.v_down(r, col));
+                visit(self.v_down(r, col));
             }
         } else {
             for r in (to..from).rev() {
-                out.push(self.v_up(r, col));
+                visit(self.v_up(r, col));
             }
         }
     }
 
-    /// The XY route between two endpoints, as the ordered list of directed
-    /// links traversed.
+    /// Walks the XY route between two endpoints, calling `visit` on each
+    /// directed link in traversal order. Allocation-free, so the engine can
+    /// route every packet on its hot path.
     ///
     /// # Panics
     ///
     /// Panics if an endpoint is out of range or both endpoints are
     /// controllers (controller-to-controller traffic rides the SoC, not the
     /// mesh).
-    pub fn route(&self, src: MeshEndpoint, dst: MeshEndpoint) -> Vec<LinkId> {
-        let mut path = Vec::new();
+    pub fn for_each_link(
+        &self,
+        src: MeshEndpoint,
+        dst: MeshEndpoint,
+        mut visit: impl FnMut(LinkId),
+    ) {
         match (src, dst) {
             (MeshEndpoint::Controller(c), MeshEndpoint::Chip { row, col }) => {
                 assert!(c < self.cols && row < self.rows && col < self.cols);
-                path.push(self.inject(c));
-                self.x_route(0, c, col, &mut path);
-                self.y_route(col, 0, row, &mut path);
+                visit(self.inject(c));
+                self.x_route(0, c, col, &mut visit);
+                self.y_route(col, 0, row, &mut visit);
             }
             (MeshEndpoint::Chip { row, col }, MeshEndpoint::Controller(c)) => {
                 assert!(c < self.cols && row < self.rows && col < self.cols);
                 // X along the chip's row toward the controller's column,
                 // then Y up to the edge, then eject.
-                self.x_route(row, col, c, &mut path);
-                self.y_route(c, row, 0, &mut path);
-                path.push(self.eject(c));
+                self.x_route(row, col, c, &mut visit);
+                self.y_route(c, row, 0, &mut visit);
+                visit(self.eject(c));
             }
             (MeshEndpoint::Chip { row, col }, MeshEndpoint::Chip { row: r2, col: c2 }) => {
                 assert!(row < self.rows && col < self.cols && r2 < self.rows && c2 < self.cols);
-                self.x_route(row, col, c2, &mut path);
-                self.y_route(c2, row, r2, &mut path);
+                self.x_route(row, col, c2, &mut visit);
+                self.y_route(c2, row, r2, &mut visit);
             }
             (MeshEndpoint::Controller(_), MeshEndpoint::Controller(_)) => {
                 panic!("controller-to-controller traffic does not use the mesh")
             }
         }
+    }
+
+    /// The XY route between two endpoints, as the ordered list of directed
+    /// links traversed (see [`Mesh::for_each_link`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`Mesh::for_each_link`].
+    pub fn route(&self, src: MeshEndpoint, dst: MeshEndpoint) -> Vec<LinkId> {
+        let mut path = Vec::new();
+        self.for_each_link(src, dst, |l| path.push(l));
         path
     }
 

@@ -38,8 +38,8 @@
 //! contiguous memory instead of per-bucket heap buffers. Freed nodes go
 //! on a free list threaded through the same slab, so once a simulation
 //! reaches its steady-state event population the wheel performs no
-//! allocation at all (the perf harness's counting allocator gates this
-//! invariant in CI).
+//! allocation at all (`tests/alloc_free.rs` gates this invariant with a
+//! counting allocator).
 //!
 //! # Determinism
 //!

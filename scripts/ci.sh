@@ -22,43 +22,16 @@ echo "==> golden snapshot gate"
 cargo test --release -q --test golden_report
 git diff --exit-code -- tests/golden
 
-echo "==> perf harness smoke + regression gate"
-# A pinned --smoke run of the perf harness: proves the bin works end-to-end,
-# that parallel output is byte-identical to serial (the bin asserts it), and
-# that the measurement schema is intact. The gate then asserts (a) the queue
-# microbench section exists with a steady-state allocation-free hot loop,
-# and (b) a sanity floor on per-cell events/sec — a catastrophic event-core
-# regression (orders of magnitude, not noise) fails the build. Smoke writes
-# target/BENCH.smoke.json; the committed BENCH.json baseline is untouched.
-NSSD_JOBS=2 cargo run --release -q -p nssd-bench --bin perf -- --smoke
-python3 - <<'EOF'
-import json
-d = json.load(open('target/BENCH.smoke.json'))
-assert d['schema'] == 'nssd-bench-perf/2' and d['cells'], d
-assert d['detected_cpus'] >= 1, d
-assert (d['speedup'] is None) == (not d['speedup_comparable']), d
-if d['speedup'] is not None:
-    assert d['speedup'] > 0, d
-# The committed baseline must have been found and compared against.
-assert d['baseline'] is not None, 'committed BENCH.json baseline missing'
-# Queue microbench: present, and the steady-state hot loop allocation-free.
-q = d['queue']
-for key in ('ops', 'dense_schedule_pop_mops', 'same_tick_burst_mops',
-            'far_future_mix_mops', 'steady_state_allocs_per_op'):
-    assert key in q, (key, q)
-assert q['steady_state_allocs_per_op'] < 0.01, q
-assert q['dense_schedule_pop_mops'] > 1.0, q
-# Per-cell: events/sec floor (CI machines are slow, the floor is coarse)
-# and the allocation counter wired up.
-for cell in d['cells']:
-    assert cell['events_per_sec'] > 200_000, cell
-    assert 'allocs_per_event' in cell, cell
-EOF
+echo "==> benchmark smoke test"
+# The benchmark package (outside the workspace) measures the simulator's
+# cost; its smoke test runs every cell at 1/100 scale, traced and untraced,
+# and checks every metric is produced. This gates the perf path.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> tenant interference smoke"
 # A small run of the multi-tenant matrix: exercises the NVMe-style frontend,
 # all three schedulers, and the per-tenant report path end-to-end.
-NSSD_TENANT_REQUESTS=200 cargo run --release -q -p nssd-bench --bin tenants
+NSSD_TENANT_REQUESTS=200 cargo run --release -q -p nssd-bench --bin figure -- tenants
 
 echo "==> endurance lifetime smoke"
 # A short segmented endurance run per architecture: exercises checkpoint
