@@ -119,8 +119,8 @@ pub fn fault_sweep() -> Experiment {
     let mut chip_t = Table::new(vec![
         "architecture".to_string(),
         "completed".to_string(),
-        "pages remapped".to_string(),
         "pages lost".to_string(),
+        "host I/O errors".to_string(),
         "all mean".to_string(),
     ]);
     let jobs: Vec<_> = fault_architectures()
@@ -145,8 +145,8 @@ pub fn fault_sweep() -> Experiment {
         chip_t.row(vec![
             arch.label().to_string(),
             r.completed.to_string(),
-            r.reliability.pages_remapped.to_string(),
             r.reliability.pages_lost.to_string(),
+            r.reliability.host_io_errors.to_string(),
             fmt_us(r.all.mean.as_ns()),
         ]);
     }
@@ -170,9 +170,11 @@ pub fn fault_sweep() -> Experiment {
              the same corruption lands as silent corruptions: zero time cost, wrong \
              data"
                 .into(),
-            "after the fail-stop every live page of the chip is remapped onto \
-             survivors and the device continues degraded; losses appear only when \
-             the survivors cannot absorb the capacity"
+            "a fail-stopped array cannot be read, and without parity nothing else \
+             holds its data: every live page of the chip is lost, host reads of those \
+             pages complete as I/O errors, and the device continues degraded on the \
+             survivors (the `rebuild` bin runs a chip failure under parity, where \
+             reconstruction serves those reads instead)"
                 .into(),
         ],
     }

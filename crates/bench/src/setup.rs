@@ -3,6 +3,7 @@
 
 use nssd_core::{Architecture, SsdConfig};
 use nssd_ftl::GcPolicy;
+use nssd_sim::env_count;
 use nssd_workloads::{PaperWorkload, Trace};
 
 /// Deterministic seed every experiment derives from.
@@ -18,27 +19,6 @@ pub fn requests_per_run() -> usize {
 /// override with `NSSD_GC_REQUESTS`.
 pub fn gc_requests_per_run() -> usize {
     env_count("NSSD_GC_REQUESTS", 6_000)
-}
-
-/// Reads a request-count knob: `default` when `var` is unset. A value that
-/// is not a positive integer ends the process with a message naming `var`,
-/// so a typo never silently runs the default scale.
-pub(crate) fn env_count(var: &str, default: usize) -> usize {
-    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
-    parse_count(var, value.as_deref(), default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2)
-    })
-}
-
-fn parse_count(var: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
-    let Some(v) = value else {
-        return Ok(default);
-    };
-    match v.trim().parse() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{var}={v:?} is not a positive integer")),
-    }
 }
 
 /// Standard no-GC configuration for one architecture (scaled Table II
@@ -125,17 +105,6 @@ mod tests {
         let s = suite(10, 1 << 26);
         assert_eq!(s.len(), 8);
         assert!(s.iter().all(|(_, t)| t.len() == 10));
-    }
-
-    #[test]
-    fn count_knobs_default_when_unset_and_reject_bad_values() {
-        assert_eq!(parse_count("NSSD_X", None, 7), Ok(7));
-        assert_eq!(parse_count("NSSD_X", Some("2000"), 7), Ok(2000));
-        assert_eq!(parse_count("NSSD_X", Some(" 12 "), 7), Ok(12));
-        for bad in ["", "0", "-5", "2k", "1e4", "abc"] {
-            let err = parse_count("NSSD_X", Some(bad), 7).unwrap_err();
-            assert!(err.starts_with("NSSD_X="), "{err}");
-        }
     }
 
     #[test]

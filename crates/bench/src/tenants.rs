@@ -20,7 +20,7 @@ use crate::table::{fmt_us, Table};
 
 /// Requests per tenant per cell; override with `NSSD_TENANT_REQUESTS`.
 pub fn tenant_requests_per_run() -> usize {
-    setup::env_count("NSSD_TENANT_REQUESTS", 2_000)
+    nssd_sim::env_count("NSSD_TENANT_REQUESTS", 2_000)
 }
 
 /// Outstanding-request budget shared by the tenants in every cell.

@@ -5,7 +5,7 @@
 //! | field        | bytes | contents                                        |
 //! |--------------|-------|-------------------------------------------------|
 //! | magic        | 8     | `b"NSSDCKPT"`                                   |
-//! | version      | 4     | format version, currently 2                     |
+//! | version      | 4     | format version, currently 3                     |
 //! | fingerprint  | 8     | FNV-1a of the configuration's `Debug` rendering |
 //! | payload\_len | 8     | length of the payload that follows              |
 //! | payload      | n     | [`SsdSim`] state (see `engine::ckpt`)           |
@@ -23,7 +23,7 @@ use crate::engine::SsdSim;
 use crate::SsdConfig;
 
 const MAGIC: &[u8; 8] = b"NSSDCKPT";
-const VERSION: u32 = 2;
+const VERSION: u32 = 3;
 /// Envelope bytes outside the payload: magic + version + fingerprint +
 /// payload length + trailing checksum.
 const OVERHEAD: usize = 8 + 4 + 8 + 8 + 8;

@@ -168,24 +168,8 @@ impl SsdSim {
             victim_mask,
             &mut self.rng,
         );
-        if let Some((dc, dw)) = self.ftl.dead_chip() {
-            // Dead-chip blocks look like attractive victims (lots of
-            // garbage) but their array is unreadable; the rebuild, not GC,
-            // drains them.
-            let g = self.cfg.geometry;
-            victims.retain(|&pbn| {
-                let a = g.block_addr(pbn);
-                a.channel != dc || a.way != dw
-            });
-        }
+        self.ftl.drop_dead_chip_victims(&mut victims);
         if victims.is_empty() {
-            if std::env::var("NSSD_GC_DEBUG").is_ok() {
-                eprintln!(
-                    "DBG gc starved at {}: free={:.3}",
-                    self.now,
-                    self.ftl.free_ratio()
-                );
-            }
             plan.placement.end_event(&mut self.ftl);
             self.gc.starved_until = self.now + SimTime::from_ms(1);
             return;
@@ -509,16 +493,6 @@ impl SsdSim {
     }
 
     fn finish_gc(&mut self) {
-        if std::env::var("NSSD_GC_DEBUG").is_ok() {
-            eprintln!(
-                "DBG gc event done at {}: copied={} erased={} free={:.3} starved_until={}",
-                self.now,
-                self.gc.pages_copied,
-                self.gc.blocks_erased,
-                self.ftl.free_ratio(),
-                self.gc.starved_until
-            );
-        }
         self.gc.active = false;
         self.gc.total_time += self.now - self.gc.started_at;
         self.gc.events_completed += 1;

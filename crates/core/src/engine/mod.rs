@@ -16,7 +16,7 @@ use std::cell::RefCell;
 
 use nssd_faults::{FaultEngine, ReadFault, ReliabilityStats};
 use nssd_flash::{FlashChip, PageAddr, Pbn, Ppn};
-use nssd_ftl::{FailStopMode, Ftl, FtlConfig, FtlError, Lpn, Relocation};
+use nssd_ftl::{Ftl, FtlConfig, FtlError, Lpn, Relocation};
 use nssd_host::{HostFrontend, HostPipes, IoOp, IoRequest, SchedulerKind, TenantConfig};
 use nssd_oracle::Oracle;
 use nssd_sim::DetRng;
@@ -238,7 +238,7 @@ pub struct SsdSim {
     parity_pending: Vec<u32>,
     /// Per-parity-group rotation position of the next parity write.
     parity_rot: Vec<u32>,
-    /// LPNs lost to a strict fail-stop chip failure, sorted: host reads of
+    /// LPNs lost to a chip failure without parity, sorted: host reads of
     /// these complete as host-visible I/O errors.
     lost_pages: Vec<u64>,
     pub(crate) rng: DetRng,
@@ -701,63 +701,32 @@ impl SsdSim {
         }
     }
 
-    /// Handles the scheduled fail-stop chip failure. Three behaviours:
+    /// Handles the scheduled fail-stop chip failure. The outcome follows
+    /// from whether parity is configured:
     ///
-    /// * **Redundant** (parity enabled): mappings stay in place, reads of
-    ///   the dead chip are served by reconstruction, and a paced background
-    ///   rebuild re-places every degraded page. The oracle is *not*
-    ///   resynced — its content tokens must survive the failure
-    ///   byte-for-byte, which is exactly the zero-silent-loss claim.
-    /// * **Strict** (`strict_fail_stop`, no parity): honest fail-stop — the
-    ///   chip's live pages are immediately unreadable; host reads of them
-    ///   complete as host-visible I/O errors counted in `pages_lost`.
-    /// * **Legacy** (default): live pages are optimistically relocated
-    ///   through the dead chip, untimed — kept because the baseline
-    ///   goldens pin it.
+    /// * **With parity:** mappings stay in place, reads of the dead chip are
+    ///   served by reconstruction, and a paced background rebuild re-places
+    ///   every degraded page. The oracle is *not* resynced — its content
+    ///   tokens must survive the failure byte-for-byte, which is exactly the
+    ///   zero-silent-loss claim.
+    /// * **Without parity:** the chip's live pages are gone; host reads of
+    ///   them complete as host-visible I/O errors.
     fn on_chip_fail(&mut self) {
         let spec = self
             .cfg
             .faults
             .chip_failure
             .expect("ChipFail only scheduled with a spec");
+        let out = self.ftl.fail_chip(spec.channel, spec.way);
+        self.faults.note_chip_failure(out.lost.len() as u64);
         if self.ftl.redundancy().enabled {
-            let out = self
-                .ftl
-                .fail_chip_mode(spec.channel, spec.way, FailStopMode::Redundant);
-            self.faults
-                .note_chip_failure(out.pages_remapped, out.pages_lost);
             self.faults.note_pages_degraded(out.pages_degraded);
             self.start_rebuild();
             return;
         }
-        if self.cfg.faults.strict_fail_stop {
-            // Record which LPNs die with the chip *before* they are
-            // unmapped, so their reads can be failed rather than served as
-            // never-written zeroes.
-            let g = self.cfg.geometry;
-            let mut lost = Vec::new();
-            for raw in 0..g.block_count() {
-                let pbn = Pbn::new(raw);
-                let a = g.block_addr(pbn);
-                if a.channel == spec.channel && a.way == spec.way {
-                    self.ftl
-                        .for_each_live_page(pbn, |lpn, _| lost.push(lpn.raw()));
-                }
-            }
-            lost.sort_unstable();
-            self.lost_pages = lost;
-            let out = self
-                .ftl
-                .fail_chip_mode(spec.channel, spec.way, FailStopMode::Strict);
-            self.faults
-                .note_chip_failure(out.pages_remapped, out.pages_lost);
-        } else {
-            let out = self.ftl.fail_chip(spec.channel, spec.way);
-            self.faults
-                .note_chip_failure(out.pages_remapped, out.pages_lost);
-        }
-        // The failure rewrote (or dropped) mappings outside the observed
-        // event stream: resync the shadow model.
+        self.lost_pages = out.lost.iter().map(|l| l.raw()).collect();
+        // The failure dropped mappings outside the observed event stream:
+        // resync the shadow model.
         if let Some(oracle) = self.oracle.as_mut() {
             oracle.sync_from_ftl(&self.ftl);
         }
@@ -1102,12 +1071,13 @@ impl SsdSim {
                 }
                 None => {
                     // Never-written page: served from the controller
-                    // (all-zero data), host DMA only. Under strict
-                    // fail-stop an LPN that died with the chip is unmapped
-                    // too — but its read is an honest I/O error, not
-                    // zeroes.
+                    // (all-zero data), host DMA only. An LPN that died with
+                    // a chip is unmapped too — but its read is an I/O
+                    // error, not zeroes, and is counted only as such.
                     let lost = self.lost_pages.binary_search(&lpn.raw()).is_ok();
-                    self.unmapped_reads += 1;
+                    if !lost {
+                        self.unmapped_reads += 1;
+                    }
                     let out = self.host.outbound(
                         self.now,
                         self.page_bytes() as u64,

@@ -13,8 +13,9 @@
 //!   has no frame check at all, so the same corruption passes silently.
 //! * [`BadBlockConfig`] — manufacture-time and grown bad blocks, retired
 //!   from the free pool with spare capacity absorbing the loss.
-//! * [`ChipFailureSpec`] — a fail-stop whole-chip event; live data is
-//!   remapped and the device continues degraded.
+//! * [`ChipFailureSpec`] — a fail-stop whole-chip event; the chip's live
+//!   data is served by parity reconstruction when parity is configured and
+//!   lost otherwise, and the device continues degraded.
 //!
 //! Everything is driven by one seed ([`FaultConfig::seed`]) through a
 //! dedicated [`DetRng`] stream, so a fault schedule is a pure function of
@@ -175,13 +176,6 @@ pub struct FaultConfig {
     pub bad_blocks: BadBlockConfig,
     /// Optional scheduled chip failure.
     pub chip_failure: Option<ChipFailureSpec>,
-    /// Honest fail-stop semantics: live pages on a failed chip become
-    /// host-visible read errors (counted lost) instead of being
-    /// optimistically relocated through the dead chip. Ignored when parity
-    /// redundancy serves them by reconstruction. Off by default to
-    /// preserve the legacy (relocating) behaviour the baseline goldens
-    /// pin.
-    pub strict_fail_stop: bool,
 }
 
 impl FaultConfig {
@@ -193,7 +187,6 @@ impl FaultConfig {
             link: LinkFaultConfig::default(),
             bad_blocks: BadBlockConfig::default(),
             chip_failure: None,
-            strict_fail_stop: false,
         }
     }
 
@@ -311,9 +304,7 @@ pub struct ReliabilityStats {
     pub grown_bad_blocks: u64,
     /// Whole-chip failure events handled.
     pub chip_failures: u64,
-    /// Live pages remapped off failed chips.
-    pub pages_remapped: u64,
-    /// Live pages lost because no spare capacity could absorb them.
+    /// Live pages lost with a failed chip that had no parity protection.
     pub pages_lost: u64,
     /// Bytes physically moved over CRC-protected links, retransmissions
     /// included.
@@ -329,7 +320,7 @@ pub struct ReliabilityStats {
     /// Pages the background rebuild re-placed onto spare capacity.
     pub rebuild_pages: u64,
     /// Requests completed with a host-visible I/O error (link-retry
-    /// exhaustion, or strict-fail-stop reads of lost pages).
+    /// exhaustion, or reads of pages lost with a failed chip).
     pub host_io_errors: u64,
 }
 
@@ -355,7 +346,7 @@ impl fmt::Display for ReliabilityStats {
         write!(
             f,
             "retries={} soft={} uncorrectable={} retx={} unrecovered={} io_err={} silent={} \
-             bad(mfg/grown)={}/{} chip_fail={} remapped={} lost={} degraded={} \
+             bad(mfg/grown)={}/{} chip_fail={} lost={} degraded={} \
              reconstructed={} rebuilt={} link_eff={:.4}",
             self.read_retries,
             self.soft_decodes,
@@ -367,7 +358,6 @@ impl fmt::Display for ReliabilityStats {
             self.bad_blocks_manufacture,
             self.grown_bad_blocks,
             self.chip_failures,
-            self.pages_remapped,
             self.pages_lost,
             self.pages_degraded,
             self.reconstructed_reads,
@@ -578,9 +568,8 @@ impl FaultEngine {
     }
 
     /// Records the outcome of one handled chip failure.
-    pub fn note_chip_failure(&mut self, pages_remapped: u64, pages_lost: u64) {
+    pub fn note_chip_failure(&mut self, pages_lost: u64) {
         self.stats.chip_failures += 1;
-        self.stats.pages_remapped += pages_remapped;
         self.stats.pages_lost += pages_lost;
     }
 
@@ -624,7 +613,6 @@ impl FaultEngine {
             s.bad_blocks_manufacture,
             s.grown_bad_blocks,
             s.chip_failures,
-            s.pages_remapped,
             s.pages_lost,
             s.raw_link_bytes,
             s.effective_link_bytes,
@@ -659,7 +647,6 @@ impl FaultEngine {
             &mut s.bad_blocks_manufacture,
             &mut s.grown_bad_blocks,
             &mut s.chip_failures,
-            &mut s.pages_remapped,
             &mut s.pages_lost,
             &mut s.raw_link_bytes,
             &mut s.effective_link_bytes,

@@ -34,7 +34,7 @@ pub struct FtlConfig {
     /// Intra-SSD parity redundancy (off by default). When enabled, the
     /// logical capacity shrinks by `1/stripe_width` to reserve parity
     /// space, and a chip fail-stop leaves mappings in place for degraded
-    /// reads and rebuild instead of relocating through the dead chip.
+    /// reads and rebuild instead of losing the chip's pages.
     pub redundancy: RedundancyConfig,
 }
 
@@ -186,39 +186,16 @@ impl FtlStats {
 }
 
 /// The accounting result of handling a fail-stop chip failure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ChipFailureOutcome {
-    /// Live pages successfully relocated onto surviving chips.
-    pub pages_remapped: u64,
-    /// Live pages lost because no destination space remained (or, under
-    /// [`FailStopMode::Strict`], because fail-stop makes them unreadable);
-    /// their LPNs are unmapped (subsequent reads see them as never
-    /// written).
-    pub pages_lost: u64,
+    /// LPNs whose only copy died with the chip (no parity), sorted: they
+    /// are unmapped, and a read of one is a host-visible I/O error.
+    pub lost: Vec<Lpn>,
     /// Blocks of the failed chip pulled out of service.
     pub blocks_retired: u64,
-    /// Live pages left mapped on the dead chip under
-    /// [`FailStopMode::Redundant`]: readable only by parity
-    /// reconstruction until rebuild re-places them.
+    /// Live pages left mapped on the dead chip (parity enabled): readable
+    /// only by reconstruction until rebuild re-places them.
     pub pages_degraded: u64,
-}
-
-/// How [`Ftl::fail_chip_mode`] treats live pages on a fail-stop chip.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FailStopMode {
-    /// Legacy behaviour: live pages are relocated off the dead chip — an
-    /// optimistic model that pretends the dying chip could still be read.
-    /// Kept as the default because the baseline goldens pin it.
-    Relocate,
-    /// Honest fail-stop: every live page on the chip is immediately
-    /// unreadable and is unmapped, counted in
-    /// [`ChipFailureOutcome::pages_lost`].
-    Strict,
-    /// Parity-redundant fail-stop: mappings stay in place and the pages
-    /// are served by reconstruction from surviving stripe members while a
-    /// background rebuild re-places them. Requires
-    /// [`RedundancyConfig::enabled`].
-    Redundant,
 }
 
 /// The flash translation layer.
@@ -255,8 +232,8 @@ pub struct Ftl {
     /// from cold data; empty otherwise, so non-generational configs pay
     /// nothing.
     reloc_gen: Vec<u8>,
-    /// The fail-stopped chip whose live pages are still mapped
-    /// ([`FailStopMode::Redundant`]); cleared when rebuild drains it.
+    /// The fail-stopped chip whose live pages are still mapped (parity
+    /// enabled); cleared when rebuild drains it.
     dead_chip: Option<(u32, u32)>,
     stats: FtlStats,
 }
@@ -554,18 +531,23 @@ impl Ftl {
             self.config.gc.victim_policy,
             rng,
         );
+        self.drop_dead_chip_victims(&mut victims);
+        victims
+    }
+
+    /// Removes blocks of the dead chip from a GC victim list. They look
+    /// like attractive victims (lots of garbage) but their array is
+    /// unreadable, and erasing one would return it to the free pool on a
+    /// chip that can no longer be written. The rebuild, not GC, drains and
+    /// retires them.
+    pub fn drop_dead_chip_victims(&self, victims: &mut Vec<Pbn>) {
         if let Some((dc, dw)) = self.dead_chip {
-            // Dead-chip blocks look like attractive victims (lots of
-            // garbage) but their array is unreadable, and erasing one would
-            // return it to the free pool on a chip that can no longer be
-            // written. The rebuild, not GC, drains and retires them.
             let g = self.geometry;
             victims.retain(|&pbn| {
                 let a = g.block_addr(pbn);
                 a.channel != dc || a.way != dw
             });
         }
-        victims
     }
 
     /// The live pages of `pbn` with their logical owners, in page order.
@@ -813,36 +795,26 @@ impl Ftl {
         self.stats.blocks_retired += 1;
     }
 
-    /// Handles a fail-stop failure of the chip at (`channel`, `way`) in the
-    /// legacy [`FailStopMode::Relocate`] mode: every live page on the chip
-    /// is relocated onto surviving chips, every chip block is retired, and
-    /// the allocators are fenced off the dead chip. Pages that cannot be
-    /// placed (the survivors are out of space) are unmapped and counted as
-    /// lost. The device continues degraded.
+    /// Handles a fail-stop failure of the chip at (`channel`, `way`). A
+    /// fail-stopped array cannot be read, so what happens to its live pages
+    /// depends only on whether parity is configured:
+    ///
+    /// * **With parity** ([`RedundancyConfig::enabled`]) the mappings stay
+    ///   in place: the pages are served by reconstruction from surviving
+    ///   stripe members until a background rebuild re-places them
+    ///   ([`ChipFailureOutcome::pages_degraded`], [`Ftl::dead_chip`]).
+    /// * **Without parity** every live page on the chip is lost: its LPN is
+    ///   unmapped and returned in [`ChipFailureOutcome::lost`].
+    ///
+    /// Either way the allocators are fenced off the dead chip (open
+    /// frontiers closed, free blocks retired) so no future write lands
+    /// there.
     ///
     /// # Panics
     ///
-    /// Panics if the coordinates exceed the geometry.
+    /// Panics if the coordinates exceed the geometry or if a chip is
+    /// already dead.
     pub fn fail_chip(&mut self, channel: u32, way: u32) -> ChipFailureOutcome {
-        self.fail_chip_mode(channel, way, FailStopMode::Relocate)
-    }
-
-    /// [`Ftl::fail_chip`] with an explicit fail-stop semantics mode; see
-    /// [`FailStopMode`] for what happens to the chip's live pages. In every
-    /// mode the allocators are fenced off the dead chip (open frontiers
-    /// closed, free blocks retired) so no future write lands there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coordinates exceed the geometry, if
-    /// [`FailStopMode::Redundant`] is requested without redundancy enabled,
-    /// or if a chip is already dead.
-    pub fn fail_chip_mode(
-        &mut self,
-        channel: u32,
-        way: u32,
-        mode: FailStopMode,
-    ) -> ChipFailureOutcome {
         let g = self.geometry;
         assert!(
             channel < g.channels && way < g.ways,
@@ -852,12 +824,6 @@ impl Ftl {
             self.dead_chip.is_none(),
             "a chip is already dead; the model handles one failure"
         );
-        if mode == FailStopMode::Redundant {
-            assert!(
-                self.config.redundancy.enabled,
-                "FailStopMode::Redundant requires redundancy to be enabled"
-            );
-        }
         let on_chip = |pbn: Pbn| {
             let a = g.block_addr(pbn);
             a.channel == channel && a.way == way
@@ -872,79 +838,49 @@ impl Ftl {
             .filter(|&p| on_chip(p))
             .collect();
         let mut out = ChipFailureOutcome::default();
-        // Retire the chip's Free blocks before relocating, so no relocation
-        // destination can land on the dead chip — this keeps the procedure
-        // safe even when the way cannot be excluded by mask (ways == 1).
         for &pbn in &chip_pbns {
             if self.blocks.meta(pbn).state() == BlockState::Free {
                 self.blocks.force_retire(pbn);
                 out.blocks_retired += 1;
             }
         }
-        match mode {
-            FailStopMode::Relocate => {
-                let mask = if g.ways > 1 {
-                    WayMask::from_ways([way]).complement(g.ways)
+        if self.config.redundancy.enabled {
+            // Mappings stay: pages on the dead chip are served by
+            // reconstruction until rebuild re-places them. Only blocks with
+            // no live data retire now; the rest retire as the rebuild
+            // drains them.
+            for &pbn in &chip_pbns {
+                let meta = self.blocks.meta(pbn);
+                if matches!(meta.state(), BlockState::Bad | BlockState::Free) {
+                    continue;
+                }
+                if meta.valid_count() == 0 {
+                    self.blocks.force_retire(pbn);
+                    out.blocks_retired += 1;
                 } else {
-                    WayMask::all(1)
-                };
-                for &pbn in &chip_pbns {
-                    if self.blocks.meta(pbn).state() == BlockState::Bad {
-                        continue;
-                    }
-                    for (lpn, src) in self.live_pages(pbn) {
-                        match self.relocate(lpn, src, mask) {
-                            Ok(Some(_)) => out.pages_remapped += 1,
-                            Ok(None) => {}
-                            Err(_) => {
-                                self.mapping.unmap(lpn);
-                                self.blocks.invalidate(src);
-                                out.pages_lost += 1;
-                            }
-                        }
-                    }
-                    self.blocks.force_retire(pbn);
-                    out.blocks_retired += 1;
+                    out.pages_degraded += meta.valid_count() as u64;
                 }
             }
-            FailStopMode::Strict => {
-                // Fail-stop means the array is unreadable: nothing can be
-                // relocated. Every live page is gone.
-                for &pbn in &chip_pbns {
-                    if self.blocks.meta(pbn).state() == BlockState::Bad {
-                        continue;
-                    }
-                    for (lpn, src) in self.live_pages(pbn) {
-                        self.mapping.unmap(lpn);
-                        self.blocks.invalidate(src);
-                        if let Some(gen) = self.reloc_gen.get_mut(lpn.raw() as usize) {
-                            *gen = 0;
-                        }
-                        out.pages_lost += 1;
-                    }
-                    self.blocks.force_retire(pbn);
-                    out.blocks_retired += 1;
+            self.dead_chip = Some((channel, way));
+        } else {
+            // The array is unreadable and nothing else holds the data:
+            // every live page is gone.
+            for &pbn in &chip_pbns {
+                if self.blocks.meta(pbn).state() == BlockState::Bad {
+                    continue;
                 }
-            }
-            FailStopMode::Redundant => {
-                // Mappings stay: pages on the dead chip are served by
-                // reconstruction until rebuild re-places them. Only blocks
-                // with no live data retire now; the rest retire as the
-                // rebuild drains them.
-                for &pbn in &chip_pbns {
-                    let meta = self.blocks.meta(pbn);
-                    if matches!(meta.state(), BlockState::Bad | BlockState::Free) {
-                        continue;
+                for (lpn, src) in self.live_pages(pbn) {
+                    self.mapping.unmap(lpn);
+                    self.blocks.invalidate(src);
+                    if let Some(gen) = self.reloc_gen.get_mut(lpn.raw() as usize) {
+                        *gen = 0;
                     }
-                    if meta.valid_count() == 0 {
-                        self.blocks.force_retire(pbn);
-                        out.blocks_retired += 1;
-                    } else {
-                        out.pages_degraded += meta.valid_count() as u64;
-                    }
+                    out.lost.push(lpn);
                 }
-                self.dead_chip = Some((channel, way));
+                self.blocks.force_retire(pbn);
+                out.blocks_retired += 1;
             }
+            out.lost.sort_unstable();
         }
         out
     }
@@ -1259,91 +1195,34 @@ mod tests {
     }
 
     #[test]
-    fn fail_chip_remaps_live_data_and_continues() {
-        let mut ftl = tiny_ftl();
-        // Half-fill so the survivors have room for everything.
-        let filled = ftl.logical_pages() / 2;
-        for l in 0..filled {
-            ftl.write(Lpn::new(l)).unwrap();
-        }
-        let g = *ftl.geometry();
-        let out = ftl.fail_chip(0, 1);
-        assert!(out.pages_remapped > 0);
-        assert_eq!(out.pages_lost, 0);
-        assert_eq!(
-            out.blocks_retired,
-            g.block_count() / (g.channels as u64 * g.ways as u64)
-        );
-        // Every logical page survives, and none lives on the dead chip.
-        for l in 0..filled {
-            let ppn = ftl.lookup(Lpn::new(l)).expect("page lost");
-            let a = g.page_addr(ppn);
-            assert!(!(a.channel == 0 && a.way == 1), "lpn{l} on dead chip");
-        }
-        // Writes keep working (with GC reclaiming the shrunken pool) and
-        // avoid the dead chip too.
-        let mut rng = DetRng::seed_from_u64(13);
-        for l in 0..filled {
-            if ftl.needs_gc() {
-                ftl.instant_gc(&mut rng).unwrap();
-            }
-            let w = ftl.write(Lpn::new(l)).unwrap();
-            let a = g.page_addr(w.ppn);
-            assert!(!(a.channel == 0 && a.way == 1));
-        }
-        assert!(ftl.check_consistency());
-    }
-
-    #[test]
-    fn fail_chip_when_survivors_overflow_loses_pages() {
-        let mut ftl = tiny_ftl();
-        // Fill the entire logical space: 87.5% of physical. Losing one of
-        // the four chips leaves 75%, so some pages cannot be placed.
-        for l in 0..ftl.logical_pages() {
-            ftl.write(Lpn::new(l)).unwrap();
-        }
-        let out = ftl.fail_chip(1, 0);
-        assert!(out.pages_lost > 0);
-        // Lost pages read back as unmapped; the rest stay intact.
-        let mut lost = 0u64;
-        for l in 0..ftl.logical_pages() {
-            if ftl.lookup(Lpn::new(l)).is_none() {
-                lost += 1;
-            }
-        }
-        assert_eq!(lost, out.pages_lost);
-        assert!(ftl.check_consistency());
-    }
-
-    #[test]
-    fn fail_chip_strict_loses_every_live_page_on_chip() {
+    fn fail_chip_without_parity_loses_every_live_page_on_chip() {
         let mut ftl = tiny_ftl();
         let filled = ftl.logical_pages() / 2;
         for l in 0..filled {
             ftl.write(Lpn::new(l)).unwrap();
         }
         let g = *ftl.geometry();
-        let on_dead_chip = (0..filled)
+        let on_dead_chip: Vec<Lpn> = (0..filled)
+            .map(Lpn::new)
             .filter(|&l| {
-                let a = g.page_addr(ftl.lookup(Lpn::new(l)).unwrap());
+                let a = g.page_addr(ftl.lookup(l).unwrap());
                 a.channel == 0 && a.way == 1
             })
-            .count() as u64;
-        assert!(on_dead_chip > 0, "fill pattern must touch the chip");
-        let out = ftl.fail_chip_mode(0, 1, FailStopMode::Strict);
-        // Honest fail-stop: nothing was relocated, everything on the chip
-        // is host-visibly gone.
-        assert_eq!(out.pages_remapped, 0);
-        assert_eq!(out.pages_lost, on_dead_chip);
+            .collect();
+        assert!(!on_dead_chip.is_empty(), "fill pattern must touch the chip");
+        let out = ftl.fail_chip(0, 1);
+        // Fail-stop without parity: everything on the chip is gone, and
+        // the outcome names exactly those LPNs.
+        assert_eq!(out.lost, on_dead_chip);
         assert_eq!(out.pages_degraded, 0);
+        assert_eq!(ftl.dead_chip(), None);
         assert_eq!(
             out.blocks_retired,
             g.block_count() / (g.channels as u64 * g.ways as u64)
         );
-        let unmapped = (0..filled)
-            .filter(|&l| ftl.lookup(Lpn::new(l)).is_none())
-            .count() as u64;
-        assert_eq!(unmapped, on_dead_chip);
+        for &l in &on_dead_chip {
+            assert_eq!(ftl.lookup(l), None);
+        }
         assert!(ftl.check_consistency());
         // The device still takes writes, and never onto the dead chip.
         let mut rng = DetRng::seed_from_u64(17);
@@ -1379,9 +1258,8 @@ mod tests {
             ftl.write(Lpn::new(l)).unwrap();
         }
         let g = *ftl.geometry();
-        let out = ftl.fail_chip_mode(0, 1, FailStopMode::Redundant);
-        assert_eq!(out.pages_remapped, 0);
-        assert_eq!(out.pages_lost, 0);
+        let out = ftl.fail_chip(0, 1);
+        assert!(out.lost.is_empty());
         assert!(out.pages_degraded > 0);
         assert_eq!(ftl.dead_chip(), Some((0, 1)));
         // Every page stays mapped; the ones on the dead chip are flagged
@@ -1428,15 +1306,6 @@ mod tests {
     }
 
     #[test]
-    fn redundant_mode_requires_redundancy_enabled() {
-        let result = std::panic::catch_unwind(|| {
-            let mut ftl = tiny_ftl();
-            ftl.fail_chip_mode(0, 0, FailStopMode::Redundant);
-        });
-        assert!(result.is_err());
-    }
-
-    #[test]
     fn dead_chip_roundtrips_through_checkpoint() {
         let mut cfg = FtlConfig::evaluation_defaults();
         cfg.geometry = Geometry::tiny();
@@ -1446,7 +1315,7 @@ mod tests {
         for l in 0..ftl.logical_pages() {
             ftl.write(Lpn::new(l)).unwrap();
         }
-        ftl.fail_chip_mode(1, 0, FailStopMode::Redundant);
+        ftl.fail_chip(1, 0);
         let mut w = CkptWriter::new();
         ftl.ckpt_save(&mut w);
         let bytes = w.into_bytes();

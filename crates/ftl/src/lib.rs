@@ -51,8 +51,7 @@ mod victim;
 pub use allocator::{AllocPolicy, OutOfSpace, PageAllocator, WayMask};
 pub use block::{BlockMeta, BlockState, BlockTable, PlaneAccounting, WearSummary};
 pub use ftl::{
-    ChipFailureOutcome, FailStopMode, Ftl, FtlConfig, FtlError, FtlStats, GcStream, Relocation,
-    WriteOutcome,
+    ChipFailureOutcome, Ftl, FtlConfig, FtlError, FtlStats, GcStream, Relocation, WriteOutcome,
 };
 pub use gc::{GcConfig, GcPolicy, SpatialGroups};
 pub use mapping::{Lpn, MappingTable};

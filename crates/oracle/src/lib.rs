@@ -112,9 +112,10 @@ impl Oracle {
 
     /// Adopts the FTL's current mapping wholesale — the trusted-resync path
     /// for state built outside the observed event stream (preconditioning
-    /// before `run()`, chip-failure recovery). Content tokens of LPNs that
-    /// stay mapped are preserved so later read checks remain meaningful;
-    /// newly appearing LPNs get fresh tokens. Write counters are untouched.
+    /// before `run()`, pages lost with a failed chip). Content tokens of
+    /// LPNs that stay mapped are preserved so later read checks remain
+    /// meaningful; newly appearing LPNs get fresh tokens. Write counters
+    /// are untouched.
     pub fn sync_from_ftl(&mut self, ftl: &Ftl) {
         self.phys.clear();
         for l in 0..self.logical_pages {

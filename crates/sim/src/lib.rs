@@ -69,7 +69,7 @@ pub use ckpt::{
     put_u64_slice, take_u64_vec, take_u64_vec_exact, CkptError, CkptReader, CkptWriter,
 };
 pub use event::EventQueue;
-pub use pool::{jobs_from_env, scoped_map, Pool};
+pub use pool::{env_count, jobs_from_env, scoped_map, Pool};
 pub use resource::{BandwidthPipe, Reservation, Resource};
 pub use rng::{DetRng, Rng, SampleRange};
 pub use stats::{Histogram, RunningStats};

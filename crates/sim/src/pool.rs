@@ -19,7 +19,8 @@
 //!   re-raises, so a failed cell can never be silently dropped from a table.
 //!
 //! The worker count comes from the `NSSD_JOBS` environment variable when
-//! using [`Pool::from_env`] (default: the machine's available parallelism).
+//! using [`Pool::from_env`] (default: the machine's available parallelism;
+//! a value that is not a positive integer stops the process).
 //! `NSSD_JOBS=1` degenerates to a plain in-thread loop — byte-identical
 //! output is the *contract*, serial execution is just its cheapest witness.
 //!
@@ -52,8 +53,7 @@ impl Pool {
         }
     }
 
-    /// A pool sized from the environment: `NSSD_JOBS` if set and parseable,
-    /// otherwise the machine's available parallelism.
+    /// A pool sized from the environment: see [`jobs_from_env`].
     pub fn from_env() -> Self {
         Pool::with_workers(jobs_from_env())
     }
@@ -112,14 +112,38 @@ impl Default for Pool {
     }
 }
 
-/// The configured parallelism: `NSSD_JOBS` if set and parseable to ≥ 1,
-/// otherwise [`std::thread::available_parallelism`] (1 if unknown).
+/// The configured parallelism: `NSSD_JOBS` if set, otherwise
+/// [`std::thread::available_parallelism`] (1 if unknown). A value that is
+/// not a positive integer ends the process (see [`env_count`]).
 pub fn jobs_from_env() -> usize {
-    match std::env::var("NSSD_JOBS").ok().and_then(|v| v.parse().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1),
+    let default = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1);
+    env_count("NSSD_JOBS", default)
+}
+
+/// Reads a count knob from the environment: `default` when `var` is unset.
+/// A value that is not a positive integer ends the process with exit
+/// status 2 and a message naming `var`, so a typo never silently runs at
+/// the default.
+pub fn env_count(var: &str, default: usize) -> usize {
+    let value = std::env::var_os(var).map(|v| v.to_string_lossy().into_owned());
+    parse_count(var, value.as_deref(), default).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// Parses a count knob's value: `default` when `value` is `None`, the
+/// integer when it is positive (surrounding whitespace allowed), an error
+/// naming `var` otherwise.
+fn parse_count(var: &str, value: Option<&str>, default: usize) -> Result<usize, String> {
+    let Some(v) = value else {
+        return Ok(default);
+    };
+    match v.trim().parse() {
+        Ok(n) if n > 0 => Ok(n),
+        _ => Err(format!("{var}={v:?} is not a positive integer")),
     }
 }
 
@@ -214,5 +238,16 @@ mod tests {
     #[test]
     fn workers_clamped_to_at_least_one() {
         assert_eq!(Pool::with_workers(0).workers(), 1);
+    }
+
+    #[test]
+    fn count_knobs_default_when_unset_and_reject_bad_values() {
+        assert_eq!(parse_count("NSSD_X", None, 7), Ok(7));
+        assert_eq!(parse_count("NSSD_X", Some("2000"), 7), Ok(2000));
+        assert_eq!(parse_count("NSSD_X", Some(" 12 "), 7), Ok(12));
+        for bad in ["", "0", "-5", "2k", "1e4", "abc"] {
+            let err = parse_count("NSSD_X", Some(bad), 7).unwrap_err();
+            assert!(err.starts_with("NSSD_X="), "{err}");
+        }
     }
 }

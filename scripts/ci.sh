@@ -33,6 +33,12 @@ echo "==> tenant interference smoke"
 # all three schedulers, and the per-tenant report path end-to-end.
 NSSD_TENANT_REQUESTS=200 cargo run --release -q -p nssd-bench --bin figure -- tenants
 
+echo "==> fault sweep smoke"
+# A small run of E4: the RBER retry ladder, wire-BER recovery, and the only
+# end-to-end chip failure without parity (its pages are lost, reads of them
+# fail as host I/O errors).
+NSSD_REQUESTS=2000 cargo run --release -q -p nssd-bench --bin figure -- fault_sweep
+
 echo "==> endurance lifetime smoke"
 # A short segmented endurance run per architecture: exercises checkpoint
 # save/resume at every segment boundary (the bin asserts save∘resume is

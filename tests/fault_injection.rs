@@ -1,8 +1,10 @@
 //! End-to-end fault-injection behavior: the retry ladder degrades reads,
 //! packetized links recover wire corruption while the dedicated-signal
 //! baseline corrupts silently, bad blocks retire, and a chip fail-stop
-//! remaps live data and continues.
+//! without parity loses its live pages while the device continues.
 
+use networked_ssd::core::golden::canonical_json;
+use networked_ssd::core::{prepare_trace, prepare_trace_preconditioned, Checkpoint};
 use networked_ssd::faults::ChipFailureSpec;
 use networked_ssd::sim::SimTime;
 use networked_ssd::{
@@ -111,20 +113,65 @@ fn grown_bad_blocks_retire_during_gc() {
     assert_eq!(r.completed, 250);
 }
 
+/// A fail-stopped chip without parity loses its live pages: reads of them
+/// complete as host I/O errors (never as never-written zeroes), and the
+/// device keeps serving — and collecting garbage — on the survivors. Pinned
+/// with GC off and with PaGC and SpGC on an aged device, and through a
+/// checkpoint taken right after the failure.
 #[test]
-fn chip_failure_remaps_live_data_and_continues() {
-    for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
-        let mut cfg = no_gc_config(arch);
-        cfg.faults.chip_failure = Some(ChipFailureSpec {
-            channel: 1,
-            way: 0,
-            at: SimTime::from_us(500),
-        });
-        let trace = trace_for(&cfg, 300);
-        let r = run_trace(cfg, &trace).unwrap();
-        assert_eq!(r.reliability.chip_failures, 1, "{arch}");
-        assert!(r.reliability.pages_remapped > 0, "{arch}");
-        assert_eq!(r.completed, 300, "{arch}: device must finish degraded");
+fn chip_failure_without_parity_loses_pages_under_every_gc_mode() {
+    const REQUESTS: usize = 600;
+    for arch in [Architecture::BaseSsd, Architecture::PnSsd] {
+        for policy in [GcPolicy::None, GcPolicy::Parallel, GcPolicy::Spatial] {
+            let mut cfg = SsdConfig::tiny(arch);
+            // 16 chips: one failure takes 1/16 of the device, not the
+            // quarter the 4-chip tiny geometry would lose.
+            cfg.geometry.channels = 4;
+            cfg.geometry.ways = 4;
+            cfg.gc.policy = policy;
+            cfg.oracle = true;
+            let trace = PaperWorkload::YcsbA.generate(REQUESTS, cfg.logical_bytes() * 3 / 4, 17);
+            cfg.faults.chip_failure = Some(ChipFailureSpec {
+                channel: 1,
+                way: 2,
+                at: trace.records()[REQUESTS / 3].at,
+            });
+            let prepare = || match policy {
+                GcPolicy::None => prepare_trace(cfg, &trace),
+                _ => prepare_trace_preconditioned(cfg, &trace, 0.85, 0.3),
+            };
+            let case = format!("{arch} {policy:?}");
+
+            let (mut sim, drive) = prepare().unwrap();
+            sim.start(drive);
+            let mut snapshot = None;
+            while sim.step() {
+                if snapshot.is_none() && sim.reliability().chip_failures == 1 {
+                    snapshot = Some(Checkpoint::save(&sim));
+                }
+            }
+            let r = sim.into_report();
+            assert_eq!(r.completed, REQUESTS as u64, "{case}: device must finish");
+            let rel = r.reliability;
+            assert!(rel.pages_lost > 0, "{case}: {rel:?}");
+            assert_eq!(rel.pages_degraded, 0, "{case}");
+            assert!(rel.host_io_errors > 0, "{case}: no read hit a lost page");
+            assert_eq!(r.unmapped_reads, 0, "{case}: lost reads served as zeroes");
+            assert!(
+                r.oracle.violations.is_empty(),
+                "{case}: {:?}",
+                r.oracle.violations
+            );
+
+            let bytes = snapshot.unwrap_or_else(|| panic!("{case}: chip never failed"));
+            let mut resumed = Checkpoint::resume(cfg, &bytes).unwrap();
+            while resumed.step() {}
+            assert_eq!(
+                canonical_json(&resumed.into_report()),
+                canonical_json(&r),
+                "{case}: resume after the failure diverged"
+            );
+        }
     }
 }
 

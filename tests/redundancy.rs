@@ -1,13 +1,13 @@
 //! Parity-redundancy integration: degraded reads survive a chip fail-stop
 //! with zero data loss, the fabric-routed rebuild re-protects the device,
-//! strict fail-stop semantics surface honest host-visible errors, and the
+//! the same failure without parity surfaces host-visible errors, and the
 //! whole subsystem checkpoints mid-rebuild.
 
 use networked_ssd::core::golden::canonical_json;
 use networked_ssd::core::{Checkpoint, Drive, SsdSim};
 use networked_ssd::faults::ChipFailureSpec;
 use networked_ssd::flash::Geometry;
-use networked_ssd::ftl::{FailStopMode, Ftl, FtlConfig, GcStream, Lpn, RedundancyConfig, WayMask};
+use networked_ssd::ftl::{Ftl, FtlConfig, GcStream, Lpn, RedundancyConfig, WayMask};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{Pool, SimTime};
 use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
@@ -70,44 +70,31 @@ fn degraded_reads_reconstruct_and_rebuild_reprotects_every_fabric() {
 }
 
 #[test]
-fn strict_fail_stop_loses_pages_while_legacy_relocates_and_redundancy_recovers() {
-    let base = {
-        let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-        cfg.gc.policy = GcPolicy::None;
-        cfg.oracle = true;
-        cfg.faults.chip_failure = Some(ChipFailureSpec {
-            channel: 0,
-            way: 0,
-            at: SimTime::from_us(900),
-        });
-        cfg
-    };
-    let trace = trace_for(&base, 300, 29);
+fn fail_stop_without_parity_loses_pages_while_redundancy_recovers() {
+    let redundant_cfg = redundant_cfg(Architecture::PnSsd);
+    let mut bare_cfg = redundant_cfg;
+    bare_cfg.redundancy = RedundancyConfig::off();
+    let trace = trace_for(&bare_cfg, 300, 29);
 
-    // Legacy fail-stop: live pages are optimistically relocated off the
-    // dead chip; nothing is lost and the host never sees an error.
-    let legacy = run_trace(base, &trace).unwrap();
-    assert!(legacy.reliability.pages_remapped > 0);
-    assert_eq!(legacy.reliability.pages_lost, 0);
-    assert_eq!(legacy.reliability.host_io_errors, 0);
-
-    // Honest fail-stop: the dead chip's live pages are gone, and reads of
+    // Without parity the dead chip's live pages are gone, and reads of
     // them come back as host-visible I/O errors.
-    let mut strict_cfg = base;
-    strict_cfg.faults.strict_fail_stop = true;
-    let strict = run_trace(strict_cfg, &trace).unwrap();
-    assert_eq!(strict.reliability.pages_remapped, 0);
-    assert!(strict.reliability.pages_lost > 0);
+    let bare = run_trace(bare_cfg, &trace).unwrap();
+    assert!(bare.reliability.pages_lost > 0);
     assert!(
-        strict.reliability.host_io_errors > 0,
+        bare.reliability.host_io_errors > 0,
         "no read ever touched a lost page: {:?}",
-        strict.reliability
+        bare.reliability
     );
-    assert_eq!(strict.completed, legacy.completed, "errors still complete");
+    assert_eq!(bare.completed, 300, "errors still complete");
+    assert!(
+        bare.oracle.violations.is_empty(),
+        "{:?}",
+        bare.oracle.violations
+    );
 
-    // Parity redundancy makes strict semantics loss-free again: the same
-    // failure under a stripe serves those reads by reconstruction.
-    let redundant = run_trace(redundant_cfg(Architecture::PnSsd), &trace).unwrap();
+    // Parity makes the same failure loss-free: a stripe serves those reads
+    // by reconstruction.
+    let redundant = run_trace(redundant_cfg, &trace).unwrap();
     assert_eq!(redundant.reliability.pages_lost, 0);
     assert_eq!(redundant.reliability.host_io_errors, 0);
     assert!(redundant.reliability.reconstructed_reads > 0);
@@ -186,7 +173,7 @@ fn dropped_rebuild_copy_fires_the_oracle() {
     let out = ftl.write(Lpn::new(3)).unwrap();
     oracle.note_host_write(Lpn::new(3), out.ppn, SimTime::ZERO);
     let addr = ftl.geometry().page_addr(out.ppn);
-    ftl.fail_chip_mode(addr.channel, addr.way, FailStopMode::Redundant);
+    ftl.fail_chip(addr.channel, addr.way);
     let backlog = ftl.degraded_pages();
     assert!(
         backlog.contains(&(Lpn::new(3), out.ppn)),
