@@ -164,6 +164,28 @@ pub struct PageAllocator {
     policy: AllocPolicy,
     seq: u64,
     open: Vec<Option<nssd_flash::Pbn>>,
+    /// Open frontiers per way, derived from `open` (never serialized): a
+    /// starved allocation fails in constant time when its mask has none.
+    open_per_way: Vec<u32>,
+    /// Plane units per chip (`dies × planes`), to find a unit's way.
+    chip_units: usize,
+}
+
+/// Stripe digit positions: `(channel, way_index, die, plane)`.
+const CHANNEL: usize = 0;
+const WAY: usize = 1;
+const DIE: usize = 2;
+const PLANE: usize = 3;
+
+impl AllocPolicy {
+    /// The stripe digits, fastest-varying first.
+    fn digit_order(self) -> [usize; 4] {
+        match self {
+            AllocPolicy::Pcwd => [PLANE, CHANNEL, WAY, DIE],
+            AllocPolicy::Pwcd => [PLANE, WAY, CHANNEL, DIE],
+            AllocPolicy::Cwdp => [CHANNEL, WAY, DIE, PLANE],
+        }
+    }
 }
 
 impl PageAllocator {
@@ -173,6 +195,8 @@ impl PageAllocator {
             policy,
             seq: 0,
             open: vec![None; geometry.plane_count() as usize],
+            open_per_way: vec![0; geometry.ways as usize],
+            chip_units: (geometry.dies * geometry.planes) as usize,
         }
     }
 
@@ -181,45 +205,20 @@ impl PageAllocator {
         self.policy
     }
 
-    /// Decodes an allocation sequence number into `(channel, way_index,
-    /// die, plane)`, where `way_index` indexes the *permitted* way list.
-    fn decode(&self, mut s: u64, g: &Geometry, permitted_ways: u32) -> (u32, u32, u32, u32) {
-        let p = g.planes as u64;
-        let c = g.channels as u64;
-        let w = permitted_ways as u64;
-        let d = g.dies as u64;
-        match self.policy {
-            AllocPolicy::Pcwd => {
-                let plane = (s % p) as u32;
-                s /= p;
-                let channel = (s % c) as u32;
-                s /= c;
-                let way_i = (s % w) as u32;
-                s /= w;
-                let die = (s % d) as u32;
-                (channel, way_i, die, plane)
-            }
-            AllocPolicy::Pwcd => {
-                let plane = (s % p) as u32;
-                s /= p;
-                let way_i = (s % w) as u32;
-                s /= w;
-                let channel = (s % c) as u32;
-                s /= c;
-                let die = (s % d) as u32;
-                (channel, way_i, die, plane)
-            }
-            AllocPolicy::Cwdp => {
-                let channel = (s % c) as u32;
-                s /= c;
-                let way_i = (s % w) as u32;
-                s /= w;
-                let die = (s % d) as u32;
-                s /= d;
-                let plane = (s % p) as u32;
-                (channel, way_i, die, plane)
-            }
+    /// The way a plane unit belongs to (units are chip-major, chips
+    /// channel-major).
+    fn way_of(&self, unit: usize) -> usize {
+        (unit / self.chip_units) % self.open_per_way.len()
+    }
+
+    /// Sets `unit`'s frontier, keeping the per-way count in step.
+    fn set_open(&mut self, unit: usize, way: usize, slot: Option<nssd_flash::Pbn>) {
+        match (self.open[unit].is_some(), slot.is_some()) {
+            (false, true) => self.open_per_way[way] += 1,
+            (true, false) => self.open_per_way[way] -= 1,
+            _ => {}
         }
+        self.open[unit] = slot;
     }
 
     /// Allocates (programs) the next physical page, striping per policy and
@@ -238,6 +237,11 @@ impl PageAllocator {
     /// block consumption without stranding open-page capacity. The FTL uses
     /// this to keep free blocks back for GC relocations.
     ///
+    /// A call tries plane units in stripe order from the sequence number,
+    /// which advances by one per unit tried. A failed call advances it by
+    /// the full unit count however the failure was found, so the placement
+    /// of later pages does not depend on it.
+    ///
     /// # Errors
     ///
     /// Returns [`OutOfSpace`] when no open block has room and no block can
@@ -249,29 +253,44 @@ impl PageAllocator {
         reserve: u64,
     ) -> Result<Ppn, OutOfSpace> {
         let g = *blocks.geometry();
-        // Permitted ways as bits, clipped to the geometry — this runs once
-        // per programmed page, so the way list is never materialized; the
-        // `way_i`-th permitted way is selected straight from the bits below.
         let way_bits = mask.bits() & WayMask::all(g.ways).bits();
         let way_count = way_bits.count_ones();
         if way_count == 0 {
             return Err(OutOfSpace);
         }
         let units = g.planes as u64 * g.channels as u64 * way_count as u64 * g.dies as u64;
+        // At or below the reserve only an open frontier can take a page; with
+        // none in the mask, the scan below would visit every unit in vain.
+        let starved = blocks.free_blocks() <= reserve;
+        if starved && !self.has_open_frontier(way_bits) {
+            self.seq += units;
+            return Err(OutOfSpace);
+        }
+        // Decode `seq` once, then step the digits like an odometer: the
+        // digits depend only on `seq` modulo `units`, so the top digit wraps.
+        let order = self.policy.digit_order();
+        let radix = [g.channels, way_count, g.dies, g.planes];
+        let mut digit = [0u32; 4];
+        let mut s = self.seq;
+        for i in order {
+            let r = radix[i] as u64;
+            digit[i] = (s % r) as u32;
+            s /= r;
+        }
+        // The permitted ways, ascending: `way_index` selects from these.
+        let mut ways = [0u8; 64];
+        let mut bits = way_bits;
+        for slot in &mut ways[..way_count as usize] {
+            *slot = bits.trailing_zeros() as u8;
+            bits &= bits - 1;
+        }
         for _ in 0..units {
-            let (channel, way_i, die, plane) = self.decode(self.seq, &g, way_count);
             self.seq += 1;
-            let way = {
-                // The `way_i`-th (ascending) set bit of `way_bits`.
-                let mut bits = way_bits;
-                for _ in 0..way_i {
-                    bits &= bits - 1;
-                }
-                bits.trailing_zeros()
-            };
-            let unit = ((g.chip_index(channel, way) as u64 * g.dies as u64 + die as u64)
+            let way = ways[digit[WAY] as usize] as usize;
+            let unit = ((g.chip_index(digit[CHANNEL], way as u32) as u64 * g.dies as u64
+                + digit[DIE] as u64)
                 * g.planes as u64
-                + plane as u64) as usize;
+                + digit[PLANE] as u64) as usize;
             // Program into the open block, replacing it when exhausted. A
             // block is released from `open` the moment it fills, so garbage
             // collection (which only reclaims Full blocks) can never erase a
@@ -279,30 +298,44 @@ impl PageAllocator {
             if let Some(pbn) = self.open[unit] {
                 if let Some(ppn) = blocks.program_next_page(pbn) {
                     if blocks.meta(pbn).state() == crate::BlockState::Full {
-                        self.open[unit] = None;
+                        self.set_open(unit, way, None);
                     }
                     return Ok(ppn);
                 }
-                self.open[unit] = None;
+                self.set_open(unit, way, None);
             }
-            if blocks.free_blocks() > reserve {
+            if !starved {
                 if let Some(pbn) = blocks.take_free_block(unit) {
                     let ppn = blocks
                         .program_next_page(pbn)
                         .expect("fresh block must accept a page");
-                    self.open[unit] =
-                        (blocks.meta(pbn).state() != crate::BlockState::Full).then_some(pbn);
+                    let open = (blocks.meta(pbn).state() != crate::BlockState::Full).then_some(pbn);
+                    self.set_open(unit, way, open);
                     return Ok(ppn);
                 }
             }
             // This plane is exhausted; try the next unit in stripe order.
+            for i in order {
+                digit[i] += 1;
+                if digit[i] < radix[i] {
+                    break;
+                }
+                digit[i] = 0;
+            }
         }
         Err(OutOfSpace)
     }
 
-    /// Number of pages allocated so far.
-    pub fn allocated(&self) -> u64 {
-        self.seq // upper bound; equals allocations when no unit was skipped
+    /// Whether any way in `way_bits` has an open frontier.
+    fn has_open_frontier(&self, way_bits: u64) -> bool {
+        let mut bits = way_bits;
+        while bits != 0 {
+            if self.open_per_way[bits.trailing_zeros() as usize] != 0 {
+                return true;
+            }
+            bits &= bits - 1;
+        }
+        false
     }
 
     /// Serializes the stripe sequence counter and the per-plane open-block
@@ -351,6 +384,13 @@ impl PageAllocator {
                 open.push(None);
             }
         }
+        self.open_per_way.fill(0);
+        for (unit, slot) in open.iter().enumerate() {
+            if slot.is_some() {
+                let way = self.way_of(unit);
+                self.open_per_way[way] += 1;
+            }
+        }
         self.seq = seq;
         self.open = open;
         Ok(())
@@ -361,9 +401,10 @@ impl PageAllocator {
     /// fail-stop chip removal must close its frontiers or the allocator
     /// would keep writing into the dead chip.
     pub fn close_open_blocks(&mut self, retire: impl Fn(nssd_flash::Pbn) -> bool) {
-        for slot in &mut self.open {
-            if slot.is_some_and(&retire) {
-                *slot = None;
+        for unit in 0..self.open.len() {
+            if self.open[unit].is_some_and(&retire) {
+                let way = self.way_of(unit);
+                self.set_open(unit, way, None);
             }
         }
     }
@@ -372,6 +413,7 @@ impl PageAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nssd_sim::{DetRng, Rng};
     use std::collections::HashSet;
 
     fn setup(policy: AllocPolicy) -> (Geometry, BlockTable, PageAllocator) {
@@ -379,6 +421,256 @@ mod tests {
         let blocks = BlockTable::new(&g);
         let alloc = PageAllocator::new(&g, policy);
         (g, blocks, alloc)
+    }
+
+    /// The stripe walk as first written, kept as the reference model for
+    /// [`PageAllocator::allocate_with_reserve`]: every unit's sequence
+    /// number is decoded anew with divisions, and a failure is only
+    /// known after every permitted unit has been visited.
+    struct ScanAllocator {
+        policy: AllocPolicy,
+        seq: u64,
+        open: Vec<Option<nssd_flash::Pbn>>,
+    }
+
+    impl ScanAllocator {
+        fn new(geometry: &Geometry, policy: AllocPolicy) -> Self {
+            ScanAllocator {
+                policy,
+                seq: 0,
+                open: vec![None; geometry.plane_count() as usize],
+            }
+        }
+
+        /// Decodes a sequence number into `(channel, way_index, die, plane)`.
+        fn decode(&self, mut s: u64, g: &Geometry, permitted_ways: u32) -> (u32, u32, u32, u32) {
+            let p = g.planes as u64;
+            let c = g.channels as u64;
+            let w = permitted_ways as u64;
+            let d = g.dies as u64;
+            match self.policy {
+                AllocPolicy::Pcwd => {
+                    let plane = (s % p) as u32;
+                    s /= p;
+                    let channel = (s % c) as u32;
+                    s /= c;
+                    let way_i = (s % w) as u32;
+                    s /= w;
+                    let die = (s % d) as u32;
+                    (channel, way_i, die, plane)
+                }
+                AllocPolicy::Pwcd => {
+                    let plane = (s % p) as u32;
+                    s /= p;
+                    let way_i = (s % w) as u32;
+                    s /= w;
+                    let channel = (s % c) as u32;
+                    s /= c;
+                    let die = (s % d) as u32;
+                    (channel, way_i, die, plane)
+                }
+                AllocPolicy::Cwdp => {
+                    let channel = (s % c) as u32;
+                    s /= c;
+                    let way_i = (s % w) as u32;
+                    s /= w;
+                    let die = (s % d) as u32;
+                    s /= d;
+                    let plane = (s % p) as u32;
+                    (channel, way_i, die, plane)
+                }
+            }
+        }
+
+        fn allocate_with_reserve(
+            &mut self,
+            blocks: &mut BlockTable,
+            mask: WayMask,
+            reserve: u64,
+        ) -> Result<Ppn, OutOfSpace> {
+            let g = *blocks.geometry();
+            let way_bits = mask.bits() & WayMask::all(g.ways).bits();
+            let way_count = way_bits.count_ones();
+            if way_count == 0 {
+                return Err(OutOfSpace);
+            }
+            let units = g.planes as u64 * g.channels as u64 * way_count as u64 * g.dies as u64;
+            for _ in 0..units {
+                let (channel, way_i, die, plane) = self.decode(self.seq, &g, way_count);
+                self.seq += 1;
+                let way = {
+                    let mut bits = way_bits;
+                    for _ in 0..way_i {
+                        bits &= bits - 1;
+                    }
+                    bits.trailing_zeros()
+                };
+                let unit = ((g.chip_index(channel, way) as u64 * g.dies as u64 + die as u64)
+                    * g.planes as u64
+                    + plane as u64) as usize;
+                if let Some(pbn) = self.open[unit] {
+                    if let Some(ppn) = blocks.program_next_page(pbn) {
+                        if blocks.meta(pbn).state() == crate::BlockState::Full {
+                            self.open[unit] = None;
+                        }
+                        return Ok(ppn);
+                    }
+                    self.open[unit] = None;
+                }
+                if blocks.free_blocks() > reserve {
+                    if let Some(pbn) = blocks.take_free_block(unit) {
+                        let ppn = blocks
+                            .program_next_page(pbn)
+                            .expect("fresh block must accept a page");
+                        self.open[unit] =
+                            (blocks.meta(pbn).state() != crate::BlockState::Full).then_some(pbn);
+                        return Ok(ppn);
+                    }
+                }
+            }
+            Err(OutOfSpace)
+        }
+
+        fn close_open_blocks(&mut self, retire: impl Fn(nssd_flash::Pbn) -> bool) {
+            for slot in &mut self.open {
+                if slot.is_some_and(&retire) {
+                    *slot = None;
+                }
+            }
+        }
+
+        /// The same wire format as [`PageAllocator::ckpt_save`].
+        fn ckpt_save(&self, w: &mut CkptWriter) {
+            w.put_u64(self.seq);
+            w.put_usize(self.open.len());
+            for slot in &self.open {
+                match slot {
+                    Some(pbn) => {
+                        w.put_bool(true);
+                        w.put_u64(pbn.raw());
+                    }
+                    None => w.put_bool(false),
+                }
+            }
+        }
+    }
+
+    fn saved(save: impl FnOnce(&mut CkptWriter)) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        save(&mut w);
+        w.into_bytes()
+    }
+
+    /// A random way mask: usually a subset of the device's ways, sometimes
+    /// one naming only a way beyond the geometry (clipped to nothing).
+    fn random_mask(rng: &mut DetRng, ways: u32) -> WayMask {
+        if rng.gen_bool(0.02) {
+            return WayMask::from_ways([ways]);
+        }
+        WayMask::from_bits(rng.gen_range(1..1u64 << ways), ways).unwrap()
+    }
+
+    /// Invalidates every page of a random full block and erases it, on
+    /// both tables alike.
+    fn free_a_block(rng: &mut DetRng, tables: [&mut BlockTable; 2]) {
+        let n = tables[0].geometry().block_count();
+        let start = rng.gen_range(0..n);
+        let Some(pbn) = (0..n)
+            .map(|i| nssd_flash::Pbn::new((start + i) % n))
+            .find(|&b| tables[0].meta(b).state() == crate::BlockState::Full)
+        else {
+            return;
+        };
+        for t in tables {
+            for ppn in t.valid_pages(pbn) {
+                t.invalidate(ppn);
+            }
+            assert!(t.erase(pbn));
+        }
+    }
+
+    /// The odometer walk with its constant-time failure answers every call
+    /// exactly as the reference scan does: same page or error, same
+    /// sequence number, same checkpoint bytes — across every policy,
+    /// changing masks, reserves on both sides of the free count, blocks
+    /// freed and frontiers closed mid-sequence, and a checkpoint round trip.
+    #[test]
+    fn stripe_walk_matches_the_reference_scan() {
+        let mut rng = DetRng::seed_from_u64(0x0D0_3E7E);
+        let geometries = [
+            Geometry::tiny(),
+            Geometry {
+                channels: 3,
+                ways: 5,
+                dies: 2,
+                planes: 2,
+                blocks_per_plane: 4,
+                pages_per_block: 4,
+                page_bytes: 4096,
+            },
+        ];
+        let policies = [AllocPolicy::Pcwd, AllocPolicy::Pwcd, AllocPolicy::Cwdp];
+        for case in 0..crate::CASES {
+            let g = geometries[case % geometries.len()];
+            let policy = policies[rng.gen_range(0..policies.len())];
+            let mut blocks = BlockTable::new(&g);
+            let mut model_blocks = blocks.clone();
+            let mut alloc = PageAllocator::new(&g, policy);
+            let mut model = ScanAllocator::new(&g, policy);
+            let fixed_mask = random_mask(&mut rng, g.ways);
+            let mask_per_call = rng.gen_bool(0.5);
+            let steps = rng.gen_range(1..3 * g.page_count() as usize);
+            let ckpt_at = rng.gen_range(0..steps);
+            for step in 0..steps {
+                if step == ckpt_at {
+                    let bytes = saved(|w| alloc.ckpt_save(w));
+                    alloc = PageAllocator::new(&g, policy);
+                    let mut r = CkptReader::new(&bytes);
+                    alloc.ckpt_load(&mut r, g.block_count()).unwrap();
+                    r.finish().unwrap();
+                }
+                match rng.gen_range(0..20u64) {
+                    0 | 1 => free_a_block(&mut rng, [&mut blocks, &mut model_blocks]),
+                    2 => {
+                        let (m, r) = (rng.gen_range(2..5u64), rng.gen_range(0..2u64));
+                        alloc.close_open_blocks(|pbn| pbn.raw() % m == r);
+                        model.close_open_blocks(|pbn| pbn.raw() % m == r);
+                    }
+                    _ => {
+                        let mask = if mask_per_call {
+                            random_mask(&mut rng, g.ways)
+                        } else {
+                            fixed_mask
+                        };
+                        let free = blocks.free_blocks();
+                        let reserve = match rng.gen_range(0..3u64) {
+                            0 => 0,
+                            1 => free.saturating_sub(rng.gen_range(0..3u64)),
+                            _ => free + rng.gen_range(0..3u64),
+                        };
+                        let got = alloc.allocate_with_reserve(&mut blocks, mask, reserve);
+                        let want = model.allocate_with_reserve(&mut model_blocks, mask, reserve);
+                        assert_eq!(got, want, "case {case} step {step}: {policy} {mask}");
+                    }
+                }
+                assert_eq!(alloc.seq, model.seq, "case {case} step {step}");
+                assert_eq!(
+                    saved(|w| alloc.ckpt_save(w)),
+                    saved(|w| model.ckpt_save(w)),
+                    "case {case} step {step}"
+                );
+                let mut recount = vec![0; g.ways as usize];
+                for pbn in alloc.open.iter().flatten() {
+                    recount[g.block_addr(*pbn).way as usize] += 1;
+                }
+                assert_eq!(alloc.open_per_way, recount, "case {case} step {step}");
+            }
+            assert_eq!(
+                saved(|w| blocks.ckpt_save(w)),
+                saved(|w| model_blocks.ckpt_save(w)),
+                "case {case}"
+            );
+        }
     }
 
     #[test]

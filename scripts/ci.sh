@@ -16,6 +16,11 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace --release -q
 
+echo "==> allocator equivalence, deep"
+# The stripe walk against its reference scan at the heavy-tests iteration
+# count: every call must give the same page, sequence number and checkpoint.
+cargo test --release -q -p nssd-ftl --features heavy-tests
+
 echo "==> golden snapshot gate"
 # The golden_report suite re-runs the pinned matrix and compares byte-for-byte
 # against tests/golden/; the git check catches a bless that was never committed.
