@@ -564,8 +564,7 @@ impl SsdSim {
                 requests.len()
             )));
         }
-        self.gc
-            .ckpt_load(r, g.page_count(), self.ftl.logical_pages(), g.block_count())?;
+        self.gc.ckpt_load(r, &g, self.ftl.logical_pages())?;
         self.rebuild
             .ckpt_load(r, g.page_count(), self.ftl.logical_pages())?;
         for field in ["parity_pending", "parity_rot"] {

@@ -1,23 +1,45 @@
-//! Garbage-collection execution: a composable [`GcPlan`] driving a backlog
-//! of schedulable copy packets.
+//! Garbage-collection execution: the configured [`GcPlanSpec`] driving a
+//! backlog of schedulable copy packets.
 //!
 //! GC copies are timed pipelines: source command + tR, a data movement
 //! delegated to the [`super::FabricBackend`] (staged twice through the
 //! controller for bus architectures; once over a shared v-channel directly
 //! chip-to-chip for pnSSD; a direct mesh route for NoSSD), then tPROG at
-//! the destination, and finally the victim erase. The plan's components
-//! decide everything policy-like: the victim selector picks blocks, the
-//! trigger component arms/chains/forces events, the placement component
-//! constrains masks and routes relocation streams, and the preemption
-//! component chooses the dispatch discipline for the packet backlog. The
-//! fabric decides how bytes move.
+//! the destination, and finally the victim erase. The plan decides
+//! everything policy-like, one field at a time:
+//!
+//! * **victim** — [`VictimSpec::select`](nssd_ftl::VictimSpec::select)
+//!   picks the blocks;
+//! * **trigger** — the FTL's watermarks arm ([`Ftl::needs_gc`]), chain
+//!   (free ratio below `stop_free_ratio`) and force
+//!   ([`Ftl::critically_low`]) events;
+//! * **placement** — spatial placement owns the only placement state, the
+//!   [`SpatialGroups`] rotation and the GC-group mask of the running
+//!   event; the relocation stream comes from [`Ftl::gc_stream`];
+//! * **preemption** — run-to-completion chains copies per victim, yielding
+//!   launches a small batch into foreground-idle gaps.
+//!
+//! The fabric decides how bytes move.
+//!
+//! [`Ftl::needs_gc`]: nssd_ftl::Ftl::needs_gc
+//! [`Ftl::critically_low`]: nssd_ftl::Ftl::critically_low
+//! [`Ftl::gc_stream`]: nssd_ftl::Ftl::gc_stream
 
-use nssd_flash::{Pbn, Ppn};
-use nssd_ftl::{DispatchDiscipline, FtlError, GcConfig, GcPlan, GcPlanSpec, Lpn, WayMask};
+use nssd_flash::{Geometry, Pbn, Ppn};
+use nssd_ftl::{
+    BlockState, FtlError, GcConfig, GcPlanSpec, Lpn, PlacementSpec, PreemptionSpec, SpatialGroups,
+    WayMask,
+};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, SimTime};
 
 use super::{Event, SsdSim};
 use crate::Traffic;
+
+/// Copies a yielding plan keeps in flight at most.
+const YIELD_BATCH: usize = 4;
+/// Re-poll interval while foreground traffic blocks a yielding plan's next
+/// copy.
+const YIELD_POLL: SimTime = SimTime::from_us(20);
 
 /// One schedulable unit of GC work: relocate `lpn` away from `src`. The
 /// destination is bound mid-flight, once the copy's read completes.
@@ -43,8 +65,14 @@ struct VictimState {
 /// Runtime state of the garbage collector.
 #[derive(Debug)]
 pub(crate) struct GcRuntime {
-    /// The assembled plan, or `None` when GC is disabled.
-    plan: Option<GcPlan>,
+    /// The plan being run, or `None` when GC is disabled.
+    spec: Option<GcPlanSpec>,
+    /// SpGC's way groups; `Some` exactly when the plan's placement is
+    /// [`PlacementSpec::Spatial`].
+    groups: Option<SpatialGroups>,
+    /// The GC-group mask copy destinations are confined to while a spatial
+    /// event runs.
+    confinement: Option<WayMask>,
     active: bool,
     started_at: SimTime,
     copies: Vec<CopyPacket>,
@@ -68,9 +96,18 @@ pub(crate) struct GcRuntime {
 }
 
 impl GcRuntime {
+    /// The collector for `cfg`'s plan. `total_ways` sizes the spatial
+    /// groups; the FTL configuration check has already rejected spatial
+    /// placement on fewer than two ways.
     pub(crate) fn new(cfg: &GcConfig, total_ways: u32) -> Self {
+        let spec = cfg.effective_plan();
+        let groups = spec
+            .is_some_and(|s| s.placement == PlacementSpec::Spatial)
+            .then(|| SpatialGroups::new(total_ways, cfg.gc_group_fraction));
         GcRuntime {
-            plan: GcPlan::from_config(cfg, total_ways),
+            spec,
+            groups,
+            confinement: None,
             active: false,
             started_at: SimTime::ZERO,
             copies: Vec::new(),
@@ -91,12 +128,12 @@ impl GcRuntime {
 
     /// Whether garbage collection is enabled at all.
     pub(crate) fn enabled(&self) -> bool {
-        self.plan.is_some()
+        self.spec.is_some()
     }
 
-    /// The spec of the running plan, if GC is enabled.
+    /// The running plan, if GC is enabled.
     pub(crate) fn spec(&self) -> Option<GcPlanSpec> {
-        self.plan.as_ref().map(|p| p.spec)
+        self.spec
     }
 
     /// Copies tracked by the current (or last) GC event, for checkpoint
@@ -110,46 +147,25 @@ impl GcRuntime {
         self.victims.len()
     }
 
-    /// The dispatch discipline of the running plan. Only meaningful while
-    /// GC is enabled; defaults to per-victim chaining otherwise.
-    fn discipline(&self) -> DispatchDiscipline {
-        self.plan
-            .as_ref()
-            .map_or(DispatchDiscipline::PerVictimChain, |p| p.discipline())
-    }
-
-    /// Pacing parameters when an event is active under a paced discipline.
-    fn paced_params(&self) -> Option<(usize, SimTime)> {
-        if !self.active {
-            return None;
-        }
-        match self.discipline() {
-            DispatchDiscipline::Paced { batch, poll } => Some((batch, poll)),
-            DispatchDiscipline::PerVictimChain => None,
-        }
-    }
-
-    /// The placement component's destination confinement, if any.
-    fn confinement(&self) -> Option<WayMask> {
-        self.plan.as_ref().and_then(|p| p.placement.confinement())
+    /// Whether the plan yields its copies to foreground I/O.
+    fn yields(&self) -> bool {
+        self.spec
+            .is_some_and(|s| s.preemption == PreemptionSpec::YieldToIo)
     }
 
     /// Whether a pump event would make progress (paced launching).
     pub(crate) fn wants_pump(&self) -> bool {
-        self.paced_params().is_some() && self.next_copy < self.copies.len()
+        self.active && self.yields() && self.next_copy < self.copies.len()
     }
 }
 
 impl SsdSim {
-    /// Checks the plan's trigger component and begins a GC event if
-    /// warranted.
+    /// Begins a GC event if the trigger watermark is reached.
     pub(crate) fn maybe_start_gc(&mut self) {
-        let Some(plan) = self.gc.plan.as_ref() else {
-            return;
-        };
-        if self.gc.active
+        if !self.gc.enabled()
+            || self.gc.active
             || self.now < self.gc.starved_until
-            || !plan.trigger.should_trigger(&self.ftl)
+            || !self.ftl.needs_gc()
         {
             return;
         }
@@ -157,12 +173,10 @@ impl SsdSim {
     }
 
     fn start_gc(&mut self) {
-        // The placement component opens the event: it may narrow the user
-        // write mask and returns the mask victims are selected from.
-        let plan = self.gc.plan.as_mut().expect("GC enabled");
-        let victim_mask = plan.placement.begin_event(&mut self.ftl);
+        let spec = self.gc.spec.expect("GC enabled");
+        let victim_mask = self.begin_gc_event();
         self.ftl.note_gc_trigger();
-        let mut victims = plan.victim.select(
+        let mut victims = spec.victim.select(
             self.ftl.blocks(),
             self.cfg.gc.victims_per_trigger as usize,
             victim_mask,
@@ -170,7 +184,7 @@ impl SsdSim {
         );
         self.ftl.drop_dead_chip_victims(&mut victims);
         if victims.is_empty() {
-            plan.placement.end_event(&mut self.ftl);
+            self.end_gc_event();
             self.gc.starved_until = self.now + SimTime::from_ms(1);
             return;
         }
@@ -216,10 +230,35 @@ impl SsdSim {
         self.dispatch_backlog();
     }
 
-    /// Hands the fresh packet backlog to the plan's dispatch discipline.
+    /// Opens a GC event and returns the mask victims are selected from.
+    /// Spatial placement confines user writes to the I/O group and
+    /// victims and copies to the GC group; every other placement leaves
+    /// all ways open.
+    fn begin_gc_event(&mut self) -> WayMask {
+        let Some(groups) = self.gc.groups else {
+            return WayMask::all(self.cfg.geometry.ways);
+        };
+        let gc = groups.gc_ways();
+        self.ftl.set_write_mask(groups.io_ways());
+        self.gc.confinement = Some(gc);
+        gc
+    }
+
+    /// Closes a GC event (also when a trigger starved without victims):
+    /// spatial placement lifts the write restriction and swaps the groups
+    /// so both halves age evenly.
+    fn end_gc_event(&mut self) {
+        if let Some(groups) = self.gc.groups.as_mut() {
+            self.ftl.reset_write_mask();
+            groups.swap();
+            self.gc.confinement = None;
+        }
+    }
+
+    /// Hands the fresh packet backlog to the plan's preemption setting.
     fn dispatch_backlog(&mut self) {
-        match self.gc.discipline() {
-            DispatchDiscipline::PerVictimChain => {
+        match self.gc.spec.expect("GC enabled").preemption {
+            PreemptionSpec::RunToCompletion => {
                 // Each victim pipelines its packets — one in flight at a
                 // time per victim (a copyback chain) — so concurrency is
                 // the victim count, spread across the device's dies.
@@ -227,7 +266,7 @@ impl SsdSim {
                     self.advance_victim(v);
                 }
             }
-            DispatchDiscipline::Paced { .. } => self.gc_pump(),
+            PreemptionSpec::YieldToIo => self.gc_pump(),
         }
     }
 
@@ -244,21 +283,17 @@ impl SsdSim {
     /// Paced dispatch (Lee et al., ISPASS'11): once triggered, GC makes
     /// progress in the *gaps* — a packet launches only when its source
     /// channel is idle right now, so foreground I/O keeps bus priority at
-    /// page-copy granularity. When the trigger component reports free
-    /// space critically low the yield is suspended and GC proceeds
-    /// unconditionally.
+    /// page-copy granularity. When free space is critically low the yield
+    /// is suspended and GC proceeds unconditionally.
     pub(crate) fn gc_pump(&mut self) {
         self.gc.pump_scheduled = false;
-        let Some((batch, poll)) = self.gc.paced_params() else {
+        if !(self.gc.active && self.gc.yields()) {
             // A pump can also race a finished event; re-check the trigger.
             self.maybe_start_gc();
             return;
-        };
-        let forced = {
-            let plan = self.gc.plan.as_ref().expect("GC enabled");
-            plan.trigger.is_critical(&self.ftl)
-        };
-        while self.gc.next_copy < self.gc.copies.len() && self.gc.outstanding < batch {
+        }
+        let forced = self.ftl.critically_low();
+        while self.gc.next_copy < self.gc.copies.len() && self.gc.outstanding < YIELD_BATCH {
             let c = self.gc.next_copy;
             if forced || self.gc_source_idle(c) {
                 self.gc.next_copy += 1;
@@ -267,7 +302,8 @@ impl SsdSim {
                 // Busy right now: poll for the next gap.
                 if !self.gc.pump_scheduled {
                     self.gc.pump_scheduled = true;
-                    self.queue.schedule_after(self.now, poll, Event::GcPump);
+                    self.queue
+                        .schedule_after(self.now, YIELD_POLL, Event::GcPump);
                 }
                 break;
             }
@@ -291,21 +327,18 @@ impl SsdSim {
     }
 
     /// Whether GC command/readout traffic rides the v-channels on the
-    /// *source* side (a placement that wants them, on a topology that
-    /// offers them).
+    /// *source* side (spatial placement, on a topology that offers them).
     fn gc_uses_v_channel(&self) -> bool {
-        self.gc
-            .plan
-            .as_ref()
-            .is_some_and(|p| p.placement.wants_v_channel())
-            && self.fabric.gc_can_use_v()
+        self.gc.groups.is_some() && self.fabric.gc_can_use_v()
     }
 
     fn launch_copy(&mut self, c: usize) {
         let (lpn, src) = (self.gc.copies[c].lpn, self.gc.copies[c].src);
         self.gc.outstanding += 1;
-        if self.ftl.lookup(lpn) != Some(src) {
-            // The host overwrote the page after victim selection.
+        if self.ftl.lookup(lpn) != Some(src) || self.ftl.is_degraded_page(src) {
+            // The host overwrote the page after victim selection, or its
+            // chip fail-stopped since: the rebuild, not GC, re-places the
+            // dead chip's pages.
             self.copy_finished(c);
             return;
         }
@@ -325,11 +358,11 @@ impl SsdSim {
         self.queue.schedule(ready, Event::GcCopyReadDone(c));
     }
 
-    /// Destination way mask for one copy. A confining placement (SpGC)
-    /// pins destinations to the source's column group where the topology
-    /// routes per column (§VI-A); unconstrained placements roam freely.
+    /// Destination way mask for one copy. Spatial placement pins
+    /// destinations to the source's column group where the topology routes
+    /// per column (§VI-A); other placements roam freely.
     fn gc_dest_mask(&self, src_way: u32) -> WayMask {
-        let Some(gc_mask) = self.gc.confinement() else {
+        let Some(gc_mask) = self.gc.confinement else {
             return WayMask::all(self.cfg.geometry.ways);
         };
         if let Some(omni) = self.fabric.omnibus() {
@@ -358,15 +391,11 @@ impl SsdSim {
         let primary = self.gc_dest_mask(src_addr.way);
         let masks = [
             Some(primary),
-            self.gc.confinement(),
+            self.gc.confinement,
             Some(WayMask::all(self.cfg.geometry.ways)),
         ];
-        // The placement component routes the page to its relocation
-        // stream (generational plans send GC survivors cold).
-        let stream = {
-            let plan = self.gc.plan.as_ref().expect("GC enabled");
-            plan.placement.stream_for(&self.ftl, lpn)
-        };
+        // Hot/cold placement sends GC survivors through the cold stream.
+        let stream = self.ftl.gc_stream(lpn);
         let mut relocation = None;
         for (i, mask) in masks.iter().enumerate() {
             let Some(mask) = *mask else { continue };
@@ -445,7 +474,7 @@ impl SsdSim {
         v.copies_left -= 1;
         if v.copies_left == 0 {
             self.schedule_victim_erase(victim);
-        } else if self.gc.discipline() == DispatchDiscipline::PerVictimChain {
+        } else if !self.gc.yields() {
             self.advance_victim(victim);
         }
         if self.gc.wants_pump() {
@@ -453,8 +482,20 @@ impl SsdSim {
         }
     }
 
+    /// Whether a chip fail-stop took `pbn` out of GC's hands after it was
+    /// selected. With parity it sits on the dead chip, whose pages and
+    /// retirement belong to the rebuild; without parity `fail_chip` has
+    /// already retired it. Either way it must not be erased.
+    fn victim_lost_to_failure(&self, pbn: Pbn) -> bool {
+        self.ftl.on_dead_chip(pbn) || self.ftl.blocks().meta(pbn).state() == BlockState::Bad
+    }
+
     fn schedule_victim_erase(&mut self, victim: usize) {
         let pbn = self.gc.victims[victim].pbn;
+        if self.victim_lost_to_failure(pbn) {
+            self.queue.schedule(self.now, Event::GcEraseDone(victim));
+            return;
+        }
         let addr = self.cfg.geometry.block_addr(pbn);
         // The erase command is a handful of flits; its wire time is
         // negligible next to the 1 ms array erase, so only the plane is
@@ -466,7 +507,9 @@ impl SsdSim {
 
     pub(crate) fn gc_erase_done(&mut self, victim: usize) {
         let pbn = self.gc.victims[victim].pbn;
-        if self.faults.grown_bad_on_erase() {
+        if self.victim_lost_to_failure(pbn) {
+            // Nothing to erase: the victim counts as finished.
+        } else if self.faults.grown_bad_on_erase() {
             // The erase failed: the block grows bad and is retired instead
             // of rejoining the free pool (spare capacity absorbs the loss).
             self.ftl.retire_block(pbn);
@@ -496,11 +539,11 @@ impl SsdSim {
         self.gc.active = false;
         self.gc.total_time += self.now - self.gc.started_at;
         self.gc.events_completed += 1;
-        let plan = self.gc.plan.as_mut().expect("GC enabled");
-        plan.placement.end_event(&mut self.ftl);
+        self.end_gc_event();
         // Hysteresis: chain events until the stop watermark recovers, so GC
         // runs in bounded phases with quiet periods in between.
-        if self.now >= self.gc.starved_until && plan.trigger.should_continue(&self.ftl) {
+        if self.now >= self.gc.starved_until && self.ftl.free_ratio() < self.cfg.gc.stop_free_ratio
+        {
             self.start_gc();
         }
     }
@@ -511,10 +554,10 @@ impl GcRuntime {
     const COPY_MIN_BYTES: usize = 8 + 8 + 8 + 1;
     const VICTIM_MIN_BYTES: usize = 8 + 4 + 8 + 8 + 8;
 
-    /// Serializes the collector's runtime state, including the placement
-    /// component's (group rotation, active masks). The plan itself and the
-    /// pacing parameters are configuration, not state, and are not
-    /// written.
+    /// Serializes the collector's runtime state, including spatial
+    /// placement's (group rotation, then the GC-group mask of the running
+    /// event). The plan itself and the pacing constants are configuration,
+    /// not state, and are not written.
     pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
         w.put_bool(self.active);
         w.put_time(self.started_at);
@@ -542,8 +585,15 @@ impl GcRuntime {
             w.put_usize(v.launched);
         }
         w.put_usize(self.victims_left);
-        if let Some(plan) = &self.plan {
-            plan.placement.ckpt_save(w);
+        if let Some(groups) = &self.groups {
+            groups.ckpt_save(w);
+            match self.confinement {
+                Some(m) => {
+                    w.put_bool(true);
+                    w.put_u64(m.bits());
+                }
+                None => w.put_bool(false),
+            }
         }
         w.put_time(self.starved_until);
         w.put_bool(self.pump_scheduled);
@@ -565,10 +615,10 @@ impl GcRuntime {
     pub(crate) fn ckpt_load(
         &mut self,
         r: &mut CkptReader,
-        page_count: u64,
+        g: &Geometry,
         logical_pages: u64,
-        block_count: u64,
     ) -> Result<(), CkptError> {
+        let (page_count, block_count) = (g.page_count(), g.block_count());
         let active = r.take_bool()?;
         let started_at = r.take_time()?;
         let copy_count = r.take_count(Self::COPY_MIN_BYTES)?;
@@ -649,8 +699,13 @@ impl GcRuntime {
                 "gc victims_left exceeds the victim list".into(),
             ));
         }
-        if let Some(plan) = self.plan.as_mut() {
-            plan.placement.ckpt_load(r)?;
+        if let Some(groups) = self.groups.as_mut() {
+            groups.ckpt_load(r)?;
+            self.confinement = if r.take_bool()? {
+                Some(WayMask::from_bits(r.take_u64()?, g.ways)?)
+            } else {
+                None
+            };
         }
         let starved_until = r.take_time()?;
         let pump_scheduled = r.take_bool()?;
@@ -670,5 +725,46 @@ impl GcRuntime {
         self.dest_fallbacks = r.take_u64()?;
         self.reloc_retries = r.take_u64()?;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use nssd_ftl::{GcPolicy, Lpn, WayMask};
+
+    use crate::{Architecture, SsdConfig, SsdSim};
+
+    /// An SpGC event confines user writes to the I/O group and copies to
+    /// the GC group; closing it lifts the confinement and swaps the groups.
+    /// Other placements never narrow anything.
+    #[test]
+    fn spatial_event_confines_writes_and_swaps_groups() {
+        let mut cfg = SsdConfig::tiny(Architecture::BaseSsd);
+        cfg.gc.policy = GcPolicy::Spatial;
+        let ways = cfg.geometry.ways;
+        let mut sim = SsdSim::new(cfg).unwrap();
+        let gc_mask = sim.begin_gc_event();
+        assert_eq!(sim.gc.confinement, Some(gc_mask));
+        let io_mask = sim.ftl.write_mask();
+        assert_eq!(gc_mask.count() + io_mask.count(), ways);
+        for l in 0..8 {
+            let out = sim.ftl.write(Lpn::new(l)).unwrap();
+            let way = sim.cfg.geometry.page_addr(out.ppn).way;
+            assert!(io_mask.contains(way) && !gc_mask.contains(way));
+        }
+        sim.end_gc_event();
+        assert_eq!(sim.gc.confinement, None);
+        assert_eq!(sim.ftl.write_mask(), WayMask::all(ways));
+        let groups = sim.gc.groups.expect("spatial groups");
+        assert_eq!(groups.epochs(), 1);
+        assert_eq!(groups.gc_ways(), io_mask, "the groups swap");
+
+        cfg.gc.policy = GcPolicy::Parallel;
+        let mut sim = SsdSim::new(cfg).unwrap();
+        assert_eq!(sim.begin_gc_event(), WayMask::all(ways));
+        assert_eq!(sim.gc.confinement, None);
+        assert_eq!(sim.ftl.write_mask(), WayMask::all(ways));
+        sim.end_gc_event();
+        assert!(sim.gc.groups.is_none());
     }
 }

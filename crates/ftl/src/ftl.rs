@@ -62,6 +62,17 @@ impl FtlConfig {
             return Err(FtlError::Config("op_ratio must be in [0, 0.9)".into()));
         }
         self.gc.validate().map_err(FtlError::Config)?;
+        let spatial = self
+            .gc
+            .effective_plan()
+            .is_some_and(|p| p.placement == PlacementSpec::Spatial);
+        if spatial && self.geometry.ways < 2 {
+            return Err(FtlError::Config(format!(
+                "spatial GC splits the ways into an I/O group and a GC group, \
+                 so it needs at least 2 ways; the geometry has {}",
+                self.geometry.ways
+            )));
+        }
         self.redundancy
             .validate(&self.geometry)
             .map_err(FtlError::Config)?;
@@ -507,10 +518,16 @@ impl Ftl {
         self.dead_chip = None;
     }
 
-    /// How many GC relocations `lpn` has survived since its last host
-    /// write. Always 0 when the configured plan is not generational.
-    pub fn gc_generation(&self, lpn: Lpn) -> u8 {
-        self.reloc_gen.get(lpn.raw() as usize).copied().unwrap_or(0)
+    /// The relocation stream GC copies `lpn` through: [`GcStream::Cold`]
+    /// once the page has survived a GC relocation since its last host
+    /// write, [`GcStream::Gc`] otherwise. Survivors are only tracked when
+    /// the configured plan's placement is [`PlacementSpec::HotCold`], so
+    /// every other plan always gets [`GcStream::Gc`].
+    pub fn gc_stream(&self, lpn: Lpn) -> GcStream {
+        match self.reloc_gen.get(lpn.raw() as usize) {
+            Some(&gen) if gen >= 1 => GcStream::Cold,
+            _ => GcStream::Gc,
+        }
     }
 
     /// Counts one GC trigger event (the engine's plan performs its own
@@ -541,13 +558,15 @@ impl Ftl {
     /// chip that can no longer be written. The rebuild, not GC, drains and
     /// retires them.
     pub fn drop_dead_chip_victims(&self, victims: &mut Vec<Pbn>) {
-        if let Some((dc, dw)) = self.dead_chip {
-            let g = self.geometry;
-            victims.retain(|&pbn| {
-                let a = g.block_addr(pbn);
-                a.channel != dc || a.way != dw
-            });
-        }
+        victims.retain(|&pbn| !self.on_dead_chip(pbn));
+    }
+
+    /// Whether `pbn` sits on the dead chip (see [`Ftl::dead_chip`]).
+    pub fn on_dead_chip(&self, pbn: Pbn) -> bool {
+        self.dead_chip.is_some_and(|(c, w)| {
+            let a = self.geometry.block_addr(pbn);
+            a.channel == c && a.way == w
+        })
     }
 
     /// The live pages of `pbn` with their logical owners, in page order.
@@ -628,13 +647,10 @@ impl Ftl {
     ///
     /// Panics if the block still holds valid pages (a GC logic error).
     pub fn erase_block(&mut self, pbn: Pbn) -> bool {
-        if let Some((dc, dw)) = self.dead_chip {
-            let a = self.geometry.block_addr(pbn);
-            assert!(
-                a.channel != dc || a.way != dw,
-                "erasing {pbn} on the dead chip would return it to the free pool"
-            );
-        }
+        assert!(
+            !self.on_dead_chip(pbn),
+            "erasing {pbn} on the dead chip would return it to the free pool"
+        );
         let survived = self
             .blocks
             .erase_with_endurance(pbn, self.config.endurance_limit);
@@ -1003,6 +1019,7 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{GcPlanSpec, GcPolicy};
     use nssd_flash::Geometry;
     use nssd_sim::DetRng;
 
@@ -1069,6 +1086,74 @@ mod tests {
         for l in 0..ftl.logical_pages() {
             assert!(ftl.lookup(Lpn::new(l)).is_some(), "lost lpn{l}");
         }
+    }
+
+    #[test]
+    fn spatial_gc_rejects_a_one_way_geometry() {
+        let mut cfg = FtlConfig::evaluation_defaults();
+        cfg.geometry = Geometry::tiny();
+        cfg.geometry.ways = 1;
+        cfg.gc.victims_per_trigger = 1;
+        cfg.gc.policy = GcPolicy::Parallel;
+        Ftl::new(cfg).expect("PaGC runs on one way");
+        cfg.gc.policy = GcPolicy::Spatial;
+        let err = Ftl::new(cfg).unwrap_err().to_string();
+        assert!(err.contains("at least 2 ways; the geometry has 1"), "{err}");
+    }
+
+    #[test]
+    fn hot_cold_routes_survivors_to_the_cold_stream() {
+        let mut cfg = FtlConfig::evaluation_defaults();
+        cfg.geometry = Geometry::tiny();
+        cfg.gc.victims_per_trigger = 2;
+        cfg.gc.plan = Some(GcPlanSpec::hot_cold());
+        let mut ftl = Ftl::new(cfg).unwrap();
+        let all = WayMask::all(ftl.geometry().ways);
+        let hot = Lpn::new(0);
+        let cold = Lpn::new(1);
+        let h = ftl.write(hot).unwrap();
+        let c = ftl.write(cold).unwrap();
+        // Fresh host writes are generation 0: both take the Gc stream.
+        assert_eq!(ftl.gc_stream(hot), GcStream::Gc);
+        assert_eq!(ftl.gc_stream(cold), GcStream::Gc);
+        // One survived relocation promotes a page to the cold stream.
+        ftl.relocate_to(cold, c.ppn, all, GcStream::Gc).unwrap();
+        assert_eq!(ftl.gc_stream(cold), GcStream::Cold);
+        assert_eq!(ftl.gc_stream(hot), GcStream::Gc);
+        // A host overwrite resets the generation: hot again.
+        ftl.relocate_to(hot, h.ppn, all, GcStream::Gc).unwrap();
+        assert_eq!(ftl.gc_stream(hot), GcStream::Cold);
+        ftl.write(hot).unwrap();
+        assert_eq!(ftl.gc_stream(hot), GcStream::Gc);
+        // Without a hot/cold plan no survivor is tracked.
+        let mut plain = tiny_ftl();
+        let p = plain.write(cold).unwrap();
+        plain.relocate_to(cold, p.ppn, all, GcStream::Gc).unwrap();
+        assert_eq!(plain.gc_stream(cold), GcStream::Gc);
+    }
+
+    #[test]
+    fn hot_cold_segregates_destination_blocks() {
+        let mut cfg = FtlConfig::evaluation_defaults();
+        cfg.geometry = Geometry::tiny();
+        cfg.gc.victims_per_trigger = 2;
+        cfg.gc.plan = Some(GcPlanSpec::hot_cold());
+        let mut ftl = Ftl::new(cfg).unwrap();
+        let all = WayMask::all(ftl.geometry().ways);
+        let a = ftl.write(Lpn::new(0)).unwrap();
+        let b = ftl.write(Lpn::new(1)).unwrap();
+        let ra = ftl
+            .relocate_to(Lpn::new(0), a.ppn, all, GcStream::Cold)
+            .unwrap()
+            .unwrap();
+        let rb = ftl
+            .relocate_to(Lpn::new(1), b.ppn, all, GcStream::Gc)
+            .unwrap()
+            .unwrap();
+        // Cold and hot survivors land in different open blocks: the
+        // streams never share a destination block.
+        let g = ftl.geometry();
+        assert_ne!(g.pbn_of(ra.dst), g.pbn_of(rb.dst));
     }
 
     #[test]

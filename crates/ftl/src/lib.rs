@@ -12,27 +12,30 @@
 //! * [`select_victims`] — greedy (and random) victim selection.
 //! * [`GcConfig`]/[`GcPolicy`]/[`SpatialGroups`] — the three evaluated
 //!   reclamation policies and the I/O-vs-GC group bookkeeping of Fig 12.
-//! * [`GcPlan`]/[`GcPlanSpec`] — the component decomposition the engine
-//!   actually runs: every policy is a (victim, trigger, placement,
-//!   preemption) tuple, and new collectors are component swaps.
+//! * [`GcPlanSpec`] — the plan the engine actually runs: every policy is a
+//!   (victim, trigger, placement, preemption) tuple, and a new collector is
+//!   a different setting on one axis.
 //! * [`Ftl`] — the facade combining all of the above, plus instant-GC
 //!   preconditioning for experiments.
 //!
 //! ```
-//! use nssd_ftl::{Ftl, FtlConfig, GcPlan, GcPolicy, Lpn};
+//! use nssd_ftl::{Ftl, FtlConfig, GcPolicy, Lpn, PlacementSpec, SpatialGroups};
 //!
 //! let mut cfg = FtlConfig::evaluation_defaults();
 //! cfg.gc.policy = GcPolicy::Spatial;
-//! let mut ftl = Ftl::new(cfg)?;
+//! // SpGC is one setting per axis; its placement is spatial.
+//! let plan = cfg.gc.effective_plan().expect("GC enabled");
+//! assert_eq!(plan.placement, PlacementSpec::Spatial);
 //!
-//! // SpGC decomposes into a plan whose placement component confines user
-//! // writes to the I/O group while a GC event runs.
-//! let mut plan = GcPlan::from_config(&cfg.gc, cfg.geometry.ways).expect("GC enabled");
-//! let gc_mask = plan.placement.begin_event(&mut ftl);
+//! // While an SpGC event runs, user writes are confined to the I/O group
+//! // and the GC group is left to the collector.
+//! let mut ftl = Ftl::new(cfg)?;
+//! let groups = SpatialGroups::new(cfg.geometry.ways, cfg.gc.gc_group_fraction);
+//! ftl.set_write_mask(groups.io_ways());
 //! let out = ftl.write(Lpn::new(0))?;
 //! let way = ftl.geometry().page_addr(out.ppn).way;
-//! assert!(ftl.write_mask().contains(way) && !gc_mask.contains(way));
-//! plan.placement.end_event(&mut ftl);
+//! assert!(groups.io_ways().contains(way) && !groups.gc_ways().contains(way));
+//! ftl.reset_write_mask();
 //! # Ok::<(), nssd_ftl::FtlError>(())
 //! ```
 
@@ -56,13 +59,10 @@ pub use ftl::{
 pub use gc::{GcConfig, GcPolicy, SpatialGroups};
 pub use mapping::{Lpn, MappingTable};
 pub use plan::{
-    DispatchDiscipline, GcPlan, GcPlanSpec, HotColdPlacement, PlacementPolicy, PlacementSpec,
-    PolicyVictims, PreemptionPolicy, PreemptionSpec, RunToCompletion, SpatialPlacement,
-    TriggerPolicy, TriggerSpec, UnconstrainedPlacement, VictimSelector, VictimSpec,
-    WatermarkTrigger, WearAwareVictims, YieldToIo, DEFAULT_WEAR_WEIGHT, VALID_PAGE_WEIGHT,
+    GcPlanSpec, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec, DEFAULT_WEAR_WEIGHT,
 };
 pub use redundancy::RedundancyConfig;
-pub use victim::{select_victims, VictimPolicy};
+pub use victim::{select_victims, VictimPolicy, VALID_PAGE_WEIGHT};
 
 #[cfg(test)]
 const CASES: usize = if cfg!(feature = "heavy-tests") {

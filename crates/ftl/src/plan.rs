@@ -1,21 +1,21 @@
-//! Composable garbage-collection plans.
+//! Garbage-collection plans as data.
 //!
 //! The three evaluated policies (PaGC, semi-preemptive, SpGC) are not
-//! monoliths — each is a particular combination of four orthogonal choices,
-//! in the style of MMTk's plan/policy decomposition:
+//! monoliths: each is one setting on each of four orthogonal axes, in the
+//! style of MMTk's plan/policy decomposition. A [`GcPlanSpec`] is that
+//! tuple, and it is the plan the engine runs (`nssd-core`'s
+//! `engine::gcrun` matches on its fields):
 //!
-//! * **victim selection** ([`VictimSelector`]) — which full blocks to
-//!   reclaim;
-//! * **triggering** ([`TriggerPolicy`]) — when to start, keep chaining, and
+//! * **victim** ([`VictimSpec`]) — which full blocks to reclaim;
+//! * **trigger** ([`TriggerSpec`]) — when to start, keep chaining, and
 //!   force GC;
-//! * **placement** ([`PlacementPolicy`]) — where user writes and GC copies
+//! * **placement** ([`PlacementSpec`]) — where user writes and GC copies
 //!   may land while an event runs;
-//! * **preemption** ([`PreemptionPolicy`]) — how the copy backlog is
+//! * **preemption** ([`PreemptionSpec`]) — how the copy backlog is
 //!   dispatched against foreground I/O.
 //!
-//! A [`GcPlan`] is one component per axis, assembled from a declarative
-//! [`GcPlanSpec`]. The legacy [`GcPolicy`](crate::GcPolicy) values map onto
-//! component tuples via [`GcPlanSpec::from_policy`]:
+//! The legacy [`GcPolicy`](crate::GcPolicy) values map onto tuples via
+//! [`GcPlanSpec::from_policy`]:
 //!
 //! | policy | victim | trigger | placement | preemption |
 //! |---|---|---|---|---|
@@ -23,21 +23,14 @@
 //! | preemptive | configured | watermark | unconstrained | yield-to-I/O |
 //! | SpGC | configured | watermark | spatial | run-to-completion |
 //!
-//! Beyond reassembling the legacy policies, the decomposition adds two new
-//! components: [`WearAwareVictims`] (victim scoring that folds per-block
-//! erase counts into the greedy cost) and [`HotColdPlacement`]
-//! (generational separation — pages that keep surviving GC are routed to a
-//! dedicated cold relocation stream).
+//! Two settings have no legacy policy: [`VictimSpec::WearAware`] (victim
+//! scoring that folds per-block erase counts into the greedy cost) and
+//! [`PlacementSpec::HotCold`] (generational separation — pages that keep
+//! surviving GC are routed to a dedicated cold relocation stream).
 
 use core::fmt;
 
-use nssd_flash::Pbn;
-use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, SimTime};
-
-use crate::{
-    select_victims, BlockTable, Ftl, GcConfig, GcPolicy, GcStream, Lpn, SpatialGroups,
-    VictimPolicy, WayMask,
-};
+use crate::{GcPolicy, VictimPolicy};
 
 /// Declarative victim-selection choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,11 +41,13 @@ pub enum VictimSpec {
     Random,
     /// Cost-benefit (Rosenblum & Ousterhout).
     CostBenefit,
-    /// Greedy extended with a wear term over per-block erase counts; see
-    /// [`WearAwareVictims`].
+    /// Greedy extended with a wear term over per-block erase counts:
+    /// score `valid_count × VALID_PAGE_WEIGHT + erase_count × wear_weight`,
+    /// lowest first, ties broken by block number.
     WearAware {
-        /// Weight of one erase cycle relative to [`VALID_PAGE_WEIGHT`]
-        /// units of copy cost.
+        /// Weight of one erase cycle relative to
+        /// [`VALID_PAGE_WEIGHT`](crate::VALID_PAGE_WEIGHT) units of copy
+        /// cost.
         wear_weight: u32,
     },
 }
@@ -77,12 +72,12 @@ impl VictimSpec {
     }
 }
 
-/// Declarative trigger choice. A single watermark family exists today; the
-/// axis is kept explicit so per-tenant or rate-based triggers slot in
-/// without touching the dispatch code.
+/// Declarative trigger choice. Watermarks are the only trigger; the field
+/// stays so a plan names all four axes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TriggerSpec {
-    /// Trigger/stop/hard free-ratio watermarks from [`GcConfig`].
+    /// Trigger/stop/hard free-ratio watermarks from
+    /// [`GcConfig`](crate::GcConfig).
     Watermark,
 }
 
@@ -194,422 +189,14 @@ impl fmt::Display for GcPlanSpec {
     }
 }
 
-/// Copy cost of one live page in victim-score units; the wear term of
-/// [`WearAwareVictims`] is weighed against this.
-pub const VALID_PAGE_WEIGHT: u64 = 8;
-
 /// Default `wear_weight` for [`GcPlanSpec::wear_aware`]: one erase cycle
 /// costs a quarter of a live-page copy, enough to steer selection off
 /// hot-worn blocks without drowning the reclamation yield.
 pub const DEFAULT_WEAR_WEIGHT: u32 = 2;
 
-/// How a plan's copy backlog is dispatched by the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchDiscipline {
-    /// One copy in flight per victim (a copyback chain per die), run to
-    /// completion — PaGC-style concurrency.
-    PerVictimChain,
-    /// A bounded global batch that launches only into foreground-idle gaps,
-    /// polling every `poll` when blocked.
-    Paced {
-        /// Maximum copies in flight at once.
-        batch: usize,
-        /// Re-poll interval while foreground traffic blocks the next copy.
-        poll: SimTime,
-    },
-}
-
-/// Picks victim blocks for one GC trigger.
-pub trait VictimSelector: fmt::Debug + Send {
-    /// Selects up to `n` victims within `mask`'s ways. Determinism
-    /// contract: for a given block-table state and RNG state the result is
-    /// fixed, and the RNG is drawn only as the equivalent legacy policy
-    /// would draw it.
-    fn select(&self, blocks: &BlockTable, n: usize, mask: WayMask, rng: &mut DetRng) -> Vec<Pbn>;
-}
-
-/// The legacy [`VictimPolicy`] family behind the [`VictimSelector`] trait.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyVictims(pub VictimPolicy);
-
-impl VictimSelector for PolicyVictims {
-    fn select(&self, blocks: &BlockTable, n: usize, mask: WayMask, rng: &mut DetRng) -> Vec<Pbn> {
-        select_victims(blocks, n, mask, self.0, rng)
-    }
-}
-
-/// Wear-aware victim scoring: greedy copy cost plus a wear term, so
-/// selection steers away from already-worn blocks and levels P/E cycles.
-///
-/// Score (lower is better): `valid_count × VALID_PAGE_WEIGHT +
-/// erase_count × wear_weight`, ties broken by block number. With
-/// `wear_weight = 0` this degenerates to greedy.
-#[derive(Debug, Clone, Copy)]
-pub struct WearAwareVictims {
-    /// Cost of one erase cycle in score units.
-    pub wear_weight: u32,
-}
-
-impl WearAwareVictims {
-    /// The score of one candidate block (lower reclaims first).
-    pub fn score(&self, blocks: &BlockTable, pbn: Pbn) -> u64 {
-        let meta = blocks.meta(pbn);
-        meta.valid_count() as u64 * VALID_PAGE_WEIGHT
-            + meta.erase_count() as u64 * self.wear_weight as u64
-    }
-}
-
-impl VictimSelector for WearAwareVictims {
-    fn select(&self, blocks: &BlockTable, n: usize, mask: WayMask, _rng: &mut DetRng) -> Vec<Pbn> {
-        let mut candidates: Vec<Pbn> = blocks
-            .iter()
-            .filter(|(pbn, _)| crate::victim::eligible(blocks, *pbn, mask))
-            .map(|(pbn, _)| pbn)
-            .collect();
-        candidates.sort_by_key(|&pbn| (self.score(blocks, pbn), pbn));
-        candidates.truncate(n);
-        candidates
-    }
-}
-
-/// Decides when a GC event starts, chains, or must force progress.
-pub trait TriggerPolicy: fmt::Debug + Send {
-    /// Whether a new GC event should begin.
-    fn should_trigger(&self, ftl: &Ftl) -> bool;
-    /// Whether a finished event should chain straight into the next one
-    /// (hysteresis: free space has not yet recovered to the stop mark).
-    fn should_continue(&self, ftl: &Ftl) -> bool;
-    /// Whether free space is critically low, so yielding disciplines must
-    /// stop yielding.
-    fn is_critical(&self, ftl: &Ftl) -> bool;
-}
-
-/// Free-ratio watermarks (trigger / stop / hard), lifted from [`GcConfig`].
-#[derive(Debug, Clone, Copy)]
-pub struct WatermarkTrigger {
-    /// Start GC at or below this free ratio.
-    pub trigger_free_ratio: f64,
-    /// Chain events until the free ratio recovers to this value.
-    pub stop_free_ratio: f64,
-    /// At or below this free ratio, GC progress is forced.
-    pub hard_free_ratio: f64,
-}
-
-impl WatermarkTrigger {
-    /// Lifts the watermark floats out of a [`GcConfig`].
-    pub fn from_config(cfg: &GcConfig) -> Self {
-        WatermarkTrigger {
-            trigger_free_ratio: cfg.trigger_free_ratio,
-            stop_free_ratio: cfg.stop_free_ratio,
-            hard_free_ratio: cfg.hard_free_ratio,
-        }
-    }
-}
-
-impl TriggerPolicy for WatermarkTrigger {
-    fn should_trigger(&self, ftl: &Ftl) -> bool {
-        ftl.free_ratio() <= self.trigger_free_ratio
-    }
-
-    fn should_continue(&self, ftl: &Ftl) -> bool {
-        ftl.free_ratio() < self.stop_free_ratio
-    }
-
-    fn is_critical(&self, ftl: &Ftl) -> bool {
-        ftl.free_ratio() <= self.hard_free_ratio
-            || ftl.blocks().free_blocks() <= ftl.gc_reserve_blocks() + 1
-    }
-}
-
-/// Controls where user writes and GC copies may land while a GC event is
-/// active, and which relocation stream each surviving page takes.
-pub trait PlacementPolicy: fmt::Debug + Send {
-    /// Opens a GC event: may narrow the FTL's user write mask. Returns the
-    /// way mask victims are selected from.
-    fn begin_event(&mut self, ftl: &mut Ftl) -> WayMask;
-
-    /// Closes the event (also called when a trigger starved without
-    /// victims), lifting any write restriction.
-    fn end_event(&mut self, ftl: &mut Ftl);
-
-    /// The mask copy destinations are confined to while an event is
-    /// active, or `None` when destinations roam freely.
-    fn confinement(&self) -> Option<WayMask> {
-        None
-    }
-
-    /// Whether GC command/readout traffic should prefer dedicated
-    /// v-channels where the topology offers them.
-    fn wants_v_channel(&self) -> bool {
-        false
-    }
-
-    /// The relocation stream a surviving page is copied through.
-    fn stream_for(&self, _ftl: &Ftl, _lpn: Lpn) -> GcStream {
-        GcStream::Gc
-    }
-
-    /// Serializes per-placement runtime state (group rotation, active
-    /// masks). Stateless placements write nothing.
-    fn ckpt_save(&self, _w: &mut CkptWriter) {}
-
-    /// Restores state written by [`PlacementPolicy::ckpt_save`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on truncation or a configuration mismatch.
-    fn ckpt_load(&mut self, _r: &mut CkptReader) -> Result<(), CkptError> {
-        Ok(())
-    }
-}
-
-/// No placement constraints: writes and copies roam all ways.
-#[derive(Debug, Clone, Copy)]
-pub struct UnconstrainedPlacement;
-
-impl PlacementPolicy for UnconstrainedPlacement {
-    fn begin_event(&mut self, ftl: &mut Ftl) -> WayMask {
-        WayMask::all(ftl.geometry().ways)
-    }
-
-    fn end_event(&mut self, _ftl: &mut Ftl) {}
-}
-
-/// SpGC placement (§VI): the ways split into an I/O group and a GC group;
-/// user writes are confined to the I/O group for the duration of the
-/// event, victims and copy destinations to the GC group, and the groups
-/// swap when the event ends so both halves age evenly.
-#[derive(Debug)]
-pub struct SpatialPlacement {
-    groups: SpatialGroups,
-    /// The GC-group mask while an event is active.
-    active: Option<WayMask>,
-    total_ways: u32,
-}
-
-impl SpatialPlacement {
-    /// Creates the placement for `total_ways` ways (clamped to at least 2,
-    /// as [`SpatialGroups`] requires) with `gc_fraction` of them in the GC
-    /// group.
-    pub fn new(total_ways: u32, gc_fraction: f64) -> Self {
-        let total_ways = total_ways.max(2);
-        SpatialPlacement {
-            groups: SpatialGroups::new(total_ways, gc_fraction),
-            active: None,
-            total_ways,
-        }
-    }
-
-    /// The current group rotation.
-    pub fn groups(&self) -> &SpatialGroups {
-        &self.groups
-    }
-}
-
-impl PlacementPolicy for SpatialPlacement {
-    fn begin_event(&mut self, ftl: &mut Ftl) -> WayMask {
-        let gc = self.groups.gc_ways();
-        ftl.set_write_mask(self.groups.io_ways());
-        self.active = Some(gc);
-        gc
-    }
-
-    fn end_event(&mut self, ftl: &mut Ftl) {
-        ftl.reset_write_mask();
-        self.groups.swap();
-        self.active = None;
-    }
-
-    fn confinement(&self) -> Option<WayMask> {
-        self.active
-    }
-
-    fn wants_v_channel(&self) -> bool {
-        true
-    }
-
-    fn ckpt_save(&self, w: &mut CkptWriter) {
-        self.groups.ckpt_save(w);
-        match self.active {
-            Some(m) => {
-                w.put_bool(true);
-                w.put_u64(m.bits());
-            }
-            None => w.put_bool(false),
-        }
-    }
-
-    fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        self.groups.ckpt_load(r)?;
-        self.active = if r.take_bool()? {
-            Some(WayMask::from_bits(r.take_u64()?, self.total_ways)?)
-        } else {
-            None
-        };
-        Ok(())
-    }
-}
-
-/// Generational (hot/cold) separation at GC-copy time: masks stay
-/// unconstrained, but a page that has already survived at least one GC
-/// copy since its last host write relocates through the FTL's cold stream,
-/// segregating stable data from write-hot churn (see
-/// [`Ftl::gc_generation`]).
-#[derive(Debug, Clone, Copy)]
-pub struct HotColdPlacement;
-
-impl PlacementPolicy for HotColdPlacement {
-    fn begin_event(&mut self, ftl: &mut Ftl) -> WayMask {
-        WayMask::all(ftl.geometry().ways)
-    }
-
-    fn end_event(&mut self, _ftl: &mut Ftl) {}
-
-    fn stream_for(&self, ftl: &Ftl, lpn: Lpn) -> GcStream {
-        if ftl.gc_generation(lpn) >= 1 {
-            GcStream::Cold
-        } else {
-            GcStream::Gc
-        }
-    }
-}
-
-/// Chooses the dispatch discipline for the copy backlog.
-pub trait PreemptionPolicy: fmt::Debug + Send {
-    /// The discipline the engine dispatches copy packets under.
-    fn discipline(&self) -> DispatchDiscipline;
-}
-
-/// Run every victim's copyback chain to completion (PaGC/SpGC).
-#[derive(Debug, Clone, Copy)]
-pub struct RunToCompletion;
-
-impl PreemptionPolicy for RunToCompletion {
-    fn discipline(&self) -> DispatchDiscipline {
-        DispatchDiscipline::PerVictimChain
-    }
-}
-
-/// Semi-preemptive pacing (Lee et al., ISPASS'11): a small batch of copies
-/// launched only into foreground-idle gaps.
-#[derive(Debug, Clone, Copy)]
-pub struct YieldToIo {
-    /// Maximum copies in flight.
-    pub batch: usize,
-    /// Poll interval while foreground traffic blocks the next copy.
-    pub poll: SimTime,
-}
-
-impl Default for YieldToIo {
-    fn default() -> Self {
-        YieldToIo {
-            batch: 4,
-            poll: SimTime::from_us(20),
-        }
-    }
-}
-
-impl PreemptionPolicy for YieldToIo {
-    fn discipline(&self) -> DispatchDiscipline {
-        DispatchDiscipline::Paced {
-            batch: self.batch,
-            poll: self.poll,
-        }
-    }
-}
-
-/// An assembled GC plan: one boxed component per axis.
-#[derive(Debug)]
-pub struct GcPlan {
-    /// The spec this plan was assembled from.
-    pub spec: GcPlanSpec,
-    /// Victim selection.
-    pub victim: Box<dyn VictimSelector>,
-    /// Trigger policy.
-    pub trigger: Box<dyn TriggerPolicy>,
-    /// Placement policy.
-    pub placement: Box<dyn PlacementPolicy>,
-    /// Preemption policy.
-    pub preemption: Box<dyn PreemptionPolicy>,
-}
-
-impl GcPlan {
-    /// Assembles the plan `spec` describes, pulling tuning values
-    /// (watermarks, group fraction) from `cfg` and sizing spatial groups
-    /// for `total_ways`.
-    pub fn assemble(spec: GcPlanSpec, cfg: &GcConfig, total_ways: u32) -> Self {
-        let victim: Box<dyn VictimSelector> = match spec.victim {
-            VictimSpec::Greedy => Box::new(PolicyVictims(VictimPolicy::Greedy)),
-            VictimSpec::Random => Box::new(PolicyVictims(VictimPolicy::Random)),
-            VictimSpec::CostBenefit => Box::new(PolicyVictims(VictimPolicy::CostBenefit)),
-            VictimSpec::WearAware { wear_weight } => Box::new(WearAwareVictims { wear_weight }),
-        };
-        let trigger: Box<dyn TriggerPolicy> = match spec.trigger {
-            TriggerSpec::Watermark => Box::new(WatermarkTrigger::from_config(cfg)),
-        };
-        let placement: Box<dyn PlacementPolicy> = match spec.placement {
-            PlacementSpec::Unconstrained => Box::new(UnconstrainedPlacement),
-            PlacementSpec::Spatial => {
-                Box::new(SpatialPlacement::new(total_ways, cfg.gc_group_fraction))
-            }
-            PlacementSpec::HotCold => Box::new(HotColdPlacement),
-        };
-        let preemption: Box<dyn PreemptionPolicy> = match spec.preemption {
-            PreemptionSpec::RunToCompletion => Box::new(RunToCompletion),
-            PreemptionSpec::YieldToIo => Box::new(YieldToIo::default()),
-        };
-        GcPlan {
-            spec,
-            victim,
-            trigger,
-            placement,
-            preemption,
-        }
-    }
-
-    /// Assembles the plan `cfg` calls for, or `None` when GC is disabled.
-    pub fn from_config(cfg: &GcConfig, total_ways: u32) -> Option<Self> {
-        cfg.effective_plan()
-            .map(|spec| GcPlan::assemble(spec, cfg, total_ways))
-    }
-
-    /// The dispatch discipline of the preemption component.
-    pub fn discipline(&self) -> DispatchDiscipline {
-        self.preemption.discipline()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{AllocPolicy, FtlConfig, PageAllocator};
-    use nssd_flash::Geometry;
-    use nssd_sim::DetRng;
-
-    fn tiny_ftl() -> Ftl {
-        let mut cfg = FtlConfig::evaluation_defaults();
-        cfg.geometry = Geometry::tiny();
-        cfg.gc.victims_per_trigger = 2;
-        Ftl::new(cfg).unwrap()
-    }
-
-    /// Fills some blocks and invalidates varying page counts.
-    fn build_fragmented() -> (Geometry, BlockTable) {
-        let g = Geometry::tiny();
-        let mut blocks = BlockTable::new(&g);
-        let mut alloc = PageAllocator::new(&g, AllocPolicy::Cwdp);
-        let mask = WayMask::all(g.ways);
-        let mut written = Vec::new();
-        for _ in 0..g.page_count() / 2 {
-            written.push(alloc.allocate(&mut blocks, mask).unwrap());
-        }
-        for (i, &ppn) in written.iter().enumerate() {
-            if i % 3 == 0 {
-                blocks.invalidate(ppn);
-            }
-        }
-        (g, blocks)
-    }
 
     #[test]
     fn legacy_policies_map_to_component_tuples() {
@@ -636,225 +223,5 @@ mod tests {
         assert!(GcPlanSpec::hot_cold().tracks_wear());
         assert!(GcPlanSpec::wear_aware().tracks_wear());
         assert!(!pagc.tracks_wear());
-    }
-
-    #[test]
-    fn policy_victims_match_legacy_selection() {
-        let (g, blocks) = build_fragmented();
-        let sel = PolicyVictims(VictimPolicy::Greedy);
-        let mut r1 = DetRng::seed_from_u64(1);
-        let mut r2 = DetRng::seed_from_u64(1);
-        let a = sel.select(&blocks, 3, WayMask::all(g.ways), &mut r1);
-        let b = select_victims(
-            &blocks,
-            3,
-            WayMask::all(g.ways),
-            VictimPolicy::Greedy,
-            &mut r2,
-        );
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn wear_aware_orders_by_valid_count_then_wear() {
-        let (g, mut blocks) = build_fragmented();
-        let all = WayMask::all(g.ways);
-        let mut rng = DetRng::seed_from_u64(3);
-        // With zero wear everywhere, wear-aware degenerates to greedy.
-        let wa = WearAwareVictims { wear_weight: 2 };
-        let greedy = select_victims(&blocks, 4, all, VictimPolicy::Greedy, &mut rng);
-        assert_eq!(wa.select(&blocks, 4, all, &mut rng), greedy);
-        // Now age the greedy favourite far past everyone else: cycle it
-        // through erase/refill until its wear term outweighs any
-        // valid-count advantage, so the wear term must demote it.
-        let favourite = greedy[0];
-        let unit = (favourite.raw() / g.blocks_per_plane as u64) as usize;
-        let cycles = g.pages_per_block as u64 * VALID_PAGE_WEIGHT / 2 + 1;
-        for _ in 0..cycles {
-            for p in blocks.valid_pages(favourite) {
-                blocks.invalidate(p);
-            }
-            blocks.erase(favourite);
-            let taken = blocks.take_free_block(unit).unwrap();
-            assert_eq!(taken, favourite, "free list is LIFO over the erase");
-            while blocks.program_next_page(favourite).is_some() {}
-        }
-        // Leave it some garbage so it stays eligible.
-        let one = blocks.valid_pages(favourite)[0];
-        blocks.invalidate(one);
-        let again = wa.select(&blocks, 4, all, &mut rng);
-        assert!(
-            !again.contains(&favourite),
-            "worn block {favourite} must rank below fresher candidates"
-        );
-        // And the scoring itself is monotone in wear.
-        let s = WearAwareVictims { wear_weight: 5 };
-        let low = s.score(&blocks, again[0]);
-        let high = s.score(&blocks, favourite);
-        assert!(high > low);
-    }
-
-    #[test]
-    fn watermark_trigger_matches_ftl_predicates() {
-        let mut ftl = tiny_ftl();
-        let trig = WatermarkTrigger::from_config(&ftl.config().gc);
-        let mut rng = DetRng::seed_from_u64(11);
-        assert_eq!(trig.should_trigger(&ftl), ftl.needs_gc());
-        assert_eq!(trig.is_critical(&ftl), ftl.critically_low());
-        ftl.precondition(0.9, 0.3, &mut rng).unwrap();
-        ftl.pressurize(ftl.logical_pages() * 9 / 10, &mut rng)
-            .unwrap();
-        assert!(trig.should_trigger(&ftl));
-        assert_eq!(trig.should_trigger(&ftl), ftl.needs_gc());
-        assert_eq!(trig.is_critical(&ftl), ftl.critically_low());
-        assert!(trig.should_continue(&ftl));
-    }
-
-    #[test]
-    fn spatial_placement_confines_writes_and_swaps() {
-        let mut ftl = tiny_ftl();
-        let ways = ftl.geometry().ways;
-        let mut p = SpatialPlacement::new(ways, 0.5);
-        let gc_mask = p.begin_event(&mut ftl);
-        assert_eq!(p.confinement(), Some(gc_mask));
-        assert!(p.wants_v_channel());
-        let io_mask = ftl.write_mask();
-        assert_eq!(gc_mask.count() + io_mask.count(), ways);
-        for l in 0..8 {
-            let out = ftl.write(Lpn::new(l)).unwrap();
-            let way = ftl.geometry().page_addr(out.ppn).way;
-            assert!(io_mask.contains(way) && !gc_mask.contains(way));
-        }
-        let before = p.groups().gc_ways();
-        p.end_event(&mut ftl);
-        assert_eq!(p.confinement(), None);
-        assert_eq!(ftl.write_mask(), WayMask::all(ways));
-        assert_ne!(p.groups().gc_ways(), before);
-    }
-
-    #[test]
-    fn spatial_placement_ckpt_roundtrip() {
-        let mut ftl = tiny_ftl();
-        let ways = ftl.geometry().ways;
-        let mut p = SpatialPlacement::new(ways, 0.5);
-        p.begin_event(&mut ftl);
-        let mut w = CkptWriter::new();
-        p.ckpt_save(&mut w);
-        let bytes = w.into_bytes();
-        let mut fresh = SpatialPlacement::new(ways, 0.5);
-        let mut r = CkptReader::new(&bytes);
-        fresh.ckpt_load(&mut r).unwrap();
-        assert_eq!(fresh.confinement(), p.confinement());
-        assert_eq!(fresh.groups().gc_ways(), p.groups().gc_ways());
-        assert_eq!(fresh.groups().epochs(), p.groups().epochs());
-    }
-
-    #[test]
-    fn hot_cold_placement_routes_survivors_to_cold_stream() {
-        let mut cfg = FtlConfig::evaluation_defaults();
-        cfg.geometry = Geometry::tiny();
-        cfg.gc.victims_per_trigger = 2;
-        cfg.gc.plan = Some(GcPlanSpec::hot_cold());
-        let mut ftl = Ftl::new(cfg).unwrap();
-        let p = HotColdPlacement;
-        let all = WayMask::all(ftl.geometry().ways);
-        let hot = Lpn::new(0);
-        let cold = Lpn::new(1);
-        let h = ftl.write(hot).unwrap();
-        let c = ftl.write(cold).unwrap();
-        // Fresh host writes are generation 0: both take the Gc stream.
-        assert_eq!(p.stream_for(&ftl, hot), GcStream::Gc);
-        assert_eq!(p.stream_for(&ftl, cold), GcStream::Gc);
-        // One survived relocation promotes a page to the cold stream.
-        ftl.relocate_to(cold, c.ppn, all, GcStream::Gc).unwrap();
-        assert_eq!(p.stream_for(&ftl, cold), GcStream::Cold);
-        assert_eq!(p.stream_for(&ftl, hot), GcStream::Gc);
-        // A host overwrite resets the generation: hot again.
-        ftl.relocate_to(hot, h.ppn, all, GcStream::Gc).unwrap();
-        assert_eq!(p.stream_for(&ftl, hot), GcStream::Cold);
-        ftl.write(hot).unwrap();
-        assert_eq!(p.stream_for(&ftl, hot), GcStream::Gc);
-    }
-
-    #[test]
-    fn hot_cold_segregates_destination_blocks() {
-        let mut cfg = FtlConfig::evaluation_defaults();
-        cfg.geometry = Geometry::tiny();
-        cfg.gc.victims_per_trigger = 2;
-        cfg.gc.plan = Some(GcPlanSpec::hot_cold());
-        let mut ftl = Ftl::new(cfg).unwrap();
-        let all = WayMask::all(ftl.geometry().ways);
-        let a = ftl.write(Lpn::new(0)).unwrap();
-        let b = ftl.write(Lpn::new(1)).unwrap();
-        let ra = ftl
-            .relocate_to(Lpn::new(0), a.ppn, all, GcStream::Cold)
-            .unwrap()
-            .unwrap();
-        let rb = ftl
-            .relocate_to(Lpn::new(1), b.ppn, all, GcStream::Gc)
-            .unwrap()
-            .unwrap();
-        // Cold and hot survivors land in different open blocks: the
-        // streams never share a destination block.
-        let g = ftl.geometry();
-        assert_ne!(g.pbn_of(ra.dst), g.pbn_of(rb.dst));
-    }
-
-    #[test]
-    fn preemption_components_expose_disciplines() {
-        assert_eq!(
-            RunToCompletion.discipline(),
-            DispatchDiscipline::PerVictimChain
-        );
-        let y = YieldToIo::default();
-        assert_eq!(
-            y.discipline(),
-            DispatchDiscipline::Paced {
-                batch: 4,
-                poll: SimTime::from_us(20)
-            }
-        );
-    }
-
-    #[test]
-    fn assemble_builds_every_component_family() {
-        let cfg = GcConfig::evaluation_defaults();
-        for spec in [
-            GcPlanSpec::from_policy(GcPolicy::Parallel, VictimPolicy::Greedy).unwrap(),
-            GcPlanSpec::from_policy(GcPolicy::Preemptive, VictimPolicy::CostBenefit).unwrap(),
-            GcPlanSpec::from_policy(GcPolicy::Spatial, VictimPolicy::Random).unwrap(),
-            GcPlanSpec::hot_cold(),
-            GcPlanSpec::wear_aware(),
-        ] {
-            let plan = GcPlan::assemble(spec, &cfg, 8);
-            assert_eq!(plan.spec, spec);
-            // The discipline must follow the preemption spec.
-            match spec.preemption {
-                PreemptionSpec::RunToCompletion => {
-                    assert_eq!(plan.discipline(), DispatchDiscipline::PerVictimChain)
-                }
-                PreemptionSpec::YieldToIo => {
-                    assert!(matches!(
-                        plan.discipline(),
-                        DispatchDiscipline::Paced { .. }
-                    ))
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn from_config_resolves_policy_and_explicit_plan() {
-        let mut cfg = GcConfig::evaluation_defaults();
-        cfg.policy = GcPolicy::None;
-        assert!(GcPlan::from_config(&cfg, 8).is_none());
-        cfg.plan = Some(GcPlanSpec::hot_cold());
-        let plan = GcPlan::from_config(&cfg, 8).unwrap();
-        assert_eq!(plan.spec.placement, PlacementSpec::HotCold);
-        cfg.plan = None;
-        cfg.policy = GcPolicy::Spatial;
-        let plan = GcPlan::from_config(&cfg, 8).unwrap();
-        assert_eq!(plan.spec.placement, PlacementSpec::Spatial);
     }
 }

@@ -1,13 +1,18 @@
 //! Garbage-collection victim selection.
 //!
 //! The paper's baseline uses greedy selection — the full block with the
-//! fewest valid pages (§VII-A). A uniform-random policy is included as an
-//! ablation point.
+//! fewest valid pages (§VII-A). Uniform-random and cost-benefit selection
+//! are ablation points, and wear-aware scoring is the victim axis of the
+//! composed GC plans ([`VictimSpec::select`]).
 
 use nssd_flash::Pbn;
 use nssd_sim::Rng;
 
-use crate::{BlockState, BlockTable, WayMask};
+use crate::{BlockState, BlockTable, VictimSpec, WayMask};
+
+/// Copy cost of one live page in victim-score units; the wear term of
+/// [`VictimSpec::WearAware`] is weighed against this.
+pub const VALID_PAGE_WEIGHT: u64 = 8;
 
 /// Victim-block selection policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -118,6 +123,46 @@ pub fn select_victims<R: Rng>(
             candidates
         }
     }
+}
+
+impl VictimSpec {
+    /// Selects up to `n` victims within `mask`'s ways. For a given
+    /// block-table state and RNG state the result is fixed; only
+    /// [`VictimSpec::Random`] draws from `rng`, exactly as
+    /// [`select_victims`] does for [`VictimPolicy::Random`].
+    pub fn select<R: Rng>(
+        &self,
+        blocks: &BlockTable,
+        n: usize,
+        mask: WayMask,
+        rng: &mut R,
+    ) -> Vec<Pbn> {
+        let policy = match *self {
+            VictimSpec::Greedy => VictimPolicy::Greedy,
+            VictimSpec::Random => VictimPolicy::Random,
+            VictimSpec::CostBenefit => VictimPolicy::CostBenefit,
+            VictimSpec::WearAware { wear_weight } => {
+                let mut candidates: Vec<Pbn> = blocks
+                    .iter()
+                    .filter(|(pbn, _)| eligible(blocks, *pbn, mask))
+                    .map(|(pbn, _)| pbn)
+                    .collect();
+                candidates.sort_by_key(|&pbn| (wear_score(blocks, pbn, wear_weight), pbn));
+                candidates.truncate(n);
+                return candidates;
+            }
+        };
+        select_victims(blocks, n, mask, policy, rng)
+    }
+}
+
+/// The wear-aware score of one candidate block (lower reclaims first):
+/// greedy copy cost plus a wear term, so selection steers away from
+/// already-worn blocks and levels P/E cycles. With `wear_weight = 0` it
+/// orders exactly as greedy.
+fn wear_score(blocks: &BlockTable, pbn: Pbn, wear_weight: u32) -> u64 {
+    let meta = blocks.meta(pbn);
+    meta.valid_count() as u64 * VALID_PAGE_WEIGHT + meta.erase_count() as u64 * wear_weight as u64
 }
 
 #[cfg(test)]
@@ -279,6 +324,61 @@ mod tests {
             let meta = blocks.meta(*v);
             assert_eq!(meta.state(), BlockState::Full);
             assert!(meta.valid_count() < g.pages_per_block);
+        }
+    }
+
+    #[test]
+    fn wear_aware_orders_by_valid_count_then_wear() {
+        let (g, mut blocks) = build_fragmented();
+        let all = WayMask::all(g.ways);
+        let mut rng = DetRng::seed_from_u64(3);
+        // With zero wear everywhere, wear-aware degenerates to greedy.
+        let wa = VictimSpec::WearAware { wear_weight: 2 };
+        let greedy = select_victims(&blocks, 4, all, VictimPolicy::Greedy, &mut rng);
+        assert_eq!(wa.select(&blocks, 4, all, &mut rng), greedy);
+        // Now age the greedy favourite far past everyone else: cycle it
+        // through erase/refill until its wear term outweighs any
+        // valid-count advantage, so the wear term must demote it.
+        let favourite = greedy[0];
+        let unit = (favourite.raw() / g.blocks_per_plane as u64) as usize;
+        let cycles = g.pages_per_block as u64 * VALID_PAGE_WEIGHT / 2 + 1;
+        for _ in 0..cycles {
+            for p in blocks.valid_pages(favourite) {
+                blocks.invalidate(p);
+            }
+            blocks.erase(favourite);
+            let taken = blocks.take_free_block(unit).unwrap();
+            assert_eq!(taken, favourite, "free list is LIFO over the erase");
+            while blocks.program_next_page(favourite).is_some() {}
+        }
+        // Leave it some garbage so it stays eligible.
+        let one = blocks.valid_pages(favourite)[0];
+        blocks.invalidate(one);
+        let again = wa.select(&blocks, 4, all, &mut rng);
+        assert!(
+            !again.contains(&favourite),
+            "worn block {favourite} must rank below fresher candidates"
+        );
+        // And the scoring itself is monotone in wear.
+        assert!(wear_score(&blocks, favourite, 5) > wear_score(&blocks, again[0], 5));
+    }
+
+    #[test]
+    fn legacy_victim_specs_select_as_their_policies() {
+        let (g, blocks) = build_fragmented();
+        let all = WayMask::all(g.ways);
+        for (spec, policy) in [
+            (VictimSpec::Greedy, VictimPolicy::Greedy),
+            (VictimSpec::Random, VictimPolicy::Random),
+            (VictimSpec::CostBenefit, VictimPolicy::CostBenefit),
+        ] {
+            let mut r1 = DetRng::seed_from_u64(9);
+            let mut r2 = DetRng::seed_from_u64(9);
+            assert_eq!(
+                spec.select(&blocks, 3, all, &mut r1),
+                select_victims(&blocks, 3, all, policy, &mut r2),
+                "{spec:?}"
+            );
         }
     }
 }

@@ -11,7 +11,7 @@
 //! always sum to the geometric capacity and that erase counts only grow.
 //!
 //! The oracle never aborts the simulation: violations accumulate in a
-//! [`ViolationLog`](nssd_sim::ViolationLog) and surface in the run report,
+//! [`ViolationLog`] and surface in the run report,
 //! where tests assert the log is empty (or, for mutation self-tests, that
 //! it is not).
 //!

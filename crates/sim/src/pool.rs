@@ -1,45 +1,43 @@
-//! Deterministic scoped-thread job pool.
-//!
-//! The paper's evaluation is a matrix of *independent* simulations
-//! (architectures × workloads × GC policies × queue depths); every cell is a
-//! pure function of its configuration, so the matrix parallelizes trivially —
-//! as long as the results come back in submission order, the rendered tables
-//! and golden snapshots are byte-identical to a serial run.
-//!
-//! [`Pool`] provides exactly that contract on `std::thread::scope` alone (no
-//! external dependencies, preserving the fully-offline build):
-//!
-//! * jobs run on up to `workers` OS threads, each pulling the next unstarted
-//!   job from a shared queue (dynamic load balancing — cell costs vary by
-//!   orders of magnitude between no-GC and preconditioned-GC runs);
-//! * results are written into the slot of the job that produced them, so
-//!   [`Pool::map`] returns them in submission order regardless of completion
-//!   order;
-//! * a panicking job propagates: `std::thread::scope` joins every worker and
-//!   re-raises, so a failed cell can never be silently dropped from a table.
-//!
-//! The worker count comes from the `NSSD_JOBS` environment variable when
-//! using [`Pool::from_env`] (default: the machine's available parallelism;
-//! a value that is not a positive integer stops the process).
-//! `NSSD_JOBS=1` degenerates to a plain in-thread loop — byte-identical
-//! output is the *contract*, serial execution is just its cheapest witness.
-//!
-//! # Examples
-//!
-//! ```
-//! use nssd_sim::Pool;
-//!
-//! let jobs: Vec<_> = (0..8u64).map(|i| move || i * i).collect();
-//! let out = Pool::with_workers(4).map(jobs);
-//! assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
-//! ```
+//! Deterministic scoped-thread job pool; see [`Pool`].
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
 /// A scoped-thread job pool returning results in submission order.
 ///
-/// See the [module docs](self) for the determinism contract.
+/// The paper's evaluation is a matrix of *independent* simulations
+/// (architectures × workloads × GC policies × queue depths); every cell is a
+/// pure function of its configuration, so the matrix parallelizes trivially —
+/// as long as the results come back in submission order, the rendered tables
+/// and golden snapshots are byte-identical to a serial run.
+///
+/// `Pool` provides exactly that contract on `std::thread::scope` alone (no
+/// external dependencies, preserving the fully-offline build):
+///
+/// * jobs run on up to `workers` OS threads, each pulling the next unstarted
+///   job from a shared queue (dynamic load balancing — cell costs vary by
+///   orders of magnitude between no-GC and preconditioned-GC runs);
+/// * results are written into the slot of the job that produced them, so
+///   [`Pool::map`] returns them in submission order regardless of completion
+///   order;
+/// * a panicking job propagates: `std::thread::scope` joins every worker and
+///   re-raises, so a failed cell can never be silently dropped from a table.
+///
+/// The worker count comes from the `NSSD_JOBS` environment variable when
+/// using [`Pool::from_env`] (default: the machine's available parallelism;
+/// a value that is not a positive integer stops the process).
+/// `NSSD_JOBS=1` degenerates to a plain in-thread loop — byte-identical
+/// output is the *contract*, serial execution is just its cheapest witness.
+///
+/// # Examples
+///
+/// ```
+/// use nssd_sim::Pool;
+///
+/// let jobs: Vec<_> = (0..8u64).map(|i| move || i * i).collect();
+/// let out = Pool::with_workers(4).map(jobs);
+/// assert_eq!(out, vec![0, 1, 4, 9, 16, 25, 36, 49]);
+/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct Pool {
     workers: usize,

@@ -10,6 +10,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (-D warnings)"
+# Intra-doc links only break under rustdoc: a deleted or private item a doc
+# comment still names fails here, not in the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

@@ -67,9 +67,7 @@ pub use nssd_core::{
     run_trace, run_trace_preconditioned, Architecture, FaultConfig, GoldenCase, OracleSummary,
     ReliabilityStats, SchedulerKind, SimReport, SloClass, SsdConfig, TenantConfig, TenantSummary,
 };
-pub use nssd_ftl::{
-    GcPlan, GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec,
-};
+pub use nssd_ftl::{GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec};
 pub use nssd_workloads::{
     MixedSpec, PaperWorkload, SyntheticPattern, SyntheticSpec, TenantMix, TenantSpec,
     TenantWorkload, Trace,

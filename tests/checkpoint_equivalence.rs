@@ -11,10 +11,16 @@
 //! A second identity is asserted along the way: re-serializing a freshly
 //! resumed simulator must reproduce the checkpoint bytes exactly —
 //! save∘resume is the identity on the serialized form.
+//!
+//! The matrix snapshots at fixed event counts; a separate case snapshots
+//! SpGC runs exactly while an event confines user writes, which pins the
+//! spatial placement state (group rotation and the GC-group mask).
 
 use networked_ssd::core::golden::{canonical_json, matrix};
-use networked_ssd::core::Checkpoint;
+use networked_ssd::core::{prepare_closed_loop_preconditioned, Checkpoint};
+use networked_ssd::ftl::WayMask;
 use networked_ssd::sim::Pool;
+use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig};
 
 /// Event counts at which each case is snapshotted. Every golden case
 /// schedules well over 512 events, so at least two of these land mid-run;
@@ -123,5 +129,58 @@ fn oracle_digest_is_live_across_the_matrix() {
             "{}: oracle disabled",
             case.file_name()
         );
+    }
+}
+
+/// SpGC on an aged device, closed loop: snapshot at the first step of each
+/// of the first two GC events (the second runs on the swapped groups),
+/// while the user write mask is narrowed to the I/O group. Each snapshot
+/// must re-serialize to itself and drain to the uninterrupted run's
+/// canonical report.
+#[test]
+fn resume_mid_spatial_gc_event_matches_uninterrupted_run() {
+    for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
+        let mut cfg = SsdConfig::tiny(arch);
+        cfg.gc.policy = GcPolicy::Spatial;
+        cfg.oracle = true;
+        let all = WayMask::all(cfg.geometry.ways);
+        let trace = PaperWorkload::YcsbA.generate(600, cfg.logical_bytes() / 2, 13);
+        let (mut sim, drive) =
+            prepare_closed_loop_preconditioned(cfg, trace, 8, 0.85, 0.3).unwrap();
+        sim.start(drive);
+        let mut snapshots = Vec::new();
+        let mut last_mask = all;
+        loop {
+            // A new event narrows the mask, or swaps it when it chains
+            // straight on from the last one.
+            let mask = sim.ftl().write_mask();
+            if mask != all && mask != last_mask && snapshots.len() < 2 {
+                snapshots.push(Checkpoint::save(&sim));
+            }
+            last_mask = mask;
+            if !sim.step() {
+                break;
+            }
+        }
+        assert_eq!(snapshots.len(), 2, "{arch}: fewer than two SpGC events");
+        let report = sim.into_report();
+        assert!(report.oracle.violations.is_empty(), "{arch}");
+        let reference = canonical_json(&report);
+        for (i, bytes) in snapshots.iter().enumerate() {
+            let mut sim = Checkpoint::resume(cfg, bytes)
+                .unwrap_or_else(|e| panic!("{arch}: resume event {i}: {e}"));
+            assert_ne!(sim.ftl().write_mask(), all, "{arch}: event {i} not live");
+            assert_eq!(
+                &Checkpoint::save(&sim),
+                bytes,
+                "{arch}: event {i}: save∘resume not the identity"
+            );
+            while sim.step() {}
+            assert_eq!(
+                canonical_json(&sim.into_report()),
+                reference,
+                "{arch}: resume mid-event {i} changed the canonical report"
+            );
+        }
     }
 }

@@ -1,11 +1,11 @@
-//! Composed-plan equivalence: a GC plan assembled from components must be
-//! indistinguishable from the legacy policy it decomposes.
+//! Plan equivalence: running a GC plan spec must be indistinguishable
+//! from running the legacy policy it decomposes into.
 //!
-//! Every legacy [`GcPolicy`] now resolves to a [`GcPlanSpec`] component
-//! tuple inside the engine; these tests pin the *config plumbing* on top of
+//! Every legacy [`GcPolicy`] resolves to a [`GcPlanSpec`] tuple, which the
+//! engine runs directly; these tests pin the *config plumbing* on top of
 //! that — running with an explicit `gc.plan` override must produce a
 //! byte-identical canonical report to running with the policy field alone,
-//! across architectures. The two new plans with no legacy equivalent
+//! across architectures. The two plans with no legacy equivalent
 //! (hot/cold placement, wear-aware victims) are validated functionally: the
 //! shadow oracle stays clean and the functional digest matches PaGC's on
 //! the same trace — placement and victim order are timing/wear choices that

@@ -1,10 +1,11 @@
 //! Parity-redundancy integration: degraded reads survive a chip fail-stop
 //! with zero data loss, the fabric-routed rebuild re-protects the device,
-//! the same failure without parity surfaces host-visible errors, and the
-//! whole subsystem checkpoints mid-rebuild.
+//! the same failure without parity surfaces host-visible errors, a chip
+//! that fails while GC is relocating from it hands its victims over
+//! cleanly, and the whole subsystem checkpoints mid-rebuild.
 
 use networked_ssd::core::golden::canonical_json;
-use networked_ssd::core::{Checkpoint, Drive, SsdSim};
+use networked_ssd::core::{prepare_closed_loop_preconditioned, Checkpoint, Drive, SsdSim};
 use networked_ssd::faults::ChipFailureSpec;
 use networked_ssd::flash::Geometry;
 use networked_ssd::ftl::{Ftl, FtlConfig, GcStream, Lpn, RedundancyConfig, WayMask};
@@ -283,5 +284,94 @@ fn checkpoint_mid_rebuild_resumes_to_the_continuous_run() {
         }
         assert_eq!(s.reference, p.reference, "{arch}: worker count leaked in");
         assert_eq!(s.resumed, p.resumed, "{arch}: worker count leaked in");
+    }
+}
+
+/// One chip fail-stop on an aged device under closed-loop load, so GC
+/// events are relocating from the failing chip when it dies. Drains the
+/// run, checks it, and checks that a checkpoint saved right after the
+/// failure resumes to the same canonical report.
+fn fail_during_gc(cfg: SsdConfig, requests: usize, seed: u64) {
+    let label = format!(
+        "{} {} parity={} chip-fail@{}",
+        cfg.architecture,
+        cfg.gc.policy,
+        cfg.redundancy.enabled,
+        cfg.faults.chip_failure.expect("a failure is configured").at
+    );
+    let trace = PaperWorkload::YcsbA.generate(requests, cfg.logical_bytes() / 2, seed);
+    let (mut sim, drive) = prepare_closed_loop_preconditioned(cfg, trace, 8, 0.85, 0.3).unwrap();
+    sim.start(drive);
+    let mut snapshot = None;
+    loop {
+        if snapshot.is_none() && sim.reliability().chip_failures == 1 {
+            snapshot = Some(Checkpoint::save(&sim));
+        }
+        if !sim.step() {
+            break;
+        }
+    }
+    let snapshot = snapshot.unwrap_or_else(|| panic!("{label}: the chip never failed"));
+    let report = sim.into_report();
+    assert_eq!(report.completed, requests as u64, "{label}");
+    assert!(report.gc.events > 0, "{label}: GC never ran");
+    assert!(
+        report.oracle.violations.is_empty(),
+        "{label}: {:?}",
+        report.oracle.violations
+    );
+    if cfg.redundancy.enabled {
+        assert_eq!(report.reliability.pages_lost, 0, "{label}");
+        let red = report.redundancy.expect("redundancy summary missing");
+        assert!(
+            red.rebuild_time().is_some(),
+            "{label}: rebuild never finished"
+        );
+    }
+    let mut resumed = Checkpoint::resume(cfg, &snapshot)
+        .unwrap_or_else(|e| panic!("{label}: resume after the failure: {e}"));
+    assert_eq!(
+        Checkpoint::save(&resumed),
+        snapshot,
+        "{label}: save∘resume not the identity"
+    );
+    while resumed.step() {}
+    assert_eq!(
+        canonical_json(&resumed.into_report()),
+        canonical_json(&report),
+        "{label}: resume after the failure changed the canonical report"
+    );
+}
+
+/// A victim selected before a chip fail-stop must not be copied from or
+/// erased on the dead chip. With parity its pages belong to the rebuild;
+/// without parity `fail_chip` has already retired it. At each setting's
+/// device seed, a GC event holds a victim on chip (1,2) when it dies in
+/// every parity cell, and in every SpGC cell without parity.
+#[test]
+fn chip_failure_during_gc_hands_victims_to_the_failure_model() {
+    let default_seed = SsdConfig::tiny(Architecture::BaseSsd).seed;
+    for (parity, seed) in [(true, default_seed), (false, 17)] {
+        for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
+            for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
+                for at_us in [500, 1000] {
+                    let mut cfg = SsdConfig::tiny(arch);
+                    cfg.geometry.channels = 4;
+                    cfg.geometry.ways = 4;
+                    cfg.gc.policy = policy;
+                    if parity {
+                        cfg.redundancy = RedundancyConfig::with_stripe(2);
+                    }
+                    cfg.oracle = true;
+                    cfg.seed = seed;
+                    cfg.faults.chip_failure = Some(ChipFailureSpec {
+                        channel: 1,
+                        way: 2,
+                        at: SimTime::from_us(at_us),
+                    });
+                    fail_during_gc(cfg, 1200, 17);
+                }
+            }
+        }
     }
 }
