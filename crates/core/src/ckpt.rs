@@ -5,17 +5,22 @@
 //! | field        | bytes | contents                                        |
 //! |--------------|-------|-------------------------------------------------|
 //! | magic        | 8     | `b"NSSDCKPT"`                                   |
-//! | version      | 4     | format version, currently 3                     |
-//! | fingerprint  | 8     | FNV-1a of the configuration's `Debug` rendering |
+//! | version      | 4     | format version, currently 4                     |
+//! | fingerprint  | 8     | checksum of the configuration's `Debug` text    |
 //! | payload\_len | 8     | length of the payload that follows              |
 //! | payload      | n     | [`SsdSim`] state (see `engine::ckpt`)           |
-//! | checksum     | 8     | FNV-1a over everything before this field        |
+//! | checksum     | 8     | [`Checkpoint::checksum`] of everything before   |
 //!
 //! The fingerprint binds a checkpoint to the exact configuration that
 //! produced it — resuming under a different geometry, policy, or seed is
 //! rejected up front rather than producing a silently divergent run. The
 //! trailing checksum catches torn writes and bit rot; every decode error is
 //! a returned `Err`, never a panic.
+//!
+//! [`Checkpoint::save`] encodes in one pass into one buffer: the header with
+//! a zero length, then the state, then the length is patched in and the
+//! checksum appended. Version 4 stores only the arrivals not yet issued and
+//! hashes 8-byte words; older checkpoints are refused with a message.
 
 use nssd_sim::{CkptReader, CkptWriter};
 
@@ -23,25 +28,19 @@ use crate::engine::SsdSim;
 use crate::SsdConfig;
 
 const MAGIC: &[u8; 8] = b"NSSDCKPT";
-const VERSION: u32 = 3;
-/// Envelope bytes outside the payload: magic + version + fingerprint +
-/// payload length + trailing checksum.
-const OVERHEAD: usize = 8 + 4 + 8 + 8 + 8;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+const VERSION: u32 = 4;
+/// Offset of the payload-length field: magic + version + fingerprint.
+const LEN_AT: usize = 8 + 4 + 8;
+/// Envelope bytes before the payload.
+const HEADER: usize = LEN_AT + 8;
+/// Envelope bytes outside the payload: the header + trailing checksum.
+const OVERHEAD: usize = HEADER + 8;
 
 /// Fingerprint binding a checkpoint to its configuration. Derived from the
 /// `Debug` rendering, so *any* field difference — geometry, policies,
 /// timing, seed, fault plan — changes it.
 pub fn config_fingerprint(cfg: &SsdConfig) -> u64 {
-    fnv1a(format!("{cfg:?}").as_bytes())
+    Checkpoint::checksum(format!("{cfg:?}").as_bytes())
 }
 
 /// Simulation-state checkpointing: [`Checkpoint::save`] snapshots a live
@@ -73,19 +72,38 @@ pub fn config_fingerprint(cfg: &SsdConfig) -> u64 {
 pub struct Checkpoint;
 
 impl Checkpoint {
+    /// The envelope's checksum: FNV-1a over 8-byte little-endian words, then
+    /// byte-wise over the 0–7 trailing bytes. A change confined to one word
+    /// (or one tail byte) is always detected: XOR with a fixed input and
+    /// multiplication by the odd FNV prime are both bijections on `u64`, so
+    /// the states after the changed step differ and stay different.
+    pub fn checksum(bytes: &[u8]) -> u64 {
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            h ^= u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+            h = h.wrapping_mul(PRIME);
+        }
+        for &b in words.remainder() {
+            h ^= b as u64;
+            h = h.wrapping_mul(PRIME);
+        }
+        h
+    }
+
     /// Serializes the simulator's complete state into an enveloped buffer.
     pub fn save(sim: &SsdSim) -> Vec<u8> {
-        let mut pw = CkptWriter::new();
-        sim.ckpt_save_state(&mut pw);
-        let payload = pw.into_bytes();
-        let mut w = CkptWriter::with_capacity(payload.len() + OVERHEAD);
+        let mut w = CkptWriter::new();
         w.put_bytes(MAGIC);
         w.put_u32(VERSION);
         w.put_u64(config_fingerprint(sim.config()));
-        w.put_usize(payload.len());
-        w.put_bytes(&payload);
+        w.put_usize(0); // payload length, patched below
+        sim.ckpt_save_state(&mut w);
         let mut out = w.into_bytes();
-        let checksum = fnv1a(&out);
+        let payload_len = (out.len() - HEADER) as u64;
+        out[LEN_AT..HEADER].copy_from_slice(&payload_len.to_le_bytes());
+        let checksum = Self::checksum(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
@@ -111,7 +129,7 @@ impl Checkpoint {
         }
         let (body, tail) = bytes.split_at(bytes.len() - 8);
         let stored = u64::from_le_bytes(tail.try_into().expect("split_at(len - 8)"));
-        let actual = fnv1a(body);
+        let actual = Self::checksum(body);
         if stored != actual {
             return Err(format!(
                 "checkpoint checksum mismatch: stored {stored:#018x}, computed {actual:#018x}"

@@ -2,12 +2,16 @@
 //!
 //! Everything the event loop can observe is written: the clock, the pending
 //! event queue (with its FIFO tiebreak counters), the FTL, flash-array and
-//! channel timelines, host pipes, workload cursors, request/transaction
-//! slabs, the GC runtime, the RNG, the shadow oracle, the fault engine, and
-//! every statistics accumulator. Derived state is *rebuilt* instead of
-//! stored: the fabric backend is a pure function of the configuration, and
-//! the per-core `ftl_core_free` cache is recomputed from the restored core
-//! timelines (its entries are exactly each core's `next_free()`).
+//! channel timelines, host pipes, the arrivals not yet issued,
+//! request/transaction slabs, the GC runtime, the RNG, the shadow oracle,
+//! the fault engine, and every statistics accumulator. Arrivals already
+//! issued from the cursor are gone from the device's point of view and are
+//! not written; a closed-loop run writes its whole request list, because
+//! its queued `Arrive` events index into it. Derived state is *rebuilt*
+//! instead of stored: the fabric backend is a pure function of the
+//! configuration, and the per-core `ftl_core_free` cache is recomputed from
+//! the restored core timelines (its entries are exactly each core's
+//! `next_free()`).
 //!
 //! [`SsdSim::ckpt_load_state`] validates every index against the configured
 //! geometry and the restored collection lengths before it is ever used, so
@@ -129,12 +133,20 @@ impl SsdSim {
             }
         }
         self.host.ckpt_save(w);
-        w.put_usize(self.arrivals.len());
-        for r in &self.arrivals {
+        // A cursor drive starts its saved list at the next arrival, so a
+        // resumed simulator (cursor 0) re-saves the same bytes.
+        let first = match self.closed_loop_depth {
+            Some(_) => 0,
+            None => self.next_issue,
+        };
+        let arrivals = &self.arrivals[first..];
+        w.put_usize(arrivals.len());
+        for r in arrivals {
             r.ckpt_save(w);
         }
-        w.put_usize(self.arrival_tenants.len());
-        for &t in &self.arrival_tenants {
+        let tenants = self.arrival_tenants.get(first..).unwrap_or_default();
+        w.put_usize(tenants.len());
+        for &t in tenants {
             w.put_u32(t as u32);
         }
         match self.closed_loop_depth {
@@ -175,7 +187,8 @@ impl SsdSim {
                 }
             }
         }
-        w.put_usize(self.next_issue);
+        w.put_usize(self.next_issue - first);
+        w.put_u64(self.arrivals_issued);
         w.put_usize(self.requests.len());
         for req in &self.requests {
             w.put_u8(match req.op {
@@ -426,6 +439,21 @@ impl SsdSim {
                 arrivals.len()
             )));
         }
+        if closed_loop_depth.is_none() {
+            if next_issue != 0 {
+                return Err(CkptError::Invalid(format!(
+                    "issue cursor {next_issue} in a list of unissued arrivals"
+                )));
+            }
+            if arrivals.first().is_some_and(|a| a.at < self.now)
+                || arrivals.windows(2).any(|p| p[1].at < p[0].at)
+            {
+                return Err(CkptError::Invalid(
+                    "unissued arrivals not in time order from now".into(),
+                ));
+            }
+        }
+        let arrivals_issued = r.take_u64()?;
 
         let n = r.take_count(REQ_MIN_BYTES)?;
         let mut requests = Vec::with_capacity(n);
@@ -634,7 +662,12 @@ impl SsdSim {
         self.last_completion = r.take_time()?;
 
         let bounds = EventBounds {
-            arrivals: arrivals.len(),
+            // Only closed loop queues `Arrive` events.
+            arrivals: if closed_loop_depth.is_some() {
+                arrivals.len()
+            } else {
+                0
+            },
             requests: requests.len(),
             trans: trans.len(),
             gc_copies: self.gc.copy_count(),
@@ -649,6 +682,7 @@ impl SsdSim {
         self.closed_loop_depth = closed_loop_depth;
         self.mt = mt;
         self.next_issue = next_issue;
+        self.arrivals_issued = arrivals_issued;
         self.requests = requests;
         self.req_free = req_free;
         self.trans = trans;

@@ -34,7 +34,9 @@ pub(crate) use rebuild::RebuildRuntime;
 /// Events driving the simulation.
 #[derive(Debug, Clone, Copy)]
 enum Event {
-    /// A request from the workload arrives (index into the arrival list).
+    /// A closed-loop request is issued (index into the arrival list).
+    /// Open-loop and multi-tenant arrivals never enter the queue: they are
+    /// issued from the arrival cursor (see [`SsdSim::start`]).
     Arrive(usize),
     /// A write request's data has landed in DRAM; issue its page
     /// transactions.
@@ -119,9 +121,16 @@ struct TransState {
 }
 
 /// How a workload drives the simulator.
+///
+/// Open-loop and multi-tenant requests are host input, not device state:
+/// [`SsdSim::start`] sorts them by arrival time and the event loop issues
+/// them from a cursor as simulated time reaches each one, so the event
+/// queue (and a checkpoint) holds only in-flight work and the requests not
+/// yet issued.
 #[derive(Debug, Clone)]
 pub enum Drive {
-    /// Open loop: requests arrive at their trace timestamps.
+    /// Open loop: requests arrive at their trace timestamps. The trace need
+    /// not be sorted; requests with equal timestamps arrive in trace order.
     OpenLoop(Vec<IoRequest>),
     /// Closed loop: keep `depth` requests outstanding until all issued.
     ClosedLoop {
@@ -213,7 +222,14 @@ pub struct SsdSim {
     closed_loop_depth: Option<usize>,
     /// Multi-tenant frontend state (None outside multi-tenant runs).
     mt: Option<MtRuntime>,
+    /// The arrival cursor: `arrivals[next_issue..]` are not issued yet. In
+    /// open-loop and multi-tenant runs it is the next arrival to issue (in
+    /// time order); in closed loop, the next request to queue an `Arrive` for.
     next_issue: usize,
+    /// Arrivals issued from the cursor over the simulator's lifetime. Each
+    /// stands in for the `Arrive` event it replaced, so
+    /// [`EngineSummary::scheduled_events`] still counts it once.
+    arrivals_issued: u64,
     requests: Vec<ReqState>,
     /// Completed request slots available for reuse (a slot recycles only
     /// after its last page completes, so a live id is never aliased).
@@ -342,6 +358,7 @@ impl SsdSim {
             closed_loop_depth: None,
             mt: None,
             next_issue: 0,
+            arrivals_issued: 0,
             requests: Vec::new(),
             req_free: Vec::new(),
             trans: Vec::new(),
@@ -557,7 +574,7 @@ impl SsdSim {
         self.into_report()
     }
 
-    /// Loads a drive and schedules its arrivals, without running anything.
+    /// Loads a drive without running anything.
     ///
     /// On a fresh simulator `now` is zero, so trace timestamps are absolute
     /// and the behaviour is byte-identical to the old single-shot `run`. A
@@ -565,11 +582,17 @@ impl SsdSim {
     /// one: arrival timestamps are then interpreted relative to the current
     /// simulated time, which is how the lifetime bench strings months of
     /// traffic together in segments.
+    ///
+    /// Open-loop and multi-tenant arrivals are stable-sorted by time and
+    /// left in the arrival cursor; only the configured chip failure is
+    /// queued. [`SsdSim::step`] and [`SsdSim::run_to_idle`] merge the cursor
+    /// with the event queue in the order a queue holding every arrival would
+    /// give: at equal times an arrival goes before any event queued while
+    /// the drive runs, but after the chip failure, which `start` queues
+    /// ahead of the arrivals. Closed loop keeps `depth` `Arrive` events
+    /// queued instead, each completion queueing the next.
     pub fn start(&mut self, drive: Drive) {
-        debug_assert!(
-            self.queue.is_empty(),
-            "starting a drive with events still pending"
-        );
+        debug_assert!(self.is_idle(), "starting a drive with work pending");
         let base = self.now;
         match drive {
             Drive::OpenLoop(mut r) => {
@@ -578,6 +601,7 @@ impl SsdSim {
                         req.at += base;
                     }
                 }
+                r.sort_by_key(|req| req.at);
                 self.arrivals = r;
                 self.arrival_tenants = Vec::new();
                 self.closed_loop_depth = None;
@@ -614,30 +638,72 @@ impl SsdSim {
         }
         self.started = true;
 
-        match self.closed_loop_depth {
-            Some(d) => {
-                let n = d.min(self.arrivals.len());
-                for i in 0..n {
-                    self.queue.schedule(base, Event::Arrive(i));
-                }
-                self.next_issue = n;
+        self.next_issue = 0;
+        if let Some(d) = self.closed_loop_depth {
+            let n = d.min(self.arrivals.len());
+            for i in 0..n {
+                self.queue.schedule(base, Event::Arrive(i));
             }
-            // Open-loop and multi-tenant runs: every arrival is an event at
-            // its trace timestamp (multi-tenant arrivals land in submission
-            // queues; the device pulls them via `mt_dispatch`).
-            None => {
-                for (i, r) in self.arrivals.iter().enumerate() {
-                    self.queue.schedule(r.at, Event::Arrive(i));
-                }
-                self.next_issue = self.arrivals.len();
-            }
+            self.next_issue = n;
         }
     }
 
-    /// Advances the simulation by exactly one event; `false` once the event
-    /// queue has drained (the started drive is complete).
+    /// Time of the next arrival the cursor will issue; `None` once every
+    /// arrival is issued, and always in closed loop (whose arrivals are
+    /// queued `Arrive` events).
+    fn next_arrival(&self) -> Option<SimTime> {
+        if self.closed_loop_depth.is_some() {
+            return None;
+        }
+        self.arrivals.get(self.next_issue).map(|r| r.at)
+    }
+
+    /// Issues the cursor's next arrival, which the caller has checked is
+    /// due: nothing queued fires strictly before it. The one queued event
+    /// that goes first at the same instant is the chip failure, which
+    /// [`SsdSim::start`] queued ahead of every arrival; it is handled
+    /// instead, and the arrival stays next.
+    fn issue_arrival(&mut self) {
+        let i = self.next_issue;
+        let at = self.arrivals[i].at;
+        debug_assert!(at >= self.now, "time went backwards");
+        if self.chip_failure_due(at) {
+            let (t, ev) = self.queue.pop().expect("the chip failure is queued");
+            debug_assert!(t == at && matches!(ev, Event::ChipFail));
+            self.now = t;
+            self.handle(ev);
+            return;
+        }
+        self.next_issue += 1;
+        self.arrivals_issued += 1;
+        self.now = at;
+        self.on_arrive(i);
+    }
+
+    /// Whether the configured chip failure is still queued and fires at
+    /// `at`.
+    fn chip_failure_due(&self, at: SimTime) -> bool {
+        self.cfg
+            .faults
+            .chip_failure
+            .is_some_and(|spec| spec.at == at && self.faults.stats().chip_failures == 0)
+    }
+
+    /// Advances the simulation by exactly one event or arrival; `false`
+    /// once the event queue and the arrival cursor have both drained (the
+    /// started drive is complete).
     pub fn step(&mut self) -> bool {
-        match self.queue.pop() {
+        let popped = match self.next_arrival() {
+            None => self.queue.pop(),
+            Some(at) => match self.queue.pop_before(at) {
+                None => {
+                    self.issue_arrival();
+                    return true;
+                }
+                popped => popped,
+            },
+        };
+        match popped {
             Some((t, ev)) => {
                 debug_assert!(t >= self.now, "time went backwards");
                 self.now = t;
@@ -648,27 +714,48 @@ impl SsdSim {
         }
     }
 
-    /// Drains the event queue with same-tick batch dispatch: all events
-    /// pending at one instant are popped in a single bucket access, then
-    /// handled in FIFO order. Events a handler schedules for the current
-    /// instant land in the next batch at the same time, so the handle order
-    /// is exactly the order repeated [`SsdSim::step`] calls would produce —
-    /// this is a faster loop, not a different schedule.
+    /// Drains the event queue and the arrival cursor with same-tick batch
+    /// dispatch: all events pending at one instant are popped in a single
+    /// bucket access, then handled in FIFO order. Events a handler schedules
+    /// for the current instant land in the next batch at the same time, and
+    /// a batch is popped only when it is strictly earlier than the next
+    /// arrival, so the handle order is exactly the order repeated
+    /// [`SsdSim::step`] calls would produce — this is a faster loop, not a
+    /// different schedule.
     pub fn run_to_idle(&mut self) {
         let mut batch = std::mem::take(&mut self.batch);
-        while let Some(t) = self.queue.pop_batch(&mut batch) {
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            for ev in batch.drain(..) {
-                self.handle(ev);
+        loop {
+            let next = self.next_arrival();
+            let popped = match next {
+                None => self.queue.pop_batch(&mut batch),
+                Some(at) => self.queue.pop_batch_before(at, &mut batch),
+            };
+            match popped {
+                Some(t) => {
+                    debug_assert!(t >= self.now, "time went backwards");
+                    self.now = t;
+                    for ev in batch.drain(..) {
+                        self.handle(ev);
+                    }
+                }
+                None if next.is_some() => self.issue_arrival(),
+                None => break,
             }
         }
         self.batch = batch;
     }
 
-    /// Whether the event queue has drained.
+    /// Whether the started drive is complete: no event is pending and every
+    /// arrival has been issued.
     pub fn is_idle(&self) -> bool {
-        self.queue.is_empty()
+        self.queue.is_empty() && self.next_issue >= self.arrivals.len()
+    }
+
+    /// Number of events pending in the event queue. Open-loop and
+    /// multi-tenant arrivals not yet issued are not events, so this is
+    /// bounded by in-flight work rather than by the trace length.
+    pub fn pending_events(&self) -> usize {
+        self.queue.len()
     }
 
     /// Host requests completed so far.
@@ -1327,7 +1414,7 @@ impl SsdSim {
             tenants,
             oracle: oracle_summary,
             engine: EngineSummary {
-                scheduled_events: self.queue.scheduled_total(),
+                scheduled_events: self.queue.scheduled_total() + self.arrivals_issued,
                 wall_clock: self.loop_wall,
             },
         }

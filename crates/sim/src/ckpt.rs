@@ -72,13 +72,6 @@ impl CkptWriter {
         CkptWriter::default()
     }
 
-    /// Creates a writer with preallocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        CkptWriter {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
     /// Consumes the writer, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf

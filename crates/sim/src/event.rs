@@ -96,6 +96,27 @@ impl<E> EventQueue<E> {
         self.wheel.pop_batch(out)
     }
 
+    /// Removes and returns the earliest pending event if it fires strictly
+    /// before `bound`; otherwise leaves the queue as it is.
+    ///
+    /// The wheel cursor never moves to or past `bound`, so an event
+    /// scheduled at `bound` or later right after a `None` files into the
+    /// wheel like any other future event.
+    pub fn pop_before(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
+        let limit = bound.as_ns().checked_sub(1)?;
+        self.wheel.pop_until(limit).map(|(k, e)| (k.at, e))
+    }
+
+    /// [`EventQueue::pop_batch`], but only for an instant strictly before
+    /// `bound`: this is how a caller merges an external, time-sorted stream
+    /// (the engine's arrival cursor) with the queue, the external item going
+    /// first on a tie. The cursor never moves to or past `bound` (see
+    /// [`EventQueue::pop_before`]), and no per-call peek is needed.
+    pub fn pop_batch_before(&mut self, bound: SimTime, out: &mut Vec<E>) -> Option<SimTime> {
+        let limit = bound.as_ns().checked_sub(1)?;
+        self.wheel.pop_batch_until(limit, out)
+    }
+
     /// The firing time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.wheel.peek()
@@ -351,6 +372,118 @@ mod tests {
         q.schedule(SimTime::from_ns(20), "b");
         assert_eq!(q.pop().unwrap().1, "b");
         assert_eq!(q.pop().unwrap().1, "c");
+    }
+
+    /// Drives `EventQueue` and a sorted-`Vec` reference through a seeded
+    /// interleaving of `schedule`, `pop_batch_before`, `pop_before` and
+    /// `pop_batch`, the way the engine merges its arrival cursor: time only
+    /// moves forward, and after a bounded pop returns `None` the caller
+    /// advances to the bound and schedules there. Every pop must return the
+    /// reference's events, and such a schedule must never land in `past`.
+    fn check_bounded_pops(seed: u64, cases: usize, ops: usize) {
+        use crate::{DetRng, Rng};
+        let mut rng = DetRng::seed_from_u64(seed);
+        for case in 0..cases {
+            let mut q = EventQueue::new();
+            // Reference: pending `(at, id)` in schedule order; ids are
+            // schedule order too, so `(at, id)` is the queue's `(at, seq)`.
+            let mut model: Vec<(u64, u32)> = Vec::new();
+            let mut now = rng.gen_range(0..1u64 << 20);
+            let mut id = 0u32;
+            let mut batch = Vec::new();
+            let delta = |rng: &mut DetRng| match rng.gen_range(0..6u64) {
+                0 => 0,
+                1 => rng.gen_range(0..256u64),
+                2 => rng.gen_range(256..70_000u64),
+                3 => rng.gen_range(70_000..1u64 << 24),
+                4 => rng.gen_range(1u64 << 24..1 << 40),
+                _ => rng.gen_range(0..4u64),
+            };
+            for op in 0..ops {
+                match rng.gen_range(0..8u64) {
+                    0..=2 => {
+                        let at = now + delta(&mut rng);
+                        q.schedule(SimTime::from_ns(at), id);
+                        model.push((at, id));
+                        id += 1;
+                    }
+                    3..=5 => {
+                        let bound = now + delta(&mut rng);
+                        let first = model.iter().map(|&(at, _)| at).min();
+                        let single = rng.gen_range(0..4u64) == 0;
+                        let got: Option<(u64, Vec<u32>)> = if single {
+                            q.pop_before(SimTime::from_ns(bound))
+                                .map(|(t, e)| (t.as_ns(), vec![e]))
+                        } else {
+                            batch.clear();
+                            q.pop_batch_before(SimTime::from_ns(bound), &mut batch)
+                                .map(|t| (t.as_ns(), batch.clone()))
+                        };
+                        match first.filter(|&at| at < bound) {
+                            Some(at) => {
+                                let mut want: Vec<u32> = model
+                                    .iter()
+                                    .filter(|&&(t, _)| t == at)
+                                    .map(|&(_, e)| e)
+                                    .collect();
+                                want.sort_unstable();
+                                if single {
+                                    want.truncate(1);
+                                }
+                                assert_eq!(got, Some((at, want.clone())), "case {case} op {op}");
+                                model.retain(|(_, e)| !want.contains(e));
+                                now = at;
+                            }
+                            None => {
+                                assert_eq!(
+                                    got, None,
+                                    "case {case} op {op}: popped at or past {bound}"
+                                );
+                                // The engine now handles its arrival at
+                                // `bound` and schedules from there.
+                                now = bound;
+                                q.schedule(SimTime::from_ns(bound), id);
+                                model.push((bound, id));
+                                id += 1;
+                                assert_eq!(
+                                    q.wheel.past_len(),
+                                    0,
+                                    "case {case} op {op}: cursor passed {bound}"
+                                );
+                            }
+                        }
+                    }
+                    _ => {
+                        batch.clear();
+                        let got = q.pop_batch(&mut batch).map(|t| t.as_ns());
+                        let first = model.iter().map(|&(at, _)| at).min();
+                        assert_eq!(got, first, "case {case} op {op}");
+                        if let Some(at) = first {
+                            let want: Vec<u32> = model
+                                .iter()
+                                .filter(|&&(t, _)| t == at)
+                                .map(|&(_, e)| e)
+                                .collect();
+                            assert_eq!(batch, want, "case {case} op {op}");
+                            model.retain(|&(t, _)| t != at);
+                            now = at;
+                        }
+                    }
+                }
+                assert_eq!(q.len(), model.len(), "case {case} op {op}");
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_pops_match_a_sorted_reference() {
+        check_bounded_pops(0xB0B0, crate::CASES, 400);
+    }
+
+    #[cfg(feature = "heavy-tests")]
+    #[test]
+    fn bounded_pops_match_a_sorted_reference_deep() {
+        check_bounded_pops(0xDEEB, crate::CASES, 4_000);
     }
 
     #[test]

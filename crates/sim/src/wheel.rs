@@ -226,17 +226,44 @@ impl<E> TimingWheel<E> {
         None
     }
 
-    /// Advances the cursor to `(level, idx)`'s base time and redistributes
-    /// its events to strictly lower levels — pure relinks; no entry is
-    /// copied or moved in memory.
-    fn cascade(&mut self, level: usize, idx: usize) {
+    /// Earliest time bucket `(level, idx)` can hold: its span's start in
+    /// the cursor's current rotation of that level.
+    fn bucket_base(&self, level: usize, idx: usize) -> u64 {
         let shift = (level as u32 + 1) * BITS;
         let high = if shift >= 64 {
             0
         } else {
             (self.cursor >> shift) << shift
         };
-        let base = high | ((idx as u64) << (level as u32 * BITS));
+        high | ((idx as u64) << (level as u32 * BITS))
+    }
+
+    /// Cascades until the earliest pending wheel event heads a level-0
+    /// bucket and returns that bucket — or `None` when the earliest event is
+    /// later than `limit`. A higher-level bucket whose span starts after
+    /// `limit` is left in place, so the cursor never moves past `limit`:
+    /// a caller may then schedule at any time after `limit` without the
+    /// event landing in `past`.
+    #[inline]
+    fn front(&mut self, limit: u64) -> Option<usize> {
+        loop {
+            let (level, idx) = self.candidate()?;
+            if level == 0 {
+                let head = self.buckets[idx].head;
+                return (self.nodes[head as usize].key.at.as_ns() <= limit).then_some(idx);
+            }
+            if self.bucket_base(level, idx) > limit {
+                return None;
+            }
+            self.cascade(level, idx);
+        }
+    }
+
+    /// Advances the cursor to `(level, idx)`'s base time and redistributes
+    /// its events to strictly lower levels — pure relinks; no entry is
+    /// copied or moved in memory.
+    fn cascade(&mut self, level: usize, idx: usize) {
+        let base = self.bucket_base(level, idx);
         debug_assert!(base > self.cursor, "cascade must advance the cursor");
         self.cursor = base;
         self.occ[level][idx >> 6] &= !(1 << (idx & 63));
@@ -283,7 +310,21 @@ impl<E> TimingWheel<E> {
             .expect("past_min on empty past list")
     }
 
+    /// Removes and returns the `(at, seq)`-minimal event.
+    #[inline]
     pub fn pop(&mut self) -> Option<(Key, E)> {
+        self.pop_until(u64::MAX)
+    }
+
+    /// Drains every event at the earliest pending instant into `out`.
+    #[inline]
+    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
+        self.pop_batch_until(u64::MAX, out)
+    }
+
+    /// Removes and returns the `(at, seq)`-minimal event, if its time is at
+    /// most `limit` (pass `u64::MAX` for an unbounded pop).
+    pub fn pop_until(&mut self, limit: u64) -> Option<(Key, E)> {
         if self.len == 0 {
             return None;
         }
@@ -291,33 +332,33 @@ impl<E> TimingWheel<E> {
             // Everything in `past` precedes everything in the wheel; the
             // scan order is irrelevant because keys are totally ordered.
             let i = self.past_min();
+            if self.past[i].0.at.as_ns() > limit {
+                return None;
+            }
             self.len -= 1;
             return Some(self.past.swap_remove(i));
         }
-        loop {
-            let (level, idx) = self.candidate().expect("pending events but no candidate");
-            if level > 0 {
-                self.cascade(level, idx);
-                continue;
-            }
-            let (key, event) = self.pop_bucket_head(idx);
-            self.cursor = key.at.as_ns();
-            self.len -= 1;
-            return Some((key, event));
-        }
+        let idx = self.front(limit)?;
+        let (key, event) = self.pop_bucket_head(idx);
+        self.cursor = key.at.as_ns();
+        self.len -= 1;
+        Some((key, event))
     }
 
     /// Drains every event at the earliest pending instant into `out` (in
-    /// `(at, seq)` order) and returns that instant. The fast path is one
-    /// bucket drain: a live level-0 bucket holds exactly the same-tick
-    /// batch.
-    pub fn pop_batch(&mut self, out: &mut Vec<E>) -> Option<SimTime> {
+    /// `(at, seq)` order) and returns that instant, if it is at most
+    /// `limit`. The fast path is one bucket drain: a live level-0 bucket
+    /// holds exactly the same-tick batch.
+    pub fn pop_batch_until(&mut self, limit: u64, out: &mut Vec<E>) -> Option<SimTime> {
         if self.len == 0 {
             return None;
         }
         if !self.past.is_empty() {
             let first = self.past_min();
             let at = self.past[first].0.at;
+            if at.as_ns() > limit {
+                return None;
+            }
             loop {
                 let i = self.past_min();
                 if self.past[i].0.at != at {
@@ -331,30 +372,24 @@ impl<E> TimingWheel<E> {
             }
             return Some(at);
         }
-        loop {
-            let (level, idx) = self.candidate().expect("pending events but no candidate");
-            if level > 0 {
-                self.cascade(level, idx);
-                continue;
-            }
-            let chain = self.buckets[idx];
-            let at = self.nodes[chain.head as usize].key.at;
-            self.buckets[idx] = EMPTY_CHAIN;
-            self.occ[0][idx >> 6] &= !(1 << (idx & 63));
-            self.cursor = at.as_ns();
-            let mut n = chain.head;
-            while n != NIL {
-                let node = &mut self.nodes[n as usize];
-                debug_assert!(node.key.at == at, "level-0 bucket mixed instants");
-                out.push(node.event.take().expect("linked node holds an event"));
-                let next = node.next;
-                node.next = self.free;
-                self.free = n;
-                n = next;
-                self.len -= 1;
-            }
-            return Some(at);
+        let idx = self.front(limit)?;
+        let chain = self.buckets[idx];
+        let at = self.nodes[chain.head as usize].key.at;
+        self.buckets[idx] = EMPTY_CHAIN;
+        self.occ[0][idx >> 6] &= !(1 << (idx & 63));
+        self.cursor = at.as_ns();
+        let mut n = chain.head;
+        while n != NIL {
+            let node = &mut self.nodes[n as usize];
+            debug_assert!(node.key.at == at, "level-0 bucket mixed instants");
+            out.push(node.event.take().expect("linked node holds an event"));
+            let next = node.next;
+            node.next = self.free;
+            self.free = n;
+            n = next;
+            self.len -= 1;
         }
+        Some(at)
     }
 
     /// Firing time of the earliest pending event, without disturbing the
@@ -379,6 +414,12 @@ impl<E> TimingWheel<E> {
             n = node.next;
         }
         Some(min)
+    }
+
+    /// Number of events parked in the `past` list.
+    #[cfg(test)]
+    pub fn past_len(&self) -> usize {
+        self.past.len()
     }
 
     /// Visits every pending event in storage order (callers sort by key).

@@ -46,20 +46,10 @@ fn busy_checkpoint() -> (SsdConfig, Vec<u8>) {
     (cfg, Checkpoint::save(&sim))
 }
 
-/// FNV-1a, mirrored from the envelope, to re-seal deliberately corrupted
-/// payloads.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
+/// Re-seals deliberately corrupted bytes with the envelope's own checksum.
 fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
     let n = bytes.len();
-    let sum = fnv1a(&bytes[..n - 8]);
+    let sum = Checkpoint::checksum(&bytes[..n - 8]);
     bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
     bytes
 }
@@ -141,6 +131,57 @@ fn checksum_fixed_corruption_still_errs_or_roundtrips() {
         "none of {} checksum-fixed corruptions was rejected — the payload \
          validators are not running",
         2 * positions.len()
+    );
+}
+
+/// A mid-run open-loop checkpoint: it stores the arrivals from the cursor
+/// on, and resume validates their order against the restored clock.
+fn open_loop_checkpoint() -> (SsdConfig, Vec<u8>) {
+    let cfg = SsdConfig::tiny(Architecture::PSsd);
+    let page = cfg.geometry.page_bytes;
+    let requests: Vec<_> = (0..400u64)
+        .map(|i| {
+            let op = if i % 2 == 0 { IoOp::Write } else { IoOp::Read };
+            IoRequest::new(op, (i % 64) * page as u64, page, SimTime::from_us(i * 3))
+        })
+        .collect();
+    let mut sim = SsdSim::new(cfg).unwrap();
+    sim.start(Drive::OpenLoop(requests));
+    for _ in 0..600 {
+        assert!(sim.step(), "run drained before the snapshot point");
+    }
+    (cfg, Checkpoint::save(&sim))
+}
+
+#[test]
+fn open_loop_checkpoint_round_trips_and_survives_corruption() {
+    let (cfg, bytes) = open_loop_checkpoint();
+    let resumed = Checkpoint::resume(cfg, &bytes).expect("clean checkpoint resumes");
+    assert_eq!(Checkpoint::save(&resumed), bytes, "save∘resume ≠ identity");
+    let positions: Vec<usize> = (28..bytes.len() - 8).step_by(53).collect();
+    let mut rejected = 0usize;
+    for pos in &positions {
+        let mut corrupt = bytes.clone();
+        corrupt[*pos] ^= 1 << 6;
+        match Checkpoint::resume(cfg, &reseal(corrupt)) {
+            Err(_) => rejected += 1,
+            Ok(sim) => {
+                let _ = Checkpoint::save(&sim);
+            }
+        }
+    }
+    assert!(rejected > 0, "no checksum-fixed corruption was rejected");
+}
+
+#[test]
+fn older_envelope_versions_are_refused_by_name() {
+    let (cfg, mut bytes) = busy_checkpoint();
+    // The version field follows the 8-byte magic.
+    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    let err = Checkpoint::resume(cfg, &reseal(bytes)).unwrap_err();
+    assert!(
+        err.contains("version 3") && err.contains('4'),
+        "message must name the found and the expected version, got: {err}"
     );
 }
 
