@@ -31,8 +31,11 @@ struct LifetimeRecord {
     arch: Architecture,
     segments: Vec<SegmentRecord>,
     /// Segment during which the device reached end of life (GC could no
-    /// longer reclaim space and writes stalled), if it did.
+    /// longer reclaim space for a stalled write), if it did; it is the last
+    /// segment recorded.
     died_in_segment: Option<usize>,
+    /// Simulated time the device reached end of life, if it did.
+    end_of_life: Option<SimTime>,
 }
 
 struct SegmentRecord {
@@ -70,8 +73,8 @@ struct SegmentRecord {
 /// Closed-loop segment traffic: page-sized requests, 80% writes over a
 /// uniformly random working set (wear-driving churn), 20% reads. The
 /// working set covers 70% of the logical span so the device keeps enough
-/// slack to absorb the blocks it loses to defects and wear-out over the
-/// run, instead of write-stalling at device death.
+/// slack to absorb the blocks it loses to defects and wear-out for most of
+/// the run, until GC can no longer reclaim space at its end of life.
 fn segment_requests(cfg: &SsdConfig, n: usize, seed: u64) -> Vec<IoRequest> {
     let page = cfg.geometry.page_bytes as u64;
     let working_set = cfg.logical_bytes() / page * 7 / 10;
@@ -101,8 +104,8 @@ fn run_architecture(
     let mut cfg = SsdConfig::tiny(arch);
     // A deliberately short-lived device: mean wear reaches a large fraction
     // of the limit within the run, so late-life behaviour (endurance
-    // retirement, shrinking spare pool, GC pressure) is observable — while
-    // staying short of the write-stall the engine treats as device death.
+    // retirement, shrinking spare pool, GC pressure) is observable, and the
+    // full run ends at the device's end of life.
     cfg.endurance_limit = Some(170);
     cfg.faults.bad_blocks.grown_rate = 0.0008;
     cfg.oracle = true;
@@ -121,27 +124,16 @@ fn run_architecture(
     for index in 1..=segments {
         let requests = segment_requests(&cfg, requests_per_segment, 0xDEAD + index as u64);
         let before = sim.completed();
-        // End of life announces itself as the engine's write-stall
-        // watchdog: once wear-out and grown defects have eaten the spare
-        // pool, GC cannot reclaim space and the drain panics. Treat that
-        // as the device's death, not the experiment's.
-        let drained = {
-            let prev_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {})); // silence the watchdog
-            let sim = &mut sim;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                sim.start(Drive::ClosedLoop {
-                    requests,
-                    depth: 16,
-                });
-                sim.run_to_idle();
-            }));
-            std::panic::set_hook(prev_hook);
-            outcome.is_ok()
-        };
-        if !drained {
+        // Once wear-out and grown defects have eaten the spare pool, GC
+        // cannot reclaim space and the device reaches end of life: the
+        // segment still drains, its remaining writes failing host-visibly.
+        sim.start(Drive::ClosedLoop {
+            requests,
+            depth: 16,
+        });
+        sim.run_to_idle();
+        if sim.end_of_life().is_some() {
             died_in_segment = Some(index);
-            break;
         }
 
         // Segment boundary: checkpoint, verify save∘resume is the identity
@@ -194,11 +186,15 @@ fn run_architecture(
             win_p99_us: windowed.percentile(99.0).map(|t| t.as_us_f64()),
             ckpt_bytes: bytes.len(),
         });
+        if died_in_segment.is_some() {
+            break;
+        }
     }
     Ok(LifetimeRecord {
         arch,
         segments: records,
         died_in_segment,
+        end_of_life: sim.end_of_life(),
     })
 }
 
@@ -208,9 +204,10 @@ fn to_json(records: &[LifetimeRecord]) -> String {
         let _ = write!(
             out,
             "    {{\n      \"architecture\": \"{}\",\n      \"died_in_segment\": {},\n      \
-             \"segments\": [\n",
+             \"end_of_life_ms\": {},\n      \"segments\": [\n",
             rec.arch.label(),
             rec.died_in_segment.map_or("null".into(), |s| s.to_string()),
+            json_opt(rec.end_of_life.map(|t| t.as_secs_f64() * 1e3)),
         );
         for (j, s) in rec.segments.iter().enumerate() {
             let _ = writeln!(
@@ -267,14 +264,8 @@ fn main() {
         );
         match run_architecture(arch, segments, per_segment) {
             Ok(rec) => {
-                let (Some(last), Some(first)) = (rec.segments.last(), rec.segments.first()) else {
-                    println!(
-                        "{:<14} died before completing its first segment",
-                        rec.arch.label()
-                    );
-                    records.push(rec);
-                    continue;
-                };
+                // Every segment is recorded, the one the device died in too.
+                let (first, last) = (&rec.segments[0], &rec.segments[rec.segments.len() - 1]);
                 println!(
                     "{:<14} wear {:.1}±{:.1} (imbalance {:.2}), grown-bad {}, retired {}, \
                      WA {:.2}, p99 {} → {} µs{}",

@@ -3,7 +3,8 @@
 //! Everything the event loop can observe is written: the clock, the pending
 //! event queue (with its FIFO tiebreak counters), the FTL, flash-array and
 //! channel timelines, host pipes, the arrivals not yet issued,
-//! request/transaction slabs, the GC runtime, the RNG, the shadow oracle,
+//! request/transaction slabs, the writes parked for free space (in order)
+//! and the end-of-life time, the GC runtime, the RNG, the shadow oracle,
 //! the fault engine, and every statistics accumulator. Arrivals already
 //! issued from the cursor are gone from the device's point of view and are
 //! not written; a closed-loop run writes its whole request list, because
@@ -20,6 +21,8 @@
 //! [`crate::Checkpoint::resume`] always decodes into a fresh simulator and
 //! discards it on failure.
 
+use std::collections::VecDeque;
+
 use nssd_host::{HostFrontend, IoOp, IoRequest, SchedulerKind, TenantConfig};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, Histogram};
 
@@ -29,7 +32,7 @@ use super::{Event, MtRuntime, PendingSpan, ReqState, SsdSim, TenantStats, TransS
 /// [`CkptReader::take_count`] allocation caps.
 const REQ_MIN_BYTES: usize = 1 + 8 + 4 + 4 + 4 + 1 + 1;
 const TRANS_MIN_BYTES: usize = 8 + 6 * 4 + 1 + 1 + 4 + 1 + 1;
-const SPAN_MIN_BYTES: usize = 8 + 8 + 4 + 4;
+const SPAN_MIN_BYTES: usize = 8 + 8 + 4;
 const TENANT_MIN_BYTES: usize = 8 + 4 + 8;
 
 fn enc_event(w: &mut CkptWriter, ev: &Event) {
@@ -49,6 +52,7 @@ fn enc_event(w: &mut CkptWriter, ev: &Event) {
         Event::RebuildPump => (12, None),
         Event::RebuildXferDone(i) => (13, Some(i)),
         Event::RebuildProgDone(i) => (14, Some(i)),
+        Event::GcRetry => (15, None),
     };
     w.put_u8(tag);
     if let Some(i) = payload {
@@ -103,6 +107,7 @@ fn dec_event(r: &mut CkptReader, b: EventBounds) -> Result<Event, CkptError> {
         12 => Event::RebuildPump,
         13 => Event::RebuildXferDone(idx(r, b.rebuild_copies, "rebuild copy")?),
         14 => Event::RebuildProgDone(idx(r, b.rebuild_copies, "rebuild copy")?),
+        15 => Event::GcRetry,
         t => return Err(CkptError::Invalid(format!("unknown event tag {t}"))),
     })
 }
@@ -241,7 +246,17 @@ impl SsdSim {
             w.put_usize(req);
             w.put_u64(s.first_page);
             w.put_u32(s.pages);
-            w.put_u32(s.retries);
+        }
+        w.put_usize(self.parked.len());
+        for &req in &self.parked {
+            w.put_usize(req);
+        }
+        match self.end_of_life {
+            Some(t) => {
+                w.put_bool(true);
+                w.put_time(t);
+            }
+            None => w.put_bool(false),
         }
         w.put_usize(self.inflight_io);
         self.gc.ckpt_save(w);
@@ -578,13 +593,26 @@ impl SsdSim {
             prev_key = Some(req);
             let first_page = r.take_u64()?;
             let pages = r.take_u32()?;
-            let retries = r.take_u32()?;
-            pending_write_spans[req] = Some(PendingSpan {
-                first_page,
-                pages,
-                retries,
-            });
+            pending_write_spans[req] = Some(PendingSpan { first_page, pages });
         }
+        let n = r.take_count(8)?;
+        let mut parked = VecDeque::with_capacity(n);
+        let mut is_parked = vec![false; requests.len()];
+        for _ in 0..n {
+            let req = r.take_usize()?;
+            if pending_write_spans.get(req).is_none_or(Option::is_none) || is_parked[req] {
+                return Err(CkptError::Invalid(format!(
+                    "parked request slot {req} has no pending span or repeats"
+                )));
+            }
+            is_parked[req] = true;
+            parked.push_back(req);
+        }
+        let end_of_life = if r.take_bool()? {
+            Some(r.take_time()?)
+        } else {
+            None
+        };
         let inflight_io = r.take_usize()?;
         if inflight_io > requests.len() {
             return Err(CkptError::Invalid(format!(
@@ -688,6 +716,8 @@ impl SsdSim {
         self.trans = trans;
         self.trans_free = trans_free;
         self.pending_write_spans = pending_write_spans;
+        self.parked = parked;
+        self.end_of_life = end_of_life;
         self.inflight_io = inflight_io;
         Ok(())
     }

@@ -27,8 +27,8 @@
 
 use nssd_flash::{Geometry, Pbn, Ppn};
 use nssd_ftl::{
-    BlockState, FtlError, GcConfig, GcPlanSpec, Lpn, PlacementSpec, PreemptionSpec, SpatialGroups,
-    WayMask,
+    BlockState, GcConfig, GcPlanSpec, Lpn, OutOfSpace, PlacementSpec, PreemptionSpec,
+    SpatialGroups, WayMask,
 };
 use nssd_sim::{CkptError, CkptReader, CkptWriter, SimTime};
 
@@ -85,14 +85,17 @@ pub(crate) struct GcRuntime {
     starved_until: SimTime,
     /// Whether a poll-for-gap pump is already queued (dedup).
     pump_scheduled: bool,
+    /// Whether a `GcRetry` is queued for `starved_until` (dedup).
+    retry_scheduled: bool,
+    /// Copies whose read finished but which found no free page anywhere,
+    /// oldest first; they resume when an erase frees space.
+    parked: Vec<usize>,
     pub(crate) events_completed: u64,
     pub(crate) total_time: SimTime,
     pub(crate) pages_copied: u64,
     pub(crate) blocks_erased: u64,
     /// Relocations that had to fall back to a wider way mask.
     pub(crate) dest_fallbacks: u64,
-    /// Relocation attempts deferred for lack of any free block.
-    pub(crate) reloc_retries: u64,
 }
 
 impl GcRuntime {
@@ -117,12 +120,13 @@ impl GcRuntime {
             victims_left: 0,
             starved_until: SimTime::ZERO,
             pump_scheduled: false,
+            retry_scheduled: false,
+            parked: Vec::new(),
             events_completed: 0,
             total_time: SimTime::ZERO,
             pages_copied: 0,
             blocks_erased: 0,
             dest_fallbacks: 0,
-            reloc_retries: 0,
         }
     }
 
@@ -170,6 +174,48 @@ impl SsdSim {
             return;
         }
         self.start_gc();
+    }
+
+    /// Something waits for free space: start GC if its trigger allows, force
+    /// preemptive GC ahead, and make sure a wake will come. Returns `false`
+    /// when none can: the running GC event is stuck ([`SsdSim::gc_stuck`]),
+    /// GC is idle and no block holds a page it could reclaim, or GC is off
+    /// and no rebuild is advancing.
+    ///
+    /// Enabled GC idle after the trigger check means a trigger starved
+    /// within the last millisecond: a failed allocation with every way open
+    /// leaves the free blocks at or below the GC reserve, which the
+    /// configuration keeps below the trigger watermark. One `GcRetry` at
+    /// `starved_until` then stands in for every waiter. With GC off, writes
+    /// collect instantly as they allocate (`try_allocate`), and only the
+    /// rebuild retiring dead-chip blocks changes which victims that finds.
+    pub(crate) fn await_space(&mut self) -> bool {
+        self.maybe_start_gc();
+        if self.gc.wants_pump() {
+            self.queue.schedule(self.now, Event::GcPump);
+        }
+        if self.gc.active {
+            return !self.gc_stuck();
+        }
+        if self.gc.retry_scheduled {
+            return true;
+        }
+        if !self.ftl.has_reclaimable_block() {
+            return false;
+        }
+        if !self.gc.enabled() {
+            return self.rebuild.advancing();
+        }
+        self.gc.retry_scheduled = true;
+        self.queue.schedule(self.gc.starved_until, Event::GcRetry);
+        true
+    }
+
+    /// A starved GC trigger's retry: trigger again, then wake the waiters.
+    pub(crate) fn gc_retry(&mut self) {
+        self.gc.retry_scheduled = false;
+        self.maybe_start_gc();
+        self.wake_space_waiters();
     }
 
     fn start_gc(&mut self) {
@@ -381,11 +427,11 @@ impl SsdSim {
         }
     }
 
+    /// Copy `c`'s source read finished (or it was parked and space may have
+    /// freed): allocate its destination and start the transfer, or park the
+    /// copy until an erase frees space.
     pub(crate) fn gc_copy_read_done(&mut self, c: usize) {
-        let (lpn, src, victim) = {
-            let copy = &self.gc.copies[c];
-            (copy.lpn, copy.src, copy.victim)
-        };
+        let (lpn, src) = (self.gc.copies[c].lpn, self.gc.copies[c].src);
         let src_addr = self.cfg.geometry.page_addr(src);
         // Allocate the destination now, with graceful mask widening.
         let primary = self.gc_dest_mask(src_addr.way);
@@ -412,24 +458,18 @@ impl SsdSim {
                     self.copy_finished(c);
                     return;
                 }
-                Err(FtlError::OutOfSpace) => continue,
-                Err(e) => panic!("gc relocation failed: {e}"),
+                Err(OutOfSpace) => continue,
             }
         }
         let Some(rel) = relocation else {
-            // Every permitted plane is momentarily out of free blocks; other
-            // victims' erases will free space — retry shortly. (`victim`
-            // keeps the packet's bookkeeping alive until then.)
-            debug_assert!(self.gc.victims[victim].copies_left > 0);
-            self.gc.reloc_retries += 1;
-            assert!(
-                self.gc.reloc_retries < 10_000_000,
-                "gc relocation starved at {}: overprovisioning too small for \
-                 the victim batch size",
-                self.now
-            );
-            self.queue
-                .schedule_after(self.now, SimTime::from_us(50), Event::GcCopyReadDone(c));
+            // No free page on any way: wait for another victim's erase. A
+            // yielding plan launches its next copies meanwhile (one may find
+            // its page overwritten and finish a victim).
+            self.gc.parked.push(c);
+            if self.gc.wants_pump() {
+                self.queue.schedule(self.now, Event::GcPump);
+            }
+            self.end_life_if_gc_stuck();
             return;
         };
         self.gc.copies[c].dst = Some(rel.dst);
@@ -480,6 +520,16 @@ impl SsdSim {
         if self.gc.wants_pump() {
             self.queue.schedule(self.now, Event::GcPump);
         }
+        self.end_life_if_gc_stuck();
+    }
+
+    /// Writes waiting on a GC event that can never finish never resume: the
+    /// device is at end of life. Checked wherever a copy parks or finishes,
+    /// the two ways the event can become stuck.
+    fn end_life_if_gc_stuck(&mut self) {
+        if self.parked_writes() > 0 && self.gc_stuck() {
+            self.reach_end_of_life();
+        }
     }
 
     /// Whether a chip fail-stop took `pbn` out of GC's hands after it was
@@ -503,6 +553,30 @@ impl SsdSim {
         let chip = self.cfg.geometry.chip_index(addr.channel, addr.way);
         let erase = self.chips[chip].reserve_erase(addr.die, addr.plane, self.now);
         self.queue.schedule(erase.end, Event::GcEraseDone(victim));
+    }
+
+    /// Whether the running event can never finish: every copy in flight
+    /// waits for a free page, no victim erase is pending, and no further
+    /// copy can launch. Only an erase would free a page for them.
+    fn gc_stuck(&self) -> bool {
+        let gc = &self.gc;
+        // Victims with no copy left are erased or erasing; the erased ones
+        // no longer count in `victims_left`.
+        gc.active
+            && gc.parked.len() == gc.outstanding
+            && (!gc.yields() || gc.outstanding >= YIELD_BATCH || gc.next_copy == gc.copies.len())
+            && gc.victims.iter().filter(|v| v.copies_left == 0).count()
+                == gc.victims.len() - gc.victims_left
+    }
+
+    /// Resumes the copies parked for lack of a destination, in order.
+    pub(crate) fn wake_gc_copies(&mut self) {
+        if self.gc.parked.is_empty() {
+            return;
+        }
+        for c in std::mem::take(&mut self.gc.parked) {
+            self.gc_copy_read_done(c);
+        }
     }
 
     pub(crate) fn gc_erase_done(&mut self, victim: usize) {
@@ -533,6 +607,10 @@ impl SsdSim {
         if self.gc.victims_left == 0 {
             self.finish_gc();
         }
+        // The erase (or retirement) may have freed space; the event's end
+        // lifted spatial placement's write mask. Either may un-stall a
+        // waiter.
+        self.wake_space_waiters();
     }
 
     fn finish_gc(&mut self) {
@@ -597,12 +675,16 @@ impl GcRuntime {
         }
         w.put_time(self.starved_until);
         w.put_bool(self.pump_scheduled);
+        w.put_bool(self.retry_scheduled);
+        w.put_usize(self.parked.len());
+        for &c in &self.parked {
+            w.put_usize(c);
+        }
         w.put_u64(self.events_completed);
         w.put_time(self.total_time);
         w.put_u64(self.pages_copied);
         w.put_u64(self.blocks_erased);
         w.put_u64(self.dest_fallbacks);
-        w.put_u64(self.reloc_retries);
     }
 
     /// Restores state saved by [`GcRuntime::ckpt_save`] into a collector
@@ -709,6 +791,18 @@ impl GcRuntime {
         }
         let starved_until = r.take_time()?;
         let pump_scheduled = r.take_bool()?;
+        let retry_scheduled = r.take_bool()?;
+        let n = r.take_count(8)?;
+        let mut parked = Vec::with_capacity(n);
+        for _ in 0..n {
+            let c = r.take_usize()?;
+            if c >= copies.len() {
+                return Err(CkptError::Invalid(format!(
+                    "parked gc copy {c} out of range"
+                )));
+            }
+            parked.push(c);
+        }
         self.active = active;
         self.started_at = started_at;
         self.copies = copies;
@@ -718,12 +812,13 @@ impl GcRuntime {
         self.victims_left = victims_left;
         self.starved_until = starved_until;
         self.pump_scheduled = pump_scheduled;
+        self.retry_scheduled = retry_scheduled;
+        self.parked = parked;
         self.events_completed = r.take_u64()?;
         self.total_time = r.take_time()?;
         self.pages_copied = r.take_u64()?;
         self.blocks_erased = r.take_u64()?;
         self.dest_fallbacks = r.take_u64()?;
-        self.reloc_retries = r.take_u64()?;
         Ok(())
     }
 }

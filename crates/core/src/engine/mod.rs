@@ -13,6 +13,7 @@ mod iopath;
 mod rebuild;
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 
 use nssd_faults::{FaultEngine, ReadFault, ReliabilityStats};
 use nssd_flash::{FlashChip, PageAddr, Pbn, Ppn};
@@ -51,6 +52,9 @@ enum Event {
     PageDone(usize),
     /// Advance garbage-collection work (preemptive pacing / start checks).
     GcPump,
+    /// Retry a starved GC trigger at `starved_until` on behalf of the
+    /// writes waiting for space (one per starved period, not one per write).
+    GcRetry,
     /// GC copy: source page read into the page register.
     GcCopyReadDone(usize),
     /// GC copy: data arrived at the destination chip / controller buffer.
@@ -94,13 +98,13 @@ struct ReqState {
     degraded: bool,
 }
 
-/// A write request whose data is in flight to DRAM (or stalled on free
-/// space), keyed by request slot in [`SsdSim::pending_write_spans`].
+/// The pages of a write request not yet issued: its data is in flight to
+/// DRAM, or it is parked waiting for free space. Keyed by request slot in
+/// [`SsdSim::pending_write_spans`].
 #[derive(Debug, Clone, Copy)]
 struct PendingSpan {
     first_page: u64,
     pages: u32,
-    retries: u32,
 }
 
 #[derive(Debug)]
@@ -243,6 +247,15 @@ pub struct SsdSim {
     /// request). Slab-parallel to `requests`, so insertion and removal are
     /// plain indexed stores with no hashing on the write hot path.
     pending_write_spans: Vec<Option<PendingSpan>>,
+    /// Write requests stalled on free space, oldest first. Each waits with
+    /// the rest of its span in `pending_write_spans` and is woken in order
+    /// when space may have freed ([`SsdSim::wake_parked`]). The buffer
+    /// keeps its capacity, so steady-state parking allocates nothing.
+    parked: VecDeque<usize>,
+    /// When the device reached end of life: a write had to wait for space
+    /// that nothing could free any more. From then on writes fail
+    /// host-visibly and reads keep working.
+    end_of_life: Option<SimTime>,
     pub(crate) inflight_io: usize,
     // GC.
     pub(crate) gc: GcRuntime,
@@ -364,6 +377,8 @@ impl SsdSim {
             trans: Vec::new(),
             trans_free: Vec::new(),
             pending_write_spans: Vec::new(),
+            parked: VecDeque::new(),
+            end_of_life: None,
             inflight_io: 0,
             gc: GcRuntime::new(&cfg.gc, g.ways),
             rebuild: RebuildRuntime::new(),
@@ -591,6 +606,12 @@ impl SsdSim {
     /// the drive runs, but after the chip failure, which `start` queues
     /// ahead of the arrivals. Closed loop keeps `depth` `Arrive` events
     /// queued instead, each completion queueing the next.
+    ///
+    /// # Panics
+    ///
+    /// The run panics when it reaches a request addressing a page beyond
+    /// the logical capacity ([`SsdConfig::logical_bytes`]); the `prepare_*`
+    /// runners reject such traces up front.
     pub fn start(&mut self, drive: Drive) {
         debug_assert!(self.is_idle(), "starting a drive with work pending");
         let base = self.now;
@@ -689,7 +710,8 @@ impl SsdSim {
             .is_some_and(|spec| spec.at == at && self.faults.stats().chip_failures == 0)
     }
 
-    /// Advances the simulation by exactly one event or arrival; `false`
+    /// Advances the simulation by exactly one event or arrival (or fails the
+    /// writes stranded at end of life, see [`SsdSim::end_of_life`]); `false`
     /// once the event queue and the arrival cursor have both drained (the
     /// started drive is complete).
     pub fn step(&mut self) -> bool {
@@ -710,7 +732,7 @@ impl SsdSim {
                 self.handle(ev);
                 true
             }
-            None => false,
+            None => self.resolve_deadlock(),
         }
     }
 
@@ -739,10 +761,24 @@ impl SsdSim {
                     }
                 }
                 None if next.is_some() => self.issue_arrival(),
+                None if self.resolve_deadlock() => {}
                 None => break,
             }
         }
         self.batch = batch;
+    }
+
+    /// Called when nothing is queued and every arrival is issued. Writes
+    /// still parked then wait for space nothing queued can free, so the
+    /// device is at end of life: fails them and returns `true`. Returns
+    /// `false` when there is nothing left to do. A backstop: the stall
+    /// paths declare end of life as soon as they see no wake can come.
+    fn resolve_deadlock(&mut self) -> bool {
+        if self.parked.is_empty() {
+            return false;
+        }
+        self.reach_end_of_life();
+        true
     }
 
     /// Whether the started drive is complete: no event is pending and every
@@ -763,6 +799,19 @@ impl SsdSim {
         self.completed
     }
 
+    /// Write requests waiting for free space right now.
+    pub fn parked_writes(&self) -> usize {
+        self.parked.len()
+    }
+
+    /// When the device reached end of life, if it has: a write had to wait
+    /// for space nothing could free any more (garbage collection idle with
+    /// no block it could reclaim, or a collection stuck with every copy
+    /// waiting for a page). Writes fail from then on; reads still work.
+    pub fn end_of_life(&self) -> Option<SimTime> {
+        self.end_of_life
+    }
+
     /// Consumes the simulator and produces the final report.
     pub fn into_report(self) -> SimReport {
         self.report()
@@ -777,6 +826,7 @@ impl SsdSim {
             Event::XferHalfDone(t) => self.on_xfer_half_done(t),
             Event::PageDone(t) => self.on_page_done(t),
             Event::GcPump => self.gc_pump(),
+            Event::GcRetry => self.gc_retry(),
             Event::GcCopyReadDone(c) => self.gc_copy_read_done(c),
             Event::GcCopyXferDone(c) => self.gc_copy_xfer_done(c),
             Event::GcCopyProgDone(c) => self.gc_copy_prog_done(c),
@@ -1019,61 +1069,39 @@ impl SsdSim {
                     .host
                     .inbound(self.now, r.len as u64, Traffic::HostWrite.tag());
                 self.queue.schedule(landed.end, Event::IssuePages(req_id));
-                self.set_pending_span(
-                    req_id,
-                    PendingSpan {
-                        first_page,
-                        pages,
-                        retries: 0,
-                    },
-                );
+                self.set_pending_span(req_id, PendingSpan { first_page, pages });
             }
         }
     }
 
+    /// A write's data has landed in DRAM: issue its pages. Once the device
+    /// is at end of life the write fails; while earlier writes are parked
+    /// it parks behind them, so stalled writes resume in arrival order.
     fn on_issue_pages(&mut self, req: usize) {
-        const RETRY_DELAY: SimTime = SimTime::from_us(50);
-        const MAX_RETRIES: u32 = 100_000;
-        let PendingSpan {
-            first_page,
-            pages,
-            retries,
-        } = self.pending_write_spans[req]
+        if self.end_of_life.is_some() {
+            self.fail_span(req);
+        } else if !self.parked.is_empty() || !self.issue_span(req) {
+            self.park(req);
+        } else {
+            self.maybe_start_gc();
+        }
+    }
+
+    /// Issues request `req`'s pending pages in order. On the first page
+    /// that cannot be allocated, keeps the rest as its pending span and
+    /// returns `false`.
+    fn issue_span(&mut self, req: usize) -> bool {
+        let PendingSpan { first_page, pages } = self.pending_write_spans[req]
             .take()
             .expect("write span recorded at arrival");
         for p in 0..pages {
             let lpn = Lpn::new(first_page + p as u64);
-            let ppn = match self.try_allocate(lpn) {
-                Some(ppn) => ppn,
-                None => {
-                    // No free block right now (GC in flight, or the spatial
-                    // I/O group is momentarily full): stall the remaining
-                    // pages and retry — real devices apply exactly this
-                    // backpressure.
-                    assert!(
-                        retries < MAX_RETRIES,
-                        "write stalled for {} at {}: device cannot reclaim space \
-                         (precondition fill too high for the overprovisioning)",
-                        RETRY_DELAY * MAX_RETRIES as u64,
-                        self.now
-                    );
-                    self.set_pending_span(
-                        req,
-                        PendingSpan {
-                            first_page: first_page + p as u64,
-                            pages: pages - p,
-                            retries: retries + 1,
-                        },
-                    );
-                    self.queue
-                        .schedule_after(self.now, RETRY_DELAY, Event::IssuePages(req));
-                    self.maybe_start_gc();
-                    // A space-blocked write also forces preemptive GC ahead.
-                    if self.gc.wants_pump() {
-                        self.queue.schedule(self.now, Event::GcPump);
-                    }
-                    return;
-                }
+            let Some(ppn) = self.try_allocate(lpn) else {
+                self.pending_write_spans[req] = Some(PendingSpan {
+                    first_page: first_page + p as u64,
+                    pages: pages - p,
+                });
+                return false;
             };
             if let Some(oracle) = self.oracle.as_mut() {
                 oracle.note_host_write(lpn, ppn, self.now);
@@ -1091,7 +1119,64 @@ impl SsdSim {
             let ready = self.ftl_compute(self.now);
             self.queue.schedule(ready, Event::StartTrans(t));
         }
+        true
+    }
+
+    /// Parks a write that cannot get a page: no free block right now (GC in
+    /// flight, or the spatial I/O group momentarily full) — real devices
+    /// apply exactly this backpressure. It waits for freed space instead of
+    /// re-polling, and ends the device's life if nothing can free any.
+    fn park(&mut self, req: usize) {
+        self.parked.push_back(req);
+        if !self.await_space() {
+            self.reach_end_of_life();
+        }
+    }
+
+    /// Issues parked writes in order at the current instant, stopping at the
+    /// first that still cannot allocate (it stays at the head). Runs
+    /// wherever `Ftl::write` may succeed again; see [`SsdSim::wake_space_waiters`].
+    pub(crate) fn wake_parked(&mut self) {
+        if self.parked.is_empty() {
+            return;
+        }
+        while let Some(&req) = self.parked.front() {
+            if !self.issue_span(req) {
+                if !self.await_space() {
+                    self.reach_end_of_life();
+                }
+                return;
+            }
+            self.parked.pop_front();
+        }
         self.maybe_start_gc();
+    }
+
+    /// Space may have freed (an erase or retirement completed, or a spatial
+    /// GC event ended and its write mask lifted): resume everything waiting
+    /// for it, GC's own copies first, then host writes. A waiting rebuild
+    /// resumes with a pump at this instant.
+    pub(crate) fn wake_space_waiters(&mut self) {
+        self.wake_gc_copies();
+        self.wake_rebuild();
+        self.wake_parked();
+    }
+
+    /// The device has reached end of life: record when, and fail every
+    /// parked write. Later writes fail on arrival ([`SsdSim::on_issue_pages`]).
+    pub(crate) fn reach_end_of_life(&mut self) {
+        self.end_of_life.get_or_insert(self.now);
+        while let Some(req) = self.parked.pop_front() {
+            self.fail_span(req);
+        }
+    }
+
+    /// Completes write `req`'s unissued pages as host-visible errors.
+    fn fail_span(&mut self, req: usize) {
+        let span = self.pending_write_spans[req]
+            .take()
+            .expect("write span recorded at arrival");
+        self.pages_done(req, span.pages, true, false);
     }
 
     fn try_allocate(&mut self, lpn: Lpn) -> Option<Ppn> {
@@ -1123,11 +1208,16 @@ impl SsdSim {
                     oracle.check_invariants(&self.ftl, self.now);
                 }
             }
+            // The collection may have freed the page a rebuild copy waits
+            // for.
+            self.wake_rebuild();
         }
         match self.ftl.write(lpn) {
             Ok(out) => Some(out.ppn),
             Err(FtlError::OutOfSpace) => None,
-            Err(e) => panic!("write failed: {e}"),
+            // The only other failure is a page beyond the logical span: a
+            // caller error `SsdSim::start` documents, not a device state.
+            Err(e) => panic!("host write failed: {e}"),
         }
     }
 
@@ -1200,10 +1290,16 @@ impl SsdSim {
         // `PageDone` is a transaction's final event; the slot is free for
         // the next page the moment it fires.
         self.trans_free.push(t);
+        self.pages_done(req_id, 1, t_failed, t_degraded);
+    }
+
+    /// Counts `pages` more of request `req_id` as done and completes the
+    /// request with its last page.
+    fn pages_done(&mut self, req_id: usize, pages: u32, failed: bool, degraded: bool) {
         let req = &mut self.requests[req_id];
-        req.failed |= t_failed;
-        req.degraded |= t_degraded;
-        req.pages_done += 1;
+        req.failed |= failed;
+        req.degraded |= degraded;
+        req.pages_done += pages;
         if req.pages_done == req.pages_total {
             let lat = self.now - req.submitted;
             let op = req.op;
@@ -1384,6 +1480,7 @@ impl SsdSim {
                 self.first_arrival
             },
             last_completion: self.last_completion,
+            end_of_life: self.end_of_life,
             all: LatencySummary::from_histogram(&self.all_lat),
             read: LatencySummary::from_histogram(&self.read_lat),
             write: LatencySummary::from_histogram(&self.write_lat),

@@ -15,7 +15,7 @@
 //! backlog empties the dead chip is cleared and degraded dispatch stops.
 
 use nssd_flash::Ppn;
-use nssd_ftl::{BlockState, FtlError, GcStream, Lpn, WayMask};
+use nssd_ftl::{BlockState, GcStream, Lpn, OutOfSpace, WayMask};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, SimTime};
 
 use super::{Event, SsdSim, SurvivorRead};
@@ -41,14 +41,14 @@ pub(crate) struct RebuildRuntime {
     copies_left: usize,
     /// Whether a poll-for-gap pump is already queued (dedup).
     pump_scheduled: bool,
+    /// Whether the next copy found no free page and waits for an erase.
+    awaiting_space: bool,
     /// When the rebuild began (the failure instant).
     pub(crate) started_at: Option<SimTime>,
     /// When the last page landed and the dead chip was cleared.
     pub(crate) finished_at: Option<SimTime>,
     /// Pages re-placed by reconstruction.
     pub(crate) pages_rebuilt: u64,
-    /// Launch attempts deferred for lack of any free block.
-    pub(crate) reloc_retries: u64,
 }
 
 impl RebuildRuntime {
@@ -56,8 +56,6 @@ impl RebuildRuntime {
     const BATCH: usize = 2;
     /// Poll interval while the survivors' resources are busy.
     const POLL: SimTime = SimTime::from_us(5);
-    /// Retry interval when no destination block is free (GC must reclaim).
-    const RETRY: SimTime = SimTime::from_us(50);
 
     pub(crate) fn new() -> Self {
         RebuildRuntime {
@@ -67,10 +65,10 @@ impl RebuildRuntime {
             outstanding: 0,
             copies_left: 0,
             pump_scheduled: false,
+            awaiting_space: false,
             started_at: None,
             finished_at: None,
             pages_rebuilt: 0,
-            reloc_retries: 0,
         }
     }
 
@@ -80,9 +78,17 @@ impl RebuildRuntime {
         self.copies.len()
     }
 
+    /// Whether a rebuild is in progress and not itself waiting for space.
+    pub(crate) fn advancing(&self) -> bool {
+        self.active && !self.awaiting_space
+    }
+
     /// Whether a pump event would make progress.
     pub(crate) fn wants_pump(&self) -> bool {
-        self.active && self.next_copy < self.copies.len() && self.outstanding < Self::BATCH
+        self.active
+            && !self.awaiting_space
+            && self.next_copy < self.copies.len()
+            && self.outstanding < Self::BATCH
     }
 }
 
@@ -126,31 +132,34 @@ impl SsdSim {
         {
             let c = self.rebuild.next_copy;
             if !self.rebuild_source_idle(c) {
-                self.schedule_rebuild_pump(RebuildRuntime::POLL);
+                self.schedule_rebuild_poll();
                 return;
             }
             if !self.launch_rebuild_copy(c) {
                 // No destination block free anywhere: GC has to reclaim
-                // space before the rebuild can continue.
-                self.rebuild.reloc_retries += 1;
-                assert!(
-                    self.rebuild.reloc_retries < 10_000_000,
-                    "rebuild starved for space at {}",
-                    self.now
-                );
-                self.maybe_start_gc();
-                self.schedule_rebuild_pump(RebuildRuntime::RETRY);
+                // space, and its next erase wakes the rebuild. If GC never
+                // can, the rebuild stays unfinished.
+                self.rebuild.awaiting_space = true;
+                self.await_space();
                 return;
             }
             self.rebuild.next_copy += 1;
         }
     }
 
-    fn schedule_rebuild_pump(&mut self, after: SimTime) {
+    /// Resumes a rebuild that was waiting for a free page.
+    pub(crate) fn wake_rebuild(&mut self) {
+        if self.rebuild.awaiting_space {
+            self.rebuild.awaiting_space = false;
+            self.queue.schedule(self.now, Event::RebuildPump);
+        }
+    }
+
+    fn schedule_rebuild_poll(&mut self) {
         if !self.rebuild.pump_scheduled {
             self.rebuild.pump_scheduled = true;
             self.queue
-                .schedule_after(self.now, after, Event::RebuildPump);
+                .schedule_after(self.now, RebuildRuntime::POLL, Event::RebuildPump);
         }
     }
 
@@ -192,8 +201,7 @@ impl SsdSim {
         let rel = match self.ftl.relocate_to(lpn, src, mask, GcStream::Gc) {
             Ok(Some(rel)) => rel,
             Ok(None) => unreachable!("lookup checked above"),
-            Err(FtlError::OutOfSpace) => return false,
-            Err(e) => panic!("rebuild relocation failed: {e}"),
+            Err(OutOfSpace) => return false,
         };
         self.rebuild.outstanding += 1;
         self.rebuild.copies[c].dst = Some(rel.dst);
@@ -260,7 +268,8 @@ impl SsdSim {
         let src = self.rebuild.copies[c].src;
         let pbn = self.cfg.geometry.pbn_of(src);
         let meta = self.ftl.blocks().meta(pbn);
-        if meta.state() != BlockState::Bad && meta.valid_count() == 0 {
+        let retire = meta.state() != BlockState::Bad && meta.valid_count() == 0;
+        if retire {
             self.ftl.retire_dead_block(pbn);
             if let Some(oracle) = self.oracle.as_mut() {
                 oracle.note_retire(pbn, self.now);
@@ -270,6 +279,12 @@ impl SsdSim {
             self.finish_rebuild();
         } else if self.rebuild.wants_pump() {
             self.queue.schedule(self.now, Event::RebuildPump);
+        }
+        // A retired block frees no page, but it leaves the victim ranking,
+        // so a collection run for a parked write may now pick a block that
+        // does.
+        if retire || !self.rebuild.active {
+            self.wake_parked();
         }
     }
 
@@ -306,6 +321,7 @@ impl RebuildRuntime {
         w.put_usize(self.outstanding);
         w.put_usize(self.copies_left);
         w.put_bool(self.pump_scheduled);
+        w.put_bool(self.awaiting_space);
         for t in [self.started_at, self.finished_at] {
             match t {
                 Some(t) => {
@@ -316,7 +332,6 @@ impl RebuildRuntime {
             }
         }
         w.put_u64(self.pages_rebuilt);
-        w.put_u64(self.reloc_retries);
     }
 
     /// Restores state saved by [`RebuildRuntime::ckpt_save`].
@@ -372,6 +387,7 @@ impl RebuildRuntime {
             ));
         }
         let pump_scheduled = r.take_bool()?;
+        let awaiting_space = r.take_bool()?;
         let mut times = [None, None];
         for t in &mut times {
             if r.take_bool()? {
@@ -384,9 +400,9 @@ impl RebuildRuntime {
         self.outstanding = outstanding;
         self.copies_left = copies_left;
         self.pump_scheduled = pump_scheduled;
+        self.awaiting_space = awaiting_space;
         [self.started_at, self.finished_at] = times;
         self.pages_rebuilt = r.take_u64()?;
-        self.reloc_retries = r.take_u64()?;
         Ok(())
     }
 }

@@ -395,6 +395,11 @@ pub fn canonical_json(r: &SimReport) -> String {
         r.first_arrival.as_ns(),
         r.last_completion.as_ns()
     );
+    // Written only once set: runs that never reach end of life keep the
+    // snapshot shape they had before the field existed.
+    if let Some(t) = r.end_of_life {
+        let _ = writeln!(s, "  \"end_of_life_ns\": {},", t.as_ns());
+    }
     let _ = write!(
         s,
         "  \"all\": {},\n  \"read\": {},\n  \"write\": {},\n",

@@ -318,6 +318,9 @@ pub struct SimReport {
     pub first_arrival: SimTime,
     /// Last request completion.
     pub last_completion: SimTime,
+    /// When the device reached end of life ([`crate::SsdSim::end_of_life`]),
+    /// if it did: writes from then on failed host-visibly.
+    pub end_of_life: Option<SimTime>,
     /// All-request latency.
     pub all: LatencySummary,
     /// Read latency.
@@ -385,6 +388,9 @@ impl fmt::Display for SimReport {
         writeln!(f, "  read  {}", self.read)?;
         writeln!(f, "  write {}", self.write)?;
         writeln!(f, "  {:.1} KIOPS", self.kiops())?;
+        if let Some(t) = self.end_of_life {
+            writeln!(f, "  end of life at {t}: later writes failed")?;
+        }
         if self.gc.events > 0 {
             writeln!(
                 f,
@@ -441,6 +447,7 @@ mod tests {
             unmapped_reads: 0,
             first_arrival: SimTime::ZERO,
             last_completion: SimTime::from_ms(1),
+            end_of_life: None,
             all: summary(mean_ns),
             read: summary(mean_ns),
             write: summary(mean_ns),

@@ -11,6 +11,7 @@ use core::fmt;
 use nssd_flash::{Geometry, GeometryError, Pbn, Ppn};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, Rng};
 
+use crate::victim::eligible;
 use crate::{
     select_victims, AllocPolicy, BlockState, BlockTable, GcConfig, Lpn, MappingTable, OutOfSpace,
     PageAllocator, PlacementSpec, RedundancyConfig, WayMask,
@@ -561,6 +562,16 @@ impl Ftl {
         victims.retain(|&pbn| !self.on_dead_chip(pbn));
     }
 
+    /// Whether collecting some block would free at least one page: a full
+    /// block, off the dead chip, holding an invalid page. When none is
+    /// left, garbage collection can never give a stalled write room again.
+    pub fn has_reclaimable_block(&self) -> bool {
+        let all = WayMask::all(self.geometry.ways);
+        self.blocks
+            .iter()
+            .any(|(pbn, _)| eligible(&self.blocks, pbn, all) && !self.on_dead_chip(pbn))
+    }
+
     /// Whether `pbn` sits on the dead chip (see [`Ftl::dead_chip`]).
     pub fn on_dead_chip(&self, pbn: Pbn) -> bool {
         self.dead_chip.is_some_and(|(c, w)| {
@@ -598,13 +609,14 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// [`FtlError::OutOfSpace`] if the permitted ways are exhausted.
+    /// [`OutOfSpace`] if the permitted ways are exhausted; nothing else can
+    /// fail, because `lpn` is checked against the mapping first.
     pub fn relocate(
         &mut self,
         lpn: Lpn,
         src: Ppn,
         mask: WayMask,
-    ) -> Result<Option<Relocation>, FtlError> {
+    ) -> Result<Option<Relocation>, OutOfSpace> {
         self.relocate_to(lpn, src, mask, GcStream::Gc)
     }
 
@@ -615,14 +627,15 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// [`FtlError::OutOfSpace`] if the permitted ways are exhausted.
+    /// [`OutOfSpace`] if the permitted ways are exhausted (the only
+    /// failure, as for [`Ftl::relocate`]).
     pub fn relocate_to(
         &mut self,
         lpn: Lpn,
         src: Ppn,
         mask: WayMask,
         stream: GcStream,
-    ) -> Result<Option<Relocation>, FtlError> {
+    ) -> Result<Option<Relocation>, OutOfSpace> {
         if self.mapping.lookup(lpn) != Some(src) {
             return Ok(None);
         }

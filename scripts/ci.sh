@@ -52,8 +52,8 @@ NSSD_REQUESTS=2000 cargo run --release -q -p nssd-bench --bin figure -- fault_sw
 echo "==> endurance lifetime smoke"
 # A short segmented endurance run per architecture: exercises checkpoint
 # save/resume at every segment boundary (the bin asserts save∘resume is
-# byte-identical), wear accounting, and the windowed tail estimator, and
-# leaves target/lifetime.json as a build artifact.
+# byte-identical), wear accounting, the windowed tail estimator and the
+# end-of-life record, and leaves target/lifetime.json as a build artifact.
 cargo run --release -q -p nssd-bench --bin lifetime -- --smoke
 python3 - <<'EOF'
 import json
@@ -62,6 +62,9 @@ assert d['experiment'] == 'lifetime', d
 assert len(d['architectures']) == 4, d
 for arch in d['architectures']:
     assert arch['segments'], arch['architecture']
+    # End of life is a device state, not a crash: null, or when it began.
+    eol = arch['end_of_life_ms']
+    assert eol is None or eol > 0, arch['architecture']
     for seg in arch['segments']:
         assert seg['ckpt_bytes'] > 0 and seg['completed'] > 0, seg
 EOF

@@ -3,7 +3,8 @@
 //! The event queue reuses its slab once it reaches a steady-state event
 //! population, and the engine's per-event handlers route, reserve and
 //! complete without touching the heap — including on an aged device, where
-//! stalled writes retry their page allocation over and over. These tests
+//! writes that cannot get a page park in a FIFO and are woken as erases
+//! free space. These tests
 //! count allocations with a wrapping global allocator and assert all
 //! three. The counter is thread-local, so the test harness's parallel
 //! threads never see each other's allocations.
@@ -14,7 +15,6 @@ use std::cell::Cell;
 use networked_ssd::core::{
     prepare_closed_loop_preconditioned, prepare_trace, Architecture, SsdConfig,
 };
-use networked_ssd::ftl::Lpn;
 use networked_ssd::sim::{DetRng, EventQueue, Rng, SimTime};
 use networked_ssd::{GcPolicy, PaperWorkload};
 
@@ -115,8 +115,8 @@ fn engine_hot_loop_is_allocation_free_on_every_fabric_family() {
 fn stalled_writes_on_an_aged_device_do_not_allocate() {
     // Built like the benchmark's `gc-aged` base cell at a third of its
     // length: PaGC on `gc_scaled`, aged to 0.85 fill plus 0.3x overwrites,
-    // closed loop at depth 32, the experiments' seed. Writes first stall
-    // after about 35k requests.
+    // closed loop at depth 32, the experiments' seed. Writes park once the
+    // free blocks reach the GC reserve, partway through the run.
     const FILL: f64 = 0.85;
     const SEED: u64 = 0x20220C0;
     let mut cfg = SsdConfig::gc_scaled(Architecture::BaseSsd);
@@ -126,32 +126,17 @@ fn stalled_writes_on_an_aged_device_do_not_allocate() {
     let trace = PaperWorkload::YcsbA.generate(50_000, footprint, SEED);
     let (mut sim, drive) =
         prepare_closed_loop_preconditioned(cfg, trace, 32, FILL, 0.3).expect("prepare");
-    // At or below the GC reserve a write can only fill an open block. Now
-    // and then there, probe whether a host write would get a page at all
-    // (on a clone, its allocations not counted); once one would not, writes
-    // are stalling.
-    let mut at_reserve = 0u64;
     let mut stalled = false;
-    let mut probe_allocs = 0;
     let before = allocs();
     sim.start(drive);
     while sim.step() {
-        let ftl = sim.ftl();
-        if stalled || ftl.blocks().free_blocks() > ftl.gc_reserve_blocks() {
-            continue;
-        }
-        at_reserve += 1;
-        if at_reserve % 1024 == 1 {
-            let probe = allocs();
-            stalled = ftl.clone().write(Lpn::new(0)).is_err();
-            probe_allocs += allocs() - probe;
-        }
+        stalled |= sim.parked_writes() > 0;
     }
-    let allocated = allocs() - before - probe_allocs;
+    let allocated = allocs() - before;
     let events = sim.into_report().engine.scheduled_events;
     assert!(
         stalled,
-        "no write stalled: the cell never exercised the stall path"
+        "no write parked: the cell never exercised the stall path"
     );
     let per_event = allocated as f64 / events as f64;
     assert!(

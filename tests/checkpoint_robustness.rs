@@ -177,10 +177,10 @@ fn open_loop_checkpoint_round_trips_and_survives_corruption() {
 fn older_envelope_versions_are_refused_by_name() {
     let (cfg, mut bytes) = busy_checkpoint();
     // The version field follows the 8-byte magic.
-    bytes[8..12].copy_from_slice(&3u32.to_le_bytes());
+    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
     let err = Checkpoint::resume(cfg, &reseal(bytes)).unwrap_err();
     assert!(
-        err.contains("version 3") && err.contains('4'),
+        err.contains("version 4") && err.contains('5'),
         "message must name the found and the expected version, got: {err}"
     );
 }
