@@ -244,11 +244,12 @@ pub fn fig20a_tail_latency() -> Experiment {
     }
 }
 
-/// The full composed-plan grid: victim scorer × placement × preemption,
-/// every combination assembled from components (the watermark trigger is
-/// the only trigger family). Row one is the legacy PaGC tuple — the
-/// normalization baseline of [`plan_ablation`].
-pub fn plan_grid() -> Vec<GcPlanSpec> {
+/// Composed-plan ablation: the full victim × placement × preemption grid on
+/// pnSSD(+split) over the YCSB-A trace, every combination assembled from
+/// components (the watermark trigger is the only trigger family),
+/// normalized to the greedy/unconstrained/run-to-completion tuple (legacy
+/// PaGC), which is the grid's first row.
+pub fn plan_ablation() -> Experiment {
     let mut grid = Vec::new();
     for victim in [
         VictimSpec::Greedy,
@@ -271,14 +272,7 @@ pub fn plan_grid() -> Vec<GcPlanSpec> {
             }
         }
     }
-    grid
-}
-
-/// Runs the composed-plan grid on the paper's pnSSD(+split) over the YCSB-A
-/// trace at the given request budget, fanned across the worker pool. Shared
-/// by the `plans` binary and [`plan_ablation`].
-pub fn plan_ablation_reports(requests: usize) -> Vec<(GcPlanSpec, SimReport)> {
-    let grid = plan_grid();
+    let requests = setup::gc_requests_per_run();
     let jobs: Vec<_> = grid
         .iter()
         .map(|&spec| {
@@ -295,13 +289,8 @@ pub fn plan_ablation_reports(requests: usize) -> Vec<(GcPlanSpec, SimReport)> {
             }
         })
         .collect();
-    grid.into_iter().zip(nssd_sim::scoped_map(jobs)).collect()
-}
+    let reports = nssd_sim::scoped_map(jobs);
 
-/// Composed-plan ablation: the victim × placement × preemption grid on
-/// pnSSD(+split), normalized to the greedy/unconstrained/run-to-completion
-/// tuple (legacy PaGC).
-pub fn plan_ablation() -> Experiment {
     let mut t = Table::new(vec![
         "plan".to_string(),
         "mean latency".to_string(),
@@ -311,12 +300,8 @@ pub fn plan_ablation() -> Experiment {
         "pages copied".to_string(),
         "wear spread".to_string(),
     ]);
-    let reports = plan_ablation_reports(setup::gc_requests_per_run());
-    let base_mean = reports
-        .first()
-        .map(|(_, r)| r.all.mean.as_ns() as f64)
-        .expect("grid is non-empty");
-    for (spec, r) in &reports {
+    let base_mean = reports[0].all.mean.as_ns() as f64;
+    for (spec, r) in grid.iter().zip(&reports) {
         let mean = r.all.mean.as_ns() as f64;
         t.row(vec![
             spec.to_string(),

@@ -5,9 +5,10 @@
 //! extensions live in [`ablations::all_ablations`] and
 //! [`extensions::all_extensions`]. The `figure` binary runs any of them by
 //! id or a whole registry by group name (`figure -- fig14 fig19`,
-//! `figure -- --md experiments_results.md paper`, `figure -- --list`).
-//! Simulator performance is measured by the separate `benchmark/` package,
-//! not here.
+//! `figure -- --md experiments_results.md paper`, `figure -- --list`),
+//! printing tables to stdout, with `--md` for a Markdown digest and `--csv`
+//! for one CSV file per table. Simulator performance is measured by the
+//! separate `benchmark/` package, not here.
 //!
 //! Scale knobs (environment variables; a value that is not a positive
 //! integer is an error):
@@ -21,10 +22,10 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod artifact;
 pub mod experiments;
 pub mod extensions;
 pub mod gc_experiments;
+pub mod lifetime;
 pub mod reliability;
 pub mod setup;
 mod table;
@@ -56,6 +57,8 @@ pub fn all() -> Vec<NamedExperiment> {
         ("fig20b", gc_experiments::fig20b_gc_time),
         ("plans", gc_experiments::plan_ablation),
         ("fault_sweep", reliability::fault_sweep),
+        ("rebuild", reliability::rebuild),
+        ("lifetime", lifetime::lifetime),
         ("tenants", tenants::tenant_interference),
     ]
 }
@@ -101,9 +104,31 @@ mod tests {
             "fig20b",
             "plans",
             "fault_sweep",
+            "rebuild",
+            "lifetime",
             "tenants",
         ] {
             assert!(ids.contains(&want), "missing experiment {want}");
+        }
+    }
+
+    #[test]
+    fn experiment_ids_are_unique_and_shadow_no_name() {
+        // `figure` resolves a name to its first match and `--csv` names
+        // files by id, so a repeated id, or one equal to a group name or
+        // `fig06`, would be silently shadowed or overwritten.
+        let registries = [
+            all(),
+            ablations::all_ablations(),
+            extensions::all_extensions(),
+        ];
+        let mut seen = std::collections::HashSet::new();
+        for (id, _) in registries.iter().flatten() {
+            assert!(seen.insert(*id), "experiment id {id} registered twice");
+            assert!(
+                !["paper", "ablations", "extensions", "fig06"].contains(id),
+                "experiment id {id} shadows a figure name"
+            );
         }
     }
 

@@ -132,6 +132,11 @@ pub fn fmt_us(ns: u64) -> String {
     format!("{:.2}us", ns as f64 / 1000.0)
 }
 
+/// Formats optional nanoseconds like [`fmt_us`], or `-` when absent.
+pub(crate) fn fmt_opt_us(ns: Option<u64>) -> String {
+    ns.map_or_else(|| "-".into(), fmt_us)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +179,8 @@ mod tests {
     fn formatters() {
         assert_eq!(fmt_ratio(1.5), "1.50x");
         assert_eq!(fmt_us(1500), "1.50us");
+        assert_eq!(fmt_opt_us(Some(1500)), "1.50us");
+        assert_eq!(fmt_opt_us(None), "-");
         assert!(Table::new(vec!["h"]).is_empty());
     }
 }

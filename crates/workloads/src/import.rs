@@ -50,7 +50,7 @@ impl fmt::Display for MsrParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             MsrParseError::MissingFields { line } => {
-                write!(f, "line {line}: expected 7 comma-separated MSR fields")
+                write!(f, "line {line}: expected at least 6 comma-separated fields")
             }
             MsrParseError::BadNumber { line, field } => {
                 write!(f, "line {line}: invalid number in field `{field}`")
@@ -154,7 +154,8 @@ pub fn import_msr(
                 line: line_no,
                 field: "Offset",
             })?;
-        let size: u64 = fields[5]
+        // A request length must fit a `u32`; a larger size is malformed.
+        let size: u32 = fields[5]
             .trim()
             .parse()
             .map_err(|_| MsrParseError::BadNumber {
@@ -164,7 +165,7 @@ pub fn import_msr(
         if size == 0 {
             continue; // zero-length records occur in some collections
         }
-        records.push((ticks, op, offset, size));
+        records.push((ticks, line_no, op, offset, size));
         if let Some(max) = options.max_records {
             if records.len() >= max {
                 break;
@@ -177,14 +178,19 @@ pub fn import_msr(
     records.sort_by_key(|r| r.0);
     let t0 = records[0].0;
     let mut trace = Trace::new(name);
-    for (ticks, op, mut offset, size) in records {
-        // FILETIME ticks are 100 ns.
-        let at = SimTime::from_ns((ticks - t0) * 100);
+    for (ticks, line, op, mut offset, size) in records {
+        // FILETIME ticks are 100 ns; a timestamp too far past the first
+        // one to fit in nanoseconds is malformed.
+        let ns = (ticks - t0)
+            .checked_mul(100)
+            .ok_or(MsrParseError::BadNumber {
+                line,
+                field: "Timestamp",
+            })?;
         if let Some(wrap) = options.wrap_bytes {
-            offset %= wrap.saturating_sub(size).max(1);
+            offset %= wrap.saturating_sub(u64::from(size)).max(1);
         }
-        let size = size.min(u32::MAX as u64) as u32;
-        trace.push(IoRequest::new(op, offset, size, at));
+        trace.push(IoRequest::new(op, offset, size, SimTime::from_ns(ns)));
     }
     Ok(trace)
 }
@@ -296,6 +302,45 @@ mod tests {
         assert_eq!(
             import_msr("", "x", Default::default()),
             Err(MsrParseError::Empty)
+        );
+    }
+
+    #[test]
+    fn oversized_record_is_refused_not_clamped() {
+        let text = "1,h,0,Read,0,512,1\n2,h,0,Write,0,4294967296,1";
+        assert_eq!(
+            import_msr(text, "x", Default::default()),
+            Err(MsrParseError::BadNumber {
+                line: 2,
+                field: "Size"
+            })
+        );
+        let t = import_msr("1,h,0,Read,0,4294967295,1", "x", Default::default()).unwrap();
+        assert_eq!(t.records()[0].len, u32::MAX);
+    }
+
+    #[test]
+    fn timestamp_overflowing_nanoseconds_is_located() {
+        // Record 3 is the earliest, so the far timestamp on line 2 is the
+        // one whose offset overflows once scaled to nanoseconds.
+        let text = "5,h,0,Read,0,512,1\n18446744073709551615,h,0,Read,0,512,1\n0,h,0,Read,0,512,1";
+        assert_eq!(
+            import_msr(text, "x", Default::default()),
+            Err(MsrParseError::BadNumber {
+                line: 2,
+                field: "Timestamp"
+            })
+        );
+    }
+
+    #[test]
+    fn missing_fields_message_matches_the_check() {
+        // Six fields are enough (ResponseTime is optional); five are not.
+        assert!(import_msr("1,h,0,Read,0,512", "x", Default::default()).is_ok());
+        let err = import_msr("1,h,0,Read,0", "x", Default::default()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "line 1: expected at least 6 comma-separated fields"
         );
     }
 }

@@ -38,73 +38,51 @@ echo "==> benchmark smoke test"
 # and checks every metric is produced. This gates the perf path.
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
-echo "==> tenant interference smoke"
-# A small run of the multi-tenant matrix: exercises the NVMe-style frontend,
-# all three schedulers, and the per-tenant report path end-to-end.
-NSSD_TENANT_REQUESTS=200 cargo run --release -q -p nssd-bench --bin figure -- tenants
-
-echo "==> fault sweep smoke"
-# A small run of E4: the RBER retry ladder, wire-BER recovery, and the only
-# end-to-end chip failure without parity (its pages are lost, reads of them
-# fail as host I/O errors).
-NSSD_REQUESTS=2000 cargo run --release -q -p nssd-bench --bin figure -- fault_sweep
-
-echo "==> endurance lifetime smoke"
-# A short segmented endurance run per architecture: exercises checkpoint
-# save/resume at every segment boundary (the bin asserts save∘resume is
-# byte-identical), wear accounting, the windowed tail estimator and the
-# end-of-life record, and leaves target/lifetime.json as a build artifact.
-cargo run --release -q -p nssd-bench --bin lifetime -- --smoke
+echo "==> experiment smoke"
+# One figure run, one CSV per table in target/experiments/ (the artifact):
+# tenants (NVMe-style frontend, all three schedulers), fault_sweep (RBER
+# retry ladder, wire-BER recovery, chip failure without parity), plans
+# (every composed GC plan), rebuild (parity rebuild on every fabric family;
+# fails on any oracle violation) and lifetime (checkpointed segments to end
+# of life; fails unless save∘resume is byte-identical at every boundary).
+NSSD_REQUESTS=2000 NSSD_TENANT_REQUESTS=200 cargo run --release -q -p nssd-bench --bin figure -- \
+    --csv target/experiments tenants fault_sweep plans rebuild lifetime
 python3 - <<'EOF'
-import json
-d = json.load(open('target/lifetime.json'))
-assert d['experiment'] == 'lifetime', d
-assert len(d['architectures']) == 4, d
-for arch in d['architectures']:
-    assert arch['segments'], arch['architecture']
-    # End of life is a device state, not a crash: null, or when it began.
-    eol = arch['end_of_life_ms']
-    assert eol is None or eol > 0, arch['architecture']
-    for seg in arch['segments']:
-        assert seg['ckpt_bytes'] > 0 and seg['completed'] > 0, seg
+import csv
+def table(name):  # skips the `# caption` line above the header row
+    return list(csv.DictReader(l for l in open(f'target/experiments/{name}.csv') if l[0] != '#'))
+ends, segments = table('lifetime_1'), table('lifetime_2')
+assert len(ends) == 4, ends
+for end in ends:
+    rows = [s for s in segments if s['architecture'] == end['architecture']]
+    assert rows, end
+    # End of life is a device state, not a crash: absent, or when it began.
+    eol = end['end of life (ms)']
+    assert eol == '-' or float(eol) > 0, end
+    for seg in rows:
+        assert int(seg['checkpoint bytes']) > 0 and int(seg['completed']) > 0, seg
 EOF
-
-echo "==> GC plan ablation smoke"
-# A small run of the composed-plan grid (victim x placement x preemption on
-# pnSSD+split): exercises every component combination end-to-end, including
-# the cross-compositions no legacy policy covers, and leaves
-# target/plans.json as a build artifact.
-cargo run --release -q -p nssd-bench --bin plans -- --smoke
 python3 - <<'EOF'
-import json
-d = json.load(open('target/plans.json'))
-assert d['experiment'] == 'plan_ablation', d
-assert len(d['plans']) == 12, d
-names = {p['plan'] for p in d['plans']}
+import csv
+plans = list(csv.DictReader(l for l in open('target/experiments/plans.csv') if l[0] != '#'))
+assert len(plans) == 12, plans
+names = {p['plan'] for p in plans}
 assert len(names) == 12, names
-for p in d['plans']:
-    assert p['gc_events'] > 0 and p['mean_us'] > 0, p
+for p in plans:
+    assert int(p['gc events']) > 0 and float(p['mean latency'].removesuffix('us')) > 0, p
 EOF
-
-echo "==> degraded-mode rebuild smoke"
-# Parity redundancy under a fail-stop chip failure on every fabric family:
-# exercises the degraded-read reconstruction path, the fabric-routed
-# background rebuild, and the zero-data-loss accounting end-to-end, and
-# leaves target/rebuild.json as a build artifact.
-cargo run --release -q -p nssd-bench --bin rebuild -- --smoke
 python3 - <<'EOF'
-import json
-d = json.load(open('target/rebuild.json'))
-assert d['experiment'] == 'rebuild', d
-assert len(d['runs']) == 4, d
-for r in d['runs']:
+import csv
+runs = list(csv.DictReader(l for l in open('target/experiments/rebuild.csv') if l[0] != '#'))
+assert len(runs) == 8, runs  # 4 fabrics x stripe widths {2, 4}
+for r in runs:
     # The failure stranded live data and reconstruction served it.
-    assert r['pages_degraded'] > 0 and r['reconstructed_reads'] > 0, r
-    assert r['degraded_p99_us'] is not None and r['degraded_p99_us'] > 0, r
+    assert int(r['pages degraded']) > 0 and int(r['reconstructed reads']) > 0, r
+    assert r['degraded p99'] != '-' and float(r['degraded p99'].removesuffix('us')) > 0, r
     # The rebuild re-protected the device within the run: every cell
     # reports a completed rebuild and zero lost pages.
-    assert r['rebuild_pages'] > 0 and r['rebuild_time_us'] is not None, r
-    assert r['pages_lost'] == 0 and r['host_io_errors'] == 0, r
+    assert int(r['rebuild pages']) > 0 and r['rebuild time'] != '-', r
+    assert int(r['pages lost']) == 0 and int(r['host I/O errors']) == 0, r
 EOF
 
 echo "==> oracle mutation self-test"
