@@ -26,7 +26,9 @@ use std::collections::VecDeque;
 use nssd_host::{HostFrontend, IoOp, IoRequest, SchedulerKind, TenantConfig};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, Histogram};
 
-use super::{Event, MtRuntime, PendingSpan, ReqState, SsdSim, TenantStats, TransState};
+use super::{
+    EngineSummary, Event, MtRuntime, PendingSpan, ReqState, SsdSim, TenantStats, TransState,
+};
 
 /// Serialized floor of one record of each variable-length collection, for
 /// [`CkptReader::take_count`] allocation caps.
@@ -36,27 +38,21 @@ const SPAN_MIN_BYTES: usize = 8 + 8 + 4;
 const TENANT_MIN_BYTES: usize = 8 + 4 + 8;
 
 fn enc_event(w: &mut CkptWriter, ev: &Event) {
-    let (tag, payload) = match *ev {
-        Event::Arrive(i) => (0u8, Some(i)),
-        Event::IssuePages(i) => (1, Some(i)),
-        Event::StartTrans(i) => (2, Some(i)),
-        Event::ArrayDone(i) => (3, Some(i)),
-        Event::XferHalfDone(i) => (4, Some(i)),
-        Event::PageDone(i) => (5, Some(i)),
-        Event::GcPump => (6, None),
-        Event::GcCopyReadDone(i) => (7, Some(i)),
-        Event::GcCopyXferDone(i) => (8, Some(i)),
-        Event::GcCopyProgDone(i) => (9, Some(i)),
-        Event::GcEraseDone(i) => (10, Some(i)),
-        Event::ChipFail => (11, None),
-        Event::RebuildPump => (12, None),
-        Event::RebuildXferDone(i) => (13, Some(i)),
-        Event::RebuildProgDone(i) => (14, Some(i)),
-        Event::GcRetry => (15, None),
-    };
-    w.put_u8(tag);
-    if let Some(i) = payload {
-        w.put_usize(i);
+    w.put_u8(ev.tag());
+    match *ev {
+        Event::Arrive(i)
+        | Event::IssuePages(i)
+        | Event::StartTrans(i)
+        | Event::ArrayDone(i)
+        | Event::XferHalfDone(i)
+        | Event::PageDone(i)
+        | Event::GcCopyReadDone(i)
+        | Event::GcCopyXferDone(i)
+        | Event::GcCopyProgDone(i)
+        | Event::GcEraseDone(i)
+        | Event::RebuildXferDone(i)
+        | Event::RebuildProgDone(i) => w.put_usize(i),
+        Event::GcPump | Event::ChipFail | Event::RebuildPump | Event::GcRetry => {}
     }
 }
 
@@ -193,7 +189,9 @@ impl SsdSim {
             }
         }
         w.put_usize(self.next_issue - first);
-        w.put_u64(self.arrivals_issued);
+        for &n in &self.event_counts {
+            w.put_u64(n);
+        }
         w.put_usize(self.requests.len());
         for req in &self.requests {
             w.put_u8(match req.op {
@@ -468,7 +466,10 @@ impl SsdSim {
                 ));
             }
         }
-        let arrivals_issued = r.take_u64()?;
+        let mut event_counts = [0; EngineSummary::EVENT_KINDS.len()];
+        for n in &mut event_counts {
+            *n = r.take_u64()?;
+        }
 
         let n = r.take_count(REQ_MIN_BYTES)?;
         let mut requests = Vec::with_capacity(n);
@@ -710,7 +711,7 @@ impl SsdSim {
         self.closed_loop_depth = closed_loop_depth;
         self.mt = mt;
         self.next_issue = next_issue;
-        self.arrivals_issued = arrivals_issued;
+        self.event_counts = event_counts;
         self.requests = requests;
         self.req_free = req_free;
         self.trans = trans;

@@ -73,6 +73,36 @@ enum Event {
     RebuildProgDone(usize),
 }
 
+/// [`EngineSummary::events_by_kind`] slot of arrivals issued from the
+/// cursor; every [`Event`] counts in the slot of its [`Event::tag`].
+const CURSOR_ARRIVAL: usize = EngineSummary::EVENT_KINDS.len() - 1;
+
+impl Event {
+    /// The event's kind: its checkpoint tag and its slot in
+    /// [`EngineSummary::events_by_kind`] (named by
+    /// [`EngineSummary::EVENT_KINDS`]).
+    fn tag(&self) -> u8 {
+        match self {
+            Event::Arrive(_) => 0,
+            Event::IssuePages(_) => 1,
+            Event::StartTrans(_) => 2,
+            Event::ArrayDone(_) => 3,
+            Event::XferHalfDone(_) => 4,
+            Event::PageDone(_) => 5,
+            Event::GcPump => 6,
+            Event::GcCopyReadDone(_) => 7,
+            Event::GcCopyXferDone(_) => 8,
+            Event::GcCopyProgDone(_) => 9,
+            Event::GcEraseDone(_) => 10,
+            Event::ChipFail => 11,
+            Event::RebuildPump => 12,
+            Event::RebuildXferDone(_) => 13,
+            Event::RebuildProgDone(_) => 14,
+            Event::GcRetry => 15,
+        }
+    }
+}
+
 /// One functional GC action captured during an instant (untimed)
 /// collection, replayed to the shadow oracle *in order* afterwards — an
 /// erased block can be reused as a relocation destination within the same
@@ -230,10 +260,11 @@ pub struct SsdSim {
     /// open-loop and multi-tenant runs it is the next arrival to issue (in
     /// time order); in closed loop, the next request to queue an `Arrive` for.
     next_issue: usize,
-    /// Arrivals issued from the cursor over the simulator's lifetime. Each
-    /// stands in for the `Arrive` event it replaced, so
-    /// [`EngineSummary::scheduled_events`] still counts it once.
-    arrivals_issued: u64,
+    /// Events handled over the simulator's lifetime, per kind
+    /// ([`EngineSummary::events_by_kind`]). Arrivals issued from the cursor
+    /// count in their own slot; each stands in for the `Arrive` event it
+    /// replaced, so [`EngineSummary::scheduled_events`] still counts it once.
+    event_counts: [u64; EngineSummary::EVENT_KINDS.len()],
     requests: Vec<ReqState>,
     /// Completed request slots available for reuse (a slot recycles only
     /// after its last page completes, so a live id is never aliased).
@@ -371,7 +402,7 @@ impl SsdSim {
             closed_loop_depth: None,
             mt: None,
             next_issue: 0,
-            arrivals_issued: 0,
+            event_counts: [0; EngineSummary::EVENT_KINDS.len()],
             requests: Vec::new(),
             req_free: Vec::new(),
             trans: Vec::new(),
@@ -696,7 +727,7 @@ impl SsdSim {
             return;
         }
         self.next_issue += 1;
-        self.arrivals_issued += 1;
+        self.event_counts[CURSOR_ARRIVAL] += 1;
         self.now = at;
         self.on_arrive(i);
     }
@@ -818,6 +849,7 @@ impl SsdSim {
     }
 
     fn handle(&mut self, ev: Event) {
+        self.event_counts[ev.tag() as usize] += 1;
         match ev {
             Event::Arrive(i) => self.on_arrive(i),
             Event::IssuePages(req) => self.on_issue_pages(req),
@@ -1511,8 +1543,9 @@ impl SsdSim {
             tenants,
             oracle: oracle_summary,
             engine: EngineSummary {
-                scheduled_events: self.queue.scheduled_total() + self.arrivals_issued,
+                scheduled_events: self.queue.scheduled_total() + self.event_counts[CURSOR_ARRIVAL],
                 wall_clock: self.loop_wall,
+                events_by_kind: self.event_counts,
             },
         }
     }

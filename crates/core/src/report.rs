@@ -147,17 +147,45 @@ impl EnergySummary {
 ///
 /// `wall_clock` is host time, different on every run and every machine; it
 /// is deliberately excluded from both equality (so determinism checks like
-/// `a == b` hold) and the canonical golden JSON (see `crate::golden`). Only
-/// `scheduled_events` — a deterministic count — participates in comparisons.
+/// `a == b` hold) and the canonical golden JSON (see `crate::golden`). The
+/// deterministic counts — `scheduled_events` and `events_by_kind` —
+/// participate in comparisons; the golden JSON leaves the whole block out.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct EngineSummary {
     /// Total events scheduled over the run's lifetime.
     pub scheduled_events: u64,
     /// Host wall-clock spent inside the event loop.
     pub wall_clock: std::time::Duration,
+    /// Events handled over the run's lifetime, one slot per kind named in
+    /// [`EngineSummary::EVENT_KINDS`]. Once the run has drained, the slots
+    /// sum to `scheduled_events`.
+    pub events_by_kind: [u64; 17],
 }
 
 impl EngineSummary {
+    /// The kind each [`EngineSummary::events_by_kind`] slot counts: the
+    /// engine's event kinds in checkpoint-tag order, then the open-loop and
+    /// multi-tenant arrivals issued from the arrival cursor.
+    pub const EVENT_KINDS: [&'static str; 17] = [
+        "arrive",
+        "issue_pages",
+        "start_trans",
+        "array_done",
+        "xfer_half_done",
+        "page_done",
+        "gc_pump",
+        "gc_copy_read_done",
+        "gc_copy_xfer_done",
+        "gc_copy_prog_done",
+        "gc_erase_done",
+        "chip_fail",
+        "rebuild_pump",
+        "rebuild_xfer_done",
+        "rebuild_prog_done",
+        "gc_retry",
+        "cursor_arrival",
+    ];
+
     /// Simulated events processed per host second (0 when the run was too
     /// fast to time).
     pub fn events_per_sec(&self) -> f64 {
@@ -173,6 +201,7 @@ impl EngineSummary {
 impl PartialEq for EngineSummary {
     fn eq(&self, other: &Self) -> bool {
         self.scheduled_events == other.scheduled_events
+            && self.events_by_kind == other.events_by_kind
     }
 }
 
@@ -481,12 +510,16 @@ mod tests {
         let a = EngineSummary {
             scheduled_events: 100,
             wall_clock: std::time::Duration::from_millis(5),
+            ..Default::default()
         };
         let b = EngineSummary {
-            scheduled_events: 100,
             wall_clock: std::time::Duration::from_millis(900),
+            ..a
         };
         assert_eq!(a, b);
+        let mut recounted = a;
+        recounted.events_by_kind[1] = 1;
+        assert_ne!(a, recounted);
         assert_ne!(
             a,
             EngineSummary {

@@ -152,11 +152,16 @@ pub struct Geometry {
 }
 
 impl Geometry {
+    /// The page count a valid geometry stays below: page numbers must fit
+    /// the FTL's 32-bit maps, where `u32::MAX` is the empty-entry sentinel.
+    pub const MAX_PAGES: u64 = u32::MAX as u64;
+
     /// The exact organization of the paper's Table II:
     /// 8 channels, 8 ways, 1 die, 4 planes, 1024 blocks, 512 pages, 16 KB.
     ///
-    /// Note this is a 2 TB device whose mapping tables take ~2 GiB of host
-    /// memory to simulate; experiments default to [`Geometry::scaled`].
+    /// Note this is a 2 TB device of 134M pages whose 32-bit mapping tables
+    /// take ~1 GiB of host memory to simulate (8 bytes per page, forward
+    /// and reverse); experiments default to [`Geometry::scaled`].
     pub const fn paper_table2() -> Self {
         Geometry {
             channels: 8,
@@ -202,8 +207,9 @@ impl Geometry {
     ///
     /// # Errors
     ///
-    /// Returns `Err` if any dimension is zero or the total page count
-    /// overflows `u64`.
+    /// Returns `Err` if any dimension is zero or the device has
+    /// [`Geometry::MAX_PAGES`] pages or more: the FTL's page maps hold
+    /// 32-bit page numbers, with `u32::MAX` marking an empty entry.
     pub fn validate(&self) -> Result<(), GeometryError> {
         let dims = [
             ("channels", self.channels),
@@ -225,8 +231,8 @@ impl Geometry {
             * self.planes as u128
             * self.blocks_per_plane as u128
             * self.pages_per_block as u128;
-        if total > u64::MAX as u128 {
-            return Err(GeometryError::Overflow);
+        if total >= Self::MAX_PAGES as u128 {
+            return Err(GeometryError::TooManyPages(total));
         }
         Ok(())
     }
@@ -376,15 +382,19 @@ impl Default for Geometry {
 pub enum GeometryError {
     /// A dimension was zero.
     ZeroDimension(&'static str),
-    /// The total page count does not fit in `u64`.
-    Overflow,
+    /// The device has this many pages, at least [`Geometry::MAX_PAGES`].
+    TooManyPages(u128),
 }
 
 impl fmt::Display for GeometryError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GeometryError::ZeroDimension(d) => write!(f, "geometry dimension `{d}` is zero"),
-            GeometryError::Overflow => write!(f, "geometry page count overflows u64"),
+            GeometryError::TooManyPages(pages) => write!(
+                f,
+                "geometry has {pages} pages; 32-bit page maps hold fewer than {}",
+                Geometry::MAX_PAGES
+            ),
         }
     }
 }
@@ -480,6 +490,39 @@ mod tests {
             g.plane_unit_of(Pbn::new(g.block_count() - 1)),
             g.plane_count() as usize - 1
         );
+    }
+
+    #[test]
+    fn validate_refuses_page_counts_past_the_32_bit_maps() {
+        Geometry::paper_table2().validate().unwrap();
+        let mut g = Geometry::paper_table2();
+        // 2^32 pages: one past the largest the maps can number.
+        g.blocks_per_plane = 1 << 15;
+        assert_eq!(g.page_count(), 1 << 32);
+        let err = g.validate().unwrap_err();
+        assert_eq!(err, GeometryError::TooManyPages(1 << 32));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("4294967296 pages") && msg.contains("4294967295"),
+            "message must name the page count and the limit, got: {msg}"
+        );
+        // A product beyond u64 is refused the same way, not wrapped.
+        let mut huge = g;
+        huge.pages_per_block = u32::MAX;
+        huge.blocks_per_plane = u32::MAX;
+        assert!(matches!(
+            huge.validate(),
+            Err(GeometryError::TooManyPages(p)) if p > u64::MAX as u128
+        ));
+        // The largest count below the limit still validates.
+        let mut edge = Geometry::tiny();
+        (edge.channels, edge.ways, edge.planes) = (1, 1, 1);
+        edge.pages_per_block = 65_535;
+        edge.blocks_per_plane = 65_537;
+        assert_eq!(edge.page_count(), Geometry::MAX_PAGES);
+        assert!(edge.validate().is_err());
+        edge.blocks_per_plane = 65_536;
+        edge.validate().unwrap();
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Physical block metadata: valid bitmaps, write pointers, wear state.
 
+use core::ops::Range;
+
 use nssd_flash::{Geometry, Pbn, Ppn};
 use nssd_sim::{ckpt, CkptError, CkptReader, CkptWriter};
 
@@ -17,11 +19,10 @@ pub enum BlockState {
     Bad,
 }
 
-/// Metadata for one physical block.
+/// Metadata for one physical block. Its valid-page bits live in the
+/// [`BlockTable`]'s device-wide bitmap, so the record holds no heap data.
 #[derive(Debug, Clone)]
 pub struct BlockMeta {
-    /// Valid-page bitmap, one bit per page.
-    valid: Vec<u64>,
     valid_count: u32,
     write_ptr: u32,
     erase_count: u32,
@@ -32,16 +33,13 @@ pub struct BlockMeta {
 }
 
 impl BlockMeta {
-    fn new(pages: u32) -> Self {
-        BlockMeta {
-            valid: vec![0; pages.div_ceil(64) as usize],
-            valid_count: 0,
-            write_ptr: 0,
-            erase_count: 0,
-            state: BlockState::Free,
-            last_program: 0,
-        }
-    }
+    const FRESH: BlockMeta = BlockMeta {
+        valid_count: 0,
+        write_ptr: 0,
+        erase_count: 0,
+        state: BlockState::Free,
+        last_program: 0,
+    };
 
     /// Number of valid (live) pages.
     pub fn valid_count(&self) -> u32 {
@@ -69,26 +67,7 @@ impl BlockMeta {
         self.last_program
     }
 
-    fn is_valid(&self, page: u32) -> bool {
-        self.valid[(page / 64) as usize] & (1 << (page % 64)) != 0
-    }
-
-    fn set_valid(&mut self, page: u32, v: bool) {
-        let w = &mut self.valid[(page / 64) as usize];
-        let bit = 1u64 << (page % 64);
-        if v {
-            debug_assert!(*w & bit == 0);
-            *w |= bit;
-            self.valid_count += 1;
-        } else {
-            debug_assert!(*w & bit != 0);
-            *w &= !bit;
-            self.valid_count -= 1;
-        }
-    }
-
     fn ckpt_save(&self, w: &mut CkptWriter) {
-        ckpt::put_u64_slice(w, &self.valid);
         w.put_u32(self.valid_count);
         w.put_u32(self.write_ptr);
         w.put_u32(self.erase_count);
@@ -102,7 +81,6 @@ impl BlockMeta {
     }
 
     fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let valid = ckpt::take_u64_vec_exact(r, self.valid.len(), "valid bitmap")?;
         let valid_count = r.take_u32()?;
         let write_ptr = r.take_u32()?;
         let erase_count = r.take_u32()?;
@@ -114,7 +92,6 @@ impl BlockMeta {
             t => return Err(CkptError::Invalid(format!("block state tag {t}"))),
         };
         let last_program = r.take_u64()?;
-        self.valid = valid;
         self.valid_count = valid_count;
         self.write_ptr = write_ptr;
         self.erase_count = erase_count;
@@ -141,6 +118,11 @@ impl BlockMeta {
 pub struct BlockTable {
     geometry: Geometry,
     blocks: Vec<BlockMeta>,
+    /// Device-wide valid-page bitmap: block `b`'s bits are the
+    /// `words_per_block` words from `b * words_per_block`, page `p` at bit
+    /// `p % 64` of its word. Erase and retire clear words in place.
+    valid: Vec<u64>,
+    words_per_block: usize,
     /// Free-block stacks, one per plane (indexed by plane-unit).
     free: Vec<Vec<u32>>,
     free_total: u64,
@@ -153,9 +135,8 @@ pub struct BlockTable {
 impl BlockTable {
     /// Creates an all-free block table for `geometry`.
     pub fn new(geometry: &Geometry) -> Self {
-        let blocks = (0..geometry.block_count())
-            .map(|_| BlockMeta::new(geometry.pages_per_block))
-            .collect();
+        let blocks = vec![BlockMeta::FRESH; geometry.block_count() as usize];
+        let words_per_block = geometry.pages_per_block.div_ceil(64) as usize;
         let planes = geometry.plane_count() as usize;
         let bpp = geometry.blocks_per_plane;
         // Stack with block 0 on top so allocation order is deterministic.
@@ -163,6 +144,8 @@ impl BlockTable {
         BlockTable {
             geometry: *geometry,
             blocks,
+            valid: vec![0; geometry.block_count() as usize * words_per_block],
+            words_per_block,
             free,
             free_total: geometry.block_count(),
             op_clock: 0,
@@ -179,6 +162,38 @@ impl BlockTable {
     /// belongs to.
     fn plane_unit_of(&self, pbn: Pbn) -> usize {
         (pbn.raw() / self.geometry.blocks_per_plane as u64) as usize
+    }
+
+    /// The words of `pbn`'s valid bits in the device-wide bitmap.
+    fn words(&self, pbn: Pbn) -> Range<usize> {
+        let start = pbn.raw() as usize * self.words_per_block;
+        start..start + self.words_per_block
+    }
+
+    /// The bitmap word and bit of page `page` of `pbn`.
+    fn bit(&self, pbn: Pbn, page: u32) -> (usize, u64) {
+        let word = pbn.raw() as usize * self.words_per_block + (page / 64) as usize;
+        (word, 1 << (page % 64))
+    }
+
+    fn page_valid(&self, pbn: Pbn, page: u32) -> bool {
+        let (word, bit) = self.bit(pbn, page);
+        self.valid[word] & bit != 0
+    }
+
+    fn set_valid(&mut self, pbn: Pbn, page: u32, v: bool) {
+        let (word, bit) = self.bit(pbn, page);
+        let w = &mut self.valid[word];
+        let meta = &mut self.blocks[pbn.raw() as usize];
+        if v {
+            debug_assert!(*w & bit == 0);
+            *w |= bit;
+            meta.valid_count += 1;
+        } else {
+            debug_assert!(*w & bit != 0);
+            *w &= !bit;
+            meta.valid_count -= 1;
+        }
     }
 
     /// Metadata for `pbn`.
@@ -232,7 +247,7 @@ impl BlockTable {
         }
         let page = meta.write_ptr;
         meta.write_ptr += 1;
-        meta.set_valid(page, true);
+        self.set_valid(pbn, page, true);
         self.op_clock += 1;
         let clock = self.op_clock;
         let meta = &mut self.blocks[pbn.raw() as usize];
@@ -251,14 +266,14 @@ impl BlockTable {
     pub fn invalidate(&mut self, ppn: Ppn) {
         let pbn = self.geometry.pbn_of(ppn);
         let page = self.geometry.page_addr(ppn).page;
-        self.blocks[pbn.raw() as usize].set_valid(page, false);
+        self.set_valid(pbn, page, false);
     }
 
     /// Whether `ppn` holds live data.
     pub fn is_valid(&self, ppn: Ppn) -> bool {
         let pbn = self.geometry.pbn_of(ppn);
         let page = self.geometry.page_addr(ppn).page;
-        self.blocks[pbn.raw() as usize].is_valid(page)
+        self.page_valid(pbn, page)
     }
 
     /// The PPNs of all valid pages in `pbn`, in page order.
@@ -272,9 +287,8 @@ impl BlockTable {
     /// them — the GC hot path streams these straight into its reusable
     /// packet backlog.
     pub fn for_each_valid_page(&self, pbn: Pbn, mut f: impl FnMut(Ppn)) {
-        let meta = &self.blocks[pbn.raw() as usize];
-        for p in 0..meta.write_ptr {
-            if meta.is_valid(p) {
+        for p in 0..self.blocks[pbn.raw() as usize].write_ptr {
+            if self.page_valid(pbn, p) {
                 f(self.geometry.ppn_in_block(pbn, p));
             }
         }
@@ -296,7 +310,7 @@ impl BlockTable {
     /// See [`BlockTable::erase`]; `endurance_limit` of `None` never retires.
     pub fn erase_with_endurance(&mut self, pbn: Pbn, endurance_limit: Option<u32>) -> bool {
         let unit = self.plane_unit_of(pbn);
-        let pages = self.geometry.pages_per_block;
+        let words = self.words(pbn);
         let meta = &mut self.blocks[pbn.raw() as usize];
         assert_eq!(
             meta.valid_count, 0,
@@ -308,7 +322,7 @@ impl BlockTable {
         meta.write_ptr = 0;
         meta.erase_count += 1;
         meta.last_program = 0;
-        meta.valid = vec![0; pages.div_ceil(64) as usize];
+        self.valid[words].fill(0);
         if endurance_limit.is_some_and(|limit| meta.erase_count >= limit) {
             meta.state = BlockState::Bad;
             self.retired += 1;
@@ -350,7 +364,7 @@ impl BlockTable {
     /// already-Bad blocks.
     pub fn force_retire(&mut self, pbn: Pbn) {
         let unit = self.plane_unit_of(pbn);
-        let pages = self.geometry.pages_per_block;
+        let words = self.words(pbn);
         let meta = &mut self.blocks[pbn.raw() as usize];
         if meta.state == BlockState::Bad {
             return;
@@ -364,9 +378,9 @@ impl BlockTable {
             self.free[unit].swap_remove(pos);
             self.free_total -= 1;
         }
-        meta.valid = vec![0; pages.div_ceil(64) as usize];
         meta.valid_count = 0;
         meta.state = BlockState::Bad;
+        self.valid[words].fill(0);
         self.retired += 1;
     }
 
@@ -445,7 +459,10 @@ impl BlockTable {
         let mut free_state_total = 0u64;
         let mut bad_total = 0u64;
         for (pbn, meta) in self.iter() {
-            let popcount: u32 = meta.valid.iter().map(|w| w.count_ones()).sum();
+            let popcount: u32 = self.valid[self.words(pbn)]
+                .iter()
+                .map(|w| w.count_ones())
+                .sum();
             if popcount != meta.valid_count {
                 problems.push(format!(
                     "block {pbn}: bitmap popcount {popcount} != valid_count {}",
@@ -458,7 +475,7 @@ impl BlockTable {
                     meta.write_ptr
                 ));
             }
-            if (meta.write_ptr..pages).any(|p| meta.is_valid(p)) {
+            if (meta.write_ptr..pages).any(|p| self.page_valid(pbn, p)) {
                 problems.push(format!(
                     "block {pbn}: valid bit at or above write_ptr {}",
                     meta.write_ptr
@@ -541,14 +558,16 @@ impl BlockTable {
         problems
     }
 
-    /// Serializes every block's metadata, the per-plane free-list stacks
-    /// (order matters: allocation pops from the top), and the device-wide
-    /// counters. Geometry is configuration and is not written.
+    /// Serializes every block's metadata, the device-wide valid bitmap,
+    /// the per-plane free-list stacks (order matters: allocation pops from
+    /// the top), and the device-wide counters. Geometry is configuration
+    /// and is not written.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.put_usize(self.blocks.len());
         for b in &self.blocks {
             b.ckpt_save(w);
         }
+        ckpt::put_u64_slice(w, &self.valid);
         w.put_usize(self.free.len());
         for list in &self.free {
             w.put_usize(list.len());
@@ -589,6 +608,7 @@ impl BlockTable {
                 )));
             }
         }
+        self.valid = ckpt::take_u64_vec_exact(r, self.valid.len(), "valid bitmap")?;
         let planes = r.take_usize()?;
         if planes != self.free.len() {
             return Err(CkptError::Invalid(format!(

@@ -2,6 +2,9 @@
 //!
 //! A dense forward table (LPN → PPN) plus the reverse table (PPN → LPN) that
 //! garbage collection needs to find the owner of a valid physical page.
+//! Entries are 32-bit — [`nssd_flash::Geometry::validate`] refuses a device
+//! of `u32::MAX` pages or more — so the two tables cost 8 bytes of host
+//! memory per simulated page, not 16.
 
 use core::fmt;
 
@@ -32,9 +35,11 @@ impl fmt::Display for Lpn {
     }
 }
 
-const UNMAPPED: u64 = u64::MAX;
+/// Sentinel for an empty entry; never a page index, since a geometry has
+/// fewer than `u32::MAX` pages.
+const UNMAPPED: u32 = u32::MAX;
 
-/// Dense bidirectional page mapping table.
+/// Dense bidirectional page mapping table with 32-bit entries.
 ///
 /// # Examples
 ///
@@ -50,15 +55,25 @@ const UNMAPPED: u64 = u64::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MappingTable {
-    l2p: Vec<u64>,
-    p2l: Vec<u64>,
+    l2p: Vec<u32>,
+    p2l: Vec<u32>,
     mapped: u64,
 }
 
 impl MappingTable {
     /// Creates an empty table for `logical_pages` LPNs and `physical_pages`
     /// PPNs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either count is `u32::MAX` or more (a geometry that passes
+    /// [`nssd_flash::Geometry::validate`] never is).
     pub fn new(logical_pages: u64, physical_pages: u64) -> Self {
+        assert!(
+            logical_pages < UNMAPPED as u64 && physical_pages < UNMAPPED as u64,
+            "32-bit page maps hold fewer than {UNMAPPED} pages, \
+             asked for {logical_pages} logical / {physical_pages} physical"
+        );
         MappingTable {
             l2p: vec![UNMAPPED; logical_pages as usize],
             p2l: vec![UNMAPPED; physical_pages as usize],
@@ -88,7 +103,7 @@ impl MappingTable {
     /// Panics if `lpn` is out of range.
     pub fn lookup(&self, lpn: Lpn) -> Option<Ppn> {
         let v = self.l2p[lpn.raw() as usize];
-        (v != UNMAPPED).then(|| Ppn::new(v))
+        (v != UNMAPPED).then(|| Ppn::new(v as u64))
     }
 
     /// The logical owner of physical page `ppn`, if it is mapped.
@@ -98,7 +113,7 @@ impl MappingTable {
     /// Panics if `ppn` is out of range.
     pub fn reverse(&self, ppn: Ppn) -> Option<Lpn> {
         let v = self.p2l[ppn.raw() as usize];
-        (v != UNMAPPED).then(|| Lpn::new(v))
+        (v != UNMAPPED).then(|| Lpn::new(v as u64))
     }
 
     /// Maps `lpn` to `ppn`, returning the previously mapped physical page
@@ -109,9 +124,11 @@ impl MappingTable {
     /// Panics if either index is out of range, or if `ppn` is already the
     /// backing page of a different LPN (a double-allocation bug).
     pub fn map(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
+        // Both indices are bounds-checked below against tables shorter than
+        // `u32::MAX`, so the narrowing casts never truncate a valid page.
         let prev_p = self.p2l[ppn.raw() as usize];
         assert!(
-            prev_p == UNMAPPED || prev_p == lpn.raw(),
+            prev_p == UNMAPPED || prev_p as u64 == lpn.raw(),
             "physical page {ppn} already owned by lpn{prev_p}"
         );
         let old = self.l2p[lpn.raw() as usize];
@@ -120,9 +137,9 @@ impl MappingTable {
         } else {
             self.mapped += 1;
         }
-        self.l2p[lpn.raw() as usize] = ppn.raw();
-        self.p2l[ppn.raw() as usize] = lpn.raw();
-        (old != UNMAPPED).then(|| Ppn::new(old))
+        self.l2p[lpn.raw() as usize] = ppn.raw() as u32;
+        self.p2l[ppn.raw() as usize] = lpn.raw() as u32;
+        (old != UNMAPPED).then(|| Ppn::new(old as u64))
     }
 
     /// Unmaps `lpn` (trim), returning its former physical page.
@@ -138,7 +155,7 @@ impl MappingTable {
         self.l2p[lpn.raw() as usize] = UNMAPPED;
         self.p2l[old as usize] = UNMAPPED;
         self.mapped -= 1;
-        Some(Ppn::new(old))
+        Some(Ppn::new(old as u64))
     }
 
     /// Swaps the backing pages of two mapped LPNs *consistently* — both the
@@ -159,14 +176,15 @@ impl MappingTable {
         );
         self.l2p[a.raw() as usize] = pb;
         self.l2p[b.raw() as usize] = pa;
-        self.p2l[pa as usize] = b.raw();
-        self.p2l[pb as usize] = a.raw();
+        self.p2l[pa as usize] = b.raw() as u32;
+        self.p2l[pb as usize] = a.raw() as u32;
     }
 
-    /// Serializes both direction tables and the mapped count.
+    /// Serializes both direction tables (as `u32`s, straight from the
+    /// tables) and the mapped count.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        ckpt::put_u64_slice(w, &self.l2p);
-        ckpt::put_u64_slice(w, &self.p2l);
+        ckpt::put_u32_slice(w, &self.l2p);
+        ckpt::put_u32_slice(w, &self.p2l);
         w.put_u64(self.mapped);
     }
 
@@ -178,15 +196,21 @@ impl MappingTable {
     /// Returns an error on truncation, a dimension mismatch, or a table
     /// that fails the forward/reverse consistency invariant.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let l2p = ckpt::take_u64_vec_exact(r, self.l2p.len(), "l2p table")?;
-        let p2l = ckpt::take_u64_vec_exact(r, self.p2l.len(), "p2l table")?;
+        let l2p = ckpt::take_u32_vec_exact(r, self.l2p.len(), "l2p table")?;
+        let p2l = ckpt::take_u32_vec_exact(r, self.p2l.len(), "p2l table")?;
         let mapped = r.take_u64()?;
         // Range-check raw entries first so check_consistency cannot index
         // out of bounds on corrupt input.
-        if l2p.iter().any(|&p| p != UNMAPPED && p >= p2l.len() as u64) {
+        if l2p
+            .iter()
+            .any(|&p| p != UNMAPPED && p as usize >= p2l.len())
+        {
             return Err(CkptError::Invalid("l2p entry out of physical range".into()));
         }
-        if p2l.iter().any(|&l| l != UNMAPPED && l >= l2p.len() as u64) {
+        if p2l
+            .iter()
+            .any(|&l| l != UNMAPPED && l as usize >= l2p.len())
+        {
             return Err(CkptError::Invalid("p2l entry out of logical range".into()));
         }
         let restored = MappingTable { l2p, p2l, mapped };
@@ -205,13 +229,13 @@ impl MappingTable {
         for (l, &p) in self.l2p.iter().enumerate() {
             if p != UNMAPPED {
                 count += 1;
-                if self.p2l[p as usize] != l as u64 {
+                if self.p2l[p as usize] as usize != l {
                     return false;
                 }
             }
         }
         for (p, &l) in self.p2l.iter().enumerate() {
-            if l != UNMAPPED && self.l2p[l as usize] != p as u64 {
+            if l != UNMAPPED && self.l2p[l as usize] as usize != p {
                 return false;
             }
         }

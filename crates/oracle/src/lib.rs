@@ -42,7 +42,19 @@ use nssd_flash::{Geometry, Pbn, Ppn};
 use nssd_ftl::{Ftl, Lpn, Relocation};
 use nssd_sim::{ckpt, CkptError, CkptReader, CkptWriter, SimTime, ViolationLog};
 
-const UNMAPPED: u64 = u64::MAX;
+/// Shadow L2P sentinel: the same 32-bit empty entry as the FTL's map.
+const UNMAPPED: u32 = u32::MAX;
+
+/// A shadow L2P entry as a raw PPN, `u64::MAX` when unmapped (how a
+/// violation message prints an unmapped side).
+#[inline]
+fn widen(raw: u32) -> u64 {
+    if raw == UNMAPPED {
+        u64::MAX
+    } else {
+        raw as u64
+    }
+}
 
 /// SplitMix64 finalizer — the deterministic mixing function behind content
 /// tokens and the functional digest.
@@ -78,8 +90,10 @@ pub struct OracleSummary {
 pub struct Oracle {
     geometry: Geometry,
     logical_pages: u64,
-    /// Shadow L2P: raw PPN per LPN, [`UNMAPPED`] when never written.
-    l2p: Vec<u64>,
+    /// Shadow L2P: raw PPN per LPN, [`UNMAPPED`] when never written. 32-bit
+    /// like the FTL's own map (a valid geometry has fewer than `u32::MAX`
+    /// pages).
+    l2p: Vec<u32>,
     /// Content token of the last write to each LPN.
     token: Vec<u64>,
     /// Host writes observed per LPN (the digest input).
@@ -126,7 +140,7 @@ impl Oracle {
                         self.write_seq += 1;
                         self.token[l as usize] = mix(l ^ mix(self.write_seq));
                     }
-                    self.l2p[l as usize] = ppn.raw();
+                    self.l2p[l as usize] = ppn.raw() as u32;
                     self.phys.insert(ppn.raw(), (l, self.token[l as usize]));
                 }
                 None => {
@@ -144,7 +158,7 @@ impl Oracle {
     pub fn note_host_write(&mut self, lpn: Lpn, ppn: Ppn, at: SimTime) {
         let l = lpn.raw() as usize;
         if let Some(&(owner, _)) = self.phys.get(&ppn.raw()) {
-            if owner != lpn.raw() && self.l2p[owner as usize] == ppn.raw() {
+            if owner != lpn.raw() && widen(self.l2p[owner as usize]) == ppn.raw() {
                 self.log.report(
                     "write-double-alloc",
                     at,
@@ -154,11 +168,11 @@ impl Oracle {
         }
         let old = self.l2p[l];
         if old != UNMAPPED {
-            self.phys.remove(&old);
+            self.phys.remove(&(old as u64));
         }
         self.write_seq += 1;
         let token = mix(lpn.raw() ^ mix(self.write_seq));
-        self.l2p[l] = ppn.raw();
+        self.l2p[l] = ppn.raw() as u32;
         self.token[l] = token;
         self.writes[l] += 1;
         self.phys.insert(ppn.raw(), (lpn.raw(), token));
@@ -170,15 +184,15 @@ impl Oracle {
     /// write — anything else is data served from the wrong place.
     pub fn check_host_read(&mut self, lpn: Lpn, ppn: Option<Ppn>, at: SimTime) {
         self.checks += 1;
-        let shadow = self.l2p[lpn.raw() as usize];
+        let shadow = widen(self.l2p[lpn.raw() as usize]);
         match ppn {
-            None if shadow == UNMAPPED => {}
+            None if shadow == u64::MAX => {}
             None => self.log.report(
                 "read-mapping",
                 at,
                 format!("{lpn} read as unmapped but shadow maps it to ppn{shadow}"),
             ),
-            Some(p) if shadow == UNMAPPED => self.log.report(
+            Some(p) if shadow == u64::MAX => self.log.report(
                 "read-mapping",
                 at,
                 format!("never-written {lpn} served from {p}"),
@@ -210,8 +224,8 @@ impl Oracle {
     /// token travels unchanged to the destination.
     pub fn note_relocation(&mut self, rel: Relocation, at: SimTime) {
         let l = rel.lpn.raw() as usize;
-        if self.l2p[l] != rel.src.raw() {
-            let shadow = self.l2p[l];
+        let shadow = widen(self.l2p[l]);
+        if shadow != rel.src.raw() {
             self.log.report(
                 "relocation-source",
                 at,
@@ -221,8 +235,8 @@ impl Oracle {
                 ),
             );
         }
-        self.phys.remove(&self.l2p[l]);
-        self.l2p[l] = rel.dst.raw();
+        self.phys.remove(&shadow);
+        self.l2p[l] = rel.dst.raw() as u32;
         self.phys
             .insert(rel.dst.raw(), (rel.lpn.raw(), self.token[l]));
     }
@@ -244,7 +258,7 @@ impl Oracle {
         self.checks += 1;
         for ppn in self.geometry.block_ppns(pbn) {
             if let Some(&(owner, _)) = self.phys.get(&ppn.raw()) {
-                if self.l2p[owner as usize] == ppn.raw() {
+                if widen(self.l2p[owner as usize]) == ppn.raw() {
                     self.log.report(
                         invariant,
                         at,
@@ -288,8 +302,8 @@ impl Oracle {
         self.checks += 1;
         for l in 0..self.logical_pages {
             let lpn = Lpn::new(l);
-            let real = ftl.lookup(lpn).map(Ppn::raw).unwrap_or(UNMAPPED);
-            let shadow = self.l2p[l as usize];
+            let real = ftl.lookup(lpn).map(Ppn::raw).unwrap_or(u64::MAX);
+            let shadow = widen(self.l2p[l as usize]);
             if real != shadow {
                 self.log.report(
                     "final-mapping",
@@ -321,7 +335,7 @@ impl Oracle {
     /// Geometry and logical-page count are not written — restore targets an
     /// [`Oracle::new`]-built instance of the same shape.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        ckpt::put_u64_slice(w, &self.l2p);
+        ckpt::put_u32_slice(w, &self.l2p);
         ckpt::put_u64_slice(w, &self.token);
         ckpt::put_u64_slice(w, &self.writes);
         let mut phys: Vec<(u64, (u64, u64))> = self.phys.iter().map(|(&k, &v)| (k, v)).collect();
@@ -350,7 +364,7 @@ impl Oracle {
     /// shadow entries referencing out-of-range pages.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let logical = self.logical_pages as usize;
-        let l2p = ckpt::take_u64_vec_exact(r, logical, "oracle l2p")?;
+        let l2p = ckpt::take_u32_vec_exact(r, logical, "oracle l2p")?;
         let token = ckpt::take_u64_vec_exact(r, logical, "oracle tokens")?;
         let writes = ckpt::take_u64_vec_exact(r, logical, "oracle write counts")?;
         let page_count = self.geometry.page_count();

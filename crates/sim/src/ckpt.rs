@@ -298,6 +298,41 @@ pub fn take_u64_vec_exact(
     Ok(v)
 }
 
+/// Convenience: encode a `u32` slice with a length prefix — the 32-bit
+/// page maps, written straight from their tables without a widened copy.
+pub fn put_u32_slice(w: &mut CkptWriter, vals: &[u32]) {
+    w.put_usize(vals.len());
+    w.buf.reserve(vals.len() * 4);
+    for &v in vals {
+        w.put_u32(v);
+    }
+}
+
+/// Convenience: decode a length-prefixed `u32` vector written by
+/// [`put_u32_slice`] and check its length against an expected value.
+///
+/// # Errors
+///
+/// Returns an error if the input is truncated or the length differs from
+/// `expect` (`what` names the field in the message).
+pub fn take_u32_vec_exact(
+    r: &mut CkptReader,
+    expect: usize,
+    what: &str,
+) -> Result<Vec<u32>, CkptError> {
+    let n = r.take_count(4)?;
+    if n != expect {
+        return Err(CkptError::Invalid(format!(
+            "{what}: expected {expect} entries, found {n}"
+        )));
+    }
+    let bytes = r.take(n * 4)?;
+    Ok(bytes
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte chunk")))
+        .collect())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,6 +409,27 @@ mod tests {
         let mut r = CkptReader::new(&bytes);
         assert_eq!(take_u64_vec(&mut r).unwrap(), vals);
         r.finish().unwrap();
+    }
+
+    #[test]
+    fn u32_slice_round_trip_and_length_check() {
+        let vals = [7u32, u32::MAX, 0, 42];
+        let mut w = CkptWriter::new();
+        put_u32_slice(&mut w, &vals);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 8 + 4 * vals.len());
+        let mut r = CkptReader::new(&bytes);
+        assert_eq!(take_u32_vec_exact(&mut r, 4, "map").unwrap(), vals);
+        r.finish().unwrap();
+        let mut r = CkptReader::new(&bytes);
+        assert!(matches!(
+            take_u32_vec_exact(&mut r, 5, "map"),
+            Err(CkptError::Invalid(_))
+        ));
+        for cut in 0..bytes.len() {
+            let mut r = CkptReader::new(&bytes[..cut]);
+            assert!(take_u32_vec_exact(&mut r, 4, "map").is_err());
+        }
     }
 
     #[test]

@@ -24,6 +24,8 @@ cargo test --workspace --release -q
 echo "==> allocator equivalence, deep"
 # The stripe walk against its reference scan at the heavy-tests iteration
 # count: every call must give the same page, sequence number and checkpoint.
+# The same run drives the compact mapping and block tables against their
+# naive model (crates/ftl/tests/compact_tables.rs).
 cargo test --release -q -p nssd-ftl --features heavy-tests
 
 echo "==> golden snapshot gate"

@@ -1,13 +1,15 @@
-//! Allocation-free hot-loop gate.
+//! Allocation-free hot-loop and memory-budget gates.
 //!
 //! The event queue reuses its slab once it reaches a steady-state event
 //! population, and the engine's per-event handlers route, reserve and
 //! complete without touching the heap — including on an aged device, where
 //! writes that cannot get a page park in a FIFO and are woken as erases
-//! free space. These tests
-//! count allocations with a wrapping global allocator and assert all
-//! three. The counter is thread-local, so the test harness's parallel
-//! threads never see each other's allocations.
+//! free space. The FTL's per-page state is 4 bytes per mapping entry plus
+//! one valid bit per page, and erasing or retiring a block clears bits in
+//! place. These tests count allocations and the bytes they request with a
+//! wrapping global allocator and assert all of it. The counters are
+//! thread-local, so the test harness's parallel threads never see each
+//! other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,20 +17,25 @@ use std::cell::Cell;
 use networked_ssd::core::{
     prepare_closed_loop_preconditioned, prepare_trace, Architecture, SsdConfig,
 };
+use networked_ssd::flash::{Geometry, Pbn};
+use networked_ssd::ftl::{BlockTable, Ftl, FtlConfig};
 use networked_ssd::sim::{DetRng, EventQueue, Rng, SimTime};
 use networked_ssd::{GcPolicy, PaperWorkload};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// `System`, plus a per-thread count of allocations and reallocations.
+/// `System`, plus a per-thread count of allocations and reallocations and
+/// of the bytes they request (a reallocation counts its whole new size).
 struct CountingAlloc;
 
-fn bump() {
-    // `try_with`: allocations during thread teardown, after the counter is
-    // gone, are simply not counted.
+fn bump(bytes: usize) {
+    // `try_with`: allocations during thread teardown, after the counters
+    // are gone, are simply not counted.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = BYTES.try_with(|n| n.set(n.get() + bytes as u64));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -36,7 +43,7 @@ fn bump() {
 // thread-local statistic that itself never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -45,7 +52,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         // SAFETY: `ptr` came from `System` through this allocator and the
         // caller upholds `GlobalAlloc::realloc`'s contract.
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -58,6 +65,71 @@ static ALLOCATOR: CountingAlloc = CountingAlloc;
 /// Allocations made on this thread so far.
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+/// Bytes requested by allocations on this thread so far.
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+#[test]
+fn ftl_state_costs_four_bytes_per_map_entry_plus_the_bitmap() {
+    let cfg = FtlConfig::evaluation_defaults();
+    let g = cfg.geometry;
+    assert_eq!(g, Geometry::scaled());
+    let before = bytes();
+    let ftl = Ftl::new(cfg).expect("valid configuration");
+    let allocated = bytes() - before;
+    let maps = 4 * (ftl.logical_pages() + g.page_count());
+    let bitmap = g.block_count() * g.pages_per_block.div_ceil(64) as u64 * 8;
+    // Block records, free lists and allocator frontiers: about 30 B per
+    // block, far below a second set of 4-byte map entries.
+    let slack = 48 * g.block_count();
+    let budget = maps + bitmap + slack;
+    assert!(
+        allocated <= budget,
+        "Ftl::new allocated {allocated} B; budget {budget} B \
+         ({maps} B of maps + {bitmap} B of bitmap + {slack} B of slack)"
+    );
+    drop(ftl);
+}
+
+#[test]
+fn block_erases_and_retirements_never_allocate() {
+    let g = Geometry::scaled();
+    let mut t = BlockTable::new(&g);
+    let planes = g.plane_count() as usize;
+    // Two full blocks per plane with every page invalidated (erase
+    // victims), and one open block per plane holding live data.
+    let mut victims = Vec::new();
+    let mut open = Vec::new();
+    for unit in 0..planes {
+        for _ in 0..2 {
+            let pbn = t.take_free_block(unit).expect("fresh plane");
+            while let Some(ppn) = t.program_next_page(pbn) {
+                t.invalidate(ppn);
+            }
+            victims.push(pbn);
+        }
+        let pbn = t.take_free_block(unit).expect("fresh plane");
+        t.program_next_page(pbn).expect("open block has room");
+        open.push(pbn);
+    }
+    let free: Vec<Pbn> = (0..planes as u64)
+        .map(|unit| Pbn::new((unit + 1) * g.blocks_per_plane as u64 - 1))
+        .collect();
+    let before = allocs();
+    for (i, &pbn) in victims.iter().enumerate() {
+        // Every other victim wears out at this erase.
+        let limit = (i % 2 == 1).then_some(1);
+        t.erase_with_endurance(pbn, limit);
+    }
+    for &pbn in open.iter().chain(&free) {
+        t.force_retire(pbn);
+    }
+    assert_eq!(allocs() - before, 0, "an erase or a retirement allocated");
+    assert!(t.check_invariants().is_empty());
+    assert_eq!(t.retired_blocks(), (victims.len() / 2 + 2 * planes) as u64);
 }
 
 #[test]

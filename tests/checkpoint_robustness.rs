@@ -175,14 +175,17 @@ fn open_loop_checkpoint_round_trips_and_survives_corruption() {
 
 #[test]
 fn older_envelope_versions_are_refused_by_name() {
-    let (cfg, mut bytes) = busy_checkpoint();
-    // The version field follows the 8-byte magic.
-    bytes[8..12].copy_from_slice(&4u32.to_le_bytes());
-    let err = Checkpoint::resume(cfg, &reseal(bytes)).unwrap_err();
-    assert!(
-        err.contains("version 4") && err.contains('5'),
-        "message must name the found and the expected version, got: {err}"
-    );
+    let (cfg, bytes) = busy_checkpoint();
+    for old in [4u32, 5] {
+        let mut bytes = bytes.clone();
+        // The version field follows the 8-byte magic.
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        let err = Checkpoint::resume(cfg, &reseal(bytes)).unwrap_err();
+        assert!(
+            err.contains(&format!("version {old}")) && err.contains("expected 6"),
+            "message must name the found and the expected version, got: {err}"
+        );
+    }
 }
 
 #[test]
