@@ -24,13 +24,31 @@ use nssd_sim::SimTime;
 use nssd_workloads::{PaperWorkload, TenantMix};
 
 use crate::{
-    prepare_tenants, prepare_tenants_preconditioned, prepare_trace, prepare_trace_preconditioned,
-    Architecture, ChannelUtilSummary, Drive, LatencySummary, SchedulerKind, SimReport, SsdConfig,
-    SsdSim, TenantSummary,
+    prepare_closed_loop, prepare_closed_loop_preconditioned, prepare_tenants,
+    prepare_tenants_preconditioned, prepare_trace, prepare_trace_preconditioned, Architecture,
+    ChannelUtilSummary, Drive, LatencySummary, SchedulerKind, SimReport, SsdConfig, SsdSim,
+    TenantSummary,
 };
 
+/// How a golden case drives the device: the three ways the paper's
+/// experiments issue requests.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GoldenDrive {
+    /// The workload's requests arrive at their trace timestamps.
+    OpenLoop,
+    /// The workload's requests run closed loop with `depth` outstanding
+    /// (timestamps ignored).
+    ClosedLoop {
+        /// Outstanding requests.
+        depth: usize,
+    },
+    /// A multi-tenant scenario through the submission frontend (the
+    /// `workload` field is unused).
+    Tenants(TenantScenario),
+}
+
 /// The pinned multi-tenant scenarios a golden case can run instead of a
-/// single workload (the `workload` field is unused for these).
+/// single workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TenantScenario {
     /// [`TenantMix::interference`] — a GC-heavy write-burst tenant against
@@ -54,15 +72,14 @@ pub struct GoldenCase {
     pub architecture: Architecture,
     /// GC policy (with [`GcPolicy::None`] the device is not preconditioned).
     pub gc_policy: GcPolicy,
-    /// Workload driving the run (ignored when `tenants` is set).
+    /// Workload driving the run (ignored under [`GoldenDrive::Tenants`]).
     pub workload: PaperWorkload,
     /// Trace and simulator seed.
     pub seed: u64,
-    /// Requests in the trace (per tenant when `tenants` is set).
+    /// Requests in the trace (per tenant under [`GoldenDrive::Tenants`]).
     pub requests: usize,
-    /// When set, the case runs this multi-tenant scenario through the
-    /// submission frontend instead of a single open-loop workload.
-    pub tenants: Option<TenantScenario>,
+    /// How the requests are issued.
+    pub drive: GoldenDrive,
     /// When set, overrides `gc_policy` with an explicit composed GC plan
     /// (the plan's slug replaces the policy slug in the file name).
     pub plan: Option<GcPlanSpec>,
@@ -94,9 +111,9 @@ impl GoldenCase {
             }
             .to_string(),
         };
-        let workload: String = match self.tenants {
-            Some(scenario) => scenario.slug().to_string(),
-            None => self
+        let workload: String = match self.drive {
+            GoldenDrive::Tenants(scenario) => scenario.slug().to_string(),
+            GoldenDrive::OpenLoop | GoldenDrive::ClosedLoop { .. } => self
                 .workload
                 .name()
                 .chars()
@@ -109,11 +126,15 @@ impl GoldenCase {
                 })
                 .collect(),
         };
+        let depth = match self.drive {
+            GoldenDrive::ClosedLoop { depth } => format!("_cl{depth}"),
+            GoldenDrive::OpenLoop | GoldenDrive::Tenants(_) => String::new(),
+        };
         let red = match self.redundancy {
             Some(w) => format!("_red{w}"),
             None => String::new(),
         };
-        format!("{arch}_{policy}_{workload}{red}_s{}.json", self.seed)
+        format!("{arch}_{policy}_{workload}{red}{depth}_s{}.json", self.seed)
     }
 
     /// The configuration this case runs under: the tiny geometry with the
@@ -158,37 +179,42 @@ impl GoldenCase {
     /// Returns a message for invalid configurations or infeasible traces.
     pub fn prepare(&self) -> Result<(SsdSim, Drive), String> {
         let cfg = self.config();
-        if let Some(scenario) = self.tenants {
-            let mix = match scenario {
-                TenantScenario::InterferenceWfq => TenantMix::interference(self.requests),
-            };
-            // 3/4 of logical space: inside the 0.85 preconditioned region,
-            // split into per-tenant partitions by the mix.
-            let streams = mix.generate(cfg.logical_bytes() * 3 / 4, self.seed);
-            return if self.gc_policy == GcPolicy::None {
-                prepare_tenants(cfg, streams, SchedulerKind::WeightedFair, 8)
-            } else {
-                prepare_tenants_preconditioned(
-                    cfg,
-                    streams,
-                    SchedulerKind::WeightedFair,
-                    8,
-                    0.85,
-                    0.3,
-                )
-            };
-        }
+        let depth = match self.drive {
+            GoldenDrive::Tenants(scenario) => return self.prepare_tenants(cfg, scenario),
+            GoldenDrive::OpenLoop => None,
+            GoldenDrive::ClosedLoop { depth } => Some(depth),
+        };
         // The trace is generated per run, so it moves into the engine
         // by value — the zero-copy `TraceInput` path.
         let trace = self
             .workload
             .generate(self.requests, cfg.logical_bytes() / 2, self.seed);
+        // GC cases start from a preconditioned (aged) device so the
+        // policies actually fire within the pinned request budget.
+        let aged = self.gc_policy != GcPolicy::None;
+        match depth {
+            None if aged => prepare_trace_preconditioned(cfg, trace, 0.85, 0.3),
+            None => prepare_trace(cfg, trace),
+            Some(depth) if aged => prepare_closed_loop_preconditioned(cfg, trace, depth, 0.85, 0.3),
+            Some(depth) => prepare_closed_loop(cfg, trace, depth),
+        }
+    }
+
+    fn prepare_tenants(
+        &self,
+        cfg: SsdConfig,
+        scenario: TenantScenario,
+    ) -> Result<(SsdSim, Drive), String> {
+        let mix = match scenario {
+            TenantScenario::InterferenceWfq => TenantMix::interference(self.requests),
+        };
+        // 3/4 of logical space: inside the 0.85 preconditioned region,
+        // split into per-tenant partitions by the mix.
+        let streams = mix.generate(cfg.logical_bytes() * 3 / 4, self.seed);
         if self.gc_policy == GcPolicy::None {
-            prepare_trace(cfg, trace)
+            prepare_tenants(cfg, streams, SchedulerKind::WeightedFair, 8)
         } else {
-            // GC cases start from a preconditioned (aged) device so the
-            // policies actually fire within the pinned request budget.
-            prepare_trace_preconditioned(cfg, trace, 0.85, 0.3)
+            prepare_tenants_preconditioned(cfg, streams, SchedulerKind::WeightedFair, 8, 0.85, 0.3)
         }
     }
 }
@@ -198,7 +224,8 @@ impl GoldenCase {
 /// Interconnect sweep: every evaluated topology under a read-skewed and a
 /// mixed workload with GC off — pure interconnect behaviour. GC sweep: the
 /// conventional bus and the paper's pnSSD under all three GC policies on an
-/// aged device. Small request counts keep the whole matrix a debug-mode
+/// aged device. Then composed GC plans, closed loop, multi-tenant and
+/// parity-rebuild cases. Small request counts keep the whole matrix a debug-mode
 /// test, not a benchmark.
 pub fn matrix() -> Vec<GoldenCase> {
     let mut cases = Vec::new();
@@ -216,7 +243,7 @@ pub fn matrix() -> Vec<GoldenCase> {
                 workload,
                 seed: 7,
                 requests: 120,
-                tenants: None,
+                drive: GoldenDrive::OpenLoop,
                 plan: None,
                 redundancy: None,
             });
@@ -230,7 +257,7 @@ pub fn matrix() -> Vec<GoldenCase> {
                 workload: PaperWorkload::YcsbA,
                 seed: 13,
                 requests: 120,
-                tenants: None,
+                drive: GoldenDrive::OpenLoop,
                 plan: None,
                 redundancy: None,
             });
@@ -246,8 +273,26 @@ pub fn matrix() -> Vec<GoldenCase> {
             workload: PaperWorkload::YcsbA,
             seed: 13,
             requests: 120,
-            tenants: None,
+            drive: GoldenDrive::OpenLoop,
             plan: Some(plan),
+            redundancy: None,
+        });
+    }
+    // Closed-loop sweep: the queue-depth drive of Figs 16-18 on the aged
+    // device, with the paper's baseline GC on the conventional bus and
+    // spatial GC on the split pnSSD.
+    for (architecture, gc_policy) in [
+        (Architecture::BaseSsd, GcPolicy::Parallel),
+        (Architecture::PnSsdSplit, GcPolicy::Spatial),
+    ] {
+        cases.push(GoldenCase {
+            architecture,
+            gc_policy,
+            workload: PaperWorkload::YcsbA,
+            seed: 13,
+            requests: 120,
+            drive: GoldenDrive::ClosedLoop { depth: 8 },
+            plan: None,
             redundancy: None,
         });
     }
@@ -265,7 +310,7 @@ pub fn matrix() -> Vec<GoldenCase> {
             workload: PaperWorkload::YcsbA, // unused: the scenario drives it
             seed: 21,
             requests: 60,
-            tenants: Some(TenantScenario::InterferenceWfq),
+            drive: GoldenDrive::Tenants(TenantScenario::InterferenceWfq),
             plan: None,
             redundancy: None,
         });
@@ -281,7 +326,7 @@ pub fn matrix() -> Vec<GoldenCase> {
             workload: PaperWorkload::YcsbA,
             seed: 29,
             requests: 120,
-            tenants: None,
+            drive: GoldenDrive::OpenLoop,
             plan: None,
             redundancy: Some(2),
         });

@@ -5,7 +5,7 @@
 //! slots sum to `scheduled_events`. The counts ride in the checkpoint: a run
 //! resumed mid-way reports the same counts as the uninterrupted run.
 
-use networked_ssd::core::golden::{matrix, GoldenCase};
+use networked_ssd::core::golden::{matrix, GoldenCase, GoldenDrive};
 use networked_ssd::core::{Checkpoint, EngineSummary};
 use networked_ssd::GcPolicy;
 
@@ -47,7 +47,9 @@ fn counts_sum_to_scheduled_events_and_survive_a_resume() {
     let gc = cases
         .iter()
         .find(|c| {
-            c.gc_policy == GcPolicy::Parallel && c.redundancy.is_none() && c.tenants.is_none()
+            c.gc_policy == GcPolicy::Parallel
+                && c.redundancy.is_none()
+                && !matches!(c.drive, GoldenDrive::Tenants(_))
         })
         .expect("the matrix has a PaGC case");
     let rebuild = cases

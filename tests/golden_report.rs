@@ -12,6 +12,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use networked_ssd::core::golden::{canonical_json, matrix};
+use networked_ssd::core::GoldenDrive;
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -84,6 +85,24 @@ fn golden_serialization_is_byte_stable_across_consecutive_runs() {
     let a = canonical_json(&case.run().unwrap());
     let b = canonical_json(&case.run().unwrap());
     assert_eq!(a, b, "{} not byte-stable", case.file_name());
+}
+
+#[test]
+fn closed_loop_cases_collect_garbage() {
+    // The closed-loop cases pin the queue-depth drive on the aged device;
+    // they are only worth their bytes while GC actually runs inside them.
+    let cases: Vec<_> = matrix()
+        .into_iter()
+        .filter(|c| matches!(c.drive, GoldenDrive::ClosedLoop { .. }))
+        .collect();
+    assert!(
+        cases.len() >= 2,
+        "closed-loop cases dropped from the matrix"
+    );
+    for case in cases {
+        let report = case.run().unwrap();
+        assert!(report.gc.events > 0, "{}: no GC event", case.file_name());
+    }
 }
 
 #[test]

@@ -12,6 +12,7 @@
 //! future matrix edit might add before re-blessing.
 
 use networked_ssd::core::golden::{canonical_json, matrix};
+use networked_ssd::core::GoldenDrive;
 use networked_ssd::sim::Pool;
 
 fn render_matrix(pool: Pool) -> Vec<(String, String)> {
@@ -35,7 +36,10 @@ fn matrix_exercises_the_multi_tenant_engine_path() {
     // impossible to silently drop the multi-tenant cases (the one engine
     // path where a worker-count-dependent bug would hide in per-tenant
     // bookkeeping rather than aggregate latency).
-    let tenant_cases = matrix().iter().filter(|c| c.tenants.is_some()).count();
+    let tenant_cases = matrix()
+        .iter()
+        .filter(|c| matches!(c.drive, GoldenDrive::Tenants(_)))
+        .count();
     assert!(
         tenant_cases >= 3,
         "expected at least one tenant-interference case per architecture, got {tenant_cases}"
