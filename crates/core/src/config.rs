@@ -71,12 +71,6 @@ impl Architecture {
         }
     }
 
-    /// Whether the interface is packetized (everything but baseSSD; NoSSD
-    /// is packet-based by construction).
-    pub fn is_packetized(self) -> bool {
-        !matches!(self, Architecture::BaseSsd)
-    }
-
     /// Whether the Omnibus v-channels exist.
     pub fn has_v_channels(self) -> bool {
         matches!(
@@ -89,11 +83,6 @@ impl Architecture {
     /// Omnibus; the channel-sliced strawman leaves them chip-only).
     pub fn controller_drives_v(self) -> bool {
         matches!(self, Architecture::PnSsd | Architecture::PnSsdSplit)
-    }
-
-    /// Whether pages are split across both paths.
-    pub fn split_enabled(self) -> bool {
-        matches!(self, Architecture::PnSsdSplit)
     }
 
     /// Whether the interconnect is the NoSSD mesh.
@@ -449,11 +438,8 @@ mod tests {
 
     #[test]
     fn arch_predicates() {
-        assert!(!Architecture::BaseSsd.is_packetized());
-        assert!(Architecture::PSsd.is_packetized());
         assert!(Architecture::PnSsd.has_v_channels());
         assert!(!Architecture::PSsd.has_v_channels());
-        assert!(Architecture::PnSsdSplit.split_enabled());
         assert!(Architecture::NoSsdPinConstrained.is_mesh());
         assert_eq!(Architecture::all().len(), 6);
     }
