@@ -5,7 +5,7 @@
 //! | field        | bytes | contents                                        |
 //! |--------------|-------|-------------------------------------------------|
 //! | magic        | 8     | `b"NSSDCKPT"`                                   |
-//! | version      | 4     | format version, currently 6                     |
+//! | version      | 4     | format version, currently 7                     |
 //! | fingerprint  | 8     | checksum of the configuration's `Debug` text    |
 //! | payload\_len | 8     | length of the payload that follows              |
 //! | payload      | n     | [`SsdSim`] state (see `engine::ckpt`)           |
@@ -19,12 +19,15 @@
 //!
 //! [`Checkpoint::save`] encodes in one pass into one buffer: the header with
 //! a zero length, then the state, then the length is patched in and the
-//! checksum appended. Version 4 stores only the arrivals not yet issued and
-//! hashes 8-byte words; version 5 adds the writes parked for free space, in
-//! order, and the end-of-life time; version 6 writes the FTL's and the
-//! oracle's page maps as 32-bit entries, the valid-page bitmap as one
-//! device-wide array, and the events handled per kind. Older checkpoints are
-//! refused with a message naming their version.
+//! checksum appended. Version 4 stores only the open-loop and multi-tenant
+//! arrivals not yet issued and hashes 8-byte words; version 5 adds the
+//! writes parked for free space, in order, and the end-of-life time;
+//! version 6 writes the FTL's and the oracle's page maps as 32-bit entries,
+//! the valid-page bitmap as one device-wide array, and the events handled
+//! per kind; version 7 writes every drive the same way — a drive tag, then
+//! only the requests not yet issued, with no cursor — so a closed-loop
+//! checkpoint no longer carries the requests it has already issued. Older
+//! checkpoints are refused with a message naming their version.
 
 use nssd_sim::{CkptReader, CkptWriter};
 
@@ -32,7 +35,7 @@ use crate::engine::SsdSim;
 use crate::SsdConfig;
 
 const MAGIC: &[u8; 8] = b"NSSDCKPT";
-const VERSION: u32 = 6;
+const VERSION: u32 = 7;
 /// Offset of the payload-length field: magic + version + fingerprint.
 const LEN_AT: usize = 8 + 4 + 8;
 /// Envelope bytes before the payload.

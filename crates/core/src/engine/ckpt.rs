@@ -2,17 +2,16 @@
 //!
 //! Everything the event loop can observe is written: the clock, the pending
 //! event queue (with its FIFO tiebreak counters), the FTL, flash-array and
-//! channel timelines, host pipes, the arrivals not yet issued,
+//! channel timelines, host pipes, the drive's unissued requests,
 //! request/transaction slabs, the writes parked for free space (in order)
 //! and the end-of-life time, the GC runtime, the RNG, the shadow oracle,
-//! the fault engine, and every statistics accumulator. Arrivals already
-//! issued from the cursor are gone from the device's point of view and are
-//! not written; a closed-loop run writes its whole request list, because
-//! its queued `Arrive` events index into it. Derived state is *rebuilt*
-//! instead of stored: the fabric backend is a pure function of the
-//! configuration, and the per-core `ftl_core_free` cache is recomputed from
-//! the restored core timelines (its entries are exactly each core's
-//! `next_free()`).
+//! the fault engine, and every statistics accumulator. Requests already
+//! issued are gone from the device's point of view and are not written, in
+//! every drive. Derived state is *rebuilt* instead of stored: the fabric
+//! backend is a pure function of the configuration, the per-core
+//! `ftl_core_free` cache is recomputed from the restored core timelines
+//! (its entries are exactly each core's `next_free()`), and closed loop's
+//! token count is the number of restored `Arrive` events.
 //!
 //! [`SsdSim::ckpt_load_state`] validates every index against the configured
 //! geometry and the restored collection lengths before it is ever used, so
@@ -23,25 +22,22 @@
 
 use std::collections::VecDeque;
 
-use nssd_host::{HostFrontend, IoOp, IoRequest, SchedulerKind, TenantConfig};
-use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, Histogram};
+use nssd_host::IoOp;
+use nssd_sim::ckpt::{put_u32_slice, take_u32_vec_exact};
+use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, Histogram, SimTime};
 
-use super::{
-    EngineSummary, Event, MtRuntime, PendingSpan, ReqState, SsdSim, TenantStats, TransState,
-};
+use super::{DriveState, EngineSummary, Event, PendingSpan, ReqState, SsdSim, TransState};
 
 /// Serialized floor of one record of each variable-length collection, for
 /// [`CkptReader::take_count`] allocation caps.
 const REQ_MIN_BYTES: usize = 1 + 8 + 4 + 4 + 4 + 1 + 1;
 const TRANS_MIN_BYTES: usize = 8 + 6 * 4 + 1 + 1 + 4 + 1 + 1;
 const SPAN_MIN_BYTES: usize = 8 + 8 + 4;
-const TENANT_MIN_BYTES: usize = 8 + 4 + 8;
 
 fn enc_event(w: &mut CkptWriter, ev: &Event) {
     w.put_u8(ev.tag());
     match *ev {
-        Event::Arrive(i)
-        | Event::IssuePages(i)
+        Event::IssuePages(i)
         | Event::StartTrans(i)
         | Event::ArrayDone(i)
         | Event::XferHalfDone(i)
@@ -52,7 +48,7 @@ fn enc_event(w: &mut CkptWriter, ev: &Event) {
         | Event::GcEraseDone(i)
         | Event::RebuildXferDone(i)
         | Event::RebuildProgDone(i) => w.put_usize(i),
-        Event::GcPump | Event::ChipFail | Event::RebuildPump | Event::GcRetry => {}
+        Event::Arrive | Event::GcPump | Event::ChipFail | Event::RebuildPump | Event::GcRetry => {}
     }
 }
 
@@ -60,7 +56,6 @@ fn enc_event(w: &mut CkptWriter, ev: &Event) {
 /// collections each variant indexes into, restored before the queue).
 #[derive(Clone, Copy)]
 struct EventBounds {
-    arrivals: usize,
     requests: usize,
     trans: usize,
     gc_copies: usize,
@@ -81,7 +76,7 @@ fn dec_event(r: &mut CkptReader, b: EventBounds) -> Result<Event, CkptError> {
         Ok(i)
     };
     Ok(match tag {
-        0 => Event::Arrive(idx(r, b.arrivals, "arrival")?),
+        0 => Event::Arrive,
         1 => Event::IssuePages(idx(r, b.requests, "request")?),
         2 => Event::StartTrans(idx(r, b.trans, "transaction")?),
         3 => Event::ArrayDone(idx(r, b.trans, "transaction")?),
@@ -134,61 +129,7 @@ impl SsdSim {
             }
         }
         self.host.ckpt_save(w);
-        // A cursor drive starts its saved list at the next arrival, so a
-        // resumed simulator (cursor 0) re-saves the same bytes.
-        let first = match self.closed_loop_depth {
-            Some(_) => 0,
-            None => self.next_issue,
-        };
-        let arrivals = &self.arrivals[first..];
-        w.put_usize(arrivals.len());
-        for r in arrivals {
-            r.ckpt_save(w);
-        }
-        let tenants = self.arrival_tenants.get(first..).unwrap_or_default();
-        w.put_usize(tenants.len());
-        for &t in tenants {
-            w.put_u32(t as u32);
-        }
-        match self.closed_loop_depth {
-            Some(d) => {
-                w.put_bool(true);
-                w.put_usize(d);
-            }
-            None => w.put_bool(false),
-        }
-        match self.mt.as_ref() {
-            None => w.put_bool(false),
-            Some(mt) => {
-                w.put_bool(true);
-                w.put_usize(mt.stats.len());
-                for i in 0..mt.stats.len() {
-                    let c = mt.frontend.config(i);
-                    w.put_str(&c.name);
-                    w.put_u32(c.weight);
-                    w.put_time(c.slo_latency);
-                }
-                w.put_u8(match mt.scheduler {
-                    SchedulerKind::RoundRobin => 0,
-                    SchedulerKind::StrictPriority => 1,
-                    SchedulerKind::WeightedFair => 2,
-                });
-                w.put_usize(mt.depth);
-                mt.frontend.ckpt_save(w);
-                for st in &mt.stats {
-                    st.all.ckpt_save(w);
-                    st.read.ckpt_save(w);
-                    st.write.ckpt_save(w);
-                    w.put_u64(st.bytes);
-                    w.put_u64(st.completed);
-                    w.put_u64(st.slo_violations);
-                    w.put_u64(st.dispatched);
-                    w.put_time(st.queue_delay);
-                    w.put_time(st.last_completion);
-                }
-            }
-        }
-        w.put_usize(self.next_issue - first);
+        self.drive.ckpt_save(w);
         for &n in &self.event_counts {
             w.put_u64(n);
         }
@@ -249,22 +190,12 @@ impl SsdSim {
         for &req in &self.parked {
             w.put_usize(req);
         }
-        match self.end_of_life {
-            Some(t) => {
-                w.put_bool(true);
-                w.put_time(t);
-            }
-            None => w.put_bool(false),
-        }
+        w.put_opt_u64(self.end_of_life.map(SimTime::as_ns));
         w.put_usize(self.inflight_io);
         self.gc.ckpt_save(w);
         self.rebuild.ckpt_save(w);
-        for group in [&self.parity_pending, &self.parity_rot] {
-            w.put_usize(group.len());
-            for &v in group.iter() {
-                w.put_u32(v);
-            }
-        }
+        put_u32_slice(w, &self.parity_pending);
+        put_u32_slice(w, &self.parity_rot);
         w.put_usize(self.lost_pages.len());
         for &l in &self.lost_pages {
             w.put_u64(l);
@@ -342,130 +273,8 @@ impl SsdSim {
         self.ftl_core_free = self.ftl_cores.iter().map(|c| c.next_free()).collect();
         self.host.ckpt_load(r)?;
 
-        let n = r.take_count(IoRequest::CKPT_MIN_BYTES)?;
-        let mut arrivals = Vec::with_capacity(n);
-        for _ in 0..n {
-            arrivals.push(IoRequest::ckpt_load(r)?);
-        }
-        let n = r.take_count(4)?;
-        if n != 0 && n != arrivals.len() {
-            return Err(CkptError::Invalid(format!(
-                "{n} arrival tenants for {} arrivals",
-                arrivals.len()
-            )));
-        }
-        let mut arrival_tenants = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = r.take_u32()?;
-            if t > u16::MAX as u32 {
-                return Err(CkptError::Invalid(format!("tenant tag {t} too wide")));
-            }
-            arrival_tenants.push(t as u16);
-        }
-        let closed_loop_depth = if r.take_bool()? {
-            Some(r.take_usize()?)
-        } else {
-            None
-        };
-        let mt = if r.take_bool()? {
-            let count = r.take_count(TENANT_MIN_BYTES)?;
-            if count == 0 || count > u16::MAX as usize {
-                return Err(CkptError::Invalid(format!("bad tenant count {count}")));
-            }
-            let mut configs = Vec::with_capacity(count);
-            for _ in 0..count {
-                let name = r.take_string()?;
-                let weight = r.take_u32()?;
-                if weight == 0 {
-                    return Err(CkptError::Invalid("zero tenant weight".into()));
-                }
-                let slo_latency = r.take_time()?;
-                configs.push(TenantConfig {
-                    name,
-                    weight,
-                    slo_latency,
-                });
-            }
-            let scheduler = match r.take_u8()? {
-                0 => SchedulerKind::RoundRobin,
-                1 => SchedulerKind::StrictPriority,
-                2 => SchedulerKind::WeightedFair,
-                t => return Err(CkptError::Invalid(format!("unknown scheduler tag {t}"))),
-            };
-            let depth = r.take_usize()?;
-            if depth == 0 {
-                return Err(CkptError::Invalid("zero multi-tenant depth".into()));
-            }
-            let mut frontend = HostFrontend::new(configs, scheduler);
-            frontend.ckpt_load(r)?;
-            let mut stats = Vec::with_capacity(count);
-            for _ in 0..count {
-                let all = Histogram::ckpt_load(r)?;
-                let read = Histogram::ckpt_load(r)?;
-                let write = Histogram::ckpt_load(r)?;
-                let bytes = r.take_u64()?;
-                let completed = r.take_u64()?;
-                let slo_violations = r.take_u64()?;
-                let dispatched = r.take_u64()?;
-                let queue_delay = r.take_time()?;
-                let last_completion = r.take_time()?;
-                stats.push(TenantStats {
-                    all,
-                    read,
-                    write,
-                    bytes,
-                    completed,
-                    slo_violations,
-                    dispatched,
-                    queue_delay,
-                    last_completion,
-                });
-            }
-            Some(MtRuntime {
-                frontend,
-                scheduler,
-                depth,
-                stats,
-            })
-        } else {
-            None
-        };
-        let tenant_count = mt.as_ref().map_or(0, |m| m.stats.len());
-        if mt.is_some() {
-            if arrival_tenants.len() != arrivals.len() {
-                return Err(CkptError::Invalid(
-                    "multi-tenant arrivals without tenant tags".into(),
-                ));
-            }
-            if arrival_tenants.iter().any(|&t| t as usize >= tenant_count) {
-                return Err(CkptError::Invalid("arrival tenant out of range".into()));
-            }
-        } else if !arrival_tenants.is_empty() {
-            return Err(CkptError::Invalid(
-                "tenant tags without a multi-tenant frontend".into(),
-            ));
-        }
-        let next_issue = r.take_usize()?;
-        if next_issue > arrivals.len() {
-            return Err(CkptError::Invalid(format!(
-                "issue cursor {next_issue} past {} arrivals",
-                arrivals.len()
-            )));
-        }
-        if closed_loop_depth.is_none() {
-            if next_issue != 0 {
-                return Err(CkptError::Invalid(format!(
-                    "issue cursor {next_issue} in a list of unissued arrivals"
-                )));
-            }
-            if arrivals.first().is_some_and(|a| a.at < self.now)
-                || arrivals.windows(2).any(|p| p[1].at < p[0].at)
-            {
-                return Err(CkptError::Invalid(
-                    "unissued arrivals not in time order from now".into(),
-                ));
-            }
-        }
+        self.drive = DriveState::ckpt_load(r, self.now)?;
+        let tenant_count = self.drive.tenant_count();
         let mut event_counts = [0; EngineSummary::EVENT_KINDS.len()];
         for n in &mut event_counts {
             *n = r.take_u64()?;
@@ -609,11 +418,7 @@ impl SsdSim {
             is_parked[req] = true;
             parked.push_back(req);
         }
-        let end_of_life = if r.take_bool()? {
-            Some(r.take_time()?)
-        } else {
-            None
-        };
+        let end_of_life = r.take_opt_u64()?.map(SimTime::from_ns);
         let inflight_io = r.take_usize()?;
         if inflight_io > requests.len() {
             return Err(CkptError::Invalid(format!(
@@ -624,23 +429,8 @@ impl SsdSim {
         self.gc.ckpt_load(r, &g, self.ftl.logical_pages())?;
         self.rebuild
             .ckpt_load(r, g.page_count(), self.ftl.logical_pages())?;
-        for field in ["parity_pending", "parity_rot"] {
-            let n = r.take_count(4)?;
-            let group = if field == "parity_pending" {
-                &mut self.parity_pending
-            } else {
-                &mut self.parity_rot
-            };
-            if n != group.len() {
-                return Err(CkptError::Invalid(format!(
-                    "checkpoint has {n} {field} groups, configuration has {}",
-                    group.len()
-                )));
-            }
-            for v in group.iter_mut() {
-                *v = r.take_u32()?;
-            }
-        }
+        self.parity_pending = take_u32_vec_exact(r, self.parity_pending.len(), "parity_pending")?;
+        self.parity_rot = take_u32_vec_exact(r, self.parity_rot.len(), "parity_rot")?;
         let n = r.take_count(8)?;
         let mut lost_pages = Vec::with_capacity(n);
         for _ in 0..n {
@@ -691,12 +481,6 @@ impl SsdSim {
         self.last_completion = r.take_time()?;
 
         let bounds = EventBounds {
-            // Only closed loop queues `Arrive` events.
-            arrivals: if closed_loop_depth.is_some() {
-                arrivals.len()
-            } else {
-                0
-            },
             requests: requests.len(),
             trans: trans.len(),
             gc_copies: self.gc.copy_count(),
@@ -704,13 +488,14 @@ impl SsdSim {
             rebuild_copies: self.rebuild.copy_count(),
             chip_failure: self.cfg.faults.chip_failure.is_some(),
         };
-        self.queue.ckpt_load(r, |r| dec_event(r, bounds))?;
+        let mut tokens = 0;
+        self.queue.ckpt_load(r, |r| {
+            let ev = dec_event(r, bounds)?;
+            tokens += usize::from(matches!(ev, Event::Arrive));
+            Ok(ev)
+        })?;
+        self.drive.restore_tokens(tokens)?;
 
-        self.arrivals = arrivals;
-        self.arrival_tenants = arrival_tenants;
-        self.closed_loop_depth = closed_loop_depth;
-        self.mt = mt;
-        self.next_issue = next_issue;
         self.event_counts = event_counts;
         self.requests = requests;
         self.req_free = req_free;

@@ -644,13 +644,7 @@ impl GcRuntime {
             w.put_usize(c.victim);
             w.put_u64(c.lpn.raw());
             w.put_u64(c.src.raw());
-            match c.dst {
-                Some(d) => {
-                    w.put_bool(true);
-                    w.put_u64(d.raw());
-                }
-                None => w.put_bool(false),
-            }
+            w.put_opt_u64(c.dst.map(Ppn::raw));
         }
         w.put_usize(self.next_copy);
         w.put_usize(self.outstanding);
@@ -665,13 +659,7 @@ impl GcRuntime {
         w.put_usize(self.victims_left);
         if let Some(groups) = &self.groups {
             groups.ckpt_save(w);
-            match self.confinement {
-                Some(m) => {
-                    w.put_bool(true);
-                    w.put_u64(m.bits());
-                }
-                None => w.put_bool(false),
-            }
+            w.put_opt_u64(self.confinement.map(|m| m.bits()));
         }
         w.put_time(self.starved_until);
         w.put_bool(self.pump_scheduled);
@@ -719,20 +707,15 @@ impl GcRuntime {
                     "gc copy src {src} out of range"
                 )));
             }
-            let dst = if r.take_bool()? {
-                let d = r.take_u64()?;
-                if d >= page_count {
-                    return Err(CkptError::Invalid(format!("gc copy dst {d} out of range")));
-                }
-                Some(Ppn::new(d))
-            } else {
-                None
-            };
+            let dst = r.take_opt_u64()?;
+            if let Some(d) = dst.filter(|&d| d >= page_count) {
+                return Err(CkptError::Invalid(format!("gc copy dst {d} out of range")));
+            }
             copies.push(CopyPacket {
                 victim,
                 lpn: Lpn::new(lpn),
                 src: Ppn::new(src),
-                dst,
+                dst: dst.map(Ppn::new),
             });
         }
         let next_copy = r.take_usize()?;
@@ -783,10 +766,9 @@ impl GcRuntime {
         }
         if let Some(groups) = self.groups.as_mut() {
             groups.ckpt_load(r)?;
-            self.confinement = if r.take_bool()? {
-                Some(WayMask::from_bits(r.take_u64()?, g.ways)?)
-            } else {
-                None
+            self.confinement = match r.take_opt_u64()? {
+                Some(bits) => Some(WayMask::from_bits(bits, g.ways)?),
+                None => None,
             };
         }
         let starved_until = r.take_time()?;

@@ -309,13 +309,7 @@ impl RebuildRuntime {
         for c in &self.copies {
             w.put_u64(c.lpn.raw());
             w.put_u64(c.src.raw());
-            match c.dst {
-                Some(d) => {
-                    w.put_bool(true);
-                    w.put_u64(d.raw());
-                }
-                None => w.put_bool(false),
-            }
+            w.put_opt_u64(c.dst.map(Ppn::raw));
         }
         w.put_usize(self.next_copy);
         w.put_usize(self.outstanding);
@@ -323,13 +317,7 @@ impl RebuildRuntime {
         w.put_bool(self.pump_scheduled);
         w.put_bool(self.awaiting_space);
         for t in [self.started_at, self.finished_at] {
-            match t {
-                Some(t) => {
-                    w.put_bool(true);
-                    w.put_time(t);
-                }
-                None => w.put_bool(false),
-            }
+            w.put_opt_u64(t.map(SimTime::as_ns));
         }
         w.put_u64(self.pages_rebuilt);
     }
@@ -361,21 +349,16 @@ impl RebuildRuntime {
                     "rebuild copy src {src} out of range"
                 )));
             }
-            let dst = if r.take_bool()? {
-                let d = r.take_u64()?;
-                if d >= page_count {
-                    return Err(CkptError::Invalid(format!(
-                        "rebuild copy dst {d} out of range"
-                    )));
-                }
-                Some(Ppn::new(d))
-            } else {
-                None
-            };
+            let dst = r.take_opt_u64()?;
+            if let Some(d) = dst.filter(|&d| d >= page_count) {
+                return Err(CkptError::Invalid(format!(
+                    "rebuild copy dst {d} out of range"
+                )));
+            }
             copies.push(RebuildCopy {
                 lpn: Lpn::new(lpn),
                 src: Ppn::new(src),
-                dst,
+                dst: dst.map(Ppn::new),
             });
         }
         let next_copy = r.take_usize()?;
@@ -388,12 +371,8 @@ impl RebuildRuntime {
         }
         let pump_scheduled = r.take_bool()?;
         let awaiting_space = r.take_bool()?;
-        let mut times = [None, None];
-        for t in &mut times {
-            if r.take_bool()? {
-                *t = Some(r.take_time()?);
-            }
-        }
+        let started_at = r.take_opt_u64()?.map(SimTime::from_ns);
+        let finished_at = r.take_opt_u64()?.map(SimTime::from_ns);
         self.active = active;
         self.copies = copies;
         self.next_copy = next_copy;
@@ -401,7 +380,8 @@ impl RebuildRuntime {
         self.copies_left = copies_left;
         self.pump_scheduled = pump_scheduled;
         self.awaiting_space = awaiting_space;
-        [self.started_at, self.finished_at] = times;
+        self.started_at = started_at;
+        self.finished_at = finished_at;
         self.pages_rebuilt = r.take_u64()?;
         Ok(())
     }

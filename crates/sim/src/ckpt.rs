@@ -123,6 +123,15 @@ impl CkptWriter {
         self.put_u64(t.as_ns());
     }
 
+    /// Appends an optional `u64`: a `bool` presence flag, then the value
+    /// when present.
+    pub fn put_opt_u64(&mut self, v: Option<u64>) {
+        self.put_bool(v.is_some());
+        if let Some(v) = v {
+            self.put_u64(v);
+        }
+    }
+
     /// Appends raw bytes verbatim (no length prefix).
     pub fn put_bytes(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
@@ -207,6 +216,11 @@ impl<'a> CkptReader<'a> {
     /// Reads a [`SimTime`] from its nanosecond count.
     pub fn take_time(&mut self) -> Result<SimTime, CkptError> {
         Ok(SimTime::from_ns(self.take_u64()?))
+    }
+
+    /// Reads an optional `u64` written by [`CkptWriter::put_opt_u64`].
+    pub fn take_opt_u64(&mut self) -> Result<Option<u64>, CkptError> {
+        self.take_bool()?.then(|| self.take_u64()).transpose()
     }
 
     /// Reads a collection count (stored as `u64`) and validates that at
@@ -348,7 +362,10 @@ mod tests {
         w.put_bool(true);
         w.put_bool(false);
         w.put_time(SimTime::from_ns(123_456));
+        w.put_opt_u64(Some(9));
+        w.put_opt_u64(None);
         let bytes = w.into_bytes();
+        assert_eq!(bytes.len(), 1 + 4 + 8 + 16 + 8 + 2 + 8 + 9 + 1);
         let mut r = CkptReader::new(&bytes);
         assert_eq!(r.take_u8().unwrap(), 7);
         assert_eq!(r.take_u32().unwrap(), 0xDEAD_BEEF);
@@ -358,6 +375,8 @@ mod tests {
         assert!(r.take_bool().unwrap());
         assert!(!r.take_bool().unwrap());
         assert_eq!(r.take_time().unwrap(), SimTime::from_ns(123_456));
+        assert_eq!(r.take_opt_u64().unwrap(), Some(9));
+        assert_eq!(r.take_opt_u64().unwrap(), None);
         r.finish().unwrap();
     }
 

@@ -63,6 +63,9 @@ for end in ends:
     assert eol == '-' or float(eol) > 0, end
     for seg in rows:
         assert int(seg['checkpoint bytes']) > 0 and int(seg['completed']) > 0, seg
+        # A drained drive carries no requests: every checkpoint is smaller
+        # than one segment's list of 6,000 requests at 21 B each.
+        assert int(seg['checkpoint bytes']) < 6000 * 21, seg
 EOF
 python3 - <<'EOF'
 import csv

@@ -14,8 +14,9 @@
 //!   checksum — are what stand between corrupt bytes and a panic.
 
 use networked_ssd::core::{Architecture, Checkpoint, Drive, SsdConfig, SsdSim};
-use networked_ssd::host::{IoOp, IoRequest};
+use networked_ssd::host::{IoOp, IoRequest, SchedulerKind, TenantConfig};
 use networked_ssd::sim::SimTime;
+use networked_ssd::GcPolicy;
 
 /// A mid-run checkpoint with live GC, oracle, in-flight writes, and a
 /// nonempty event queue — the densest state the codec serializes.
@@ -176,13 +177,13 @@ fn open_loop_checkpoint_round_trips_and_survives_corruption() {
 #[test]
 fn older_envelope_versions_are_refused_by_name() {
     let (cfg, bytes) = busy_checkpoint();
-    for old in [4u32, 5] {
+    for old in [4u32, 5, 6] {
         let mut bytes = bytes.clone();
         // The version field follows the 8-byte magic.
         bytes[8..12].copy_from_slice(&old.to_le_bytes());
         let err = Checkpoint::resume(cfg, &reseal(bytes)).unwrap_err();
         assert!(
-            err.contains(&format!("version {old}")) && err.contains("expected 6"),
+            err.contains(&format!("version {old}")) && err.contains("expected 7"),
             "message must name the found and the expected version, got: {err}"
         );
     }
@@ -198,4 +199,165 @@ fn resume_rejects_the_wrong_configuration() {
     let mut arch = cfg;
     arch.architecture = Architecture::BaseSsd;
     assert!(Checkpoint::resume(arch, &bytes).is_err());
+}
+
+/// `n` one-page writes over a small working set, starting at request
+/// `from`.
+fn writes(cfg: &SsdConfig, from: u64, n: u64) -> Vec<IoRequest> {
+    let page = cfg.geometry.page_bytes;
+    (from..from + n)
+        .map(|i| IoRequest::new(IoOp::Write, (i % 64) * page as u64, page, SimTime::ZERO))
+        .collect()
+}
+
+#[test]
+fn closed_loop_checkpoint_keeps_only_the_unissued_requests() {
+    // One closed-loop drive of k + rest requests at depth 1, stopped once
+    // its first k requests have completed (the next token is queued, its
+    // request not started) ...
+    let mut cfg = SsdConfig::tiny(Architecture::BaseSsd);
+    cfg.gc.policy = GcPolicy::None;
+    let (k, rest) = (40, 60);
+    let mut whole = SsdSim::new(cfg).unwrap();
+    whole.start(Drive::ClosedLoop {
+        requests: writes(&cfg, 0, k + rest),
+        depth: 1,
+    });
+    while whole.completed() < k {
+        assert!(whole.step(), "drained before {k} completions");
+    }
+    // ... is the same device as one that ran the first k as a drive of
+    // their own and has just started the rest.
+    let mut split = SsdSim::new(cfg).unwrap();
+    split.start(Drive::ClosedLoop {
+        requests: writes(&cfg, 0, k),
+        depth: 1,
+    });
+    split.run_to_idle();
+    split.start(Drive::ClosedLoop {
+        requests: writes(&cfg, k, rest),
+        depth: 1,
+    });
+    let (whole, split) = (Checkpoint::save(&whole), Checkpoint::save(&split));
+    // Storing the started requests too would cost exactly k records more.
+    assert_eq!(
+        whole.len(),
+        split.len(),
+        "{} bytes more, {} per started request",
+        whole.len() as i64 - split.len() as i64,
+        IoRequest::CKPT_MIN_BYTES
+    );
+    assert_eq!(whole, split, "the two checkpoints differ");
+}
+
+/// A checkpoint of a fresh simulator that has just started `drive`.
+fn at_start(cfg: SsdConfig, drive: Drive) -> Vec<u8> {
+    let mut sim = SsdSim::new(cfg).unwrap();
+    sim.start(drive);
+    Checkpoint::save(&sim)
+}
+
+/// Where the drive tag sits: an open-loop and a closed-loop drive with no
+/// requests, saved at start, differ in that one byte.
+fn drive_tag_offset(cfg: SsdConfig) -> usize {
+    let open = at_start(cfg, Drive::OpenLoop(Vec::new()));
+    let closed = at_start(
+        cfg,
+        Drive::ClosedLoop {
+            requests: Vec::new(),
+            depth: 8,
+        },
+    );
+    assert_eq!(open.len(), closed.len());
+    let differ: Vec<usize> = (0..open.len() - 8)
+        .filter(|&i| open[i] != closed[i])
+        .collect();
+    assert_eq!(differ.len(), 1, "drives differ at {differ:?}");
+    differ[0]
+}
+
+/// Queues one `Arrive` event at time zero in a checkpoint whose event
+/// queue has never been used. The queue is the last section of the state:
+/// `next_seq`, `scheduled_total` and the pending count, then each event's
+/// time and tag.
+fn queue_arrive(bytes: &[u8]) -> Vec<u8> {
+    let body = &bytes[..bytes.len() - 8];
+    let (state, queue) = body.split_at(body.len() - 24);
+    assert_eq!(queue, [0u8; 24], "the queue has been used");
+    let mut out = state.to_vec();
+    for word in [1u64, 1, 1, 0] {
+        out.extend_from_slice(&word.to_le_bytes());
+    }
+    out.push(0); // the `Arrive` tag
+                 // The payload follows the 28-byte header, whose last field is its
+                 // length.
+    let payload = (out.len() - 28) as u64;
+    out[20..28].copy_from_slice(&payload.to_le_bytes());
+    out.extend_from_slice(&[0; 8]);
+    reseal(out)
+}
+
+fn one_tenant() -> Drive {
+    Drive::MultiTenant {
+        tenants: vec![(
+            TenantConfig {
+                name: "solo".into(),
+                weight: 1,
+                slo_latency: SimTime::from_ms(1),
+            },
+            Vec::new(),
+        )],
+        scheduler: SchedulerKind::WeightedFair,
+        depth: 4,
+    }
+}
+
+#[test]
+fn arrive_events_are_refused_outside_closed_loop() {
+    let cfg = SsdConfig::tiny(Architecture::PnSsd);
+    for (drive, name) in [
+        (Drive::OpenLoop(Vec::new()), "open-loop"),
+        (one_tenant(), "multi-tenant"),
+    ] {
+        let bytes = at_start(cfg, drive);
+        assert!(Checkpoint::resume(cfg, &bytes).is_ok(), "{name} control");
+        let err = Checkpoint::resume(cfg, &queue_arrive(&bytes)).unwrap_err();
+        assert!(err.contains(name), "{name}: got {err}");
+    }
+}
+
+#[test]
+fn more_queued_arrivals_than_unissued_requests_are_refused() {
+    let cfg = SsdConfig::tiny(Architecture::PnSsd);
+    let empty = at_start(
+        cfg,
+        Drive::ClosedLoop {
+            requests: Vec::new(),
+            depth: 8,
+        },
+    );
+    let err = Checkpoint::resume(cfg, &queue_arrive(&empty)).unwrap_err();
+    assert!(
+        err.contains("1 queued arrivals for 0 unissued requests"),
+        "got {err}"
+    );
+    // One request with its one token is a drive that has not started it.
+    let one = at_start(
+        cfg,
+        Drive::ClosedLoop {
+            requests: writes(&cfg, 0, 1),
+            depth: 8,
+        },
+    );
+    assert!(Checkpoint::resume(cfg, &one).is_ok());
+}
+
+#[test]
+fn unknown_drive_tag_is_refused() {
+    let cfg = SsdConfig::tiny(Architecture::PnSsd);
+    let at = drive_tag_offset(cfg);
+    let mut bytes = at_start(cfg, Drive::OpenLoop(Vec::new()));
+    bytes[at] = 3;
+    let err = Checkpoint::resume(cfg, &reseal(bytes)).unwrap_err();
+    assert!(err.contains("unknown drive tag 3"), "got {err}");
 }
