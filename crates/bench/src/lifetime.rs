@@ -12,14 +12,17 @@
 //!
 //! Per segment it reports wear-leveling efficacy (erase-count spread and
 //! per-way imbalance), grown-bad-block accumulation, write amplification,
-//! and end-of-life tail-latency drift — per-segment exact p50/p99 from
-//! [`Histogram::delta_since`] plus sliding-window tails from the
-//! bounded-memory [`WindowedStats`] estimator.
+//! and end-of-life tail-latency drift: p50/p99 of the segment and of a
+//! sliding window over the last three segments. Both are exact reads of
+//! the run's one latency [`Histogram`]: the [`Histogram::delta_since`]
+//! the cumulative snapshot taken at the segment's or window's start.
+
+use std::collections::VecDeque;
 
 use nssd_core::{Architecture, Checkpoint, Drive, SsdConfig, SsdSim};
 use nssd_host::{IoOp, IoRequest};
 use nssd_sim::{DetRng, Histogram, Rng, SimTime};
-use nssd_workloads::{tail_resolvable, WindowedStats};
+use nssd_workloads::tail_resolvable;
 
 use crate::experiments::Experiment;
 use crate::table::{fmt_opt_us, Table};
@@ -28,6 +31,8 @@ use crate::table::{fmt_opt_us, Table};
 const SEGMENTS: usize = 20;
 /// Closed-loop requests per segment.
 const REQUESTS_PER_SEGMENT: usize = 6_000;
+/// Segments the sliding latency window spans.
+const WINDOW_SEGMENTS: usize = 3;
 
 /// Closed-loop segment traffic: page-sized requests, 80% writes over a
 /// uniformly random working set (wear-driving churn), 20% reads. The
@@ -75,8 +80,10 @@ fn run_architecture(arch: Architecture) -> (Vec<String>, Vec<Vec<String>>) {
     cfg.util_window = SimTime::from_ms(100);
 
     let mut sim = SsdSim::new(cfg).unwrap_or_else(|e| panic!("lifetime: {label}: {e}"));
-    let mut windowed = WindowedStats::new(REQUESTS_PER_SEGMENT as u64, 3);
-    let mut hist_snapshot = sim.latency_histogram().clone();
+    // Cumulative latency histograms at the last WINDOW_SEGMENTS segment
+    // boundaries (the start counts as one): the front opens the window,
+    // the back opens the current segment.
+    let mut boundaries = VecDeque::from([sim.latency_histogram().clone()]);
     let mut segments = Vec::with_capacity(SEGMENTS);
 
     for index in 1..=SEGMENTS {
@@ -102,22 +109,17 @@ fn run_architecture(arch: Architecture) -> (Vec<String>, Vec<Vec<String>>) {
         );
         sim = resumed;
 
-        let delta = sim
-            .latency_histogram()
-            .delta_since(&hist_snapshot)
-            .unwrap_or_else(|| panic!("lifetime: {label}: histogram went backwards"));
-        hist_snapshot = sim.latency_histogram().clone();
-        // Stream the segment's completions (at bucket resolution) into the
-        // sliding-window estimator.
-        let total = delta.count();
-        let mut seen = 0u64;
-        for (value, fraction) in delta.cdf_points() {
-            let cum = (fraction * total as f64).round() as u64;
-            for _ in seen..cum {
-                windowed.record(value);
-            }
-            seen = cum;
+        let since = |earlier: &Histogram| {
+            sim.latency_histogram()
+                .delta_since(earlier)
+                .unwrap_or_else(|| panic!("lifetime: {label}: histogram went backwards"))
+        };
+        let segment = since(boundaries.back().expect("one boundary is always kept"));
+        let window = since(boundaries.front().expect("one boundary is always kept"));
+        if boundaries.len() == WINDOW_SEGMENTS {
+            boundaries.pop_front();
         }
+        boundaries.push_back(sim.latency_histogram().clone());
 
         let wear = sim.ftl().blocks().wear_summary();
         let ftl_stats = sim.ftl().stats();
@@ -134,10 +136,10 @@ fn run_architecture(arch: Architecture) -> (Vec<String>, Vec<Vec<String>>) {
             format!("{:.3}", wear.way_imbalance()),
             sim.reliability().grown_bad_blocks.to_string(),
             ftl_stats.blocks_retired.to_string(),
-            fmt_opt_us(percentile_ns(&delta, 50.0)),
-            fmt_opt_us(percentile_ns(&delta, 99.0)),
-            fmt_opt_us(windowed.percentile(50.0).map(SimTime::as_ns)),
-            fmt_opt_us(windowed.percentile(99.0).map(SimTime::as_ns)),
+            fmt_opt_us(percentile_ns(&segment, 50.0)),
+            fmt_opt_us(percentile_ns(&segment, 99.0)),
+            fmt_opt_us(percentile_ns(&window, 50.0)),
+            fmt_opt_us(percentile_ns(&window, 99.0)),
             bytes.len().to_string(),
         ]);
         if sim.end_of_life().is_some() {
@@ -216,10 +218,12 @@ pub fn lifetime() -> Experiment {
              again, the rest of the segment's writes fail as host I/O errors and the run \
              stops after that segment"
                 .into(),
-            "seg p50/p99 are exact per-segment tails (histogram delta); window p50/p99 \
-             come from the bounded-memory sliding-window estimator over the most recent \
-             three segments' worth of completions; - = too few completions to resolve"
-                .into(),
+            format!(
+                "seg p50/p99 cover the segment and window p50/p99 the last \
+                 {WINDOW_SEGMENTS} segments (fewer at the start), each the difference of \
+                 two snapshots of the run's latency histogram; - = too few completions \
+                 to resolve"
+            ),
         ],
     }
 }

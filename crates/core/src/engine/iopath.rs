@@ -65,38 +65,61 @@ impl SsdSim {
 
     /// A read whose mapped page sits on the fail-stopped chip: the data is
     /// reconstructed from the surviving stripe members instead of touching
-    /// the dead chip. Every survivor pays a full command handshake and
-    /// array read; the fabric then routes the gather and the XOR combine
-    /// (see [`super::FabricBackend::reserve_reconstruct`]), after which the
-    /// page flows down the normal host-DMA tail.
+    /// the dead chip ([`SsdSim::reconstruct`]), after which the page flows
+    /// down the normal host-DMA tail.
     fn start_degraded_read(&mut self, t: usize, addr: PageAddr) {
-        let tag = Traffic::io(true).tag();
+        let done = self.reconstruct(addr, None);
+        self.faults.note_reconstructed_read();
+        self.trans[t].halves_left = 1;
+        self.queue.schedule(done, Event::XferHalfDone(t));
+    }
+
+    /// Reconstructs the page at `addr` from its surviving stripe members
+    /// and returns when the fabric has delivered it. Without `dst` this
+    /// serves a host read: every survivor pays a full command handshake and
+    /// array read, and the page heads for the controller. With `dst` it is
+    /// a rebuild copy: survivors take GC read commands and the page heads
+    /// for the destination chip. The fabric routes the gather and the XOR
+    /// combine (see [`super::FabricBackend::reserve_reconstruct`]).
+    /// Survivor reads are timed in stripe order into the reusable
+    /// `survivor_reads` buffer, so a reconstruction allocates nothing.
+    pub(crate) fn reconstruct(&mut self, addr: PageAddr, dst: Option<PageAddr>) -> SimTime {
+        let tag = match dst {
+            None => Traffic::io(true).tag(),
+            Some(_) => Traffic::Gc.tag(),
+        };
         let now = self.now;
         let page = self.page_bytes();
         let ecc = self.gc_ecc();
-        let survivors = self.ftl.redundancy().survivors(addr);
-        debug_assert!(!survivors.is_empty(), "stripe width >= 2 leaves a survivor");
-        let mut reads = Vec::with_capacity(survivors.len());
-        for s in survivors {
-            let cmd = {
+        let mut reads = std::mem::take(&mut self.survivor_reads);
+        reads.clear();
+        for s in self.ftl.redundancy().survivors(addr) {
+            let (cmd_end, ctrl) = {
                 let (fabric, mut ctx) = self.fabric_parts();
-                fabric.control_handshake(&mut ctx, s, FlashCommand::ReadPage, now, tag)
+                match dst {
+                    None => {
+                        let cmd =
+                            fabric.control_handshake(&mut ctx, s, FlashCommand::ReadPage, now, tag);
+                        (cmd.end, cmd.ctrl)
+                    }
+                    Some(_) => (fabric.gc_read_command(&mut ctx, s, false, now, tag), 0),
+                }
             };
             let chip = self.chip_index(s);
             let fault = self.sample_read_fault(s);
-            let read = self.chips[chip].reserve_read(s.die, s.plane, cmd.end);
+            let read = self.chips[chip].reserve_read(s.die, s.plane, cmd_end);
             let ready = self.apply_read_fault(chip, s, read.end, fault);
             reads.push(SurvivorRead {
                 addr: s,
                 ready,
-                ctrl: cmd.ctrl,
+                ctrl,
             });
         }
+        debug_assert!(!reads.is_empty(), "stripe width >= 2 leaves a survivor");
         let (fabric, mut ctx) = self.fabric_parts();
-        let done = fabric.reserve_reconstruct(&mut ctx, &reads, None, page, ecc, tag);
-        self.faults.note_reconstructed_read();
-        self.trans[t].halves_left = 1;
-        self.queue.schedule(done, Event::XferHalfDone(t));
+        let done = fabric.reserve_reconstruct(&mut ctx, &reads, dst, page, ecc, tag);
+        self.survivor_reads = reads;
+        done
     }
 
     fn start_write_data_in(&mut self, t: usize, addr: PageAddr) {

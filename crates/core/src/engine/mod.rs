@@ -197,6 +197,10 @@ pub struct SsdSim {
     /// always empty between events, kept on the struct so its capacity
     /// survives across batches and the hot loop never allocates.
     batch: Vec<Event>,
+    /// Reusable survivor-read buffer for [`SsdSim::reconstruct`]; empty
+    /// between reconstructions, kept so degraded reads and rebuild copies
+    /// never allocate.
+    survivor_reads: Vec<SurvivorRead>,
     pub(crate) ftl: Ftl,
     pub(crate) chips: Vec<FlashChip>,
     pub(crate) h_channels: Vec<Resource>,
@@ -346,6 +350,7 @@ impl SsdSim {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             batch: Vec::new(),
+            survivor_reads: Vec::new(),
             ftl,
             chips,
             h_channels,

@@ -18,8 +18,7 @@ use nssd_flash::Ppn;
 use nssd_ftl::{BlockState, GcStream, Lpn, OutOfSpace, WayMask};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, SimTime};
 
-use super::{Event, SsdSim, SurvivorRead};
-use crate::Traffic;
+use super::{Event, SsdSim};
 
 /// One page awaiting re-placement: reconstruct `lpn` (last at `src`, on the
 /// dead chip) onto a fresh destination. `dst` binds at launch.
@@ -169,14 +168,14 @@ impl SsdSim {
     fn rebuild_source_idle(&mut self, c: usize) -> bool {
         let src = self.rebuild.copies[c].src;
         let addr = self.cfg.geometry.page_addr(src);
-        let survivors = self.ftl.redundancy().survivors(addr);
-        for s in &survivors {
+        let busy = self.ftl.redundancy().survivors(addr).any(|s| {
             let chip = self.cfg.geometry.chip_index(s.channel, s.way);
-            if !self.chips[chip].plane_idle_at(s.die, s.plane, self.now) {
-                return false;
-            }
+            !self.chips[chip].plane_idle_at(s.die, s.plane, self.now)
+        });
+        if busy {
+            return false;
         }
-        let Some(&first) = survivors.first() else {
+        let Some(first) = self.ftl.redundancy().survivors(addr).next() else {
             return true;
         };
         let now = self.now;
@@ -212,29 +211,7 @@ impl SsdSim {
         }
         let src_addr = self.cfg.geometry.page_addr(src);
         let dst_addr = self.cfg.geometry.page_addr(rel.dst);
-        let tag = Traffic::Gc.tag();
-        let page = self.page_bytes();
-        let ecc = self.gc_ecc();
-        let now = self.now;
-        let survivors = self.ftl.redundancy().survivors(src_addr);
-        let mut reads = Vec::with_capacity(survivors.len());
-        for s in survivors {
-            let cmd = {
-                let (fabric, mut ctx) = self.fabric_parts();
-                fabric.gc_read_command(&mut ctx, s, false, now, tag)
-            };
-            let chip = self.chip_index(s);
-            let fault = self.sample_read_fault(s);
-            let read = self.chips[chip].reserve_read(s.die, s.plane, cmd);
-            let ready = self.apply_read_fault(chip, s, read.end, fault);
-            reads.push(SurvivorRead {
-                addr: s,
-                ready,
-                ctrl: 0,
-            });
-        }
-        let (fabric, mut ctx) = self.fabric_parts();
-        let done = fabric.reserve_reconstruct(&mut ctx, &reads, Some(dst_addr), page, ecc, tag);
+        let done = self.reconstruct(src_addr, Some(dst_addr));
         self.queue.schedule(done, Event::RebuildXferDone(c));
         true
     }

@@ -108,6 +108,7 @@ pub fn prepare_trace_preconditioned(
     fill: f64,
     overwrite: f64,
 ) -> Result<(SsdSim, Drive), String> {
+    check_aging(fill, overwrite)?;
     let mut sim = SsdSim::new(cfg)?;
     check_footprint(&sim, trace.footprint_bytes(), fill)?;
     precondition_aged(&mut sim, fill, overwrite)?;
@@ -178,6 +179,7 @@ pub fn prepare_closed_loop_preconditioned(
     fill: f64,
     overwrite: f64,
 ) -> Result<(SsdSim, Drive), String> {
+    check_aging(fill, overwrite)?;
     let mut sim = SsdSim::new(cfg)?;
     check_footprint(&sim, requests.footprint_bytes(), fill)?;
     precondition_aged(&mut sim, fill, overwrite)?;
@@ -273,6 +275,7 @@ pub fn prepare_tenants_preconditioned(
     overwrite: f64,
 ) -> Result<(SsdSim, Drive), String> {
     check_streams(&streams)?;
+    check_aging(fill, overwrite)?;
     let mut sim = SsdSim::new(cfg)?;
     let footprint = streams
         .iter()
@@ -338,6 +341,19 @@ fn precondition_footprint(sim: &mut SsdSim, footprint_bytes: u64) -> Result<(), 
     sim.ftl_mut()
         .precondition(fill.min(1.0), 0.0, &mut rng)
         .map_err(|e| e.to_string())
+}
+
+/// Refuses the aging fractions [`nssd_ftl::Ftl::precondition`] refuses,
+/// before [`check_footprint`] reads `fill`: a NaN fill would otherwise
+/// pass for a footprint overflow.
+fn check_aging(fill: f64, overwrite: f64) -> Result<(), String> {
+    if !(0.0..=1.0).contains(&fill) {
+        return Err(format!("fill fraction {fill} is outside [0, 1]"));
+    }
+    if !(0.0..=2.0).contains(&overwrite) {
+        return Err(format!("overwrite fraction {overwrite} is outside [0, 2]"));
+    }
+    Ok(())
 }
 
 fn check_footprint(sim: &SsdSim, footprint_bytes: u64, fill: f64) -> Result<(), String> {

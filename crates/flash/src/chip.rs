@@ -33,9 +33,6 @@ pub struct FlashChip {
     plane_res: Vec<Resource>,
     /// Array operations issued, by kind: [reads, programs, erases].
     op_counts: [u64; 3],
-    /// Number of V-page registers available for flash-to-flash transfers
-    /// (the paper provisions two extra 16 KB registers, §VIII).
-    vpage_registers: u32,
 }
 
 impl FlashChip {
@@ -48,7 +45,6 @@ impl FlashChip {
             timing,
             plane_res: (0..n).map(|_| Resource::new()).collect(),
             op_counts: [0; 3],
-            vpage_registers: 2,
         }
     }
 
@@ -60,11 +56,6 @@ impl FlashChip {
     /// The array timing in use.
     pub fn timing(&self) -> FlashTiming {
         self.timing
-    }
-
-    /// Number of V-page registers provisioned for flash-to-flash transfers.
-    pub fn vpage_registers(&self) -> u32 {
-        self.vpage_registers
     }
 
     /// Reserves a page read (tR) on `(die, plane)` starting no earlier than
@@ -114,20 +105,9 @@ impl FlashChip {
         self.plane_res[idx].reserve(at, dur)
     }
 
-    /// When the given plane becomes free.
-    pub fn plane_next_free(&self, die: u32, plane: u32) -> SimTime {
-        self.plane_res[self.plane_idx(die, plane)].next_free()
-    }
-
     /// Whether the plane is idle at `t`.
     pub fn plane_idle_at(&self, die: u32, plane: u32, t: SimTime) -> bool {
         self.plane_res[self.plane_idx(die, plane)].is_idle_at(t)
-    }
-
-    /// Whether *every* plane on the chip is idle at `t` (used by
-    /// preemption-aware GC to avoid colliding with in-flight I/O).
-    pub fn all_planes_idle_at(&self, t: SimTime) -> bool {
-        self.plane_res.iter().all(|r| r.is_idle_at(t))
     }
 
     /// Total array busy time across all planes.
@@ -213,12 +193,11 @@ mod tests {
     #[test]
     fn idle_checks() {
         let mut c = chip();
-        assert!(c.all_planes_idle_at(SimTime::ZERO));
+        assert!(c.plane_idle_at(0, 0, SimTime::ZERO));
         c.reserve_read(0, 0, SimTime::ZERO);
-        assert!(!c.all_planes_idle_at(SimTime::ZERO));
         assert!(!c.plane_idle_at(0, 0, SimTime::from_us(1)));
         assert!(c.plane_idle_at(0, 1, SimTime::from_us(1)));
-        assert!(c.all_planes_idle_at(SimTime::from_us(3)));
+        assert!(c.plane_idle_at(0, 0, SimTime::from_us(3)));
     }
 
     #[test]
@@ -237,11 +216,6 @@ mod tests {
         c.reserve_read(0, 0, SimTime::ZERO);
         c.reserve_read(0, 1, SimTime::ZERO);
         assert_eq!(c.busy_total(), SimTime::from_us(6));
-    }
-
-    #[test]
-    fn two_vpage_registers_by_default() {
-        assert_eq!(chip().vpage_registers(), 2);
     }
 
     #[test]

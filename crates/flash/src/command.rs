@@ -64,25 +64,6 @@ impl FlashCommand {
     pub fn total_cycle_bytes(self) -> u32 {
         self.command_bytes() + self.column_address_bytes() + self.row_address_bytes()
     }
-
-    /// Whether this command moves page data over the interconnect.
-    pub fn carries_payload(self) -> bool {
-        matches!(
-            self,
-            FlashCommand::ReadDataTransfer | FlashCommand::XferOut | FlashCommand::XferIn
-        )
-    }
-
-    /// Whether this command exists only on the packetized interface.
-    pub fn is_packetized_extension(self) -> bool {
-        matches!(
-            self,
-            FlashCommand::ReadDataTransfer
-                | FlashCommand::XferOut
-                | FlashCommand::XferIn
-                | FlashCommand::ProgramFromVPage
-        )
-    }
 }
 
 #[cfg(test)]
@@ -100,19 +81,5 @@ mod tests {
         let e = FlashCommand::EraseBlock;
         assert_eq!(e.column_address_bytes(), 0);
         assert_eq!(e.total_cycle_bytes(), 5);
-    }
-
-    #[test]
-    fn extensions_flagged() {
-        assert!(!FlashCommand::ReadPage.is_packetized_extension());
-        assert!(FlashCommand::ReadDataTransfer.is_packetized_extension());
-        assert!(FlashCommand::XferOut.is_packetized_extension());
-    }
-
-    #[test]
-    fn payload_commands() {
-        assert!(FlashCommand::ReadDataTransfer.carries_payload());
-        assert!(!FlashCommand::ProgramFromVPage.carries_payload());
-        assert!(!FlashCommand::EraseBlock.carries_payload());
     }
 }

@@ -402,12 +402,6 @@ impl BlockTable {
         self.blocks.iter().map(|b| b.valid_count as u64).sum()
     }
 
-    /// Mean erase count across all blocks (wear indicator).
-    pub fn mean_erase_count(&self) -> f64 {
-        let total: u64 = self.blocks.iter().map(|b| b.erase_count as u64).sum();
-        total as f64 / self.blocks.len() as f64
-    }
-
     /// The current device-wide program counter.
     pub fn op_clock(&self) -> u64 {
         self.op_clock

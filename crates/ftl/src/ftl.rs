@@ -601,7 +601,10 @@ impl Ftl {
     }
 
     /// Relocates one live page during GC: allocates a destination within
-    /// `mask` from the GC write stream, remaps, and invalidates the source.
+    /// `mask` from `stream`, remaps, and invalidates the source.
+    /// Generational placements route pages that keep surviving GC through
+    /// [`GcStream::Cold`], whose separate open blocks keep stable data out
+    /// of write-hot blocks; every other relocation uses [`GcStream::Gc`].
     ///
     /// Returns `None` (not an error) if `lpn` no longer maps to `src` — the
     /// host overwrote it after victim selection, so there is nothing to
@@ -611,24 +614,6 @@ impl Ftl {
     ///
     /// [`OutOfSpace`] if the permitted ways are exhausted; nothing else can
     /// fail, because `lpn` is checked against the mapping first.
-    pub fn relocate(
-        &mut self,
-        lpn: Lpn,
-        src: Ppn,
-        mask: WayMask,
-    ) -> Result<Option<Relocation>, OutOfSpace> {
-        self.relocate_to(lpn, src, mask, GcStream::Gc)
-    }
-
-    /// [`Ftl::relocate`] through an explicit write stream: generational
-    /// placements route pages that keep surviving GC through
-    /// [`GcStream::Cold`], whose separate open blocks keep stable data out
-    /// of write-hot blocks.
-    ///
-    /// # Errors
-    ///
-    /// [`OutOfSpace`] if the permitted ways are exhausted (the only
-    /// failure, as for [`Ftl::relocate`]).
     pub fn relocate_to(
         &mut self,
         lpn: Lpn,
@@ -710,7 +695,7 @@ impl Ftl {
             }
             for pbn in victims {
                 for (lpn, src) in self.live_pages(pbn) {
-                    if let Some(rel) = self.relocate(lpn, src, all)? {
+                    if let Some(rel) = self.relocate_to(lpn, src, all, GcStream::Gc)? {
                         on_relocate(rel);
                     }
                 }
@@ -728,16 +713,26 @@ impl Ftl {
     ///
     /// # Errors
     ///
-    /// Propagates allocation failures (which indicate an infeasible
-    /// fill/OP combination).
+    /// [`FtlError::Config`] naming the argument if `fill_fraction` is
+    /// outside [0, 1] or `overwrite_fraction` outside [0, 2] (NaN
+    /// included); otherwise propagates allocation failures (which indicate
+    /// an infeasible fill/OP combination).
     pub fn precondition<R: Rng>(
         &mut self,
         fill_fraction: f64,
         overwrite_fraction: f64,
         rng: &mut R,
     ) -> Result<(), FtlError> {
-        assert!((0.0..=1.0).contains(&fill_fraction));
-        assert!((0.0..=2.0).contains(&overwrite_fraction));
+        if !(0.0..=1.0).contains(&fill_fraction) {
+            return Err(FtlError::Config(format!(
+                "fill fraction {fill_fraction} is outside [0, 1]"
+            )));
+        }
+        if !(0.0..=2.0).contains(&overwrite_fraction) {
+            return Err(FtlError::Config(format!(
+                "overwrite fraction {overwrite_fraction} is outside [0, 2]"
+            )));
+        }
         let filled = (self.logical_pages as f64 * fill_fraction) as u64;
         for l in 0..filled {
             self.write_with_instant_gc(Lpn::new(l), rng)?;
@@ -914,13 +909,6 @@ impl Ftl {
         out
     }
 
-    /// Checks internal consistency (mapping tables and valid counts agree);
-    /// used by tests and debug assertions.
-    pub fn check_consistency(&self) -> bool {
-        self.mapping.check_consistency()
-            && self.mapping.mapped_pages() == self.blocks.total_valid_pages()
-    }
-
     /// Full structural self-check: block-table invariants plus the
     /// mapping/valid-count agreement. Returns one message per violated
     /// invariant (empty = clean); the oracle funnels these into its
@@ -1049,7 +1037,8 @@ mod tests {
         let out = ftl.write(Lpn::new(7)).unwrap();
         assert_eq!(ftl.lookup(Lpn::new(7)), Some(out.ppn));
         assert!(ftl.is_valid(out.ppn));
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
     }
 
     #[test]
@@ -1060,7 +1049,8 @@ mod tests {
         assert_eq!(second.invalidated, Some(first.ppn));
         assert!(!ftl.is_valid(first.ppn));
         assert!(ftl.is_valid(second.ppn));
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
     }
 
     #[test]
@@ -1094,7 +1084,8 @@ mod tests {
         // Fill the whole logical space, then overwrite to force garbage.
         ftl.precondition(1.0, 0.5, &mut rng).unwrap();
         assert!(ftl.free_ratio() > 0.0);
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
         // Every logical page is still readable after GC churn.
         for l in 0..ftl.logical_pages() {
             assert!(ftl.lookup(Lpn::new(l)).is_some(), "lost lpn{l}");
@@ -1192,7 +1183,9 @@ mod tests {
         let out = ftl.write(Lpn::new(0)).unwrap();
         // Host overwrites before GC gets to the page.
         ftl.write(Lpn::new(0)).unwrap();
-        let moved = ftl.relocate(Lpn::new(0), out.ppn, all).unwrap();
+        let moved = ftl
+            .relocate_to(Lpn::new(0), out.ppn, all, GcStream::Gc)
+            .unwrap();
         assert_eq!(moved, None);
     }
 
@@ -1201,12 +1194,16 @@ mod tests {
         let mut ftl = tiny_ftl();
         let all = WayMask::all(ftl.geometry().ways);
         let out = ftl.write(Lpn::new(5)).unwrap();
-        let moved = ftl.relocate(Lpn::new(5), out.ppn, all).unwrap().unwrap();
+        let moved = ftl
+            .relocate_to(Lpn::new(5), out.ppn, all, GcStream::Gc)
+            .unwrap()
+            .unwrap();
         assert_eq!(moved.src, out.ppn);
         assert_eq!(ftl.lookup(Lpn::new(5)), Some(moved.dst));
         assert!(!ftl.is_valid(out.ppn));
         assert_eq!(ftl.stats().gc_relocations, 1);
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
     }
 
     #[test]
@@ -1221,6 +1218,24 @@ mod tests {
                 .unwrap();
         }
         assert!(ftl.stats().write_amplification() >= 1.0);
+    }
+
+    #[test]
+    fn precondition_refuses_out_of_range_fractions() {
+        let mut ftl = tiny_ftl();
+        let mut rng = DetRng::seed_from_u64(1);
+        for (fill, overwrite, named) in [
+            (1.5, 0.0, "fill fraction"),
+            (f64::NAN, 0.0, "fill fraction"),
+            (0.5, 2.5, "overwrite fraction"),
+            (0.5, f64::NAN, "overwrite fraction"),
+        ] {
+            match ftl.precondition(fill, overwrite, &mut rng) {
+                Err(FtlError::Config(msg)) => assert!(msg.contains(named), "{msg}"),
+                other => panic!("fill {fill}, overwrite {overwrite}: {other:?}"),
+            }
+        }
+        assert_eq!(ftl.stats().host_writes, 0, "a refused call wrote nothing");
     }
 
     #[test]
@@ -1256,7 +1271,8 @@ mod tests {
             ftl.blocks().retired_blocks() > 0,
             "sustained churn at a 2-cycle endurance limit must retire blocks (eol={eol})"
         );
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
         for (pbn, meta) in ftl.blocks().iter() {
             if meta.state() == crate::BlockState::Bad {
                 assert!(meta.erase_count() >= 2, "block {pbn} retired early");
@@ -1277,7 +1293,8 @@ mod tests {
         }
         // The device still takes writes.
         ftl.write(Lpn::new(0)).unwrap();
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
     }
 
     #[test]
@@ -1321,7 +1338,8 @@ mod tests {
         for &l in &on_dead_chip {
             assert_eq!(ftl.lookup(l), None);
         }
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
         // The device still takes writes, and never onto the dead chip.
         let mut rng = DetRng::seed_from_u64(17);
         for l in 0..filled {
@@ -1379,17 +1397,18 @@ mod tests {
         // width-2 stripe, on the other channel of the group.
         let r = ftl.redundancy();
         for &(_, ppn) in &backlog {
-            let s = r.survivors(g.page_addr(ppn));
+            let s: Vec<_> = r.survivors(g.page_addr(ppn)).collect();
             assert_eq!(s.len(), 1);
             assert_ne!(s[0].channel, 0);
         }
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
 
         // Simulate a rebuild: re-place every backlog page, retire drained
         // blocks, then clear the dead chip.
         let all = WayMask::all(g.ways);
         for (lpn, src) in backlog {
-            let rel = ftl.relocate(lpn, src, all).unwrap();
+            let rel = ftl.relocate_to(lpn, src, all, GcStream::Gc).unwrap();
             assert!(rel.is_some(), "backlog page must still be live");
         }
         ftl.clear_dead_chip();
@@ -1400,7 +1419,8 @@ mod tests {
             let a = g.page_addr(ppn);
             assert!(!(a.channel == 0 && a.way == 1));
         }
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
     }
 
     #[test]

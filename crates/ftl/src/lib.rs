@@ -108,7 +108,8 @@ mod proptests {
                     }
                 }
             }
-            assert!(ftl.check_consistency());
+            let problems = ftl.check_invariants();
+            assert!(problems.is_empty(), "{problems:?}");
             for (lpn, ppn) in shadow {
                 assert_eq!(ftl.lookup(lpn), Some(ppn));
                 assert!(ftl.is_valid(ppn));
@@ -156,7 +157,8 @@ mod proptests {
                 }
             }
             assert_eq!(mapped, filled);
-            assert!(ftl.check_consistency());
+            let problems = ftl.check_invariants();
+            assert!(problems.is_empty(), "{problems:?}");
         }
     }
 }

@@ -108,12 +108,12 @@ impl RedundancyConfig {
 
     /// The surviving stripe members a reconstruction of `addr` must read:
     /// the same array offset on every other chip of `addr`'s parity group.
-    pub fn survivors(&self, addr: PageAddr) -> Vec<PageAddr> {
+    /// The iterator holds no borrow of `self`.
+    pub fn survivors(&self, addr: PageAddr) -> impl Iterator<Item = PageAddr> {
         let base = self.group_base(addr.channel);
         (base..base + self.stripe_width)
-            .filter(|&c| c != addr.channel)
-            .map(|c| PageAddr { channel: c, ..addr })
-            .collect()
+            .filter(move |&c| c != addr.channel)
+            .map(move |c| PageAddr { channel: c, ..addr })
     }
 }
 
@@ -186,7 +186,7 @@ mod tests {
             block: 3,
             page: 7,
         };
-        let s = r.survivors(addr);
+        let s: Vec<PageAddr> = r.survivors(addr).collect();
         let channels: Vec<u32> = s.iter().map(|a| a.channel).collect();
         assert_eq!(channels, vec![4, 6, 7]);
         for a in &s {

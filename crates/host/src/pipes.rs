@@ -105,16 +105,6 @@ impl HostPipes {
         self.system_bus.ckpt_load(r)?;
         self.dram.ckpt_load(r)
     }
-
-    /// Total busy time on the PCIe pipe.
-    pub fn pcie_busy(&self) -> SimTime {
-        self.pcie.resource().busy_total()
-    }
-
-    /// Total busy time on the DRAM pipe.
-    pub fn dram_busy(&self) -> SimTime {
-        self.dram.resource().busy_total()
-    }
 }
 
 #[cfg(test)]
@@ -155,8 +145,11 @@ mod tests {
     #[test]
     fn dram_roundtrip_uses_dram_twice() {
         let mut pipes = HostPipes::new(HostParams::table2());
-        let before = pipes.dram_busy();
+        let before = pipes.dram.resource().busy_total();
         pipes.dram_roundtrip(SimTime::ZERO, 16 * 1024, 0);
-        assert_eq!(pipes.dram_busy() - before, SimTime::from_ns(2 * 2048));
+        assert_eq!(
+            pipes.dram.resource().busy_total() - before,
+            SimTime::from_ns(2 * 2048)
+        );
     }
 }

@@ -400,11 +400,6 @@ impl HostFrontend {
         self.queues[tenant].config()
     }
 
-    /// The arbitration policy's label.
-    pub fn scheduler_label(&self) -> &'static str {
-        self.scheduler.label()
-    }
-
     /// Enqueues a request on `tenant`'s submission queue.
     ///
     /// # Panics
@@ -654,7 +649,6 @@ mod tests {
         let mut fe = frontend(&[1, 1], SchedulerKind::RoundRobin);
         assert_eq!(fe.tenant_count(), 2);
         assert_eq!(fe.config(1).name, "t1");
-        assert_eq!(fe.scheduler_label(), "round-robin");
         fe.push(1, req(4096));
         assert_eq!(fe.pending(), 1);
         assert!(!fe.is_empty());

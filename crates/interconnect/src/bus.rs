@@ -8,35 +8,7 @@
 use nssd_flash::FlashCommand;
 use nssd_sim::SimTime;
 
-use crate::{ControlPacket, DataPacket, FLIT_BYTES};
-
-/// Functional decomposition of one bus transaction: the bytes the caller
-/// asked to move versus the protocol bytes wrapped around them.
-///
-/// The two timing backends disagree on overhead and wire time — that is
-/// the point of packetization — but they must agree exactly on payload.
-/// The oracle's cross-backend equivalence check compares these probes
-/// instead of timings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TransferProbe {
-    /// Useful bytes moved (page data).
-    pub payload_bytes: u64,
-    /// Protocol bytes around them: command/address cycles on the dedicated
-    /// interface, packet headers and CRCs on the packetized one.
-    pub overhead_bytes: u64,
-}
-
-impl TransferProbe {
-    /// Total bytes the transaction puts on the wire.
-    pub fn total_bytes(&self) -> u64 {
-        self.payload_bytes + self.overhead_bytes
-    }
-
-    /// Fraction of wire bytes that are payload.
-    pub fn efficiency(&self) -> f64 {
-        self.payload_bytes as f64 / self.total_bytes() as f64
-    }
-}
+use crate::{ControlPacket, DataPacket};
 
 /// Physical parameters of one bus/channel.
 ///
@@ -146,29 +118,6 @@ impl DedicatedBus {
     pub fn read_occupancy(&self, page_bytes: u64) -> SimTime {
         self.command_phase(FlashCommand::ReadPage) + self.data_phase(page_bytes)
     }
-
-    /// Total channel occupancy of a full program transaction's bus phases
-    /// (command+address+data-in).
-    pub fn program_occupancy(&self, page_bytes: u64) -> SimTime {
-        self.command_phase(FlashCommand::ProgramPage) + self.data_phase(page_bytes)
-    }
-
-    /// Functional probe of a full read transaction: what moves, and what of
-    /// it is protocol.
-    pub fn probe_read(&self, page_bytes: u64) -> TransferProbe {
-        TransferProbe {
-            payload_bytes: page_bytes,
-            overhead_bytes: FlashCommand::ReadPage.total_cycle_bytes() as u64,
-        }
-    }
-
-    /// Functional probe of a full program transaction.
-    pub fn probe_program(&self, page_bytes: u64) -> TransferProbe {
-        TransferProbe {
-            payload_bytes: page_bytes,
-            overhead_bytes: FlashCommand::ProgramPage.total_cycle_bytes() as u64,
-        }
-    }
 }
 
 /// Timing model for the packetized interface (Fig 6b).
@@ -214,54 +163,6 @@ impl PacketBus {
     /// of direct flash-to-flash movement).
     pub fn xfer_time(&self, payload_bytes: u32) -> SimTime {
         self.control_packet_time(FlashCommand::XferOut) + self.data_packet_time(payload_bytes)
-    }
-
-    /// Wire time of a NAK notification after a failed CRC check: a two-flit
-    /// micro-frame (header + CRC) back to the sender. Only packetized links
-    /// can send one — the dedicated-signal interface has no frame check to
-    /// fail.
-    pub fn nak_time(&self) -> SimTime {
-        self.params.flit_time(2)
-    }
-
-    /// Flit bytes of the control packets in `cmds` plus one data packet
-    /// around `payload_bytes`, minus the payload itself.
-    fn packet_overhead(&self, cmds: &[FlashCommand], payload_bytes: u32) -> u64 {
-        let ctl: u64 = cmds
-            .iter()
-            .map(|&c| ControlPacket::for_command(c).flits())
-            .sum();
-        let data = DataPacket::new(payload_bytes).flits();
-        (ctl + data) * FLIT_BYTES as u64 - payload_bytes as u64
-    }
-
-    /// Functional probe of a full read transaction (read command, transfer
-    /// command, data packet).
-    pub fn probe_read(&self, payload_bytes: u32) -> TransferProbe {
-        TransferProbe {
-            payload_bytes: payload_bytes as u64,
-            overhead_bytes: self.packet_overhead(
-                &[FlashCommand::ReadPage, FlashCommand::ReadDataTransfer],
-                payload_bytes,
-            ),
-        }
-    }
-
-    /// Functional probe of a full program transaction (program command plus
-    /// data packet).
-    pub fn probe_program(&self, payload_bytes: u32) -> TransferProbe {
-        TransferProbe {
-            payload_bytes: payload_bytes as u64,
-            overhead_bytes: self.packet_overhead(&[FlashCommand::ProgramPage], payload_bytes),
-        }
-    }
-
-    /// Functional probe of a chip-to-chip transfer on a v-channel.
-    pub fn probe_xfer(&self, payload_bytes: u32) -> TransferProbe {
-        TransferProbe {
-            payload_bytes: payload_bytes as u64,
-            overhead_bytes: self.packet_overhead(&[FlashCommand::XferOut], payload_bytes),
-        }
     }
 }
 
@@ -334,50 +235,8 @@ mod tests {
     }
 
     #[test]
-    fn probes_agree_on_payload_across_backends() {
-        let ded = DedicatedBus::new(BusParams::table2_baseline());
-        let pkt = PacketBus::new(BusParams::table2_pssd());
-        for bytes in [1u32, 512, 4 * 1024, 16 * 1024, 64 * 1024] {
-            let dr = ded.probe_read(bytes as u64);
-            let pr = pkt.probe_read(bytes);
-            assert_eq!(
-                dr.payload_bytes, pr.payload_bytes,
-                "read payload at {bytes}"
-            );
-            let dw = ded.probe_program(bytes as u64);
-            let pw = pkt.probe_program(bytes);
-            assert_eq!(
-                dw.payload_bytes, pw.payload_bytes,
-                "write payload at {bytes}"
-            );
-            // Overheads differ by construction but are protocol-sized, not
-            // payload-sized.
-            assert!(dr.overhead_bytes < 32 && pr.overhead_bytes < 32);
-            assert!(pkt.probe_xfer(bytes).payload_bytes == bytes as u64);
-        }
-    }
-
-    #[test]
-    fn probe_efficiency_approaches_one_for_full_pages() {
-        let pkt = PacketBus::new(BusParams::table2_pssd());
-        let p = pkt.probe_read(16 * 1024);
-        assert!(p.efficiency() > 0.999, "efficiency {}", p.efficiency());
-        assert_eq!(p.total_bytes(), p.payload_bytes + p.overhead_bytes);
-        let tiny = pkt.probe_read(1);
-        assert!(tiny.efficiency() < 0.5, "1-byte frames are mostly protocol");
-    }
-
-    #[test]
     #[should_panic(expected = "width")]
     fn zero_width_rejected() {
         let _ = BusParams::new(1000, 0);
-    }
-
-    #[test]
-    fn nak_is_two_flits() {
-        let b8 = PacketBus::new(BusParams::table2_baseline());
-        assert_eq!(b8.nak_time(), SimTime::from_ns(2));
-        let b16 = PacketBus::new(BusParams::table2_pssd());
-        assert_eq!(b16.nak_time(), SimTime::from_ns(1));
     }
 }

@@ -37,9 +37,9 @@ mod packet;
 pub mod signals;
 mod timing_diagram;
 
-pub use bus::{BusParams, DedicatedBus, PacketBus, TransferProbe};
+pub use bus::{BusParams, DedicatedBus, PacketBus};
 pub use mesh::{LinkId, Mesh, MeshEndpoint, MeshParams};
-pub use omnibus::{ControllerRole, IoPath, Omnibus};
+pub use omnibus::Omnibus;
 pub use packet::{
     crc8, ControlPacket, DataPacket, PacketError, PacketType, DATA_LEN_FLITS, FLIT_BYTES,
 };

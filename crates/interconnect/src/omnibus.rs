@@ -12,53 +12,21 @@
 //! Actual channel contention is modeled by the engine with one
 //! [`nssd_sim::Resource`] per channel.
 
-use core::fmt;
-
 use nssd_sim::SimTime;
-
-/// Identifies one of the two path classes a chip can use for I/O.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum IoPath {
-    /// The chip's horizontal channel (index = channel/row).
-    Horizontal(u32),
-    /// The chip's vertical channel (index = v-channel).
-    Vertical(u32),
-}
-
-/// The role a controller plays in one flash-to-flash transfer (Fig 11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ControllerRole {
-    /// Its h-channel hosts the source chip.
-    Source,
-    /// Its h-channel hosts the destination chip.
-    Destination,
-    /// It only owns the v-channel the transfer rides on.
-    Intermediate,
-}
-
-impl fmt::Display for ControllerRole {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            ControllerRole::Source => "source",
-            ControllerRole::Destination => "destination",
-            ControllerRole::Intermediate => "intermediate",
-        };
-        f.write_str(s)
-    }
-}
 
 /// The Omnibus 2D bus topology.
 ///
 /// # Examples
 ///
 /// ```
-/// use nssd_interconnect::{IoPath, Omnibus};
+/// use nssd_interconnect::Omnibus;
 ///
 /// let t = Omnibus::new(8, 8, 8);
-/// // Chip at channel 2, way 5 can use h-channel 2 or v-channel 5.
-/// assert_eq!(t.h_path(2), IoPath::Horizontal(2));
-/// assert_eq!(t.v_path(5), IoPath::Vertical(5));
+/// // The chip in way 5 sits on v-channel 5, which controller 5 drives.
+/// assert_eq!(t.v_channel_of_way(5), 5);
 /// assert_eq!(t.controller_of_v_channel(5), 5);
+/// // Ways 5 and 6 share no v-channel: no direct flash-to-flash copy.
+/// assert_eq!(t.f2f_v_channel(5, 6), None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Omnibus {
@@ -130,44 +98,12 @@ impl Omnibus {
         v
     }
 
-    /// The horizontal I/O path of a chip on `channel`.
-    pub fn h_path(&self, channel: u32) -> IoPath {
-        assert!(channel < self.channels);
-        IoPath::Horizontal(channel)
-    }
-
-    /// The vertical I/O path of a chip in column `way`.
-    pub fn v_path(&self, way: u32) -> IoPath {
-        IoPath::Vertical(self.v_channel_of_way(way))
-    }
-
     /// The v-channel a direct flash-to-flash copy can use, if the two chips
     /// share one (the spatial-GC destination constraint, §VI-A).
     pub fn f2f_v_channel(&self, src_way: u32, dst_way: u32) -> Option<u32> {
         let a = self.v_channel_of_way(src_way);
         let b = self.v_channel_of_way(dst_way);
         (a == b).then_some(a)
-    }
-
-    /// The role controller `ctrl` plays in a transfer from a chip on
-    /// `src_channel` to a chip on `dst_channel` over v-channel `v`, or
-    /// `None` if it is uninvolved.
-    pub fn role_of(
-        &self,
-        ctrl: u32,
-        src_channel: u32,
-        dst_channel: u32,
-        v: u32,
-    ) -> Option<ControllerRole> {
-        if ctrl == src_channel {
-            Some(ControllerRole::Source)
-        } else if ctrl == dst_channel {
-            Some(ControllerRole::Destination)
-        } else if ctrl == self.controller_of_v_channel(v) {
-            Some(ControllerRole::Intermediate)
-        } else {
-            None
-        }
     }
 
     /// Number of SoC control-plane messages (requests + grants) needed to
@@ -203,17 +139,6 @@ impl Omnibus {
     /// Latency of `messages` control-plane messages at `msg_latency` each.
     pub fn handshake_time(&self, messages: u32, msg_latency: SimTime) -> SimTime {
         msg_latency * messages as u64
-    }
-
-    /// Number of SoC control-plane messages to recover one corrupted packet
-    /// on a link involving `ctrl_edges` controller-to-controller edges: the
-    /// receiver's NAK travels back across each edge and the retransmission
-    /// grant returns (the data retransmission itself is charged on the
-    /// channel timeline, not here). Zero edges (a chip talking to its own
-    /// h-channel controller) needs no SoC messages — the NAK stays on the
-    /// wire.
-    pub fn nak_recovery_messages(&self, ctrl_edges: u32) -> u32 {
-        2 * ctrl_edges
     }
 }
 
@@ -258,17 +183,6 @@ mod tests {
         let grouped = Omnibus::new(4, 8, 4);
         // Ways 0 and 1 share v-channel 0 in the grouped organization.
         assert_eq!(grouped.f2f_v_channel(0, 1), Some(0));
-    }
-
-    #[test]
-    fn roles_match_fig11() {
-        let t = Omnibus::new(8, 8, 8);
-        // Fig 11(a): C0 source, C1 destination, v owned by C0.
-        assert_eq!(t.role_of(0, 0, 1, 0), Some(ControllerRole::Source));
-        assert_eq!(t.role_of(1, 0, 1, 0), Some(ControllerRole::Destination));
-        // Fig 11(c): src C2, dst C3, v-channel owned by C0.
-        assert_eq!(t.role_of(0, 2, 3, 0), Some(ControllerRole::Intermediate));
-        assert_eq!(t.role_of(5, 2, 3, 0), None);
     }
 
     #[test]
@@ -329,19 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn role_priority_when_controller_plays_several_parts() {
-        let t = Omnibus::new(3, 8, 3);
-        // Source identity wins even when the controller also owns the
-        // v-channel (Fig 11a: the owner-as-source case).
-        assert_eq!(t.role_of(0, 0, 1, 0), Some(ControllerRole::Source));
-        // Same-channel copy: the one controller is both source and
-        // destination; Source is reported.
-        assert_eq!(t.role_of(1, 1, 1, 2), Some(ControllerRole::Source));
-        assert_eq!(t.role_of(2, 1, 1, 2), Some(ControllerRole::Intermediate));
-        assert_eq!(t.role_of(0, 1, 1, 2), None);
-    }
-
-    #[test]
     fn single_controller_degenerate_case() {
         // One channel, one controller, several ways: every column shares
         // the single v-channel and every handshake is controller-local.
@@ -353,9 +254,8 @@ mod tests {
         for (a, b) in [(0, 1), (0, 3), (2, 2)] {
             assert_eq!(t.f2f_v_channel(a, b), Some(0));
         }
-        // The lone controller is source, destination, and owner at once;
-        // Source wins, and no SoC messages are exchanged.
-        assert_eq!(t.role_of(0, 0, 0, 0), Some(ControllerRole::Source));
+        // The lone controller is source, destination, and owner at once:
+        // no SoC messages are exchanged.
         assert_eq!(t.f2f_handshake_messages(0, 0, 0), 0);
         assert_eq!(t.io_v_handshake_messages(0, 0), 0);
     }
@@ -365,13 +265,5 @@ mod tests {
     fn way_out_of_range_rejected() {
         let t = Omnibus::new(3, 8, 3);
         let _ = t.v_channel_of_way(8);
-    }
-
-    #[test]
-    fn nak_recovery_scales_with_edges() {
-        let t = Omnibus::new(8, 8, 8);
-        assert_eq!(t.nak_recovery_messages(0), 0);
-        assert_eq!(t.nak_recovery_messages(1), 2);
-        assert_eq!(t.nak_recovery_messages(2), 4);
     }
 }

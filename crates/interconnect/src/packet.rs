@@ -175,12 +175,6 @@ impl ControlPacket {
         }
     }
 
-    /// Fraction of the header flit that is framing overhead (the paper's
-    /// 25%: 2 of 8 bits unused in its 6-bit-semantics layout).
-    pub fn header_overhead_fraction() -> f64 {
-        0.25
-    }
-
     /// Encodes the header flit followed by its CRC-8 flit.
     ///
     /// # Errors
@@ -283,12 +277,6 @@ impl DataPacket {
     pub fn overhead_fraction(&self) -> f64 {
         let total = self.flits() as f64;
         (total - self.payload_bytes as f64) / total
-    }
-
-    /// Fraction of the header flit that is framing overhead (the paper's
-    /// 50%: 4 of 8 bits unused).
-    pub fn header_overhead_fraction() -> f64 {
-        0.5
     }
 
     /// Encodes header + length flits followed by a CRC-8 flit over them.
@@ -401,12 +389,6 @@ mod tests {
             DataPacket::decode_prefix(&[0x40]),
             Err(PacketError::Truncated)
         );
-    }
-
-    #[test]
-    fn header_overhead_constants_match_paper() {
-        assert_eq!(ControlPacket::header_overhead_fraction(), 0.25);
-        assert_eq!(DataPacket::header_overhead_fraction(), 0.5);
     }
 
     #[test]

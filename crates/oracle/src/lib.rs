@@ -443,7 +443,7 @@ impl Oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nssd_ftl::{FtlConfig, WayMask};
+    use nssd_ftl::{FtlConfig, GcStream, WayMask};
     use nssd_sim::DetRng;
 
     fn tiny_pair() -> (Ftl, Oracle) {
@@ -518,7 +518,8 @@ mod tests {
         }
         ftl.debug_swap_mapping(Lpn::new(0), Lpn::new(1));
         // The FTL's own structural check cannot see the corruption...
-        assert!(ftl.check_consistency());
+        let problems = ftl.check_invariants();
+        assert!(problems.is_empty(), "{problems:?}");
         // ...the shadow model can.
         oracle.check_host_read(Lpn::new(0), ftl.lookup(Lpn::new(0)), SimTime::from_ns(1));
         assert_eq!(oracle.violations().len(), 1);
@@ -536,7 +537,10 @@ mod tests {
         // GC moves the page for real, but the observation is "lost" — the
         // copy never happened as far as the shadow knows.
         let all = WayMask::all(ftl.geometry().ways);
-        let rel = ftl.relocate(Lpn::new(7), out.ppn, all).unwrap().unwrap();
+        let rel = ftl
+            .relocate_to(Lpn::new(7), out.ppn, all, GcStream::Gc)
+            .unwrap()
+            .unwrap();
         let victim = ftl.geometry().pbn_of(rel.src);
         ftl.erase_block(victim);
         oracle.note_erase(victim, SimTime::from_ns(1));

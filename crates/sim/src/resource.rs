@@ -21,11 +21,6 @@ pub struct Reservation {
 }
 
 impl Reservation {
-    /// How long the requester waited before service began.
-    pub fn queueing_delay(&self, requested_at: SimTime) -> SimTime {
-        self.start.saturating_sub(requested_at)
-    }
-
     /// The service duration.
     pub fn duration(&self) -> SimTime {
         self.end - self.start
@@ -92,22 +87,6 @@ impl Resource {
             rec.record(start, end, tag);
         }
         Reservation { start, end }
-    }
-
-    /// Reserves only if the resource is idle at `now`; returns `None`
-    /// otherwise. Used by preemption-aware garbage collection, which must not
-    /// queue behind (or in front of) foreground I/O.
-    pub fn reserve_if_idle(
-        &mut self,
-        now: SimTime,
-        dur: SimTime,
-        tag: usize,
-    ) -> Option<Reservation> {
-        if self.is_idle_at(now) {
-            Some(self.reserve_tagged(now, dur, tag))
-        } else {
-            None
-        }
     }
 
     /// The earliest instant at which a reservation made at `now` would start.
@@ -256,11 +235,6 @@ impl BandwidthPipe {
         &self.resource
     }
 
-    /// Mutable access to the underlying FIFO resource.
-    pub fn resource_mut(&mut self) -> &mut Resource {
-        &mut self.resource
-    }
-
     /// Serializes the underlying resource (bandwidth is configuration).
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         self.resource.ckpt_save(w);
@@ -295,7 +269,7 @@ mod tests {
         r.reserve(SimTime::ZERO, SimTime::from_ns(100));
         let g = r.reserve(SimTime::from_ns(10), SimTime::from_ns(10));
         assert_eq!(g.start, SimTime::from_ns(100));
-        assert_eq!(g.queueing_delay(SimTime::from_ns(10)), SimTime::from_ns(90));
+        assert_eq!(g.end, SimTime::from_ns(110));
     }
 
     #[test]
@@ -309,15 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn reserve_if_idle_refuses_when_busy() {
+    fn busy_until_the_last_reservation_drains() {
         let mut r = Resource::new();
         r.reserve(SimTime::ZERO, SimTime::from_ns(100));
-        assert!(r
-            .reserve_if_idle(SimTime::from_ns(50), SimTime::from_ns(1), 0)
-            .is_none());
-        assert!(r
-            .reserve_if_idle(SimTime::from_ns(100), SimTime::from_ns(1), 0)
-            .is_some());
+        assert!(!r.is_idle_at(SimTime::from_ns(50)));
+        assert!(r.is_idle_at(SimTime::from_ns(100)));
     }
 
     #[test]

@@ -158,13 +158,6 @@ impl DetRng {
         DetRng { s }
     }
 
-    /// Derives an independent child stream, leaving `self` advanced by one
-    /// draw. Used to give subsystems (e.g. fault injection) their own
-    /// stream so enabling one never perturbs another's schedule.
-    pub fn fork(&mut self) -> Self {
-        DetRng::seed_from_u64(self.next_u64())
-    }
-
     /// The four xoshiro256** state words, for checkpointing. Restoring via
     /// [`DetRng::from_state`] resumes the stream exactly.
     pub fn state(&self) -> [u64; 4] {
@@ -275,15 +268,6 @@ mod tests {
         for (i, &c) in counts.iter().enumerate() {
             assert!((9_000..11_000).contains(&c), "bucket {i}: {c}");
         }
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = DetRng::seed_from_u64(5);
-        let mut child = parent.fork();
-        let p: Vec<u64> = (0..32).map(|_| parent.next_u64()).collect();
-        let c: Vec<u64> = (0..32).map(|_| child.next_u64()).collect();
-        assert_ne!(p, c);
     }
 
     #[test]

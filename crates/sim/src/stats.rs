@@ -145,25 +145,6 @@ impl Histogram {
         SimTime::from_ns(self.max)
     }
 
-    /// Exports `(latency, cumulative_fraction)` points for CDF plotting
-    /// (e.g. the paper's Fig 20a), one point per non-empty bucket.
-    pub fn cdf_points(&self) -> Vec<(SimTime, f64)> {
-        let mut out = Vec::new();
-        if self.count == 0 {
-            return out;
-        }
-        let mut seen = 0u64;
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            seen += c;
-            let v = bucket_value(idx).clamp(self.min, self.max);
-            out.push((SimTime::from_ns(v), seen as f64 / self.count as f64));
-        }
-        out
-    }
-
     /// Merges another histogram's samples into this one.
     pub fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -489,27 +470,6 @@ mod tests {
         let mut h = Histogram::new();
         h.record(SimTime::from_us(100));
         assert_eq!(h.percentile(99.99), h.max());
-    }
-
-    #[test]
-    fn cdf_points_are_monotone_and_end_at_one() {
-        let mut h = Histogram::new();
-        for us in [1u64, 5, 5, 20, 100] {
-            h.record(SimTime::from_us(us));
-        }
-        let cdf = h.cdf_points();
-        assert!(!cdf.is_empty());
-        let mut prev_v = SimTime::ZERO;
-        let mut prev_f = 0.0;
-        for &(v, f) in &cdf {
-            assert!(v >= prev_v);
-            assert!(f > prev_f);
-            prev_v = v;
-            prev_f = f;
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-        assert!(h.cdf_points().len() <= 5);
-        assert!(Histogram::new().cdf_points().is_empty());
     }
 
     #[test]

@@ -11,6 +11,10 @@
 //! * [`TenantMix`]/[`TenantSpec`] — multi-tenant mixes pairing QoS
 //!   parameters with per-tenant arrival processes over partitioned
 //!   address space.
+//! * [`import_msr`] — the MSR Cambridge CSV trace importer.
+//! * [`TraceStats`] — a trace's read mix, sizes, burstiness and skew, plus
+//!   the nearest-rank [`exact_percentile`] and the [`tail_resolvable`] gate
+//!   that keeps reports from presenting a maximum as a deep tail.
 //!
 //! ```
 //! use nssd_workloads::PaperWorkload;
@@ -25,7 +29,6 @@
 
 mod import;
 mod stats;
-mod streaming;
 mod suite;
 mod synthetic;
 mod tenants;
@@ -34,7 +37,6 @@ mod zipf;
 
 pub use import::{import_msr, MsrImportOptions, MsrParseError};
 pub use stats::{exact_percentile, tail_resolvable, tail_support, TraceStats};
-pub use streaming::{WindowedStats, STREAMING_ERROR_BOUND, WINDOW_BUCKETS};
 pub use suite::{generate_trace, PaperWorkload, WorkloadSpec, REFERENCE_BYTES_PER_SEC};
 pub use synthetic::{MixedSpec, SyntheticPattern, SyntheticSpec};
 pub use tenants::{TenantMix, TenantSpec, TenantWorkload};

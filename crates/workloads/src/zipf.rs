@@ -97,11 +97,6 @@ impl Zipf {
     pub fn scatter(&self, rank: u64) -> u64 {
         (rank.wrapping_mul(self.mult).wrapping_add(self.offset)) % self.n
     }
-
-    /// The probability of the hottest item.
-    pub fn hottest_probability(&self) -> f64 {
-        self.cdf[0]
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +144,7 @@ mod tests {
             }
         }
         let observed = hot_hits as f64 / n as f64;
-        let expected = z.hottest_probability();
+        let expected = z.cdf[0];
         assert!(
             (observed - expected).abs() < 0.03,
             "hottest item frequency {observed} vs expected {expected}"

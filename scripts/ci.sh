@@ -66,6 +66,11 @@ for end in ends:
         # A drained drive carries no requests: every checkpoint is smaller
         # than one segment's list of 6,000 requests at 21 B each.
         assert int(seg['checkpoint bytes']) < 6000 * 21, seg
+    # Segment 1's window holds exactly that segment, so its window tails
+    # are the segment's own.
+    first = next(s for s in rows if s['segment'] == '1')
+    for p in ('p50', 'p99'):
+        assert first[f'window {p}'] == first[f'seg {p}'], first
 EOF
 python3 - <<'EOF'
 import csv

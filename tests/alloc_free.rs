@@ -4,7 +4,9 @@
 //! population, and the engine's per-event handlers route, reserve and
 //! complete without touching the heap — including on an aged device, where
 //! writes that cannot get a page park in a FIFO and are woken as erases
-//! free space. The FTL's per-page state is 4 bytes per mapping entry plus
+//! free space, and after a chip failure, where degraded reads and the
+//! parity rebuild reconstruct pages from their survivors. The FTL's
+//! per-page state is 4 bytes per mapping entry plus
 //! one valid bit per page, and erasing or retiring a block clears bits in
 //! place. These tests count allocations and the bytes they request with a
 //! wrapping global allocator and assert all of it. The counters are
@@ -15,10 +17,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use networked_ssd::core::{
-    prepare_closed_loop_preconditioned, prepare_trace, Architecture, SsdConfig,
+    prepare_closed_loop_preconditioned, prepare_trace, Architecture, ChipFailureSpec, SsdConfig,
 };
 use networked_ssd::flash::{Geometry, Pbn};
-use networked_ssd::ftl::{BlockTable, Ftl, FtlConfig};
+use networked_ssd::ftl::{BlockTable, Ftl, FtlConfig, RedundancyConfig};
 use networked_ssd::sim::{DetRng, EventQueue, Rng, SimTime};
 use networked_ssd::{GcPolicy, PaperWorkload};
 
@@ -215,4 +217,43 @@ fn stalled_writes_on_an_aged_device_do_not_allocate() {
         per_event <= 0.01,
         "{allocated} allocations over {events} events ({per_event:.4}/event)"
     );
+}
+
+#[test]
+fn degraded_reads_and_the_parity_rebuild_do_not_allocate() {
+    // Built like the benchmark's `rebuild-oracle` cells at a twentieth of
+    // their length: read-heavy WebSearch-0 with stripe-2 parity, the
+    // oracle on and PaGC, with chip (0, 0) failing a third of the way
+    // through the arrivals.
+    for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
+        let mut cfg = SsdConfig::new(arch);
+        cfg.gc.policy = GcPolicy::Parallel;
+        cfg.redundancy = RedundancyConfig::with_stripe(2);
+        cfg.oracle = true;
+        let trace = PaperWorkload::WebSearch0.generate(30_000, cfg.logical_bytes() / 2, 7);
+        cfg.faults.chip_failure = Some(ChipFailureSpec {
+            channel: 0,
+            way: 0,
+            at: trace.records()[trace.len() / 3].at + SimTime::from_ns(1),
+        });
+        let (mut sim, drive) = prepare_trace(cfg, trace).expect("prepare");
+        let before = allocs();
+        sim.start(drive);
+        sim.run_to_idle();
+        let allocated = allocs() - before;
+        let report = sim.into_report();
+        let label = arch.label();
+        assert!(
+            report.reliability.reconstructed_reads > 0,
+            "{label}: no read was served by reconstruction"
+        );
+        let rebuilt = report.redundancy.map_or(0, |r| r.rebuild_pages);
+        assert!(rebuilt > 0, "{label}: the rebuild moved nothing");
+        let events = report.engine.scheduled_events;
+        let per_event = allocated as f64 / events as f64;
+        assert!(
+            per_event <= 0.01,
+            "{label}: {allocated} allocations over {events} events ({per_event:.4}/event)"
+        );
+    }
 }

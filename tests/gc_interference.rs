@@ -3,7 +3,10 @@
 //! isolation property of spatial GC.
 
 use networked_ssd::ftl::Lpn;
-use networked_ssd::{run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{
+    run_closed_loop_preconditioned, run_tenants_preconditioned, run_trace_preconditioned,
+    Architecture, GcPolicy, PaperWorkload, SchedulerKind, SloClass, SsdConfig, TenantConfig,
+};
 
 fn gc_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
@@ -57,7 +60,8 @@ fn gc_preserves_every_logical_page() {
             "lpn{l} lost during preconditioning"
         );
     }
-    assert!(sim2.ftl().check_consistency());
+    let problems = sim2.ftl().check_invariants();
+    assert!(problems.is_empty(), "{problems:?}");
 }
 
 #[test]
@@ -141,4 +145,46 @@ fn write_amplification_grows_with_utilization() {
         high > low,
         "WA at 85% fill ({high:.2}) should exceed WA at 50% fill ({low:.2})"
     );
+}
+
+#[test]
+fn out_of_range_aging_fractions_are_errors_naming_the_argument() {
+    let cfg = gc_cfg(Architecture::BaseSsd, GcPolicy::Parallel);
+    let trace = PaperWorkload::Build0.generate(50, cfg.logical_bytes() / 4, 6);
+    for (fill, overwrite, named) in [
+        (1.5, 0.3, "fill fraction"),
+        (-0.1, 0.3, "fill fraction"),
+        (f64::NAN, 0.3, "fill fraction"),
+        (0.85, 2.5, "overwrite fraction"),
+        (0.85, f64::NAN, "overwrite fraction"),
+    ] {
+        let tenant = TenantConfig::new("t0", 1, SloClass::Throughput);
+        for (runner, result) in [
+            (
+                "trace",
+                run_trace_preconditioned(cfg, &trace, fill, overwrite),
+            ),
+            (
+                "closed loop",
+                run_closed_loop_preconditioned(cfg, &trace, 4, fill, overwrite),
+            ),
+            (
+                "tenants",
+                run_tenants_preconditioned(
+                    cfg,
+                    vec![(tenant, &trace)],
+                    SchedulerKind::RoundRobin,
+                    4,
+                    fill,
+                    overwrite,
+                ),
+            ),
+        ] {
+            let err = result.expect_err("an out-of-range fraction must be refused");
+            assert!(
+                err.contains(named),
+                "{runner} runner, fill {fill}, overwrite {overwrite}: {err}"
+            );
+        }
+    }
 }

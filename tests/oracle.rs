@@ -9,7 +9,7 @@
 
 use networked_ssd::core::{Drive, SsdSim};
 use networked_ssd::flash::Geometry;
-use networked_ssd::ftl::{Ftl, FtlConfig, Lpn, WayMask};
+use networked_ssd::ftl::{Ftl, FtlConfig, GcStream, Lpn, WayMask};
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{DetRng, SimTime};
@@ -86,7 +86,11 @@ fn mutated_mapping_entry_fires_the_oracle_end_to_end() {
         .collect();
     assert_eq!(mapped.len(), 2, "preconditioning mapped too few pages");
     sim.ftl_mut().debug_swap_mapping(mapped[0], mapped[1]);
-    assert!(sim.ftl().check_consistency(), "swap must stay structural");
+    let problems = sim.ftl().check_invariants();
+    assert!(
+        problems.is_empty(),
+        "swap must stay structural: {problems:?}"
+    );
 
     let reads = mapped
         .iter()
@@ -127,7 +131,10 @@ fn dropped_gc_copy_fires_the_oracle() {
     let out = ftl.write(Lpn::new(9)).unwrap();
     oracle.note_host_write(Lpn::new(9), out.ppn, SimTime::ZERO);
     let all = WayMask::all(ftl.geometry().ways);
-    let rel = ftl.relocate(Lpn::new(9), out.ppn, all).unwrap().unwrap();
+    let rel = ftl
+        .relocate_to(Lpn::new(9), out.ppn, all, GcStream::Gc)
+        .unwrap()
+        .unwrap();
     // The copy is lost: no note_relocation. Erasing the source must fire.
     let victim = ftl.geometry().pbn_of(rel.src);
     ftl.erase_block(victim);

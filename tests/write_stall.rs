@@ -132,9 +132,10 @@ fn wear_out_then_check(cfg: SsdConfig, working_set: u64) {
         sim.run_to_idle();
     }
     let died = sim.end_of_life().unwrap();
+    let problems = sim.ftl().check_invariants();
     assert!(
-        sim.ftl().check_consistency(),
-        "mapping and valid counts disagree"
+        problems.is_empty(),
+        "mapping and valid counts disagree: {problems:?}"
     );
 
     // After death: writes fail host-visibly, reads of written pages work.
@@ -174,7 +175,8 @@ fn wear_out_then_check(cfg: SsdConfig, working_set: u64) {
         "a dead device wrote"
     );
     assert_eq!(sim.parked_writes(), 0);
-    assert!(sim.ftl().check_consistency());
+    let problems = sim.ftl().check_invariants();
+    assert!(problems.is_empty(), "{problems:?}");
     let r = sim.into_report();
     assert_eq!(r.end_of_life, Some(died));
     assert!(canonical_json(&r).contains("\"end_of_life_ns\""));
