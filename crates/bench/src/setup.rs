@@ -30,8 +30,8 @@ pub fn io_config(arch: Architecture) -> SsdConfig {
     cfg
 }
 
-/// Standard GC-experiment configuration (further capacity-scaled geometry
-/// so preconditioning is tractable).
+/// Standard GC-experiment configuration (a further capacity-scaled
+/// geometry, so that the many aged cells of a GC figure run in seconds).
 pub fn gc_config(arch: Architecture, policy: GcPolicy) -> SsdConfig {
     let mut cfg = SsdConfig::gc_scaled(arch);
     cfg.gc.policy = policy;

@@ -485,12 +485,12 @@ impl SsdSim {
         }
     }
 
-    /// A request of `tenant` completed with latency `lat` and freed its
-    /// outstanding slot: closed loop queues the next token while the
-    /// unissued requests outnumber the tokens already queued; a
-    /// multi-tenant drive charges the tenant and pulls the next queued
-    /// request through the arbitration policy.
-    pub(crate) fn drive_completed(&mut self, tenant: u16, op: IoOp, lat: SimTime) {
+    /// A request of `tenant` completed, served with latency `served` or
+    /// failed (`None`), and freed its outstanding slot: closed loop queues
+    /// the next token while the unissued requests outnumber the tokens
+    /// already queued; a multi-tenant drive charges the tenant and pulls
+    /// the next queued request through the arbitration policy.
+    pub(crate) fn drive_completed(&mut self, tenant: u16, op: IoOp, served: Option<SimTime>) {
         let unissued = self.drive.unissued();
         match &mut self.drive.mode {
             Mode::Timed => {}
@@ -505,12 +505,15 @@ impl SsdSim {
                 let slo = t.frontend.config(tenant).slo_latency;
                 let st = &mut t.stats[tenant];
                 st.completed += 1;
-                st.all.record(lat);
-                match op {
-                    IoOp::Read => st.read.record(lat),
-                    IoOp::Write => st.write.record(lat),
+                if let Some(lat) = served {
+                    st.all.record(lat);
+                    match op {
+                        IoOp::Read => st.read.record(lat),
+                        IoOp::Write => st.write.record(lat),
+                    }
                 }
-                if lat > slo {
+                // A failed request misses any latency objective.
+                if served.is_none_or(|lat| lat > slo) {
                     st.slo_violations += 1;
                 }
                 st.last_completion = st.last_completion.max(self.now);

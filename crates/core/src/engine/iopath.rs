@@ -395,24 +395,30 @@ impl SsdSim {
             let op = req.op;
             let tenant = req.tenant;
             let (failed, degraded) = (req.failed, req.degraded);
-            if degraded {
-                self.degraded_lat.record(lat);
-            }
-            if failed {
+            // A failed request completes with an error, not with data: its
+            // time to fail is not a service latency, so only served
+            // requests enter the histograms.
+            let served = if failed {
                 self.faults.note_host_io_error();
-            }
-            self.all_lat.record(lat);
-            match op {
-                IoOp::Read => self.read_lat.record(lat),
-                IoOp::Write => self.write_lat.record(lat),
-            }
+                None
+            } else {
+                if degraded {
+                    self.degraded_lat.record(lat);
+                }
+                self.all_lat.record(lat);
+                match op {
+                    IoOp::Read => self.read_lat.record(lat),
+                    IoOp::Write => self.write_lat.record(lat),
+                }
+                Some(lat)
+            };
             self.completed += 1;
             self.last_completion = self.last_completion.max(self.now);
             self.inflight_io -= 1;
             // Every page transaction has completed (this was the last one),
             // so nothing references the request slot any more.
             self.req_free.push(req_id);
-            self.drive_completed(tenant, op, lat);
+            self.drive_completed(tenant, op, served);
             // Preemptive GC (and rebuild) wait for I/O quiescence.
             if self.gc.wants_pump() {
                 self.queue.schedule(self.now, Event::GcPump);

@@ -188,6 +188,76 @@ impl AllocPolicy {
     }
 }
 
+/// A cursor over plane units in stripe order. It decodes a sequence
+/// number once into digits, then steps them like an odometer: the digits
+/// depend only on the sequence number modulo the unit count, so the top
+/// digit wraps.
+struct StripeWalk {
+    order: [usize; 4],
+    radix: [u32; 4],
+    /// `(channel, way_index, die, plane)`, indexed by the digit constants.
+    digit: [u32; 4],
+    /// The permitted ways, ascending: the way digit selects from these.
+    ways: [u8; 64],
+    /// Ways, dies and planes of the geometry, to turn digits into a unit.
+    shape: [u32; 3],
+}
+
+impl StripeWalk {
+    /// Plane units in one stripe over the ways in `way_bits`.
+    fn units(g: &Geometry, way_bits: u64) -> u64 {
+        g.planes as u64 * g.channels as u64 * way_bits.count_ones() as u64 * g.dies as u64
+    }
+
+    /// The walk from `seq` over the (nonempty) ways in `way_bits`.
+    fn new(policy: AllocPolicy, g: &Geometry, way_bits: u64, seq: u64) -> Self {
+        let way_count = way_bits.count_ones();
+        let order = policy.digit_order();
+        let radix = [g.channels, way_count, g.dies, g.planes];
+        let mut digit = [0u32; 4];
+        let mut s = seq;
+        for i in order {
+            let r = radix[i] as u64;
+            digit[i] = (s % r) as u32;
+            s /= r;
+        }
+        let mut ways = [0u8; 64];
+        let mut bits = way_bits;
+        for slot in &mut ways[..way_count as usize] {
+            *slot = bits.trailing_zeros() as u8;
+            bits &= bits - 1;
+        }
+        StripeWalk {
+            order,
+            radix,
+            digit,
+            ways,
+            shape: [g.ways, g.dies, g.planes],
+        }
+    }
+
+    /// The current plane unit (units are chip-major, chips channel-major)
+    /// and its way.
+    fn unit(&self) -> (usize, usize) {
+        let [ways, dies, planes] = self.shape.map(|n| n as usize);
+        let way = self.ways[self.digit[WAY] as usize] as usize;
+        let chip = self.digit[CHANNEL] as usize * ways + way;
+        let unit = (chip * dies + self.digit[DIE] as usize) * planes + self.digit[PLANE] as usize;
+        (unit, way)
+    }
+
+    /// Advances to the next unit in stripe order.
+    fn step(&mut self) {
+        for i in self.order {
+            self.digit[i] += 1;
+            if self.digit[i] < self.radix[i] {
+                return;
+            }
+            self.digit[i] = 0;
+        }
+    }
+}
+
 impl PageAllocator {
     /// Creates an allocator for `geometry` with the given striping policy.
     pub fn new(geometry: &Geometry, policy: AllocPolicy) -> Self {
@@ -254,11 +324,10 @@ impl PageAllocator {
     ) -> Result<Ppn, OutOfSpace> {
         let g = *blocks.geometry();
         let way_bits = mask.bits() & WayMask::all(g.ways).bits();
-        let way_count = way_bits.count_ones();
-        if way_count == 0 {
+        if way_bits == 0 {
             return Err(OutOfSpace);
         }
-        let units = g.planes as u64 * g.channels as u64 * way_count as u64 * g.dies as u64;
+        let units = StripeWalk::units(&g, way_bits);
         // At or below the reserve only an open frontier can take a page; with
         // none in the mask, the scan below would visit every unit in vain.
         let starved = blocks.free_blocks() <= reserve;
@@ -266,31 +335,10 @@ impl PageAllocator {
             self.seq += units;
             return Err(OutOfSpace);
         }
-        // Decode `seq` once, then step the digits like an odometer: the
-        // digits depend only on `seq` modulo `units`, so the top digit wraps.
-        let order = self.policy.digit_order();
-        let radix = [g.channels, way_count, g.dies, g.planes];
-        let mut digit = [0u32; 4];
-        let mut s = self.seq;
-        for i in order {
-            let r = radix[i] as u64;
-            digit[i] = (s % r) as u32;
-            s /= r;
-        }
-        // The permitted ways, ascending: `way_index` selects from these.
-        let mut ways = [0u8; 64];
-        let mut bits = way_bits;
-        for slot in &mut ways[..way_count as usize] {
-            *slot = bits.trailing_zeros() as u8;
-            bits &= bits - 1;
-        }
+        let mut walk = StripeWalk::new(self.policy, &g, way_bits, self.seq);
         for _ in 0..units {
             self.seq += 1;
-            let way = ways[digit[WAY] as usize] as usize;
-            let unit = ((g.chip_index(digit[CHANNEL], way as u32) as u64 * g.dies as u64
-                + digit[DIE] as u64)
-                * g.planes as u64
-                + digit[PLANE] as u64) as usize;
+            let (unit, way) = walk.unit();
             // Program into the open block, replacing it when exhausted. A
             // block is released from `open` the moment it fills, so garbage
             // collection (which only reclaims Full blocks) can never erase a
@@ -315,15 +363,53 @@ impl PageAllocator {
                 }
             }
             // This plane is exhausted; try the next unit in stripe order.
-            for i in order {
-                digit[i] += 1;
-                if digit[i] < radix[i] {
-                    break;
-                }
-                digit[i] = 0;
-            }
+            walk.step();
         }
         Err(OutOfSpace)
+    }
+
+    /// Programs up to `max` consecutive pages into the open frontiers, in
+    /// the stripe order and with the sequence numbers that as many
+    /// [`PageAllocator::allocate_with_reserve`] calls would give them, and
+    /// returns how many it programmed. Each page goes to `place`, which
+    /// returns the page it supersedes, if any, for the run to invalidate.
+    ///
+    /// The run stops at the first unit in stripe order without an open
+    /// frontier that has room: a call there would take a free block or
+    /// skip the unit, so it is left to `allocate_with_reserve`. A run
+    /// therefore takes no block and leaves the free-block count, and with
+    /// it any reserve decision, as it found them.
+    pub(crate) fn allocate_run(
+        &mut self,
+        blocks: &mut BlockTable,
+        mask: WayMask,
+        max: u64,
+        mut place: impl FnMut(Ppn) -> Option<Ppn>,
+    ) -> u64 {
+        let g = *blocks.geometry();
+        let way_bits = mask.bits() & WayMask::all(g.ways).bits();
+        if way_bits == 0 {
+            return 0;
+        }
+        let mut walk = StripeWalk::new(self.policy, &g, way_bits, self.seq);
+        let mut done = 0;
+        while done < max {
+            let (unit, way) = walk.unit();
+            let Some(pbn) = self.open[unit] else { break };
+            let Some(ppn) = blocks.program_next_page(pbn) else {
+                break;
+            };
+            if blocks.meta(pbn).state() == crate::BlockState::Full {
+                self.set_open(unit, way, None);
+            }
+            self.seq += 1;
+            done += 1;
+            if let Some(old) = place(ppn) {
+                blocks.invalidate(old);
+            }
+            walk.step();
+        }
+        done
     }
 
     /// Whether any way in `way_bits` has an open frontier.
@@ -482,6 +568,25 @@ mod tests {
             }
         }
 
+        /// The plane unit the next call under `mask` tries first, if the
+        /// mask permits any way of `g`.
+        fn next_unit(&self, g: &Geometry, mask: WayMask) -> Option<usize> {
+            let way_bits = mask.bits() & WayMask::all(g.ways).bits();
+            if way_bits == 0 {
+                return None;
+            }
+            let (channel, way_i, die, plane) = self.decode(self.seq, g, way_bits.count_ones());
+            let mut bits = way_bits;
+            for _ in 0..way_i {
+                bits &= bits - 1;
+            }
+            let way = bits.trailing_zeros();
+            Some(
+                ((g.chip_index(channel, way) as u64 * g.dies as u64 + die as u64) * g.planes as u64
+                    + plane as u64) as usize,
+            )
+        }
+
         fn allocate_with_reserve(
             &mut self,
             blocks: &mut BlockTable,
@@ -594,6 +699,9 @@ mod tests {
     /// sequence number, same checkpoint bytes — across every policy,
     /// changing masks, reserves on both sides of the free count, blocks
     /// freed and frontiers closed mid-sequence, and a checkpoint round trip.
+    /// A run of k pages equals as many reference calls, up to the first
+    /// unit without an open frontier, with every other page of the run
+    /// superseding the one before it.
     #[test]
     fn stripe_walk_matches_the_reference_scan() {
         let mut rng = DetRng::seed_from_u64(0x0D0_3E7E);
@@ -629,6 +737,11 @@ mod tests {
                     alloc.ckpt_load(&mut r, g.block_count()).unwrap();
                     r.finish().unwrap();
                 }
+                let mask = if mask_per_call {
+                    random_mask(&mut rng, g.ways)
+                } else {
+                    fixed_mask
+                };
                 match rng.gen_range(0..20u64) {
                     0 | 1 => free_a_block(&mut rng, [&mut blocks, &mut model_blocks]),
                     2 => {
@@ -636,12 +749,38 @@ mod tests {
                         alloc.close_open_blocks(|pbn| pbn.raw() % m == r);
                         model.close_open_blocks(|pbn| pbn.raw() % m == r);
                     }
+                    3 => {
+                        let k = rng.gen_range(1..=2 * g.plane_count());
+                        let mut got = Vec::new();
+                        let ran = alloc.allocate_run(&mut blocks, mask, k, |ppn| {
+                            got.push(ppn);
+                            (got.len() % 2 == 0).then(|| got[got.len() - 2])
+                        });
+                        assert_eq!(ran, got.len() as u64, "case {case} step {step}");
+                        let mut want = Vec::new();
+                        while (want.len() as u64) < k {
+                            let Some(unit) = model.next_unit(&g, mask) else {
+                                break;
+                            };
+                            if model.open[unit].is_none() {
+                                break;
+                            }
+                            // An unbounded reserve lets the reference only
+                            // program open frontiers, as a run does.
+                            let ppn = model
+                                .allocate_with_reserve(&mut model_blocks, mask, u64::MAX)
+                                .unwrap();
+                            want.push(ppn);
+                            if want.len() % 2 == 0 {
+                                model_blocks.invalidate(want[want.len() - 2]);
+                            }
+                        }
+                        assert_eq!(
+                            got, want,
+                            "case {case} step {step}: run of {k} {policy} {mask}"
+                        );
+                    }
                     _ => {
-                        let mask = if mask_per_call {
-                            random_mask(&mut rng, g.ways)
-                        } else {
-                            fixed_mask
-                        };
                         let free = blocks.free_blocks();
                         let reserve = match rng.gen_range(0..3u64) {
                             0 => 0,

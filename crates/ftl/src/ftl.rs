@@ -734,8 +734,37 @@ impl Ftl {
             )));
         }
         let filled = (self.logical_pages as f64 * fill_fraction) as u64;
-        for l in 0..filled {
+        // Above the GC watermark, a write into an open frontier only maps
+        // the page, so the fill runs through the frontiers in stripe order.
+        // A page that would open a block, or one written at the watermark,
+        // goes through the per-page path, which takes blocks and collects.
+        let mut l = 0;
+        while l < filled {
+            if !self.needs_gc() {
+                let (mapping, reloc_gen) = (&mut self.mapping, &mut self.reloc_gen);
+                let mut lpn = l;
+                let run = self.user_alloc.allocate_run(
+                    &mut self.blocks,
+                    self.write_mask,
+                    filled - l,
+                    |ppn| {
+                        let old = mapping.map(Lpn::new(lpn), ppn);
+                        // A host write makes the page hot again.
+                        if let Some(gen) = reloc_gen.get_mut(lpn as usize) {
+                            *gen = 0;
+                        }
+                        lpn += 1;
+                        old
+                    },
+                );
+                self.stats.host_writes += run;
+                l += run;
+                if l == filled {
+                    break;
+                }
+            }
             self.write_with_instant_gc(Lpn::new(l), rng)?;
+            l += 1;
         }
         let overwrites = (self.logical_pages as f64 * overwrite_fraction) as u64;
         for _ in 0..overwrites {
@@ -754,10 +783,15 @@ impl Ftl {
     ///
     /// # Errors
     ///
+    /// [`FtlError::Config`] if `max_lpn` is 0 (no range to overwrite), or
     /// [`FtlError::OutOfSpace`] if the reserve is reached before the
     /// trigger (mis-tuned watermarks).
     pub fn pressurize<R: Rng>(&mut self, max_lpn: u64, rng: &mut R) -> Result<(), FtlError> {
-        assert!(max_lpn > 0, "pressurize needs a nonempty LPN range");
+        if max_lpn == 0 {
+            return Err(FtlError::Config(
+                "pressurize needs a nonempty LPN range".into(),
+            ));
+        }
         while !self.needs_gc() {
             let l = rng.gen_range(0..max_lpn);
             self.write(Lpn::new(l))?;
@@ -1236,6 +1270,24 @@ mod tests {
             }
         }
         assert_eq!(ftl.stats().host_writes, 0, "a refused call wrote nothing");
+    }
+
+    #[test]
+    fn pressurize_refuses_an_empty_range() {
+        let mut ftl = tiny_ftl();
+        let mut rng = DetRng::seed_from_u64(1);
+        ftl.precondition(0.5, 0.0, &mut rng).unwrap();
+        let saved = |ftl: &Ftl| {
+            let mut w = CkptWriter::new();
+            ftl.ckpt_save(&mut w);
+            w.into_bytes()
+        };
+        let before = saved(&ftl);
+        match ftl.pressurize(0, &mut rng) {
+            Err(FtlError::Config(msg)) => assert!(msg.contains("nonempty"), "{msg}"),
+            other => panic!("pressurize(0): {other:?}"),
+        }
+        assert!(saved(&ftl) == before, "a refused call changed the FTL");
     }
 
     #[test]

@@ -155,6 +155,7 @@ fn wear_out_then_check(cfg: SsdConfig, working_set: u64) {
         })
         .collect();
     let host_writes = sim.ftl().stats().host_writes;
+    let latencies = sim.latency_histogram().count();
     sim.start(Drive::ClosedLoop { requests, depth: 8 });
     sim.run_to_idle();
     assert!(sim.now() > died);
@@ -168,6 +169,11 @@ fn wear_out_then_check(cfg: SsdConfig, working_set: u64) {
         sim.reliability().host_io_errors - errors,
         mapped.len() as u64,
         "exactly the writes fail"
+    );
+    assert_eq!(
+        sim.latency_histogram().count() - latencies,
+        mapped.len() as u64,
+        "only the served reads have a latency"
     );
     assert_eq!(
         sim.ftl().stats().host_writes,
