@@ -307,9 +307,9 @@ impl SsdConfig {
 
     /// The unscaled Table II configuration: a 2 TB device of 134M pages,
     /// whose page maps take about 1 GiB of host memory. With the oracle
-    /// off, building it took 1.1 s and aging it to 0.85 fill plus 0.3×
-    /// overwrites (`Ftl::precondition(0.85, 0.3)`) 101 s, 9 s of it the
-    /// fill, at 986 MiB peak RSS on a 2-vCPU Xeon host.
+    /// off, building it took 0.8 s and aging it to 0.85 fill plus 0.3×
+    /// overwrites (`Ftl::precondition(0.85, 0.3)`) 67 s, 9 s of it the
+    /// fill, at 1002 MiB peak RSS on a 2-vCPU Xeon host.
     pub fn paper_table2(architecture: Architecture) -> Self {
         SsdConfig {
             geometry: Geometry::paper_table2(),

@@ -178,7 +178,7 @@ impl Geometry {
     /// plane topology to Table II (which is what every interconnect result
     /// depends on) with fewer blocks and pages per plane, so that a figure,
     /// which builds and ages a device for each of its many cells, runs in
-    /// seconds. Aging the unscaled device once takes about 100 s and 1 GiB
+    /// seconds. Aging the unscaled device once takes about 70 s and 1 GiB
     /// (`SsdConfig::paper_table2`).
     pub const fn scaled() -> Self {
         Geometry {

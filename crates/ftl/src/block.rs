@@ -130,6 +130,139 @@ pub struct BlockTable {
     op_clock: u64,
     /// Blocks retired as bad.
     retired: u64,
+    /// The greedy victim index: which Full blocks hold each valid count.
+    victims: VictimIndex,
+}
+
+/// The Full blocks with an invalid page, bucketed by valid count: bucket
+/// `v < pages_per_block` holds one bit per block, set while the block is
+/// [`BlockState::Full`] with exactly `v` valid pages. Walking the buckets
+/// upward and each bucket's bits in order visits the reclaimable blocks in
+/// `(valid_count, pbn)` order, the greedy order. Derived from the block
+/// records, so it is rebuilt on load and never serialized.
+#[derive(Debug, Clone)]
+struct VictimIndex {
+    /// Bucket `v`'s bits are the `words_per_bucket` words from
+    /// `v * words_per_bucket`, block `b` at bit `b % 64` of its word.
+    bits: Vec<u64>,
+    words_per_bucket: usize,
+    /// Blocks in each bucket.
+    len: Vec<u32>,
+}
+
+impl VictimIndex {
+    fn new(geometry: &Geometry) -> Self {
+        let words_per_bucket = geometry.block_count().div_ceil(64) as usize;
+        let buckets = geometry.pages_per_block as usize;
+        VictimIndex {
+            bits: vec![0; buckets * words_per_bucket],
+            words_per_bucket,
+            len: vec![0; buckets],
+        }
+    }
+
+    fn bit(&self, valid: u32, pbn: Pbn) -> (usize, u64) {
+        let raw = pbn.raw() as usize;
+        (
+            valid as usize * self.words_per_bucket + raw / 64,
+            1 << (raw % 64),
+        )
+    }
+
+    /// Files `pbn` under `valid` unless it has no invalid page.
+    fn insert(&mut self, valid: u32, pbn: Pbn) {
+        if valid as usize >= self.len.len() {
+            return;
+        }
+        let (word, bit) = self.bit(valid, pbn);
+        debug_assert!(self.bits[word] & bit == 0, "{pbn} filed twice");
+        self.bits[word] |= bit;
+        self.len[valid as usize] += 1;
+    }
+
+    /// Unfiles `pbn` from `valid`, where [`VictimIndex::insert`] put it.
+    fn remove(&mut self, valid: u32, pbn: Pbn) {
+        if valid as usize >= self.len.len() {
+            return;
+        }
+        let (word, bit) = self.bit(valid, pbn);
+        debug_assert!(self.bits[word] & bit != 0, "{pbn} not filed");
+        self.bits[word] &= !bit;
+        self.len[valid as usize] -= 1;
+    }
+
+    /// Refiles every block from its record.
+    fn rebuild(&mut self, blocks: &[BlockMeta]) {
+        self.bits.fill(0);
+        self.len.fill(0);
+        for (raw, meta) in blocks.iter().enumerate() {
+            if meta.state == BlockState::Full {
+                self.insert(meta.valid_count, Pbn::new(raw as u64));
+            }
+        }
+    }
+
+    /// Recounts the index against the block records, reporting every
+    /// block filed in the wrong bucket or missing, every stray bit and
+    /// every bucket count that drifted.
+    fn check(&self, blocks: &[BlockMeta], problems: &mut Vec<String>) {
+        let mut expected = vec![0u32; self.len.len()];
+        for (raw, meta) in blocks.iter().enumerate() {
+            let pbn = Pbn::new(raw as u64);
+            let filed =
+                meta.state == BlockState::Full && (meta.valid_count as usize) < self.len.len();
+            if filed {
+                expected[meta.valid_count as usize] += 1;
+                let (word, bit) = self.bit(meta.valid_count, pbn);
+                if self.bits[word] & bit == 0 {
+                    problems.push(format!(
+                        "block {pbn}: Full with {} valid pages but not in that victim bucket",
+                        meta.valid_count
+                    ));
+                }
+            }
+        }
+        let set: u64 = self.bits.iter().map(|w| w.count_ones() as u64).sum();
+        let members: u64 = expected.iter().map(|&n| n as u64).sum();
+        if set != members {
+            problems.push(format!(
+                "victim index holds {set} blocks, {members} are reclaimable"
+            ));
+        }
+        for (valid, (&len, &want)) in self.len.iter().zip(&expected).enumerate() {
+            if len != want {
+                problems.push(format!(
+                    "victim bucket {valid} counts {len} blocks, holds {want}"
+                ));
+            }
+        }
+    }
+
+    /// Visits the filed blocks in `(valid_count, pbn)` order until `f`
+    /// returns `false`.
+    fn walk(&self, mut f: impl FnMut(Pbn) -> bool) {
+        for (valid, &len) in self.len.iter().enumerate() {
+            if len == 0 {
+                continue;
+            }
+            let start = valid * self.words_per_bucket;
+            let words = &self.bits[start..start + self.words_per_bucket];
+            let mut left = len;
+            for (i, &word) in words.iter().enumerate() {
+                let mut w = word;
+                while w != 0 {
+                    if !f(Pbn::new((i * 64 + w.trailing_zeros() as usize) as u64)) {
+                        return;
+                    }
+                    w &= w - 1;
+                    left -= 1;
+                }
+                if left == 0 {
+                    break;
+                }
+            }
+        }
+    }
 }
 
 impl BlockTable {
@@ -150,6 +283,7 @@ impl BlockTable {
             free_total: geometry.block_count(),
             op_clock: 0,
             retired: 0,
+            victims: VictimIndex::new(geometry),
         }
     }
 
@@ -193,6 +327,10 @@ impl BlockTable {
             debug_assert!(*w & bit != 0);
             *w &= !bit;
             meta.valid_count -= 1;
+            if meta.state == BlockState::Full {
+                self.victims.remove(meta.valid_count + 1, pbn);
+                self.victims.insert(meta.valid_count, pbn);
+            }
         }
     }
 
@@ -254,6 +392,7 @@ impl BlockTable {
         meta.last_program = clock;
         if meta.write_ptr == pages {
             meta.state = BlockState::Full;
+            self.victims.insert(meta.valid_count, pbn);
         }
         Some(self.geometry.ppn_in_block(pbn, page))
     }
@@ -264,16 +403,21 @@ impl BlockTable {
     ///
     /// Debug-panics if the page was not valid.
     pub fn invalidate(&mut self, ppn: Ppn) {
-        let pbn = self.geometry.pbn_of(ppn);
-        let page = self.geometry.page_addr(ppn).page;
+        let (pbn, page) = self.block_and_page(ppn);
         self.set_valid(pbn, page, false);
     }
 
     /// Whether `ppn` holds live data.
     pub fn is_valid(&self, ppn: Ppn) -> bool {
-        let pbn = self.geometry.pbn_of(ppn);
-        let page = self.geometry.page_addr(ppn).page;
+        let (pbn, page) = self.block_and_page(ppn);
         self.page_valid(pbn, page)
+    }
+
+    /// The block of `ppn` and the page's index within it: the page is the
+    /// lowest digit of a PPN, so one division finds both.
+    fn block_and_page(&self, ppn: Ppn) -> (Pbn, u32) {
+        let pages = self.geometry.pages_per_block as u64;
+        (Pbn::new(ppn.raw() / pages), (ppn.raw() % pages) as u32)
     }
 
     /// The PPNs of all valid pages in `pbn`, in page order.
@@ -319,6 +463,9 @@ impl BlockTable {
         );
         assert!(meta.state != BlockState::Free, "erasing free block {pbn}");
         assert!(meta.state != BlockState::Bad, "erasing retired block {pbn}");
+        if meta.state == BlockState::Full {
+            self.victims.remove(0, pbn);
+        }
         meta.write_ptr = 0;
         meta.erase_count += 1;
         meta.last_program = 0;
@@ -378,6 +525,9 @@ impl BlockTable {
             self.free[unit].swap_remove(pos);
             self.free_total -= 1;
         }
+        if meta.state == BlockState::Full {
+            self.victims.remove(meta.valid_count, pbn);
+        }
         meta.valid_count = 0;
         meta.state = BlockState::Bad;
         self.valid[words].fill(0);
@@ -387,6 +537,14 @@ impl BlockTable {
     /// Number of retired (bad) blocks.
     pub fn retired_blocks(&self) -> u64 {
         self.retired
+    }
+
+    /// Visits the Full blocks holding an invalid page — every block
+    /// garbage collection may reclaim — in `(valid_count, pbn)` order, the
+    /// greedy order, until `f` returns `false`. Costs the blocks visited
+    /// plus one word per 64 blocks of each nonempty valid count passed.
+    pub(crate) fn walk_victims(&self, f: impl FnMut(Pbn) -> bool) {
+        self.victims.walk(f);
     }
 
     /// Iterates `(Pbn, &BlockMeta)` over all blocks.
@@ -445,8 +603,10 @@ impl BlockTable {
     /// Structural self-check of every block and free list. Returns one
     /// message per violated invariant (empty = clean): bitmap popcounts
     /// match cached valid counts, no valid bit sits at or above the write
-    /// pointer, lifecycle states agree with the counters, free lists hold
-    /// exactly the Free blocks, and each plane conserves its page capacity.
+    /// pointer, lifecycle states agree with the counters, the victim index
+    /// files exactly the reclaimable blocks under their valid counts, free
+    /// lists hold exactly the Free blocks, and each plane conserves its
+    /// page capacity.
     pub fn check_invariants(&self) -> Vec<String> {
         let mut problems = Vec::new();
         let pages = self.geometry.pages_per_block;
@@ -528,6 +688,7 @@ impl BlockTable {
                 self.retired
             ));
         }
+        self.victims.check(&self.blocks, &mut problems);
         for (unit, list) in self.free.iter().enumerate() {
             for &local in list {
                 let raw = unit as u64 * self.geometry.blocks_per_plane as u64 + local as u64;
@@ -632,6 +793,7 @@ impl BlockTable {
         self.free_total = r.take_u64()?;
         self.op_clock = r.take_u64()?;
         self.retired = r.take_u64()?;
+        self.victims.rebuild(&self.blocks);
         let problems = self.check_invariants();
         if !problems.is_empty() {
             return Err(CkptError::Invalid(format!(
@@ -934,6 +1096,61 @@ mod tests {
         t.program_next_page(open).unwrap();
         t.mark_bad(Pbn::new(2));
         assert!(t.check_invariants().is_empty());
+    }
+
+    /// The invariant sweep recounts the victim index: a block filed under
+    /// the wrong valid count, a stray bit and a drifted bucket count are
+    /// each reported, and a checkpoint taken of a drifted table loads
+    /// clean, because loading rebuilds the index from the records.
+    #[test]
+    fn check_invariants_catches_a_drifted_victim_index() {
+        let mut t = table();
+        let pbn = t.take_free_block(0).unwrap();
+        let first = t.program_next_page(pbn).unwrap();
+        while t.program_next_page(pbn).is_some() {}
+        t.invalidate(first);
+        let valid = t.meta(pbn).valid_count();
+        assert!(t.check_invariants().is_empty());
+
+        let mut moved = t.clone();
+        moved.victims.remove(valid, pbn);
+        moved.victims.insert(valid - 1, pbn);
+        let problems = moved.check_invariants();
+        assert!(
+            problems
+                .iter()
+                .any(|p| p.contains("not in that victim bucket")),
+            "{problems:?}"
+        );
+        let mut stray = t.clone();
+        stray.victims.insert(0, Pbn::new(pbn.raw() + 1));
+        let problems = stray.check_invariants();
+        assert!(
+            problems
+                .iter()
+                .any(|p| p.contains("victim index holds 2 blocks")),
+            "{problems:?}"
+        );
+        let mut miscounted = t.clone();
+        miscounted.victims.len[valid as usize] += 1;
+        let problems = miscounted.check_invariants();
+        assert!(
+            problems.iter().any(|p| p.contains("victim bucket")),
+            "{problems:?}"
+        );
+
+        let mut w = CkptWriter::new();
+        moved.ckpt_save(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = table();
+        restored.ckpt_load(&mut CkptReader::new(&bytes)).unwrap();
+        assert!(restored.check_invariants().is_empty());
+        let mut walked = Vec::new();
+        restored.walk_victims(|b| {
+            walked.push(b);
+            true
+        });
+        assert_eq!(walked, vec![pbn]);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use core::fmt;
 use nssd_flash::{Geometry, GeometryError, Pbn, Ppn};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, Rng};
 
-use crate::victim::eligible;
 use crate::{
     select_victims, AllocPolicy, BlockState, BlockTable, GcConfig, Lpn, MappingTable, OutOfSpace,
     PageAllocator, PlacementSpec, RedundancyConfig, WayMask,
@@ -248,6 +247,9 @@ pub struct Ftl {
     /// enabled); cleared when rebuild drains it.
     dead_chip: Option<(u32, u32)>,
     stats: FtlStats,
+    /// The live pages of the victim instant GC is relocating; kept between
+    /// victims so collection reuses one buffer.
+    gc_pages: Vec<(Lpn, Ppn)>,
 }
 
 impl Ftl {
@@ -295,6 +297,7 @@ impl Ftl {
             reloc_gen,
             dead_chip: None,
             stats: FtlStats::default(),
+            gc_pages: Vec::new(),
         })
     }
 
@@ -566,10 +569,12 @@ impl Ftl {
     /// block, off the dead chip, holding an invalid page. When none is
     /// left, garbage collection can never give a stalled write room again.
     pub fn has_reclaimable_block(&self) -> bool {
-        let all = WayMask::all(self.geometry.ways);
-        self.blocks
-            .iter()
-            .any(|(pbn, _)| eligible(&self.blocks, pbn, all) && !self.on_dead_chip(pbn))
+        let mut found = false;
+        self.blocks.walk_victims(|pbn| {
+            found = !self.on_dead_chip(pbn);
+            !found
+        });
+        found
     }
 
     /// Whether `pbn` sits on the dead chip (see [`Ftl::dead_chip`]).
@@ -686,21 +691,64 @@ impl Ftl {
         on_erase: &mut dyn FnMut(Pbn),
     ) -> Result<(), FtlError> {
         let all = WayMask::all(self.geometry.ways);
+        // A failed relocation drops the buffer; the next collection
+        // starts a new one.
+        let mut pages = std::mem::take(&mut self.gc_pages);
         while self.needs_gc() {
             let victims = self.select_gc_victims(all, rng);
             if victims.is_empty() {
                 // Nothing reclaimable: every full block is fully valid.
                 // Yield rather than fail — open blocks may still have room.
-                return Ok(());
+                break;
             }
             for pbn in victims {
-                for (lpn, src) in self.live_pages(pbn) {
-                    if let Some(rel) = self.relocate_to(lpn, src, all, GcStream::Gc)? {
-                        on_relocate(rel);
-                    }
-                }
+                pages.clear();
+                self.for_each_live_page(pbn, |lpn, ppn| pages.push((lpn, ppn)));
+                self.relocate_all(&pages, on_relocate)?;
                 self.erase_block(pbn);
                 on_erase(pbn);
+            }
+        }
+        self.gc_pages = pages;
+        Ok(())
+    }
+
+    /// Relocates live `pages` through the GC stream in order, exactly as
+    /// one [`Ftl::relocate_to`] each would: the pages that land in open
+    /// frontiers go in stripe runs, and each page where a run stops (one
+    /// that opens a block, or finds no room) takes the per-page path.
+    fn relocate_all(
+        &mut self,
+        pages: &[(Lpn, Ppn)],
+        on_relocate: &mut dyn FnMut(Relocation),
+    ) -> Result<(), OutOfSpace> {
+        let all = WayMask::all(self.geometry.ways);
+        let mut i = 0;
+        while i < pages.len() {
+            let (mapping, reloc_gen) = (&mut self.mapping, &mut self.reloc_gen);
+            let mut next = pages[i..].iter();
+            let run = self.gc_alloc.allocate_run(
+                &mut self.blocks,
+                all,
+                (pages.len() - i) as u64,
+                |dst| {
+                    let &(lpn, src) = next.next().expect("a run stops at its length");
+                    let old = mapping.map(lpn, dst);
+                    debug_assert_eq!(old, Some(src), "a victim's page moved before its copy");
+                    if let Some(gen) = reloc_gen.get_mut(lpn.raw() as usize) {
+                        *gen = gen.saturating_add(1);
+                    }
+                    on_relocate(Relocation { lpn, src, dst });
+                    old
+                },
+            );
+            self.stats.gc_relocations += run;
+            i += run as usize;
+            if let Some(&(lpn, src)) = pages.get(i) {
+                if let Some(rel) = self.relocate_to(lpn, src, all, GcStream::Gc)? {
+                    on_relocate(rel);
+                }
+                i += 1;
             }
         }
         Ok(())
@@ -1505,6 +1553,60 @@ mod tests {
             Err(FtlError::Config(msg)) => assert!(msg.contains("stripe"), "{msg}"),
             other => panic!("expected config error, got {other:?}"),
         }
+    }
+
+    /// The index-backed `has_reclaimable_block` agrees with its definition
+    /// (some Full block off the dead chip holds an invalid page) on random
+    /// states, with and without a dead chip, including states where the
+    /// only garbage sits on the dead chip.
+    #[test]
+    fn has_reclaimable_block_agrees_with_the_scan() {
+        use crate::victim::eligible;
+        use nssd_sim::Rng;
+        let mut gen = DetRng::seed_from_u64(0x2EC1);
+        let mut seen = [[false; 2]; 2];
+        for case in 0..crate::CASES {
+            let mut cfg = FtlConfig::evaluation_defaults();
+            cfg.geometry = Geometry::tiny();
+            cfg.gc.victims_per_trigger = 2;
+            cfg.redundancy = RedundancyConfig::with_stripe(2);
+            let mut ftl = Ftl::new(cfg).unwrap();
+            let g = *ftl.geometry();
+            let logical = ftl.logical_pages();
+            let dead = gen.gen_bool(0.5);
+            // Garbage made only on chip (0, 1) is all on the dead chip once
+            // it fails.
+            let on_chip_only = gen.gen_bool(0.5);
+            let writes = gen.gen_range(0..=logical);
+            for l in 0..writes {
+                ftl.write(Lpn::new(l)).unwrap();
+            }
+            let trims = gen.gen_range(0..logical / 2);
+            for _ in 0..trims {
+                let lpn = Lpn::new(gen.gen_range(0..logical));
+                let on_chip = ftl.lookup(lpn).is_some_and(|ppn| {
+                    let a = g.page_addr(ppn);
+                    (a.channel, a.way) == (0, 1)
+                });
+                if on_chip || !on_chip_only {
+                    ftl.trim(lpn).unwrap();
+                }
+            }
+            if dead {
+                ftl.fail_chip(0, 1);
+            }
+            let all = WayMask::all(g.ways);
+            let want = ftl
+                .blocks()
+                .iter()
+                .any(|(pbn, _)| eligible(ftl.blocks(), pbn, all) && !ftl.on_dead_chip(pbn));
+            assert_eq!(ftl.has_reclaimable_block(), want, "case {case}");
+            seen[dead as usize][want as usize] = true;
+        }
+        assert_eq!(
+            seen, [[true; 2]; 2],
+            "both answers, with and without a dead chip"
+        );
     }
 
     #[test]

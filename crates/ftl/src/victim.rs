@@ -39,7 +39,9 @@ pub(crate) fn eligible(blocks: &BlockTable, pbn: Pbn, mask: WayMask) -> bool {
 /// Selects up to `n` victim blocks within `mask`'s ways.
 ///
 /// Greedy selection orders by `(valid_count, pbn)` so results are
-/// deterministic; random selection consumes `rng`.
+/// deterministic, and reads the block table's victim index, so it costs
+/// the blocks it visits rather than the device; random selection consumes
+/// `rng`.
 ///
 /// # Examples
 ///
@@ -66,24 +68,18 @@ pub fn select_victims<R: Rng>(
         return Vec::new();
     }
     if policy == VictimPolicy::Greedy {
-        // One scan keeping the `n` smallest `(valid_count, pbn)` keys —
-        // identical to sorting every eligible block and truncating (keys
-        // are unique, so the order is total), without materializing the
-        // full candidate list on every trigger.
-        let mut best: Vec<(u32, Pbn)> = Vec::with_capacity(n + 1);
-        for (pbn, _) in blocks.iter() {
-            if !eligible(blocks, pbn, mask) {
-                continue;
+        // The index holds exactly the Full blocks with an invalid page, in
+        // `(valid_count, pbn)` order: the first `n` inside the mask are the
+        // greedy victims.
+        let g = blocks.geometry();
+        let mut out = Vec::with_capacity(n);
+        blocks.walk_victims(|pbn| {
+            if mask.contains(g.block_addr(pbn).way) {
+                out.push(pbn);
             }
-            let key = (blocks.meta(pbn).valid_count(), pbn);
-            if best.len() == n && key >= *best.last().expect("n > 0 when full") {
-                continue;
-            }
-            let at = best.partition_point(|&k| k < key);
-            best.insert(at, key);
-            best.truncate(n);
-        }
-        return best.into_iter().map(|(_, pbn)| pbn).collect();
+            out.len() < n
+        });
+        return out;
     }
     let mut candidates: Vec<Pbn> = blocks
         .iter()
@@ -170,7 +166,127 @@ mod tests {
     use super::*;
     use crate::{AllocPolicy, PageAllocator};
     use nssd_flash::Geometry;
-    use nssd_sim::DetRng;
+    use nssd_sim::{CkptReader, CkptWriter, DetRng};
+
+    /// Greedy selection as a scan of the whole block table, the reference
+    /// for the index: the `n` smallest `(valid_count, pbn)` keys among
+    /// the eligible blocks.
+    fn scan_greedy(blocks: &BlockTable, n: usize, mask: WayMask) -> Vec<Pbn> {
+        let mut keys: Vec<(u32, Pbn)> = blocks
+            .iter()
+            .filter(|(pbn, _)| eligible(blocks, *pbn, mask))
+            .map(|(pbn, meta)| (meta.valid_count(), pbn))
+            .collect();
+        keys.sort_unstable();
+        keys.into_iter().take(n).map(|(_, pbn)| pbn).collect()
+    }
+
+    /// A random nonempty subset of `ways` ways.
+    fn random_mask(rng: &mut DetRng, ways: u32) -> WayMask {
+        WayMask::from_bits(rng.gen_range(1..1u64 << ways), ways).unwrap()
+    }
+
+    /// A random block in `state`, if any.
+    fn pick(rng: &mut DetRng, blocks: &BlockTable, state: BlockState) -> Option<Pbn> {
+        let n = blocks.geometry().block_count();
+        let start = rng.gen_range(0..n);
+        (0..n)
+            .map(|i| Pbn::new((start + i) % n))
+            .find(|&pbn| blocks.meta(pbn).state() == state)
+    }
+
+    /// The index-backed greedy selection returns what the scan returns,
+    /// for random `n` and masks, on block tables driven through random
+    /// programs, invalidations, erases (some at an endurance limit),
+    /// retirements and checkpoint round trips; and the index recount in
+    /// `check_invariants` stays clean throughout.
+    #[test]
+    fn index_greedy_matches_the_reference_scan() {
+        let mut rng = DetRng::seed_from_u64(0x61DE);
+        let odd = Geometry {
+            channels: 3,
+            ways: 5,
+            dies: 2,
+            planes: 2,
+            blocks_per_plane: 4,
+            pages_per_block: 4,
+            page_bytes: 4096,
+        };
+        let geometries = [Geometry::tiny(), odd];
+        let mut selected = 0;
+        for case in 0..crate::CASES {
+            let g = geometries[case % geometries.len()];
+            let mut blocks = BlockTable::new(&g);
+            let mut alloc = PageAllocator::new(&g, AllocPolicy::Pcwd);
+            let steps = rng.gen_range(1..2 * g.page_count() as usize);
+            for step in 0..steps {
+                match rng.gen_range(0..16u64) {
+                    0..=6 => {
+                        let mask = random_mask(&mut rng, g.ways);
+                        let _ = alloc.allocate(&mut blocks, mask);
+                    }
+                    7..=11 => {
+                        let live: Vec<Pbn> = blocks
+                            .iter()
+                            .filter(|(_, m)| m.valid_count() > 0)
+                            .map(|(pbn, _)| pbn)
+                            .collect();
+                        if !live.is_empty() {
+                            let pages = blocks.valid_pages(live[rng.gen_range(0..live.len())]);
+                            blocks.invalidate(pages[rng.gen_range(0..pages.len())]);
+                        }
+                    }
+                    12 => {
+                        if let Some(pbn) = pick(&mut rng, &blocks, BlockState::Full) {
+                            for ppn in blocks.valid_pages(pbn) {
+                                blocks.invalidate(ppn);
+                            }
+                            let limit = rng.gen_bool(0.3).then_some(2);
+                            blocks.erase_with_endurance(pbn, limit);
+                        }
+                    }
+                    13 => {
+                        let state = [BlockState::Free, BlockState::Open, BlockState::Full]
+                            [rng.gen_range(0..3usize)];
+                        if let Some(pbn) = pick(&mut rng, &blocks, state) {
+                            alloc.close_open_blocks(|b| b == pbn);
+                            blocks.force_retire(pbn);
+                        }
+                    }
+                    14 => {
+                        if let Some(pbn) = pick(&mut rng, &blocks, BlockState::Free) {
+                            blocks.mark_bad(pbn);
+                        }
+                    }
+                    _ => {
+                        let mut w = CkptWriter::new();
+                        blocks.ckpt_save(&mut w);
+                        let bytes = w.into_bytes();
+                        blocks = BlockTable::new(&g);
+                        let mut r = CkptReader::new(&bytes);
+                        blocks.ckpt_load(&mut r).unwrap();
+                        r.finish().unwrap();
+                    }
+                }
+                let n = rng.gen_range(0..2 * g.plane_count() as usize);
+                let mask = if rng.gen_bool(0.5) {
+                    WayMask::all(g.ways)
+                } else {
+                    random_mask(&mut rng, g.ways)
+                };
+                let got = select_victims(&blocks, n, mask, VictimPolicy::Greedy, &mut rng);
+                selected += got.len();
+                assert_eq!(
+                    got,
+                    scan_greedy(&blocks, n, mask),
+                    "case {case} step {step}: n {n} {mask}"
+                );
+                let problems = blocks.check_invariants();
+                assert!(problems.is_empty(), "case {case} step {step}: {problems:?}");
+            }
+        }
+        assert!(selected > 10 * crate::CASES, "{selected} victims selected");
+    }
 
     /// Fills some blocks and invalidates varying page counts.
     fn build_fragmented() -> (Geometry, BlockTable) {

@@ -25,9 +25,11 @@ echo "==> allocator equivalence, deep"
 # The stripe walk against its reference scan at the heavy-tests iteration
 # count: every call must give the same page, sequence number and checkpoint.
 # The same run drives the compact mapping and block tables against their
-# naive model (crates/ftl/tests/compact_tables.rs), and the stripe-run fill
+# naive model (crates/ftl/tests/compact_tables.rs), the stripe-run fill
 # of `Ftl::precondition` against the per-page fill it replaced
-# (crates/ftl/tests/fill_reference.rs).
+# (crates/ftl/tests/fill_reference.rs), and instant GC (victim index and
+# stripe-run relocation) against a per-page collector built on a greedy
+# scan (crates/ftl/tests/gc_reference.rs).
 cargo test --release -q -p nssd-ftl --features heavy-tests
 
 echo "==> golden snapshot gate"
