@@ -5,7 +5,7 @@
 //! | field        | bytes | contents                                        |
 //! |--------------|-------|-------------------------------------------------|
 //! | magic        | 8     | `b"NSSDCKPT"`                                   |
-//! | version      | 4     | format version, currently 7                     |
+//! | version      | 4     | format version, currently 8                     |
 //! | fingerprint  | 8     | checksum of the configuration's `Debug` text    |
 //! | payload\_len | 8     | length of the payload that follows              |
 //! | payload      | n     | [`SsdSim`] state (see `engine::ckpt`)           |
@@ -26,8 +26,11 @@
 //! the valid-page bitmap as one device-wide array, and the events handled
 //! per kind; version 7 writes every drive the same way — a drive tag, then
 //! only the requests not yet issued, with no cursor — so a closed-loop
-//! checkpoint no longer carries the requests it has already issued. Older
-//! checkpoints are refused with a message naming their version.
+//! checkpoint no longer carries the requests it has already issued; version
+//! 8 writes the shadow oracle as dense slices (the owner of every physical
+//! page, no content tokens) and no utilization bins for v-channels or
+//! reservation counters for any resource. Older checkpoints are refused
+//! with a message naming their version.
 
 use nssd_sim::{CkptReader, CkptWriter};
 
@@ -35,7 +38,7 @@ use crate::engine::SsdSim;
 use crate::SsdConfig;
 
 const MAGIC: &[u8; 8] = b"NSSDCKPT";
-const VERSION: u32 = 7;
+const VERSION: u32 = 8;
 /// Offset of the payload-length field: magic + version + fingerprint.
 const LEN_AT: usize = 8 + 4 + 8;
 /// Envelope bytes before the payload.

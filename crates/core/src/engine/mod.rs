@@ -329,8 +329,10 @@ impl SsdSim {
             .map(|_| Resource::with_recorder(cfg.util_window, Traffic::COUNT))
             .collect();
         let fabric = fabric::build(&cfg);
+        // No report reads a v-channel's windows: its busy total (energy)
+        // is all the run uses.
         let v_channels = (0..fabric.v_channel_count())
-            .map(|_| Resource::with_recorder(cfg.util_window, Traffic::COUNT))
+            .map(|_| Resource::new())
             .collect();
         // Only the edge links (injection `c`, ejection `channels + c`) feed
         // the utilization report; interior links keep plain busy accounting,

@@ -1,12 +1,13 @@
 //! Timing-free functional shadow model for the Networked SSD simulator.
 //!
 //! The engine in `nssd-core` answers *when* — the oracle answers *whether*.
-//! [`Oracle`] maintains an independent reference page map plus a per-page
-//! content token (a deterministic stand-in for the data a write carried) and
-//! is notified, in lockstep, of every functional action the simulator takes:
-//! host writes, host reads, GC relocations, erases, retirements. Each read
-//! is cross-checked against what was last written; each erase is checked to
-//! never wipe a page the shadow still considers live; and a conservation
+//! [`Oracle`] maintains an independent reference page map plus the owner
+//! LPN of every physical page (one dense `u32` per page), and is notified,
+//! in lockstep, of every functional action the simulator takes: host
+//! writes, host reads, GC relocations, erases, retirements. Each read is
+//! cross-checked against the page its LPN was last written or relocated
+//! to, and that page must still be owned by the LPN; each erase is checked
+//! to never wipe a page the shadow still considers live; and a conservation
 //! checker verifies that valid + invalid + unwritten + bad pages per plane
 //! always sum to the geometric capacity and that erase counts only grow.
 //!
@@ -36,13 +37,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::collections::HashMap;
-
 use nssd_flash::{Geometry, Pbn, Ppn};
 use nssd_ftl::{Ftl, Lpn, Relocation};
 use nssd_sim::{ckpt, CkptError, CkptReader, CkptWriter, SimTime, ViolationLog};
 
-/// Shadow L2P sentinel: the same 32-bit empty entry as the FTL's map.
+/// Shadow sentinel, in both directions: an unmapped L2P entry (the same
+/// 32-bit empty entry as the FTL's map) and a page with no owner.
 const UNMAPPED: u32 = u32::MAX;
 
 /// A shadow L2P entry as a raw PPN, `u64::MAX` when unmapped (how a
@@ -56,8 +56,8 @@ fn widen(raw: u32) -> u64 {
     }
 }
 
-/// SplitMix64 finalizer — the deterministic mixing function behind content
-/// tokens and the functional digest.
+/// SplitMix64 finalizer — the deterministic mixing function behind the
+/// functional digest.
 #[inline]
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -84,8 +84,13 @@ pub struct OracleSummary {
     pub functional_digest: u64,
 }
 
-/// The shadow model: reference page map, content tokens, and the
+/// The shadow model: reference page map, per-page owners, and the
 /// conservation-invariant checker.
+///
+/// An owner entry is only ever written together with its LPN's L2P entry,
+/// and cleared when that LPN moves, so every LPN owns at most one page, its
+/// shadow home. A page owned by the LPN being read therefore holds that
+/// LPN's latest write: no per-write content token is needed to tell.
 #[derive(Debug, Clone)]
 pub struct Oracle {
     geometry: Geometry,
@@ -94,15 +99,13 @@ pub struct Oracle {
     /// like the FTL's own map (a valid geometry has fewer than `u32::MAX`
     /// pages).
     l2p: Vec<u32>,
-    /// Content token of the last write to each LPN.
-    token: Vec<u64>,
     /// Host writes observed per LPN (the digest input).
     writes: Vec<u64>,
-    /// Shadow physical state: raw PPN → (owner raw LPN, content token).
-    phys: HashMap<u64, (u64, u64)>,
+    /// Shadow physical state: the owner raw LPN of each raw PPN,
+    /// [`UNMAPPED`] where the shadow holds no content.
+    phys: Vec<u32>,
     /// Erase-count snapshot from the previous invariant sweep.
     last_erase_counts: Vec<u32>,
-    write_seq: u64,
     checks: u64,
     log: ViolationLog,
 }
@@ -114,11 +117,9 @@ impl Oracle {
             geometry,
             logical_pages,
             l2p: vec![UNMAPPED; logical_pages as usize],
-            token: vec![0; logical_pages as usize],
             writes: vec![0; logical_pages as usize],
-            phys: HashMap::new(),
+            phys: vec![UNMAPPED; geometry.page_count() as usize],
             last_erase_counts: vec![0; geometry.block_count() as usize],
-            write_seq: 0,
             checks: 0,
             log: ViolationLog::new(),
         }
@@ -126,62 +127,49 @@ impl Oracle {
 
     /// Adopts the FTL's current mapping wholesale — the trusted-resync path
     /// for state built outside the observed event stream (preconditioning
-    /// before `run()`, pages lost with a failed chip). Content tokens of
-    /// LPNs that stay mapped are preserved so later read checks remain
-    /// meaningful; newly appearing LPNs get fresh tokens. Write counters
-    /// are untouched.
+    /// before `run()`, pages lost with a failed chip). Where two LPNs share
+    /// a page, the higher one owns it. Write counters are untouched.
     pub fn sync_from_ftl(&mut self, ftl: &Ftl) {
-        self.phys.clear();
-        for l in 0..self.logical_pages {
-            let lpn = Lpn::new(l);
-            match ftl.lookup(lpn) {
+        self.phys.fill(UNMAPPED);
+        for (l, home) in self.l2p.iter_mut().enumerate() {
+            *home = match ftl.lookup(Lpn::new(l as u64)) {
                 Some(ppn) => {
-                    if self.l2p[l as usize] == UNMAPPED {
-                        self.write_seq += 1;
-                        self.token[l as usize] = mix(l ^ mix(self.write_seq));
-                    }
-                    self.l2p[l as usize] = ppn.raw() as u32;
-                    self.phys.insert(ppn.raw(), (l, self.token[l as usize]));
+                    self.phys[ppn.raw() as usize] = l as u32;
+                    ppn.raw() as u32
                 }
-                None => {
-                    self.l2p[l as usize] = UNMAPPED;
-                    self.token[l as usize] = 0;
-                }
-            }
+                None => UNMAPPED,
+            };
         }
         self.last_erase_counts = ftl.blocks().erase_counts();
     }
 
-    /// Records a host write of `lpn` onto `ppn`, assigning a fresh content
-    /// token. Fires if `ppn` is still the live home of a *different* LPN —
-    /// a double allocation the mapping table itself might miss.
+    /// Records a host write of `lpn` onto `ppn`, which it now owns. Fires if
+    /// `ppn` is still the live home of a *different* LPN — a double
+    /// allocation the mapping table itself might miss.
     pub fn note_host_write(&mut self, lpn: Lpn, ppn: Ppn, at: SimTime) {
         let l = lpn.raw() as usize;
-        if let Some(&(owner, _)) = self.phys.get(&ppn.raw()) {
-            if owner != lpn.raw() && widen(self.l2p[owner as usize]) == ppn.raw() {
-                self.log.report(
-                    "write-double-alloc",
-                    at,
-                    format!("{ppn} written for {lpn} but still live for lpn{owner}"),
-                );
-            }
+        let p = ppn.raw() as u32;
+        let owner = self.phys[p as usize];
+        if owner != UNMAPPED && owner as usize != l && self.l2p[owner as usize] == p {
+            self.log.report(
+                "write-double-alloc",
+                at,
+                format!("{ppn} written for {lpn} but still live for lpn{owner}"),
+            );
         }
         let old = self.l2p[l];
         if old != UNMAPPED {
-            self.phys.remove(&(old as u64));
+            self.phys[old as usize] = UNMAPPED;
         }
-        self.write_seq += 1;
-        let token = mix(lpn.raw() ^ mix(self.write_seq));
-        self.l2p[l] = ppn.raw() as u32;
-        self.token[l] = token;
+        self.l2p[l] = p;
         self.writes[l] += 1;
-        self.phys.insert(ppn.raw(), (lpn.raw(), token));
+        self.phys[p as usize] = l as u32;
     }
 
     /// Cross-checks a host read at issue time: the translation the real FTL
     /// produced (`ppn`, `None` = unmapped) must match the shadow map, and
-    /// the physical page must still hold the content token of `lpn`'s last
-    /// write — anything else is data served from the wrong place.
+    /// the physical page must still be owned by `lpn` — anything else is
+    /// data served from the wrong place.
     pub fn check_host_read(&mut self, lpn: Lpn, ppn: Option<Ppn>, at: SimTime) {
         self.checks += 1;
         let shadow = widen(self.l2p[lpn.raw() as usize]);
@@ -202,43 +190,45 @@ impl Oracle {
                 at,
                 format!("{lpn} served from {p} but shadow maps it to ppn{shadow}"),
             ),
-            Some(p) => match self.phys.get(&p.raw()) {
-                Some(&(owner, tok))
-                    if owner == lpn.raw() && tok == self.token[lpn.raw() as usize] => {}
-                Some(&(owner, _)) => self.log.report(
-                    "read-content",
-                    at,
-                    format!("{p} read for {lpn} but holds lpn{owner}'s data"),
-                ),
-                None => self.log.report(
+            Some(p) => match self.phys[p.raw() as usize] {
+                owner if owner as u64 == lpn.raw() => {}
+                UNMAPPED => self.log.report(
                     "read-content",
                     at,
                     format!("{p} read for {lpn} but the shadow has no content there"),
+                ),
+                owner => self.log.report(
+                    "read-content",
+                    at,
+                    format!("{p} read for {lpn} but holds lpn{owner}'s data"),
                 ),
             },
         }
     }
 
     /// Records a GC relocation: the source must be the shadow's current home
-    /// of the LPN (else the collector copied a stale page), and the content
-    /// token travels unchanged to the destination.
+    /// of the LPN (else the collector copied a stale page), and ownership
+    /// moves from the shadow home to the destination.
     pub fn note_relocation(&mut self, rel: Relocation, at: SimTime) {
         let l = rel.lpn.raw() as usize;
-        let shadow = widen(self.l2p[l]);
-        if shadow != rel.src.raw() {
+        let shadow = self.l2p[l];
+        if widen(shadow) != rel.src.raw() {
             self.log.report(
                 "relocation-source",
                 at,
                 format!(
-                    "{} relocated from {} but shadow maps it to ppn{shadow}",
-                    rel.lpn, rel.src
+                    "{} relocated from {} but shadow maps it to ppn{}",
+                    rel.lpn,
+                    rel.src,
+                    widen(shadow)
                 ),
             );
         }
-        self.phys.remove(&shadow);
+        if shadow != UNMAPPED {
+            self.phys[shadow as usize] = UNMAPPED;
+        }
         self.l2p[l] = rel.dst.raw() as u32;
-        self.phys
-            .insert(rel.dst.raw(), (rel.lpn.raw(), self.token[l]));
+        self.phys[rel.dst.raw() as usize] = l as u32;
     }
 
     /// Checks and records a block erase: no page of `pbn` may still be the
@@ -257,17 +247,16 @@ impl Oracle {
     fn check_block_gone(&mut self, pbn: Pbn, invariant: &'static str, at: SimTime) {
         self.checks += 1;
         for ppn in self.geometry.block_ppns(pbn) {
-            if let Some(&(owner, _)) = self.phys.get(&ppn.raw()) {
-                if widen(self.l2p[owner as usize]) == ppn.raw() {
-                    self.log.report(
-                        invariant,
-                        at,
-                        format!("{pbn} wiped {ppn}, still live for lpn{owner}"),
-                    );
-                    self.l2p[owner as usize] = UNMAPPED;
-                }
+            let p = ppn.raw() as usize;
+            let owner = std::mem::replace(&mut self.phys[p], UNMAPPED);
+            if owner != UNMAPPED && self.l2p[owner as usize] as usize == p {
+                self.log.report(
+                    invariant,
+                    at,
+                    format!("{pbn} wiped {ppn}, still live for lpn{owner}"),
+                );
+                self.l2p[owner as usize] = UNMAPPED;
             }
-            self.phys.remove(&ppn.raw());
         }
     }
 
@@ -329,28 +318,17 @@ impl Oracle {
         h
     }
 
-    /// Serializes the shadow model: page maps, content tokens, write
-    /// counters, physical shadow content (sorted by raw PPN for
-    /// determinism), the erase-count snapshot, and the violation log.
+    /// Serializes the shadow model as dense slices — the L2P map, the write
+    /// counters, the owner of every physical page and the erase-count
+    /// snapshot — then the check count and the violation log. Its size
+    /// depends on the geometry alone, not on how many pages are mapped.
     /// Geometry and logical-page count are not written — restore targets an
     /// [`Oracle::new`]-built instance of the same shape.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         ckpt::put_u32_slice(w, &self.l2p);
-        ckpt::put_u64_slice(w, &self.token);
         ckpt::put_u64_slice(w, &self.writes);
-        let mut phys: Vec<(u64, (u64, u64))> = self.phys.iter().map(|(&k, &v)| (k, v)).collect();
-        phys.sort_unstable_by_key(|&(k, _)| k);
-        w.put_usize(phys.len());
-        for (ppn, (lpn, tok)) in phys {
-            w.put_u64(ppn);
-            w.put_u64(lpn);
-            w.put_u64(tok);
-        }
-        w.put_usize(self.last_erase_counts.len());
-        for &c in &self.last_erase_counts {
-            w.put_u32(c);
-        }
-        w.put_u64(self.write_seq);
+        ckpt::put_u32_slice(w, &self.phys);
+        ckpt::put_u32_slice(w, &self.last_erase_counts);
         w.put_u64(self.checks);
         self.log.ckpt_save(w);
     }
@@ -360,60 +338,42 @@ impl Oracle {
     ///
     /// # Errors
     ///
-    /// Returns an error on truncation, a dimension mismatch, or physical
-    /// shadow entries referencing out-of-range pages.
+    /// Returns an error on truncation, a slice whose length does not match
+    /// the geometry, a shadow home beyond the device, or a page owner
+    /// beyond the logical space.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let logical = self.logical_pages as usize;
-        let l2p = ckpt::take_u32_vec_exact(r, logical, "oracle l2p")?;
-        let token = ckpt::take_u64_vec_exact(r, logical, "oracle tokens")?;
-        let writes = ckpt::take_u64_vec_exact(r, logical, "oracle write counts")?;
         let page_count = self.geometry.page_count();
-        let n = r.take_count(24)?;
-        let mut phys = HashMap::with_capacity(n);
-        let mut prev: Option<u64> = None;
-        for _ in 0..n {
-            let ppn = r.take_u64()?;
-            let lpn = r.take_u64()?;
-            let tok = r.take_u64()?;
-            if ppn >= page_count {
-                return Err(CkptError::Invalid(format!(
-                    "oracle shadow ppn{ppn} beyond device capacity {page_count}"
-                )));
-            }
-            if lpn >= self.logical_pages {
-                return Err(CkptError::Invalid(format!(
-                    "oracle shadow owner lpn{lpn} beyond logical space {}",
-                    self.logical_pages
-                )));
-            }
-            if prev.is_some_and(|p| p >= ppn) {
-                return Err(CkptError::Invalid(
-                    "oracle shadow pages not strictly sorted".into(),
-                ));
-            }
-            prev = Some(ppn);
-            phys.insert(ppn, (lpn, tok));
-        }
-        let blocks = r.take_count(4)?;
-        if blocks != self.last_erase_counts.len() {
+        let l2p = ckpt::take_u32_vec_exact(r, logical, "oracle l2p")?;
+        if let Some((l, &ppn)) = l2p
+            .iter()
+            .enumerate()
+            .find(|&(_, &p)| p != UNMAPPED && p as u64 >= page_count)
+        {
             return Err(CkptError::Invalid(format!(
-                "oracle erase snapshot for {blocks} blocks, device has {}",
-                self.last_erase_counts.len()
+                "oracle shadow home ppn{ppn} of lpn{l} beyond device capacity {page_count}"
             )));
         }
-        let mut last_erase_counts = Vec::with_capacity(blocks);
-        for _ in 0..blocks {
-            last_erase_counts.push(r.take_u32()?);
+        let writes = ckpt::take_u64_vec_exact(r, logical, "oracle write counts")?;
+        let phys = ckpt::take_u32_vec_exact(r, page_count as usize, "oracle shadow pages")?;
+        if let Some((ppn, &owner)) = phys
+            .iter()
+            .enumerate()
+            .find(|&(_, &o)| o != UNMAPPED && o as u64 >= self.logical_pages)
+        {
+            return Err(CkptError::Invalid(format!(
+                "oracle shadow owner lpn{owner} of ppn{ppn} beyond logical space {}",
+                self.logical_pages
+            )));
         }
-        let write_seq = r.take_u64()?;
+        let last_erase_counts =
+            ckpt::take_u32_vec_exact(r, self.last_erase_counts.len(), "oracle erase snapshot")?;
         let checks = r.take_u64()?;
         let log = ViolationLog::ckpt_load(r)?;
         self.l2p = l2p;
-        self.token = token;
         self.writes = writes;
         self.phys = phys;
         self.last_erase_counts = last_erase_counts;
-        self.write_seq = write_seq;
         self.checks = checks;
         self.log = log;
         Ok(())
@@ -600,6 +560,66 @@ mod tests {
             oc.note_host_write(Lpn::new(l), wc.ppn, SimTime::ZERO);
         }
         assert_eq!(oa.functional_digest(), oc.functional_digest());
+    }
+
+    fn saved(oracle: &Oracle) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        oracle.ckpt_save(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn checkpoint_is_dense_however_many_pages_are_mapped() {
+        let (mut ftl, mut oracle) = tiny_pair();
+        let g = *ftl.geometry();
+        let logical = ftl.logical_pages() as usize;
+        let (pages, blocks) = (g.page_count() as usize, g.block_count() as usize);
+        let mut log = CkptWriter::new();
+        ViolationLog::new().ckpt_save(&mut log);
+        // Four slice lengths, the erase snapshot, the check count and an
+        // empty violation log.
+        let fixed = 4 * 8 + 4 * blocks + 8 + log.len();
+        let dense = 4 * logical + 8 * logical + 4 * pages + fixed;
+        assert_eq!(saved(&oracle).len(), dense, "nothing mapped");
+        for l in 0..logical as u64 / 2 {
+            let out = ftl.write(Lpn::new(l)).unwrap();
+            oracle.note_host_write(Lpn::new(l), out.ppn, SimTime::ZERO);
+        }
+        assert_eq!(saved(&oracle).len(), dense, "half mapped");
+        let mut rng = DetRng::seed_from_u64(3);
+        ftl.precondition(1.0, 0.5, &mut rng).unwrap();
+        oracle.sync_from_ftl(&ftl);
+        let bytes = saved(&oracle);
+        assert_eq!(bytes.len(), dense, "all mapped");
+        let mut back = Oracle::new(g, logical as u64);
+        back.ckpt_load(&mut CkptReader::new(&bytes)).unwrap();
+        assert_eq!(saved(&back), bytes);
+    }
+
+    #[test]
+    fn load_refuses_a_home_beyond_the_device_or_an_owner_beyond_the_logical_space() {
+        let (mut ftl, mut oracle) = tiny_pair();
+        let out = ftl.write(Lpn::new(0)).unwrap();
+        oracle.note_host_write(Lpn::new(0), out.ppn, SimTime::ZERO);
+        let bytes = saved(&oracle);
+        let logical = ftl.logical_pages() as usize;
+        let pages = ftl.geometry().page_count() as u32;
+        // lpn0's shadow home opens the L2P slice; the owner slice follows
+        // the L2P and write-count slices.
+        let home = 8;
+        let owner = 8 + 4 * logical + 8 + 8 * logical + 8 + 4 * out.ppn.raw() as usize;
+        assert_eq!(bytes[home..home + 4], (out.ppn.raw() as u32).to_le_bytes());
+        assert_eq!(bytes[owner..owner + 4], 0u32.to_le_bytes());
+        for (at, value, message) in [
+            (home, pages, "beyond device capacity"),
+            (owner, logical as u32, "beyond logical space"),
+        ] {
+            let mut corrupt = bytes.clone();
+            corrupt[at..at + 4].copy_from_slice(&value.to_le_bytes());
+            let mut back = Oracle::new(*ftl.geometry(), logical as u64);
+            let err = back.ckpt_load(&mut CkptReader::new(&corrupt)).unwrap_err();
+            assert!(err.to_string().contains(message), "got {err}");
+        }
     }
 
     #[test]

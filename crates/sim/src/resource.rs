@@ -46,7 +46,6 @@ impl Reservation {
 pub struct Resource {
     next_free: SimTime,
     busy_total: SimTime,
-    reservations: u64,
     recorder: Option<UtilizationRecorder>,
 }
 
@@ -82,7 +81,6 @@ impl Resource {
         let end = start + dur;
         self.next_free = end;
         self.busy_total += dur;
-        self.reservations += 1;
         if let Some(rec) = &mut self.recorder {
             rec.record(start, end, tag);
         }
@@ -109,41 +107,16 @@ impl Resource {
         self.busy_total
     }
 
-    /// Number of reservations granted so far.
-    pub fn reservations(&self) -> u64 {
-        self.reservations
-    }
-
-    /// Busy fraction over `[0, until)`. Returns 0 for `until == 0`.
-    pub fn utilization(&self, until: SimTime) -> f64 {
-        if until.is_zero() {
-            0.0
-        } else {
-            // Busy time may exceed `until` if reservations extend past it.
-            (self.busy_total.as_ns().min(until.as_ns())) as f64 / until.as_ns() as f64
-        }
-    }
-
     /// The attached utilization recorder, if any.
     pub fn recorder(&self) -> Option<&UtilizationRecorder> {
         self.recorder.as_ref()
     }
 
-    /// Resets the resource to idle, keeping the recorder configuration.
-    pub fn reset(&mut self) {
-        let rec = self.recorder.as_ref().map(|r| r.fresh_clone());
-        *self = Resource {
-            recorder: rec,
-            ..Resource::default()
-        };
-    }
-
-    /// Serializes the reservation horizon, accounting counters, and (if
+    /// Serializes the reservation horizon, the busy total, and (if
     /// attached) the recorder's accumulated bins.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.put_time(self.next_free);
         w.put_time(self.busy_total);
-        w.put_u64(self.reservations);
         w.put_bool(self.recorder.is_some());
         if let Some(rec) = &self.recorder {
             rec.ckpt_save(w);
@@ -160,7 +133,6 @@ impl Resource {
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let next_free = r.take_time()?;
         let busy_total = r.take_time()?;
-        let reservations = r.take_u64()?;
         let has_recorder = r.take_bool()?;
         if has_recorder != self.recorder.is_some() {
             return Err(CkptError::Invalid(
@@ -172,7 +144,6 @@ impl Resource {
         }
         self.next_free = next_free;
         self.busy_total = busy_total;
-        self.reservations = reservations;
         Ok(())
     }
 }
@@ -279,7 +250,6 @@ mod tests {
         let g = r.reserve(SimTime::from_ns(50), SimTime::from_ns(10));
         assert_eq!(g.start, SimTime::from_ns(50));
         assert_eq!(r.busy_total(), SimTime::from_ns(20));
-        assert_eq!(r.reservations(), 2);
     }
 
     #[test]
@@ -291,30 +261,12 @@ mod tests {
     }
 
     #[test]
-    fn utilization_is_busy_fraction() {
-        let mut r = Resource::new();
-        r.reserve(SimTime::ZERO, SimTime::from_ns(25));
-        assert!((r.utilization(SimTime::from_ns(100)) - 0.25).abs() < 1e-9);
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
-    }
-
-    #[test]
     fn recorder_receives_tagged_busy_time() {
         let mut r = Resource::with_recorder(SimTime::from_ns(100), 2);
         r.reserve_tagged(SimTime::ZERO, SimTime::from_ns(50), 1);
         let rec = r.recorder().unwrap();
         assert_eq!(rec.busy_in_window(0, 1), SimTime::from_ns(50));
         assert_eq!(rec.busy_in_window(0, 0), SimTime::ZERO);
-    }
-
-    #[test]
-    fn reset_clears_state_but_keeps_recorder_shape() {
-        let mut r = Resource::with_recorder(SimTime::from_ns(10), 3);
-        r.reserve(SimTime::ZERO, SimTime::from_ns(5));
-        r.reset();
-        assert_eq!(r.busy_total(), SimTime::ZERO);
-        assert!(r.is_idle_at(SimTime::ZERO));
-        assert!(r.recorder().is_some());
     }
 
     #[test]

@@ -26,7 +26,6 @@ pub struct UtilizationRecorder {
     tags: usize,
     /// Flattened `[window][tag]` busy-nanosecond bins.
     bins: Vec<u64>,
-    totals: Vec<u64>,
     /// Index and base time of the most recently written window — a pure
     /// cache that lets the common case (an interval inside the window the
     /// last one hit) skip the division entirely. Not checkpointed.
@@ -48,15 +47,9 @@ impl UtilizationRecorder {
             window,
             tags,
             bins: Vec::new(),
-            totals: vec![0; tags],
             cached_win: 0,
             cached_base: 0,
         }
-    }
-
-    /// An empty recorder with the same window/tag configuration.
-    pub fn fresh_clone(&self) -> Self {
-        UtilizationRecorder::new(self.window, self.tags)
     }
 
     /// Attributes the busy interval `[start, end)` to `tag`, spreading it
@@ -80,7 +73,6 @@ impl UtilizationRecorder {
         let i = self.cached_win * self.tags + tag;
         if cur >= self.cached_base && end <= self.cached_base + w && i < self.bins.len() {
             self.bins[i] += end - cur;
-            self.totals[tag] += end - cur;
             return;
         }
         let mut win = (cur / w) as usize;
@@ -89,7 +81,6 @@ impl UtilizationRecorder {
             let span = end.min(win_end) - cur;
             self.ensure_windows(win + 1);
             self.bins[win * self.tags + tag] += span;
-            self.totals[tag] += span;
             cur += span;
             self.cached_win = win;
             self.cached_base = win_end - w;
@@ -104,16 +95,6 @@ impl UtilizationRecorder {
         }
     }
 
-    /// The configured window width.
-    pub fn window(&self) -> SimTime {
-        self.window
-    }
-
-    /// The configured number of traffic tags.
-    pub fn tags(&self) -> usize {
-        self.tags
-    }
-
     /// Number of windows that have received any recording.
     pub fn num_windows(&self) -> usize {
         self.bins.len() / self.tags
@@ -124,7 +105,7 @@ impl UtilizationRecorder {
     ///
     /// # Panics
     ///
-    /// Panics if `tag >= tags()`.
+    /// Panics if `tag` is not below the configured tag count.
     pub fn busy_in_window(&self, w: usize, tag: usize) -> SimTime {
         assert!(tag < self.tags, "tag {tag} out of range ({})", self.tags);
         let idx = w * self.tags + tag;
@@ -134,16 +115,6 @@ impl UtilizationRecorder {
     /// Busy fraction (0..=1) for `tag` in window `w`.
     pub fn fraction(&self, w: usize, tag: usize) -> f64 {
         self.busy_in_window(w, tag).as_ns() as f64 / self.window.as_ns() as f64
-    }
-
-    /// Total busy time recorded for `tag` across all windows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tag >= tags()`.
-    pub fn total_busy(&self, tag: usize) -> SimTime {
-        assert!(tag < self.tags, "tag {tag} out of range ({})", self.tags);
-        SimTime::from_ns(self.totals[tag])
     }
 
     /// Per-window busy fractions for `tag`, over the first `n` windows
@@ -157,7 +128,6 @@ impl UtilizationRecorder {
         w.put_time(self.window);
         w.put_usize(self.tags);
         ckpt::put_u64_slice(w, &self.bins);
-        ckpt::put_u64_slice(w, &self.totals);
     }
 
     /// Restores bins saved by [`UtilizationRecorder::ckpt_save`] into a
@@ -187,9 +157,7 @@ impl UtilizationRecorder {
                 self.tags
             )));
         }
-        let totals = ckpt::take_u64_vec_exact(r, self.tags, "recorder totals")?;
         self.bins = bins;
-        self.totals = totals;
         Ok(())
     }
 }
@@ -205,7 +173,6 @@ mod tests {
         assert_eq!(rec.busy_in_window(0, 0), SimTime::from_ns(5));
         assert_eq!(rec.busy_in_window(1, 0), SimTime::from_ns(10));
         assert_eq!(rec.busy_in_window(2, 0), SimTime::from_ns(7));
-        assert_eq!(rec.total_busy(0), SimTime::from_ns(22));
         assert_eq!(rec.num_windows(), 3);
     }
 
@@ -214,8 +181,8 @@ mod tests {
         let mut rec = UtilizationRecorder::new(SimTime::from_ns(100), 2);
         rec.record(SimTime::ZERO, SimTime::from_ns(30), 0);
         rec.record(SimTime::ZERO, SimTime::from_ns(70), 1);
-        assert_eq!(rec.total_busy(0), SimTime::from_ns(30));
-        assert_eq!(rec.total_busy(1), SimTime::from_ns(70));
+        assert_eq!(rec.busy_in_window(0, 0), SimTime::from_ns(30));
+        assert_eq!(rec.busy_in_window(0, 1), SimTime::from_ns(70));
     }
 
     #[test]

@@ -21,7 +21,7 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace --release -q
 
-echo "==> allocator equivalence, deep"
+echo "==> allocator and oracle equivalence, deep"
 # The stripe walk against its reference scan at the heavy-tests iteration
 # count: every call must give the same page, sequence number and checkpoint.
 # The same run drives the compact mapping and block tables against their
@@ -29,8 +29,12 @@ echo "==> allocator equivalence, deep"
 # of `Ftl::precondition` against the per-page fill it replaced
 # (crates/ftl/tests/fill_reference.rs), and instant GC (victim index and
 # stripe-run relocation) against a per-page collector built on a greedy
-# scan (crates/ftl/tests/gc_reference.rs).
+# scan (crates/ftl/tests/gc_reference.rs). The oracle's dense owner array
+# runs call for call against the hash-map and content-token model it
+# replaced, with planted faults, and must give equal summaries
+# (crates/oracle/tests/shadow_reference.rs).
 cargo test --release -q -p nssd-ftl --features heavy-tests
+cargo test --release -q -p nssd-oracle --features heavy-tests
 
 echo "==> golden snapshot gate"
 # The golden_report suite re-runs the pinned matrix and compares byte-for-byte

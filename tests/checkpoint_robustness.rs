@@ -177,14 +177,74 @@ fn open_loop_checkpoint_round_trips_and_survives_corruption() {
 #[test]
 fn older_envelope_versions_are_refused_by_name() {
     let (cfg, bytes) = busy_checkpoint();
-    for old in [4u32, 5, 6] {
+    for old in [4u32, 5, 6, 7] {
         let mut bytes = bytes.clone();
         // The version field follows the 8-byte magic.
         bytes[8..12].copy_from_slice(&old.to_le_bytes());
         let err = Checkpoint::resume(cfg, &reseal(bytes)).unwrap_err();
         assert!(
-            err.contains(&format!("version {old}")) && err.contains("expected 7"),
+            err.contains(&format!("version {old}")) && err.contains("expected 8"),
             "message must name the found and the expected version, got: {err}"
+        );
+    }
+}
+
+/// The offset of the oracle's per-page owner slice (its length prefix) in
+/// a checkpoint of `cfg`: the one place where an L2P slice of the logical
+/// size is followed by a write-count slice of the same size and then a
+/// slice of one entry per physical page.
+fn oracle_owners_at(cfg: &SsdConfig, bytes: &[u8]) -> usize {
+    let logical = (cfg.logical_bytes() / cfg.geometry.page_bytes as u64) as usize;
+    let pages = cfg.geometry.page_count();
+    let word = |at: usize| {
+        bytes
+            .get(at..at + 8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
+    };
+    let hits: Vec<usize> = (0..bytes.len())
+        .filter(|&at| word(at) == Some(logical as u64))
+        .map(|at| (at, at + 8 + 4 * logical))
+        .filter(|&(_, writes)| word(writes) == Some(logical as u64))
+        .map(|(_, writes)| writes + 8 + 8 * logical)
+        .filter(|&owners| word(owners) == Some(pages))
+        .collect();
+    assert_eq!(hits.len(), 1, "oracle owner slice found at {hits:?}");
+    hits[0]
+}
+
+#[test]
+fn an_oracle_owner_beyond_the_logical_space_is_refused() {
+    let (cfg, bytes) = busy_checkpoint();
+    let at = oracle_owners_at(&cfg, &bytes) + 8;
+    let logical = (cfg.logical_bytes() / cfg.geometry.page_bytes as u64) as u32;
+    let pages = cfg.geometry.page_count() as usize;
+    let owned = (0..pages)
+        .map(|p| at + 4 * p)
+        .find(|&o| bytes[o..o + 4] != u32::MAX.to_le_bytes())
+        .expect("the busy checkpoint maps some page");
+    for owner in [logical, logical + 1, u32::MAX - 1] {
+        let mut corrupt = bytes.clone();
+        corrupt[owned..owned + 4].copy_from_slice(&owner.to_le_bytes());
+        let err = Checkpoint::resume(cfg, &reseal(corrupt)).unwrap_err();
+        assert!(
+            err.contains(&format!("owner lpn{owner}")) && err.contains("beyond logical space"),
+            "got {err}"
+        );
+    }
+}
+
+#[test]
+fn an_oracle_shadow_slice_of_the_wrong_length_is_refused() {
+    let (cfg, bytes) = busy_checkpoint();
+    let at = oracle_owners_at(&cfg, &bytes);
+    let pages = cfg.geometry.page_count();
+    for len in [pages - 1, pages + 1, 0] {
+        let mut corrupt = bytes.clone();
+        corrupt[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        let err = Checkpoint::resume(cfg, &reseal(corrupt)).unwrap_err();
+        assert!(
+            err.contains(&format!("expected {pages} entries, found {len}")),
+            "got {err}"
         );
     }
 }
