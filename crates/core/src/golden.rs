@@ -280,10 +280,12 @@ pub fn matrix() -> Vec<GoldenCase> {
     }
     // Closed-loop sweep: the queue-depth drive of Figs 16-18 on the aged
     // device, with the paper's baseline GC on the conventional bus and
-    // spatial GC on the split pnSSD.
+    // spatial GC on the split pnSSD, and once on a footprint-mapped device
+    // with GC off.
     for (architecture, gc_policy) in [
         (Architecture::BaseSsd, GcPolicy::Parallel),
         (Architecture::PnSsdSplit, GcPolicy::Spatial),
+        (Architecture::BaseSsd, GcPolicy::None),
     ] {
         cases.push(GoldenCase {
             architecture,
@@ -298,15 +300,18 @@ pub fn matrix() -> Vec<GoldenCase> {
     }
     // Tenant-interference sweep: the write-burst vs latency-sensitive mix
     // through the multi-queue frontend on an aged device, across the
-    // conventional bus, the packetized bus, and the paper's pnSSD.
-    for architecture in [
-        Architecture::BaseSsd,
-        Architecture::PSsd,
-        Architecture::PnSsd,
+    // conventional bus, the packetized bus, and the paper's pnSSD, and on
+    // the conventional bus once more with a footprint-mapped device and GC
+    // off.
+    for (architecture, gc_policy) in [
+        (Architecture::BaseSsd, GcPolicy::Parallel),
+        (Architecture::PSsd, GcPolicy::Parallel),
+        (Architecture::PnSsd, GcPolicy::Parallel),
+        (Architecture::BaseSsd, GcPolicy::None),
     ] {
         cases.push(GoldenCase {
             architecture,
-            gc_policy: GcPolicy::Parallel,
+            gc_policy,
             workload: PaperWorkload::YcsbA, // unused: the scenario drives it
             seed: 21,
             requests: 60,

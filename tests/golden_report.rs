@@ -89,11 +89,12 @@ fn golden_serialization_is_byte_stable_across_consecutive_runs() {
 
 #[test]
 fn closed_loop_cases_collect_garbage() {
-    // The closed-loop cases pin the queue-depth drive on the aged device;
-    // they are only worth their bytes while GC actually runs inside them.
+    // The aged closed-loop cases pin the queue-depth drive under GC; they
+    // are only worth their bytes while GC actually runs inside them.
     let cases: Vec<_> = matrix()
         .into_iter()
         .filter(|c| matches!(c.drive, GoldenDrive::ClosedLoop { .. }))
+        .filter(|c| c.gc_policy != networked_ssd::GcPolicy::None)
         .collect();
     assert!(
         cases.len() >= 2,
