@@ -2,7 +2,7 @@
 //! sweep: control-plane latency, spatial-GC group sizing, victim policy,
 //! flash generation, and non-square Omnibus organizations.
 
-use nssd_core::{run_closed_loop, run_trace, run_trace_preconditioned, Architecture};
+use nssd_core::{run, Aging, Architecture, Drive};
 use nssd_flash::{FlashTiming, Geometry};
 use nssd_ftl::{GcPolicy, VictimPolicy};
 use nssd_sim::SimTime;
@@ -29,7 +29,7 @@ pub fn abl_ctrl_latency() -> Experiment {
                     setup::io_footprint(&cfg),
                     setup::EXPERIMENT_SEED,
                 );
-                run_trace(cfg, trace).expect("abl run")
+                run(cfg, trace, Aging::Footprint).expect("abl run")
             }
         })
         .collect();
@@ -81,8 +81,7 @@ pub fn abl_gc_group_fraction() -> Experiment {
                     setup::gc_footprint(&cfg),
                     setup::EXPERIMENT_SEED,
                 );
-                run_trace_preconditioned(cfg, trace, setup::GC_FILL, setup::GC_OVERWRITE)
-                    .expect("abl run")
+                run(cfg, trace, Aging::PAPER).expect("abl run")
             }
         })
         .collect();
@@ -131,8 +130,7 @@ pub fn abl_victim_policy() -> Experiment {
                     setup::gc_footprint(&cfg),
                     setup::EXPERIMENT_SEED,
                 );
-                run_trace_preconditioned(cfg, trace, setup::GC_FILL, setup::GC_OVERWRITE)
-                    .expect("abl run")
+                run(cfg, trace, Aging::PAPER).expect("abl run")
             }
         })
         .collect();
@@ -182,7 +180,7 @@ pub fn abl_flash_generation() -> Experiment {
                             setup::io_footprint(&cfg),
                             setup::EXPERIMENT_SEED,
                         );
-                        run_trace(cfg, trace).expect("abl run")
+                        run(cfg, trace, Aging::Footprint).expect("abl run")
                     }
                 })
         })
@@ -254,9 +252,9 @@ pub fn abl_omnibus_shapes() -> Experiment {
     let jobs: Vec<_> = cells
         .iter()
         .flat_map(|(pn_cfg, base_cfg, trace)| {
-            [*pn_cfg, *base_cfg]
-                .into_iter()
-                .map(move |cfg| move || run_closed_loop(cfg, trace, 32).expect("abl run"))
+            [*pn_cfg, *base_cfg].into_iter().map(move |cfg| {
+                move || run(cfg, Drive::closed_loop(trace, 32), Aging::Footprint).expect("abl run")
+            })
         })
         .collect();
     let reports = nssd_sim::scoped_map(jobs);
@@ -308,7 +306,7 @@ pub fn abl_ftl_compute() -> Experiment {
                             setup::io_footprint(&cfg),
                             setup::EXPERIMENT_SEED,
                         );
-                        run_trace(cfg, trace).expect("abl run")
+                        run(cfg, trace, Aging::Footprint).expect("abl run")
                     }
                 })
         })

@@ -2,7 +2,7 @@
 
 use std::sync::OnceLock;
 
-use nssd_core::{run_closed_loop, run_trace, Architecture, SimReport, SsdConfig, Traffic};
+use nssd_core::{run, Aging, Architecture, Drive, SimReport, SsdConfig, Traffic};
 use nssd_ftl::AllocPolicy;
 use nssd_interconnect::{signals, BusParams, DataPacket, DedicatedBus, PacketBus};
 use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
@@ -271,7 +271,8 @@ fn no_gc_reports() -> &'static SuiteReports {
             .flat_map(|(_, trace)| {
                 evaluated_architectures().into_iter().map(move |arch| {
                     move || {
-                        run_trace(setup::io_config(arch), trace).expect("no-GC run must succeed")
+                        run(setup::io_config(arch), trace, Aging::Footprint)
+                            .expect("no-GC run must succeed")
                     }
                 })
             })
@@ -348,7 +349,14 @@ pub fn fig15_throughput() -> Experiment {
         .iter()
         .flat_map(|(_, trace)| {
             evaluated_architectures().into_iter().map(move |arch| {
-                move || run_closed_loop(setup::io_config(arch), trace, depth).expect("fig15 run")
+                move || {
+                    run(
+                        setup::io_config(arch),
+                        Drive::closed_loop(trace, depth),
+                        Aging::Footprint,
+                    )
+                    .expect("fig15 run")
+                }
             })
         })
         .collect();
@@ -389,7 +397,7 @@ pub fn fig03_channel_imbalance() -> Experiment {
         setup::io_footprint(&cfg),
         setup::EXPERIMENT_SEED,
     );
-    let report = run_trace(cfg, &trace).expect("fig3 run");
+    let report = run(cfg, &trace, Aging::Footprint).expect("fig3 run");
     let heat = |per_channel: &Vec<Vec<f64>>| -> Table {
         let channels = per_channel.len();
         let windows = per_channel.first().map(|c| c.len()).unwrap_or(0);
@@ -450,7 +458,7 @@ pub fn fig04_bandwidth_sweep() -> Experiment {
             widths.iter().map(move |width| {
                 let mut cfg = setup::io_config(Architecture::BaseSsd);
                 cfg.base_width_bits = *width;
-                move || run_trace(cfg, trace).expect("fig4 run")
+                move || run(cfg, trace, Aging::Footprint).expect("fig4 run")
             })
         })
         .collect();
@@ -506,7 +514,10 @@ fn synthetic_latency_table(policy: AllocPolicy) -> Table {
         .flat_map(|(_, _, cfg, trace)| {
             depths.into_iter().map(move |depth| {
                 let cfg = *cfg;
-                move || run_closed_loop(cfg, trace, depth).expect("synthetic run")
+                move || {
+                    run(cfg, Drive::closed_loop(trace, depth), Aging::Footprint)
+                        .expect("synthetic run")
+                }
             })
         })
         .collect();

@@ -2,7 +2,7 @@
 //! motivation arguments: interconnect energy, hybrid ECC, and the Fig 9(b)
 //! channel-sliced strawman.
 
-use nssd_core::{run_trace, run_trace_preconditioned, Architecture, EccConfig, SsdConfig};
+use nssd_core::{run, Aging, Architecture, EccConfig, SsdConfig};
 use nssd_ftl::GcPolicy;
 use nssd_workloads::PaperWorkload;
 
@@ -29,7 +29,7 @@ pub fn ext_energy() -> Experiment {
         .into_iter()
         .map(|arch| {
             let trace = &trace;
-            move || run_trace(setup::io_config(arch), trace).expect("energy run")
+            move || run(setup::io_config(arch), trace, Aging::Footprint).expect("energy run")
         })
         .collect();
     let reports = nssd_sim::scoped_map(jobs);
@@ -89,8 +89,7 @@ pub fn ext_hybrid_ecc() -> Experiment {
                     setup::gc_footprint(&cfg),
                     setup::EXPERIMENT_SEED,
                 );
-                run_trace_preconditioned(cfg, trace, setup::GC_FILL, setup::GC_OVERWRITE)
-                    .expect("ecc run")
+                run(cfg, trace, Aging::PAPER).expect("ecc run")
             }
         })
         .collect();
@@ -141,7 +140,7 @@ pub fn ext_channel_sliced() -> Experiment {
         .into_iter()
         .map(|arch| {
             let trace = &trace;
-            move || run_trace(setup::io_config(arch), trace).expect("sliced run")
+            move || run(setup::io_config(arch), trace, Aging::Footprint).expect("sliced run")
         })
         .collect();
     let mut base = 0.0f64;

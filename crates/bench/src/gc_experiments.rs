@@ -2,9 +2,7 @@
 
 use std::sync::OnceLock;
 
-use nssd_core::{
-    run_closed_loop_preconditioned, run_trace_preconditioned, Architecture, SimReport,
-};
+use nssd_core::{run, Aging, Architecture, Drive, SimReport};
 use nssd_ftl::{
     GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec,
     DEFAULT_WEAR_WEIGHT,
@@ -75,10 +73,7 @@ pub fn fig18_gc_synthetic() -> Experiment {
         .map(|(_, _, _, cfg, trace)| {
             let cfg = *cfg;
             let trace = std::mem::replace(trace, nssd_workloads::Trace::new("taken"));
-            move || {
-                run_closed_loop_preconditioned(cfg, trace, 16, setup::GC_FILL, setup::GC_OVERWRITE)
-                    .expect("fig18 run")
-            }
+            move || run(cfg, Drive::closed_loop(trace, 16), Aging::PAPER).expect("fig18 run")
         })
         .collect();
     let reports = nssd_sim::scoped_map(jobs);
@@ -139,8 +134,7 @@ fn gc_trace_reports() -> &'static Vec<(GcRunKey, SimReport)> {
                         setup::gc_footprint(&cfg),
                         setup::EXPERIMENT_SEED ^ workload.name().len() as u64,
                     );
-                    run_trace_preconditioned(cfg, trace, setup::GC_FILL, setup::GC_OVERWRITE)
-                        .expect("fig19 run")
+                    run(cfg, trace, Aging::PAPER).expect("fig19 run")
                 }
             })
             .collect();
@@ -284,8 +278,7 @@ pub fn plan_ablation() -> Experiment {
                     setup::gc_footprint(&cfg),
                     setup::EXPERIMENT_SEED ^ 0x91AA,
                 );
-                run_trace_preconditioned(cfg, trace, setup::GC_FILL, setup::GC_OVERWRITE)
-                    .expect("plan ablation run")
+                run(cfg, trace, Aging::PAPER).expect("plan ablation run")
             }
         })
         .collect();

@@ -9,7 +9,7 @@
 //! traffic instead of data loss: [`rebuild`] measures what each fabric makes
 //! of the reconstruction and the background rebuild.
 
-use nssd_core::{prepare_trace, run_trace, Architecture, SimReport, SsdConfig};
+use nssd_core::{prepare, run, Aging, Architecture, SimReport, SsdConfig};
 use nssd_flash::Geometry;
 use nssd_ftl::RedundancyConfig;
 use nssd_sim::SimTime;
@@ -70,7 +70,7 @@ pub fn fault_sweep() -> Experiment {
         .iter()
         .map(|&(arch, rber)| {
             let trace = &trace;
-            move || run_trace(faulty_config(arch, rber, 0.0), trace).expect("rber run")
+            move || run(faulty_config(arch, rber, 0.0), trace, Aging::Footprint).expect("rber run")
         })
         .collect();
     for (&(arch, rber), r) in flash_cells.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
@@ -104,7 +104,7 @@ pub fn fault_sweep() -> Experiment {
         .iter()
         .map(|&(arch, ber)| {
             let trace = &trace;
-            move || run_trace(faulty_config(arch, 0.0, ber), trace).expect("link run")
+            move || run(faulty_config(arch, 0.0, ber), trace, Aging::Footprint).expect("link run")
         })
         .collect();
     for (&(arch, ber), r) in link_cells.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
@@ -138,7 +138,7 @@ pub fn fault_sweep() -> Experiment {
                     way: 0,
                     at: SimTime::from_ms(1),
                 });
-                run_trace(cfg, trace).expect("chip-fail run")
+                run(cfg, trace, Aging::Footprint).expect("chip-fail run")
             }
         })
         .collect();
@@ -216,8 +216,8 @@ fn rebuild_run(arch: Architecture, stripe_width: u32, requests: usize, fail: boo
             at: fail_at,
         });
     }
-    let (sim, drive) =
-        prepare_trace(cfg, trace).unwrap_or_else(|e| panic!("rebuild: {}: {e}", arch.label()));
+    let (sim, drive) = prepare(cfg, trace, Aging::Footprint)
+        .unwrap_or_else(|e| panic!("rebuild: {}: {e}", arch.label()));
     let r = sim.run(drive);
     assert!(
         r.oracle.violations.is_empty(),

@@ -1,7 +1,7 @@
 //! Shared experiment setup: standard configurations, workload
 //! instantiation, and run-scale knobs.
 
-use nssd_core::{Architecture, SsdConfig};
+use nssd_core::{Aging, Architecture, SsdConfig};
 use nssd_ftl::GcPolicy;
 use nssd_sim::env_count;
 use nssd_workloads::{PaperWorkload, Trace};
@@ -39,11 +39,12 @@ pub fn gc_config(arch: Architecture, policy: GcPolicy) -> SsdConfig {
     cfg
 }
 
-/// Preconditioning used by every GC experiment: 85% fill, 0.3×logical
-/// random overwrites.
-pub const GC_FILL: f64 = 0.85;
-/// See [`GC_FILL`].
-pub const GC_OVERWRITE: f64 = 0.3;
+/// The fill fraction of [`Aging::PAPER`], the aging every GC experiment
+/// runs on.
+pub const PAPER_FILL: f64 = match Aging::PAPER {
+    Aging::Aged { fill, .. } => fill,
+    Aging::Footprint => 1.0,
+};
 
 /// The trace footprint used for no-GC runs: half the logical space.
 pub fn io_footprint(cfg: &SsdConfig) -> u64 {
@@ -53,7 +54,7 @@ pub fn io_footprint(cfg: &SsdConfig) -> u64 {
 /// The trace footprint used for GC runs: must stay inside the
 /// preconditioned region.
 pub fn gc_footprint(cfg: &SsdConfig) -> u64 {
-    (cfg.logical_bytes() as f64 * (GC_FILL - 0.05)) as u64
+    (cfg.logical_bytes() as f64 * (PAPER_FILL - 0.05)) as u64
 }
 
 /// Instantiates the full named workload suite at a given footprint.
@@ -97,7 +98,7 @@ mod tests {
         let cfg = io_config(Architecture::BaseSsd);
         assert!(io_footprint(&cfg) < cfg.logical_bytes());
         let gcc = gc_config(Architecture::BaseSsd, GcPolicy::Spatial);
-        assert!(gc_footprint(&gcc) < (gcc.logical_bytes() as f64 * GC_FILL) as u64);
+        assert!(gc_footprint(&gcc) < (gcc.logical_bytes() as f64 * PAPER_FILL) as u64);
     }
 
     #[test]

@@ -8,9 +8,7 @@
 //! p50/p99/p999, bandwidth, SLO violations, and queueing delay. Scale with
 //! `NSSD_TENANT_REQUESTS` (per tenant, default 2000).
 
-use nssd_core::{
-    run_tenants_preconditioned, Architecture, SchedulerKind, SimReport, TenantSummary,
-};
+use nssd_core::{run, Aging, Architecture, Drive, SchedulerKind, SimReport, TenantSummary};
 use nssd_ftl::GcPolicy;
 use nssd_workloads::{tail_resolvable, TenantMix};
 
@@ -45,13 +43,10 @@ fn run_cell(arch: Architecture, sched: SchedulerKind, requests: usize) -> SimRep
     let cfg = setup::gc_config(arch, GcPolicy::Parallel);
     let streams = TenantMix::interference(requests)
         .generate(setup::gc_footprint(&cfg), setup::EXPERIMENT_SEED);
-    run_tenants_preconditioned(
+    run(
         cfg,
-        streams,
-        sched,
-        TENANT_DEPTH,
-        setup::GC_FILL,
-        setup::GC_OVERWRITE,
+        Drive::tenants(streams, sched, TENANT_DEPTH),
+        Aging::PAPER,
     )
     .expect("tenant interference cell")
 }
@@ -125,7 +120,7 @@ pub fn tenant_interference() -> Experiment {
             format!(
                 "{requests} requests/tenant, depth {TENANT_DEPTH}, parallel GC, \
                  aged device ({}% fill)",
-                (setup::GC_FILL * 100.0) as u32
+                (setup::PAPER_FILL * 100.0) as u32
             ),
             table,
         )],

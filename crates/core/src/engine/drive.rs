@@ -261,6 +261,7 @@ impl Tenants {
             tenants.len() <= u16::MAX as usize,
             "tenant count exceeds the per-request tag width"
         );
+        assert!(depth > 0, "multi-tenant depth 0");
         let mut configs = Vec::with_capacity(tenants.len());
         let mut merged: Vec<(IoRequest, u16)> = Vec::new();
         for (t, (config, requests)) in tenants.into_iter().enumerate() {
@@ -275,7 +276,7 @@ impl Tenants {
             tags,
             frontend: HostFrontend::new(configs, scheduler),
             scheduler,
-            depth: depth.max(1),
+            depth,
             stats,
         };
         (requests, tenants)
@@ -357,16 +358,18 @@ impl SsdSim {
     ///
     /// # Panics
     ///
-    /// The run panics when it reaches a request addressing a page beyond
-    /// the logical capacity ([`crate::SsdConfig::logical_bytes`]); the
-    /// `prepare_*` runners reject such traces up front.
+    /// Panics on a closed-loop or multi-tenant depth of 0. The run panics
+    /// when it reaches a request addressing a page beyond the logical
+    /// capacity ([`crate::SsdConfig::logical_bytes`]). [`crate::prepare`]
+    /// rejects both up front.
     pub fn start(&mut self, drive: Drive) {
         debug_assert!(self.is_idle(), "starting a drive with work pending");
         let base = self.now;
         let (mut requests, mode) = match drive {
             Drive::OpenLoop(requests) => (requests, Mode::Timed),
             Drive::ClosedLoop { requests, depth } => {
-                let tokens = depth.max(1).min(requests.len());
+                assert!(depth > 0, "closed-loop depth 0");
+                let tokens = depth.min(requests.len());
                 (requests, Mode::ClosedLoop { tokens })
             }
             Drive::MultiTenant {

@@ -24,10 +24,8 @@ use nssd_sim::SimTime;
 use nssd_workloads::{PaperWorkload, TenantMix};
 
 use crate::{
-    prepare_closed_loop, prepare_closed_loop_preconditioned, prepare_tenants,
-    prepare_tenants_preconditioned, prepare_trace, prepare_trace_preconditioned, Architecture,
-    ChannelUtilSummary, Drive, LatencySummary, SchedulerKind, SimReport, SsdConfig, SsdSim,
-    TenantSummary,
+    prepare, Aging, Architecture, ChannelUtilSummary, Drive, LatencySummary, SchedulerKind,
+    SimReport, SsdConfig, SsdSim, TenantSummary,
 };
 
 /// How a golden case drives the device: the three ways the paper's
@@ -179,43 +177,29 @@ impl GoldenCase {
     /// Returns a message for invalid configurations or infeasible traces.
     pub fn prepare(&self) -> Result<(SsdSim, Drive), String> {
         let cfg = self.config();
-        let depth = match self.drive {
-            GoldenDrive::Tenants(scenario) => return self.prepare_tenants(cfg, scenario),
-            GoldenDrive::OpenLoop => None,
-            GoldenDrive::ClosedLoop { depth } => Some(depth),
+        // Traces are generated per run, so they move into the drive by value.
+        let trace = || {
+            self.workload
+                .generate(self.requests, cfg.logical_bytes() / 2, self.seed)
         };
-        // The trace is generated per run, so it moves into the engine
-        // by value — the zero-copy `TraceInput` path.
-        let trace = self
-            .workload
-            .generate(self.requests, cfg.logical_bytes() / 2, self.seed);
-        // GC cases start from a preconditioned (aged) device so the
-        // policies actually fire within the pinned request budget.
-        let aged = self.gc_policy != GcPolicy::None;
-        match depth {
-            None if aged => prepare_trace_preconditioned(cfg, trace, 0.85, 0.3),
-            None => prepare_trace(cfg, trace),
-            Some(depth) if aged => prepare_closed_loop_preconditioned(cfg, trace, depth, 0.85, 0.3),
-            Some(depth) => prepare_closed_loop(cfg, trace, depth),
-        }
-    }
-
-    fn prepare_tenants(
-        &self,
-        cfg: SsdConfig,
-        scenario: TenantScenario,
-    ) -> Result<(SsdSim, Drive), String> {
-        let mix = match scenario {
-            TenantScenario::InterferenceWfq => TenantMix::interference(self.requests),
+        let drive = match self.drive {
+            GoldenDrive::OpenLoop => Drive::from(trace()),
+            GoldenDrive::ClosedLoop { depth } => Drive::closed_loop(trace(), depth),
+            GoldenDrive::Tenants(TenantScenario::InterferenceWfq) => {
+                // 3/4 of logical space: inside the paper's filled region,
+                // split into per-tenant partitions by the mix.
+                let mix = TenantMix::interference(self.requests);
+                let streams = mix.generate(cfg.logical_bytes() * 3 / 4, self.seed);
+                Drive::tenants(streams, SchedulerKind::WeightedFair, 8)
+            }
         };
-        // 3/4 of logical space: inside the 0.85 preconditioned region,
-        // split into per-tenant partitions by the mix.
-        let streams = mix.generate(cfg.logical_bytes() * 3 / 4, self.seed);
-        if self.gc_policy == GcPolicy::None {
-            prepare_tenants(cfg, streams, SchedulerKind::WeightedFair, 8)
-        } else {
-            prepare_tenants_preconditioned(cfg, streams, SchedulerKind::WeightedFair, 8, 0.85, 0.3)
-        }
+        // GC cases start from an aged device so the policies actually fire
+        // within the pinned request budget.
+        let aging = match self.gc_policy {
+            GcPolicy::None => Aging::Footprint,
+            _ => Aging::PAPER,
+        };
+        prepare(cfg, drive, aging)
     }
 }
 

@@ -5,18 +5,22 @@
 //! substrates: the six evaluated [`Architecture`]s (conventional baseSSD,
 //! NoSSD meshes, packetized pSSD, and Omnibus pnSSD with and without page
 //! *split*), the three garbage-collection policies (PaGC, semi-preemptive,
-//! and the paper's spatial GC), and the runners/reports every experiment in
+//! and the paper's spatial GC), and the reports every experiment in
 //! `nssd-bench` is built on.
+//!
+//! Every run is a [`Drive`] (open loop, closed loop or tenants) on a device
+//! in one [`Aging`] state (footprint-mapped or aged), set up by [`prepare`]
+//! or run to completion by [`run`].
 //!
 //! # Quick start
 //!
 //! ```
-//! use nssd_core::{run_trace, Architecture, SsdConfig};
+//! use nssd_core::{run, Aging, Architecture, SsdConfig};
 //! use nssd_workloads::PaperWorkload;
 //!
 //! let cfg = SsdConfig::tiny(Architecture::PSsd);
 //! let trace = PaperWorkload::YcsbA.generate(50, cfg.logical_bytes() / 2, 7);
-//! let report = run_trace(cfg, &trace)?;
+//! let report = run(cfg, &trace, Aging::Footprint)?;
 //! assert_eq!(report.completed, 50);
 //! # Ok::<(), String>(())
 //! ```
@@ -44,12 +48,9 @@ pub use report::{
     ChannelUtilSummary, EnergySummary, EngineSummary, GcSummary, LatencySummary, RedundancySummary,
     SimReport, TenantSummary,
 };
-pub use runner::{
-    prepare_closed_loop, prepare_closed_loop_preconditioned, prepare_tenants,
-    prepare_tenants_preconditioned, prepare_trace, prepare_trace_preconditioned, run_closed_loop,
-    run_closed_loop_preconditioned, run_tenants, run_tenants_preconditioned, run_trace,
-    run_trace_preconditioned, TraceInput,
-};
+// A glob, so the benchmark-only forwarders in `runner` are exported without
+// being named outside their definitions.
+pub use runner::*;
 
 #[cfg(test)]
 mod tests {
@@ -76,7 +77,7 @@ mod tests {
         for arch in Architecture::all() {
             let cfg = io_cfg(arch);
             let trace = small_trace(&cfg, 100, 11);
-            let report = run_trace(cfg, &trace).unwrap();
+            let report = run(cfg, &trace, Aging::Footprint).unwrap();
             assert_eq!(report.completed, 100, "{arch}");
             assert_eq!(report.unmapped_reads, 0, "{arch}");
             assert!(report.all.mean > SimTime::ZERO, "{arch}");
@@ -90,7 +91,7 @@ mod tests {
         // windows (the old `+ 1` formula produced one per channel) and
         // must report zeroed engine-facing statistics.
         let cfg = io_cfg(Architecture::BaseSsd);
-        let report = run_trace(cfg, Trace::new("empty")).unwrap();
+        let report = run(cfg, Trace::new("empty"), Aging::Footprint).unwrap();
         assert_eq!(report.completed, 0);
         assert_eq!(report.first_arrival, SimTime::ZERO);
         assert_eq!(report.last_completion, SimTime::ZERO);
@@ -115,7 +116,7 @@ mod tests {
         let cfg = SsdConfig::tiny(Architecture::BaseSsd);
         let mut t = Trace::new("one");
         t.push(IoRequest::new(IoOp::Read, 0, 4096, SimTime::ZERO));
-        let report = run_trace(cfg, &t).unwrap();
+        let report = run(cfg, &t, Aging::Footprint).unwrap();
         let lat = report.all.mean.as_ns();
         let flash = 7 + 3000 + 4096;
         let host = 3 * (4096 / 8); // three 8 GB/s pipes
@@ -129,8 +130,8 @@ mod tests {
         // made where the channel is the bottleneck.
         let base_cfg = io_cfg(Architecture::BaseSsd);
         let trace = PaperWorkload::WebSearch0.generate(400, base_cfg.logical_bytes() / 2, 3);
-        let base = run_trace(base_cfg, &trace).unwrap();
-        let pssd = run_trace(io_cfg(Architecture::PSsd), &trace).unwrap();
+        let base = run(base_cfg, &trace, Aging::Footprint).unwrap();
+        let pssd = run(io_cfg(Architecture::PSsd), &trace, Aging::Footprint).unwrap();
         assert!(
             pssd.speedup_vs(&base) > 1.1,
             "pSSD speedup only {:.2}",
@@ -142,8 +143,13 @@ mod tests {
     fn nossd_pin_constrained_is_slowest() {
         let cfg = io_cfg(Architecture::BaseSsd);
         let trace = small_trace(&cfg, 200, 5);
-        let base = run_trace(cfg, &trace).unwrap();
-        let nossd = run_trace(io_cfg(Architecture::NoSsdPinConstrained), &trace).unwrap();
+        let base = run(cfg, &trace, Aging::Footprint).unwrap();
+        let nossd = run(
+            io_cfg(Architecture::NoSsdPinConstrained),
+            &trace,
+            Aging::Footprint,
+        )
+        .unwrap();
         assert!(
             nossd.speedup_vs(&base) < 0.8,
             "pin-constrained NoSSD should degrade performance, got {:.2}",
@@ -155,8 +161,8 @@ mod tests {
     fn determinism_same_seed_same_report() {
         let cfg = io_cfg(Architecture::PnSsdSplit);
         let trace = small_trace(&cfg, 150, 9);
-        let a = run_trace(cfg, &trace).unwrap();
-        let b = run_trace(cfg, &trace).unwrap();
+        let a = run(cfg, &trace, Aging::Footprint).unwrap();
+        let b = run(cfg, &trace, Aging::Footprint).unwrap();
         assert_eq!(a, b);
     }
 
@@ -171,7 +177,7 @@ mod tests {
             seed: 1,
         };
         let t = spec.generate();
-        let report = run_closed_loop(cfg, &t, 8).unwrap();
+        let report = run(cfg, Drive::closed_loop(&t, 8), Aging::Footprint).unwrap();
         assert_eq!(report.completed, 64);
         assert!(report.kiops() > 0.0);
     }
@@ -187,8 +193,8 @@ mod tests {
             seed: 2,
         };
         let t = spec.generate();
-        let shallow = run_closed_loop(cfg, &t, 1).unwrap();
-        let deep = run_closed_loop(cfg, &t, 32).unwrap();
+        let shallow = run(cfg, Drive::closed_loop(&t, 1), Aging::Footprint).unwrap();
+        let deep = run(cfg, Drive::closed_loop(&t, 32), Aging::Footprint).unwrap();
         assert!(deep.all.mean > shallow.all.mean);
         assert!(deep.kiops() > shallow.kiops());
     }
@@ -207,7 +213,7 @@ mod tests {
                 seed: 3,
             };
             let t = spec.generate();
-            let report = run_closed_loop_preconditioned(cfg, &t, 8, 0.85, 0.3).unwrap();
+            let report = run(cfg, Drive::closed_loop(&t, 8), Aging::PAPER).unwrap();
             assert_eq!(report.completed, 600, "{policy}");
             assert!(report.gc.events > 0, "{policy}: GC never triggered");
             assert!(report.gc.pages_copied > 0, "{policy}");
@@ -229,8 +235,8 @@ mod tests {
         };
         let cfg = mk(GcPolicy::Parallel);
         let t = PaperWorkload::YcsbA.generate(800, cfg.logical_bytes() / 2, 4);
-        let pagc = run_trace_preconditioned(mk(GcPolicy::Parallel), &t, 0.85, 0.3).unwrap();
-        let spgc = run_trace_preconditioned(mk(GcPolicy::Spatial), &t, 0.85, 0.3).unwrap();
+        let pagc = run(mk(GcPolicy::Parallel), &t, Aging::PAPER).unwrap();
+        let spgc = run(mk(GcPolicy::Spatial), &t, Aging::PAPER).unwrap();
         assert!(pagc.gc.events > 0 && spgc.gc.events > 0);
         assert!(
             spgc.all.mean < pagc.all.mean,
@@ -250,9 +256,14 @@ mod tests {
             let cfg = io_cfg(Architecture::BaseSsd);
             PaperWorkload::WebSearch0.generate(400, cfg.logical_bytes() / 2, 15)
         };
-        let base = run_trace(io_cfg(Architecture::BaseSsd), &trace).unwrap();
-        let sliced = run_trace(io_cfg(Architecture::ChannelSliced), &trace).unwrap();
-        let pssd = run_trace(io_cfg(Architecture::PSsd), &trace).unwrap();
+        let base = run(io_cfg(Architecture::BaseSsd), &trace, Aging::Footprint).unwrap();
+        let sliced = run(
+            io_cfg(Architecture::ChannelSliced),
+            &trace,
+            Aging::Footprint,
+        )
+        .unwrap();
+        let pssd = run(io_cfg(Architecture::PSsd), &trace, Aging::Footprint).unwrap();
         // Same 8-bit controller attachment as baseSSD: I/O performance is a
         // wash (packet framing roughly offsets the saved command cycles) —
         // the strawman's only upside is chip-to-chip GC connectivity.
@@ -271,7 +282,7 @@ mod tests {
         let mut cfg = SsdConfig::tiny(Architecture::ChannelSliced);
         cfg.gc.policy = GcPolicy::Spatial;
         let trace = PaperWorkload::Build0.generate(300, cfg.logical_bytes() / 2, 16);
-        let report = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
+        let report = run(cfg, &trace, Aging::PAPER).unwrap();
         assert_eq!(report.completed, 300);
         assert!(report.gc.events > 0);
         assert!(report.gc.pages_copied > 0);
@@ -281,7 +292,7 @@ mod tests {
     fn channel_utilization_recorded() {
         let cfg = io_cfg(Architecture::BaseSsd);
         let trace = small_trace(&cfg, 200, 6);
-        let report = run_trace(cfg, &trace).unwrap();
+        let report = run(cfg, &trace, Aging::Footprint).unwrap();
         let total_read: f64 = report
             .channel_util
             .read
@@ -308,8 +319,13 @@ mod tests {
             let cfg = io_cfg(Architecture::BaseSsd);
             PaperWorkload::YcsbA.generate(200, cfg.logical_bytes() / 2, 18)
         };
-        let base = run_trace(io_cfg(Architecture::BaseSsd), &trace).unwrap();
-        let mesh = run_trace(io_cfg(Architecture::NoSsdUnconstrained), &trace).unwrap();
+        let base = run(io_cfg(Architecture::BaseSsd), &trace, Aging::Footprint).unwrap();
+        let mesh = run(
+            io_cfg(Architecture::NoSsdUnconstrained),
+            &trace,
+            Aging::Footprint,
+        )
+        .unwrap();
         assert!(base.energy.h_channel_mj > 0.0);
         assert_eq!(base.energy.mesh_mj, 0.0);
         assert_eq!(mesh.energy.h_channel_mj, 0.0);
@@ -331,10 +347,10 @@ mod tests {
             let cfg = io_cfg(Architecture::PSsd);
             PaperWorkload::WebSearch0.generate(150, cfg.logical_bytes() / 2, 19)
         };
-        let ideal = run_trace(io_cfg(Architecture::PSsd), &trace).unwrap();
+        let ideal = run(io_cfg(Architecture::PSsd), &trace, Aging::Footprint).unwrap();
         let mut cfg = io_cfg(Architecture::PSsd);
         cfg.ecc = EccConfig::hybrid();
-        let hybrid = run_trace(cfg, &trace).unwrap();
+        let hybrid = run(cfg, &trace, Aging::Footprint).unwrap();
         let added = hybrid.read.mean.saturating_sub(ideal.read.mean);
         // Roughly one controller decode per page read (2us), allowing for
         // queueing interactions.
@@ -356,10 +372,8 @@ mod tests {
             let cfg = mk(EccConfig::ideal());
             PaperWorkload::Build0.generate(300, cfg.logical_bytes() / 2, 20)
         };
-        let hybrid = run_trace_preconditioned(mk(EccConfig::hybrid()), &trace, 0.85, 0.3).unwrap();
-        let strict =
-            run_trace_preconditioned(mk(EccConfig::controller_strict()), &trace, 0.85, 0.3)
-                .unwrap();
+        let hybrid = run(mk(EccConfig::hybrid()), &trace, Aging::PAPER).unwrap();
+        let strict = run(mk(EccConfig::controller_strict()), &trace, Aging::PAPER).unwrap();
         assert!(hybrid.gc.events > 0 && strict.gc.events > 0);
         // Strict mode stages every copy through the controller, putting GC
         // traffic back onto the h-channels; hybrid keeps GC on the
@@ -379,10 +393,10 @@ mod tests {
             let cfg = io_cfg(Architecture::PSsd);
             PaperWorkload::YcsbA.generate(200, cfg.logical_bytes() / 2, 27)
         };
-        let fast = run_trace(io_cfg(Architecture::PSsd), &trace).unwrap();
+        let fast = run(io_cfg(Architecture::PSsd), &trace, Aging::Footprint).unwrap();
         let mut cfg = io_cfg(Architecture::PSsd);
         cfg.ftl_page_latency = SimTime::from_us(5);
-        let slow = run_trace(cfg, &trace).unwrap();
+        let slow = run(cfg, &trace, Aging::Footprint).unwrap();
         assert!(
             slow.all.mean > fast.all.mean + SimTime::from_us(4),
             "FTL compute should add latency: {} vs {}",
@@ -393,19 +407,6 @@ mod tests {
         let mut bad = io_cfg(Architecture::PSsd);
         bad.ftl_cores = 0;
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn footprint_larger_than_device_rejected() {
-        let cfg = SsdConfig::tiny(Architecture::BaseSsd);
-        let mut t = Trace::new("huge");
-        t.push(IoRequest::new(
-            IoOp::Read,
-            cfg.logical_bytes() * 2,
-            4096,
-            SimTime::ZERO,
-        ));
-        assert!(run_trace(cfg, &t).is_err());
     }
 }
 
@@ -455,7 +456,7 @@ mod proptests {
                 ));
             }
             let n = t.len() as u64;
-            let report = run_trace(cfg, &t).unwrap();
+            let report = run(cfg, &t, Aging::Footprint).unwrap();
             assert_eq!(report.completed, n);
             assert_eq!(report.read.count + report.write.count, n);
             assert_eq!(report.unmapped_reads, 0);
@@ -477,7 +478,7 @@ mod proptests {
             cfg.seed = seed;
             let trace =
                 nssd_workloads::PaperWorkload::Build0.generate(150, cfg.logical_bytes() / 2, seed);
-            let report = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
+            let report = run(cfg, &trace, Aging::PAPER).unwrap();
             assert_eq!(report.completed, 150);
             assert!(
                 report.gc.pages_copied >= report.ftl.gc_relocations.min(report.gc.pages_copied)

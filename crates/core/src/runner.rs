@@ -1,10 +1,13 @@
-//! High-level experiment runners.
+//! One way to prepare a run: a [`Drive`] (how the requests are issued) and
+//! an [`Aging`] (the state the device starts in).
 //!
-//! Every runner accepts anything implementing [`TraceInput`]: pass `&Trace`
-//! when the same trace feeds many experiment cells (the records are copied
-//! once into the engine), or pass an owned [`Trace`] / `Vec<IoRequest>` for
-//! per-run generated traces, in which case the request list moves into the
-//! engine's [`Drive`] without a single copy.
+//! [`prepare`] builds the preconditioned simulator and its drive without
+//! running them (the entry point for stepped or checkpointed execution);
+//! [`run`] runs them to completion. Both take anything that converts into
+//! a [`Drive`]. A `&Trace` copies its records once, for a trace that feeds
+//! many experiment cells; an owned [`Trace`] or `Vec<IoRequest>` moves into
+//! the drive without a copy. Those three convert to open loop;
+//! [`Drive::closed_loop`] and [`Drive::tenants`] build the other two.
 
 use nssd_ftl::FtlError;
 use nssd_host::{IoRequest, SchedulerKind, TenantConfig};
@@ -12,302 +15,185 @@ use nssd_workloads::Trace;
 
 use crate::{Drive, SimReport, SsdConfig, SsdSim};
 
-/// A source of the request list driving a run.
-///
-/// The engine's [`Drive`] owns its `Vec<IoRequest>` end-to-end; this trait
-/// decides whether getting there costs a copy (`&Trace`) or not (owned
-/// [`Trace`], `Vec<IoRequest>`).
-pub trait TraceInput {
-    /// Highest byte address touched plus one (the footprint bound used for
-    /// preconditioning checks).
-    fn footprint_bytes(&self) -> u64;
-    /// Consumes the input into the arrival-ordered request list.
-    fn into_records(self) -> Vec<IoRequest>;
+/// The state the device starts a run in.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Aging {
+    /// Every page the drive's requests touch is mapped sequentially, so
+    /// reads hit flash without fragmenting blocks (the no-GC experiments,
+    /// Figs 14–17).
+    Footprint,
+    /// `fill` of the logical space written, then `overwrite × logical`
+    /// random overwrites, then pressurized, so garbage collection triggers
+    /// naturally during the run (Figs 18–20). Every request must fall
+    /// inside the filled region.
+    Aged {
+        /// Fraction of the logical space written, in `[0, 1]`.
+        fill: f64,
+        /// Random overwrites as a multiple of the logical space, in `[0, 2]`.
+        overwrite: f64,
+    },
 }
 
-impl TraceInput for Trace {
-    fn footprint_bytes(&self) -> u64 {
-        Trace::footprint_bytes(self)
-    }
-    fn into_records(self) -> Vec<IoRequest> {
-        Trace::into_records(self)
-    }
+impl Aging {
+    /// The paper's aging (§VII-A): 85% fill plus 0.3× overwrites.
+    pub const PAPER: Aging = Aging::Aged {
+        fill: 0.85,
+        overwrite: 0.3,
+    };
 }
 
-impl TraceInput for &Trace {
-    fn footprint_bytes(&self) -> u64 {
-        Trace::footprint_bytes(self)
-    }
-    fn into_records(self) -> Vec<IoRequest> {
-        self.records().to_vec()
-    }
-}
-
-impl TraceInput for Vec<IoRequest> {
-    fn footprint_bytes(&self) -> u64 {
-        self.iter()
-            .map(|r| r.offset + r.len as u64)
-            .max()
-            .unwrap_or(0)
-    }
-    fn into_records(self) -> Vec<IoRequest> {
-        self
+impl From<&Trace> for Drive {
+    fn from(trace: &Trace) -> Self {
+        Drive::OpenLoop(trace.into())
     }
 }
 
-/// Runs a trace open-loop (arrivals at trace timestamps) with the device
-/// preconditioned just enough that every read hits a mapped page, without
-/// fragmenting blocks (the no-GC experiments, Figs 14/15).
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn run_trace(cfg: SsdConfig, trace: impl TraceInput) -> Result<SimReport, String> {
-    let (sim, drive) = prepare_trace(cfg, trace)?;
-    Ok(sim.run(drive))
+impl From<Trace> for Drive {
+    fn from(trace: Trace) -> Self {
+        Drive::OpenLoop(trace.into())
+    }
 }
 
-/// Builds the preconditioned simulator and [`Drive`] that [`run_trace`]
-/// would execute, without running it — the entry point for stepped or
-/// checkpointed execution.
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn prepare_trace(cfg: SsdConfig, trace: impl TraceInput) -> Result<(SsdSim, Drive), String> {
-    let mut sim = SsdSim::new(cfg)?;
-    precondition_footprint(&mut sim, trace.footprint_bytes())?;
-    Ok((sim, Drive::OpenLoop(trace.into_records())))
+impl From<Vec<IoRequest>> for Drive {
+    fn from(requests: Vec<IoRequest>) -> Self {
+        Drive::OpenLoop(requests)
+    }
 }
 
-/// Runs a trace open-loop on a device preconditioned to `fill` of its
-/// logical space with `overwrite × logical` random overwrites, so garbage
-/// collection triggers naturally during the run (Figs 18–20).
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn run_trace_preconditioned(
-    cfg: SsdConfig,
-    trace: impl TraceInput,
-    fill: f64,
-    overwrite: f64,
-) -> Result<SimReport, String> {
-    let (sim, drive) = prepare_trace_preconditioned(cfg, trace, fill, overwrite)?;
-    Ok(sim.run(drive))
-}
-
-/// Prepared (unrun) form of [`run_trace_preconditioned`].
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn prepare_trace_preconditioned(
-    cfg: SsdConfig,
-    trace: impl TraceInput,
-    fill: f64,
-    overwrite: f64,
-) -> Result<(SsdSim, Drive), String> {
-    check_aging(fill, overwrite)?;
-    let mut sim = SsdSim::new(cfg)?;
-    check_footprint(&sim, trace.footprint_bytes(), fill)?;
-    precondition_aged(&mut sim, fill, overwrite)?;
-    Ok((sim, Drive::OpenLoop(trace.into_records())))
-}
-
-/// Runs requests closed-loop with `depth` outstanding (the synthetic
-/// studies, Figs 16/17, where the x-axis is the number of concurrent I/Os).
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn run_closed_loop(
-    cfg: SsdConfig,
-    requests: impl TraceInput,
-    depth: usize,
-) -> Result<SimReport, String> {
-    let (sim, drive) = prepare_closed_loop(cfg, requests, depth)?;
-    Ok(sim.run(drive))
-}
-
-/// Prepared (unrun) form of [`run_closed_loop`].
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn prepare_closed_loop(
-    cfg: SsdConfig,
-    requests: impl TraceInput,
-    depth: usize,
-) -> Result<(SsdSim, Drive), String> {
-    let mut sim = SsdSim::new(cfg)?;
-    precondition_footprint(&mut sim, requests.footprint_bytes())?;
-    Ok((
-        sim,
+impl Drive {
+    /// Closed loop over `requests` with `depth` outstanding (the synthetic
+    /// studies, Figs 16/17, where the x-axis is the number of concurrent
+    /// I/Os).
+    pub fn closed_loop(requests: impl Into<Vec<IoRequest>>, depth: usize) -> Drive {
         Drive::ClosedLoop {
-            requests: requests.into_records(),
+            requests: requests.into(),
             depth,
-        },
-    ))
+        }
+    }
+
+    /// Per-tenant streams through the NVMe-style multi-queue frontend, pulled
+    /// through `scheduler` with at most `depth` outstanding; the report
+    /// carries per-tenant rollups ([`SimReport::tenants`]).
+    pub fn tenants<R: Into<Vec<IoRequest>>>(
+        streams: Vec<(TenantConfig, R)>,
+        scheduler: SchedulerKind,
+        depth: usize,
+    ) -> Drive {
+        Drive::MultiTenant {
+            tenants: streams.into_iter().map(|(c, r)| (c, r.into())).collect(),
+            scheduler,
+            depth,
+        }
+    }
 }
 
-/// Closed-loop variant with GC preconditioning (Fig 18).
+/// Runs `drive` on a device prepared by [`prepare`].
 ///
 /// # Errors
 ///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn run_closed_loop_preconditioned(
-    cfg: SsdConfig,
-    requests: impl TraceInput,
-    depth: usize,
-    fill: f64,
-    overwrite: f64,
-) -> Result<SimReport, String> {
-    let (sim, drive) = prepare_closed_loop_preconditioned(cfg, requests, depth, fill, overwrite)?;
+/// Returns [`prepare`]'s message for invalid configurations, drives or
+/// agings.
+pub fn run(cfg: SsdConfig, drive: impl Into<Drive>, aging: Aging) -> Result<SimReport, String> {
+    let (sim, drive) = prepare(cfg, drive, aging)?;
     Ok(sim.run(drive))
 }
 
-/// Prepared (unrun) form of [`run_closed_loop_preconditioned`].
+/// Builds the simulator, ages it per `aging`, and returns it with the
+/// drive, unrun.
+///
+/// The footprint is the highest byte any of the drive's requests touches
+/// (across every tenant stream); it must fit the logical capacity, and
+/// under [`Aging::Aged`] the filled region.
 ///
 /// # Errors
 ///
-/// Returns a message for invalid configurations or infeasible traces.
+/// Returns a message for a zero depth or an empty tenant list, an aging
+/// fraction out of range, an invalid configuration, or a footprint that
+/// does not fit.
+pub fn prepare(
+    cfg: SsdConfig,
+    drive: impl Into<Drive>,
+    aging: Aging,
+) -> Result<(SsdSim, Drive), String> {
+    let drive = drive.into();
+    check_drive(&drive)?;
+    if let Aging::Aged { fill, overwrite } = aging {
+        check_aging(fill, overwrite)?;
+    }
+    let mut sim = SsdSim::new(cfg)?;
+    let footprint = footprint_bytes(&drive);
+    match aging {
+        Aging::Footprint => precondition_footprint(&mut sim, footprint)?,
+        Aging::Aged { fill, overwrite } => {
+            check_footprint(&sim, footprint, fill)?;
+            precondition_aged(&mut sim, fill, overwrite)?;
+        }
+    }
+    Ok((sim, drive))
+}
+
+// Benchmark-only forwarders: `benchmark/src/workload.rs` still calls these
+// three by name. The next change to the benchmark moves it to `prepare` and
+// deletes them.
+
+#[doc(hidden)]
+pub fn prepare_trace(cfg: SsdConfig, trace: Trace) -> Result<(SsdSim, Drive), String> {
+    prepare(cfg, trace, Aging::Footprint)
+}
+
+#[doc(hidden)]
 pub fn prepare_closed_loop_preconditioned(
     cfg: SsdConfig,
-    requests: impl TraceInput,
+    requests: Trace,
     depth: usize,
     fill: f64,
     overwrite: f64,
 ) -> Result<(SsdSim, Drive), String> {
-    check_aging(fill, overwrite)?;
-    let mut sim = SsdSim::new(cfg)?;
-    check_footprint(&sim, requests.footprint_bytes(), fill)?;
-    precondition_aged(&mut sim, fill, overwrite)?;
-    Ok((
-        sim,
-        Drive::ClosedLoop {
-            requests: requests.into_records(),
-            depth,
-        },
-    ))
+    prepare(
+        cfg,
+        Drive::closed_loop(requests, depth),
+        Aging::Aged { fill, overwrite },
+    )
 }
 
-/// Runs per-tenant streams through the NVMe-style multi-queue frontend:
-/// each tenant's requests arrive at their trace timestamps into that
-/// tenant's submission queue, the device pulls through `scheduler` with at
-/// most `depth` outstanding, and the report carries per-tenant rollups
-/// ([`SimReport::tenants`]). The device is preconditioned just enough that
-/// every read hits a mapped page (no GC pressure).
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn run_tenants(
-    cfg: SsdConfig,
-    streams: Vec<(TenantConfig, impl TraceInput)>,
-    scheduler: SchedulerKind,
-    depth: usize,
-) -> Result<SimReport, String> {
-    let (sim, drive) = prepare_tenants(cfg, streams, scheduler, depth)?;
-    Ok(sim.run(drive))
-}
-
-/// Prepared (unrun) form of [`run_tenants`].
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn prepare_tenants(
-    cfg: SsdConfig,
-    streams: Vec<(TenantConfig, impl TraceInput)>,
-    scheduler: SchedulerKind,
-    depth: usize,
-) -> Result<(SsdSim, Drive), String> {
-    check_streams(&streams)?;
-    let mut sim = SsdSim::new(cfg)?;
-    let footprint = streams
-        .iter()
-        .map(|(_, t)| t.footprint_bytes())
-        .max()
-        .unwrap_or(0);
-    precondition_footprint(&mut sim, footprint)?;
-    Ok((
-        sim,
-        Drive::MultiTenant {
-            tenants: tenant_records(streams),
-            scheduler,
-            depth,
-        },
-    ))
-}
-
-/// Multi-tenant variant on an aged device (GC triggers during the run) —
-/// the interference experiments, where one tenant's GC-heavy writes
-/// contend with a neighbor's latency-sensitive reads.
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
-pub fn run_tenants_preconditioned(
-    cfg: SsdConfig,
-    streams: Vec<(TenantConfig, impl TraceInput)>,
-    scheduler: SchedulerKind,
-    depth: usize,
-    fill: f64,
-    overwrite: f64,
-) -> Result<SimReport, String> {
-    let (sim, drive) =
-        prepare_tenants_preconditioned(cfg, streams, scheduler, depth, fill, overwrite)?;
-    Ok(sim.run(drive))
-}
-
-/// Prepared (unrun) form of [`run_tenants_preconditioned`].
-///
-/// # Errors
-///
-/// Returns a message for invalid configurations or infeasible traces.
+#[doc(hidden)]
 pub fn prepare_tenants_preconditioned(
     cfg: SsdConfig,
-    streams: Vec<(TenantConfig, impl TraceInput)>,
+    streams: Vec<(TenantConfig, Trace)>,
     scheduler: SchedulerKind,
     depth: usize,
     fill: f64,
     overwrite: f64,
 ) -> Result<(SsdSim, Drive), String> {
-    check_streams(&streams)?;
-    check_aging(fill, overwrite)?;
-    let mut sim = SsdSim::new(cfg)?;
-    let footprint = streams
-        .iter()
-        .map(|(_, t)| t.footprint_bytes())
-        .max()
-        .unwrap_or(0);
-    check_footprint(&sim, footprint, fill)?;
-    precondition_aged(&mut sim, fill, overwrite)?;
-    Ok((
-        sim,
-        Drive::MultiTenant {
-            tenants: tenant_records(streams),
-            scheduler,
-            depth,
-        },
-    ))
+    prepare(
+        cfg,
+        Drive::tenants(streams, scheduler, depth),
+        Aging::Aged { fill, overwrite },
+    )
 }
 
-fn check_streams(streams: &[(TenantConfig, impl TraceInput)]) -> Result<(), String> {
-    if streams.is_empty() {
-        return Err("multi-tenant run needs at least one tenant stream".into());
+fn check_drive(drive: &Drive) -> Result<(), String> {
+    match drive {
+        Drive::MultiTenant { tenants, .. } if tenants.is_empty() => {
+            Err("multi-tenant run needs at least one tenant stream".into())
+        }
+        Drive::ClosedLoop { depth: 0, .. } | Drive::MultiTenant { depth: 0, .. } => {
+            Err("queue depth 0: a closed-loop or multi-tenant drive needs at least 1".into())
+        }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
-fn tenant_records(
-    streams: Vec<(TenantConfig, impl TraceInput)>,
-) -> Vec<(TenantConfig, Vec<IoRequest>)> {
-    streams
-        .into_iter()
-        .map(|(config, t)| (config, t.into_records()))
-        .collect()
+/// Highest byte address any request touches, plus one.
+fn footprint_bytes(drive: &Drive) -> u64 {
+    let end = |r: &IoRequest| r.offset + r.len as u64;
+    match drive {
+        Drive::OpenLoop(requests) | Drive::ClosedLoop { requests, .. } => {
+            requests.iter().map(end).max()
+        }
+        Drive::MultiTenant { tenants, .. } => tenants.iter().flat_map(|(_, r)| r).map(end).max(),
+    }
+    .unwrap_or(0)
 }
 
 /// Ages the device: `fill` of the logical space written, `overwrite ×
@@ -368,4 +254,79 @@ fn check_footprint(sim: &SsdSim, footprint_bytes: u64, fill: f64) -> Result<(), 
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Architecture;
+    use nssd_host::{IoOp, SloClass};
+    use nssd_sim::SimTime;
+
+    #[test]
+    fn prepare_refuses_each_bad_input_with_a_message() {
+        let cfg = SsdConfig::tiny(Architecture::BaseSsd);
+        let at = |offset| vec![IoRequest::new(IoOp::Read, offset, 4096, SimTime::ZERO)];
+        let inside = || at(0);
+        let tenant = || TenantConfig::new("t0", 1, SloClass::Throughput);
+        let aged = |fill, overwrite| Aging::Aged { fill, overwrite };
+        let cases: [(&str, Drive, Aging, &str); 8] = [
+            (
+                "NaN fill",
+                inside().into(),
+                aged(f64::NAN, 0.3),
+                "fill fraction NaN",
+            ),
+            (
+                "fill 1.5",
+                inside().into(),
+                aged(1.5, 0.3),
+                "fill fraction 1.5",
+            ),
+            (
+                "overwrite 2.5",
+                inside().into(),
+                aged(0.85, 2.5),
+                "overwrite fraction 2.5",
+            ),
+            (
+                "footprint past the aged region",
+                at(cfg.logical_bytes() * 9 / 10).into(),
+                Aging::PAPER,
+                "exceeds the preconditioned region",
+            ),
+            (
+                "footprint past logical capacity",
+                at(cfg.logical_bytes()).into(),
+                Aging::Footprint,
+                "exceeds logical capacity",
+            ),
+            (
+                "empty tenant list",
+                Drive::tenants(
+                    Vec::<(TenantConfig, Vec<IoRequest>)>::new(),
+                    SchedulerKind::RoundRobin,
+                    4,
+                ),
+                Aging::Footprint,
+                "at least one tenant stream",
+            ),
+            (
+                "closed-loop depth 0",
+                Drive::closed_loop(inside(), 0),
+                Aging::Footprint,
+                "queue depth 0",
+            ),
+            (
+                "tenant depth 0",
+                Drive::tenants(vec![(tenant(), inside())], SchedulerKind::RoundRobin, 0),
+                Aging::PAPER,
+                "queue depth 0",
+            ),
+        ];
+        for (what, drive, aging, message) in cases {
+            let err = prepare(cfg, drive, aging).expect_err(what);
+            assert!(err.contains(message), "{what}: {err}");
+        }
+    }
 }

@@ -5,8 +5,8 @@
 //! from the existing generators — a raw [`WorkloadSpec`], a named
 //! [`PaperWorkload`], or a closed-loop [`MixedSpec`]. [`TenantMix::generate`]
 //! carves the logical address space into equal per-tenant partitions and
-//! renders one trace per tenant, ready for
-//! `run_tenants(…)` in the core crate.
+//! renders one trace per tenant, ready for the core crate's
+//! `Drive::tenants(…)`.
 //!
 //! The canonical interference scenario the paper-style experiments use —
 //! a GC-heavy write-burst tenant against a read-latency-sensitive
@@ -147,7 +147,7 @@ impl TenantMix {
 /// Rebases every request of `trace` by `base` bytes (partition placement).
 fn offset_trace(trace: Trace, base: u64) -> Trace {
     let mut out = Trace::new(trace.name());
-    for r in trace.into_records() {
+    for r in &trace {
         out.push(IoRequest::new(r.op, r.offset + base, r.len, r.at));
     }
     out

@@ -69,13 +69,6 @@ impl Trace {
         &self.records
     }
 
-    /// Consumes the trace into its arrival-ordered record list without
-    /// copying — the zero-clone path into [`nssd_sim`]-driven engines for
-    /// traces generated per run.
-    pub fn into_records(self) -> Vec<IoRequest> {
-        self.records
-    }
-
     /// Iterates over the records.
     pub fn iter(&self) -> std::slice::Iter<'_, IoRequest> {
         self.records.iter()
@@ -259,6 +252,21 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
+/// Consumes the trace into its arrival-ordered record list without
+/// copying: the zero-clone path into an engine for traces generated per run.
+impl From<Trace> for Vec<IoRequest> {
+    fn from(trace: Trace) -> Self {
+        trace.records
+    }
+}
+
+/// Copies the records, for a trace that feeds many runs.
+impl From<&Trace> for Vec<IoRequest> {
+    fn from(trace: &Trace) -> Self {
+        trace.records.clone()
+    }
+}
+
 impl<'a> IntoIterator for &'a Trace {
     type Item = &'a IoRequest;
     type IntoIter = std::slice::Iter<'a, IoRequest>;
@@ -295,10 +303,11 @@ mod tests {
     }
 
     #[test]
-    fn into_records_preserves_order_and_content() {
+    fn vec_from_trace_preserves_order_and_content() {
         let t = sample();
-        let copied = t.records().to_vec();
-        assert_eq!(t.into_records(), copied);
+        let copied = Vec::from(&t);
+        assert_eq!(copied, t.records());
+        assert_eq!(Vec::from(t), copied);
     }
 
     #[test]

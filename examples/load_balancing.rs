@@ -7,7 +7,7 @@
 
 use networked_ssd::ftl::AllocPolicy;
 use networked_ssd::{
-    run_closed_loop, Architecture, GcPolicy, SsdConfig, SyntheticPattern, SyntheticSpec,
+    run, Aging, Architecture, Drive, GcPolicy, SsdConfig, SyntheticPattern, SyntheticSpec,
 };
 
 fn main() -> Result<(), String> {
@@ -32,7 +32,11 @@ fn main() -> Result<(), String> {
                 4_000,
                 cfg.logical_bytes() / 2,
             );
-            let report = run_closed_loop(cfg, spec.generate(), 16)?;
+            let report = run(
+                cfg,
+                Drive::closed_loop(spec.generate(), 16),
+                Aging::Footprint,
+            )?;
             row += &format!(" {:>14}", report.all.mean.to_string());
         }
         println!("{row}");

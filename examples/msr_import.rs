@@ -8,7 +8,7 @@
 //! ```
 
 use networked_ssd::workloads::{import_msr, MsrImportOptions, TraceStats};
-use networked_ssd::{run_trace, Architecture, GcPolicy, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, SsdConfig};
 
 /// A miniature MSR-format snippet (the real collection's `usr_0` volume
 /// has millions of rows in exactly this shape).
@@ -51,10 +51,10 @@ fn main() -> Result<(), String> {
         TraceStats::measure(&trace)
     );
 
-    let base = run_trace(cfg, &trace)?;
+    let base = run(cfg, &trace, Aging::Footprint)?;
     let mut pn_cfg = SsdConfig::new(Architecture::PnSsdSplit);
     pn_cfg.gc.policy = GcPolicy::None;
-    let pnssd = run_trace(pn_cfg, &trace)?;
+    let pnssd = run(pn_cfg, &trace, Aging::Footprint)?;
 
     println!(
         "baseSSD:        mean {}  p99 {}",

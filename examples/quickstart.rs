@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig};
 
 fn main() -> Result<(), String> {
     // A capacity-scaled device with the paper's 8-channel × 8-way topology.
@@ -21,12 +21,12 @@ fn main() -> Result<(), String> {
         trace.read_fraction() * 100.0
     );
 
-    let base = run_trace(base_cfg, &trace)?;
+    let base = run(base_cfg, &trace, Aging::Footprint)?;
     println!("\nbaseSSD:\n{base}");
 
     let mut pn_cfg = SsdConfig::new(Architecture::PnSsdSplit);
     pn_cfg.gc.policy = GcPolicy::None;
-    let pnssd = run_trace(pn_cfg, &trace)?;
+    let pnssd = run(pn_cfg, &trace, Aging::Footprint)?;
     println!("pnSSD (+split):\n{pnssd}");
 
     println!(

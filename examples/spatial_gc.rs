@@ -5,7 +5,7 @@
 //! cargo run --release --example spatial_gc
 //! ```
 
-use networked_ssd::{run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig};
 
 fn main() -> Result<(), String> {
     let policies = [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial];
@@ -18,7 +18,7 @@ fn main() -> Result<(), String> {
         let trace = PaperWorkload::RocksDb0.generate(8_000, cfg.logical_bytes() / 2, 7);
         // 85% full with 0.3×logical random overwrites, then pushed to the
         // trigger watermark so GC runs throughout the measurement.
-        let report = run_trace_preconditioned(cfg, &trace, 0.85, 0.3)?;
+        let report = run(cfg, &trace, Aging::PAPER)?;
         let mean = report.all.mean;
         let vs = baseline_mean
             .map(|b: networked_ssd::sim::SimTime| {

@@ -6,7 +6,7 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
 
 fn main() -> Result<(), String> {
     let mut cfg = SsdConfig::new(Architecture::PSsd);
@@ -31,7 +31,7 @@ fn main() -> Result<(), String> {
     assert_eq!(reloaded, original, "text round-trip must be lossless");
 
     // 4. Replay.
-    let report = run_trace(cfg, &reloaded)?;
+    let report = run(cfg, &reloaded, Aging::Footprint)?;
     println!("\nreplay on pSSD:\n{report}");
     Ok(())
 }

@@ -15,6 +15,18 @@ echo "==> rustdoc (-D warnings)"
 # comment still names fails here, not in the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
+echo "==> benchmark-only runner forwarders"
+# `prepare_trace`, `prepare_closed_loop_preconditioned` and
+# `prepare_tenants_preconditioned` are kept only because benchmark/src/
+# workload.rs calls them; every other caller prepares a run with `prepare`.
+# Fails if any of the three is named outside its definition in
+# crates/core/src/runner.rs, so the old runner surface cannot grow back.
+if grep -rnwE 'prepare_trace|prepare_closed_loop_preconditioned|prepare_tenants_preconditioned' \
+    crates src tests examples | grep -vE '^crates/core/src/runner\.rs:[0-9]+:pub fn '; then
+    echo "benchmark-only runner forwarders named outside their definitions (above)" >&2
+    exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

@@ -15,15 +15,15 @@
 //! ## Quick start
 //!
 //! ```
-//! use networked_ssd::core::{run_trace, Architecture, SsdConfig};
+//! use networked_ssd::core::{run, Aging, Architecture, SsdConfig};
 //! use networked_ssd::workloads::PaperWorkload;
 //!
 //! // Compare the conventional bus against the packetized-network SSD.
 //! let cfg = SsdConfig::tiny(Architecture::BaseSsd);
 //! let trace = PaperWorkload::WebSearch0.generate(200, cfg.logical_bytes() / 2, 1);
 //!
-//! let base = run_trace(cfg, &trace)?;
-//! let pnssd = run_trace(SsdConfig::tiny(Architecture::PnSsdSplit), &trace)?;
+//! let base = run(cfg, &trace, Aging::Footprint)?;
+//! let pnssd = run(SsdConfig::tiny(Architecture::PnSsdSplit), &trace, Aging::Footprint)?;
 //!
 //! println!(
 //!     "baseSSD {} vs pnSSD(+split) {} → {:.2}x",
@@ -63,8 +63,7 @@ pub use nssd_workloads as workloads;
 
 // The most-used items, flattened for convenience.
 pub use nssd_core::{
-    run_closed_loop, run_closed_loop_preconditioned, run_tenants, run_tenants_preconditioned,
-    run_trace, run_trace_preconditioned, Architecture, FaultConfig, GoldenCase, OracleSummary,
+    prepare, run, Aging, Architecture, Drive, FaultConfig, GoldenCase, OracleSummary,
     ReliabilityStats, SchedulerKind, SimReport, SloClass, SsdConfig, TenantConfig, TenantSummary,
 };
 pub use nssd_ftl::{GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec};

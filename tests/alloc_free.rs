@@ -16,9 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use networked_ssd::core::{
-    prepare_closed_loop_preconditioned, prepare_trace, Architecture, ChipFailureSpec, SsdConfig,
-};
+use networked_ssd::core::{prepare, Aging, Architecture, ChipFailureSpec, Drive, SsdConfig};
 use networked_ssd::flash::{Geometry, Pbn};
 use networked_ssd::ftl::{BlockTable, Ftl, FtlConfig, RedundancyConfig};
 use networked_ssd::sim::{DetRng, EventQueue, Rng, SimTime};
@@ -170,7 +168,7 @@ fn engine_hot_loop_is_allocation_free_on_every_fabric_family() {
         let mut cfg = SsdConfig::new(arch);
         cfg.gc.policy = GcPolicy::None;
         let trace = PaperWorkload::YcsbA.generate(20_000, cfg.logical_bytes() / 2, 7);
-        let (mut sim, drive) = prepare_trace(cfg, trace).expect("prepare");
+        let (mut sim, drive) = prepare(cfg, trace, Aging::Footprint).expect("prepare");
         let before = allocs();
         sim.start(drive);
         sim.run_to_idle();
@@ -188,18 +186,20 @@ fn engine_hot_loop_is_allocation_free_on_every_fabric_family() {
 #[test]
 fn stalled_writes_on_an_aged_device_do_not_allocate() {
     // Built like the benchmark's `gc-aged` base cell at a third of its
-    // length: PaGC on `gc_scaled`, aged to 0.85 fill plus 0.3x overwrites,
-    // closed loop at depth 32, the experiments' seed. Writes park once the
-    // free blocks reach the GC reserve, partway through the run.
-    const FILL: f64 = 0.85;
+    // length: PaGC on `gc_scaled`, aged per `Aging::PAPER`, closed loop at
+    // depth 32, the experiments' seed. Writes park once the free blocks
+    // reach the GC reserve, partway through the run.
     const SEED: u64 = 0x20220C0;
+    let Aging::Aged { fill, .. } = Aging::PAPER else {
+        unreachable!("the paper's aging fills the device")
+    };
     let mut cfg = SsdConfig::gc_scaled(Architecture::BaseSsd);
     cfg.gc.policy = GcPolicy::Parallel;
     cfg.seed = SEED;
-    let footprint = (cfg.logical_bytes() as f64 * (FILL - 0.05)) as u64;
+    let footprint = (cfg.logical_bytes() as f64 * (fill - 0.05)) as u64;
     let trace = PaperWorkload::YcsbA.generate(50_000, footprint, SEED);
     let (mut sim, drive) =
-        prepare_closed_loop_preconditioned(cfg, trace, 32, FILL, 0.3).expect("prepare");
+        prepare(cfg, Drive::closed_loop(trace, 32), Aging::PAPER).expect("prepare");
     let mut stalled = false;
     let before = allocs();
     sim.start(drive);
@@ -236,7 +236,7 @@ fn degraded_reads_and_the_parity_rebuild_do_not_allocate() {
             way: 0,
             at: trace.records()[trace.len() / 3].at + SimTime::from_ns(1),
         });
-        let (mut sim, drive) = prepare_trace(cfg, trace).expect("prepare");
+        let (mut sim, drive) = prepare(cfg, trace, Aging::Footprint).expect("prepare");
         let before = allocs();
         sim.start(drive);
         sim.run_to_idle();

@@ -1,7 +1,7 @@
 //! Cross-crate integration: the six architectures compared end-to-end, and
 //! the orderings the paper's evaluation rests on.
 
-use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SimReport, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SimReport, SsdConfig};
 
 fn io_cfg(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
@@ -9,17 +9,17 @@ fn io_cfg(arch: Architecture) -> SsdConfig {
     cfg
 }
 
-fn run(arch: Architecture, workload: PaperWorkload, n: usize, seed: u64) -> SimReport {
+fn run_workload(arch: Architecture, workload: PaperWorkload, n: usize, seed: u64) -> SimReport {
     let cfg = io_cfg(arch);
     let trace = workload.generate(n, cfg.logical_bytes() / 2, seed);
-    run_trace(cfg, &trace).expect("run succeeds")
+    run(cfg, &trace, Aging::Footprint).expect("run succeeds")
 }
 
 #[test]
 fn all_architectures_complete_all_workloads() {
     for arch in Architecture::all() {
         for workload in [PaperWorkload::Exchange1, PaperWorkload::Build0] {
-            let report = run(arch, workload, 120, 5);
+            let report = run_workload(arch, workload, 120, 5);
             assert_eq!(report.completed, 120, "{arch} {}", workload.name());
             assert_eq!(report.unmapped_reads, 0, "{arch}");
             assert!(report.all.count == 120);
@@ -31,13 +31,13 @@ fn all_architectures_complete_all_workloads() {
 #[test]
 fn packetized_interfaces_beat_the_dedicated_bus_on_reads() {
     // Read-heavy traffic is channel-bound even on the tiny geometry.
-    let base = run(Architecture::BaseSsd, PaperWorkload::WebSearch0, 400, 9);
+    let base = run_workload(Architecture::BaseSsd, PaperWorkload::WebSearch0, 400, 9);
     for arch in [
         Architecture::PSsd,
         Architecture::PnSsd,
         Architecture::PnSsdSplit,
     ] {
-        let r = run(arch, PaperWorkload::WebSearch0, 400, 9);
+        let r = run_workload(arch, PaperWorkload::WebSearch0, 400, 9);
         assert!(
             r.speedup_vs(&base) > 1.05,
             "{arch} should beat baseSSD, got {:.2}x",
@@ -49,14 +49,14 @@ fn packetized_interfaces_beat_the_dedicated_bus_on_reads() {
 #[test]
 fn pin_constrained_mesh_is_strictly_worst() {
     let workload = PaperWorkload::YcsbA;
-    let pin = run(Architecture::NoSsdPinConstrained, workload, 250, 3);
+    let pin = run_workload(Architecture::NoSsdPinConstrained, workload, 250, 3);
     for arch in [
         Architecture::BaseSsd,
         Architecture::NoSsdUnconstrained,
         Architecture::PSsd,
         Architecture::PnSsdSplit,
     ] {
-        let r = run(arch, workload, 250, 3);
+        let r = run_workload(arch, workload, 250, 3);
         assert!(
             r.all.mean < pin.all.mean,
             "{arch} ({}) should beat pin-constrained NoSSD ({})",
@@ -74,8 +74,8 @@ fn split_never_loses_to_plain_pnssd_by_much() {
         (PaperWorkload::Exchange1, 1),
         (PaperWorkload::WebSearch0, 2),
     ] {
-        let plain = run(Architecture::PnSsd, workload, 400, seed);
-        let split = run(Architecture::PnSsdSplit, workload, 400, seed);
+        let plain = run_workload(Architecture::PnSsd, workload, 400, seed);
+        let split = run_workload(Architecture::PnSsdSplit, workload, 400, seed);
         let ratio = split.all.mean.as_ns() as f64 / plain.all.mean.as_ns() as f64;
         assert!(
             ratio < 1.10,
@@ -89,7 +89,7 @@ fn split_never_loses_to_plain_pnssd_by_much() {
 
 #[test]
 fn reports_are_internally_consistent() {
-    let r = run(Architecture::PnSsdSplit, PaperWorkload::Exchange0, 300, 8);
+    let r = run_workload(Architecture::PnSsdSplit, PaperWorkload::Exchange0, 300, 8);
     // Percentiles are monotone.
     assert!(r.all.p50 <= r.all.p95);
     assert!(r.all.p95 <= r.all.p99);
@@ -112,7 +112,7 @@ fn multi_die_geometry_works_end_to_end() {
             ..Geometry::tiny()
         };
         let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 30);
-        let report = run_trace(cfg, &trace).expect("multi-die run");
+        let report = run(cfg, &trace, Aging::Footprint).expect("multi-die run");
         assert_eq!(report.completed, 150, "{arch}");
         assert_eq!(report.unmapped_reads, 0, "{arch}");
     }
@@ -123,7 +123,7 @@ fn endurance_limited_device_survives_a_short_run() {
     let mut cfg = io_cfg(Architecture::PSsd);
     cfg.endurance_limit = Some(50);
     let trace = PaperWorkload::Build0.generate(200, cfg.logical_bytes() / 2, 31);
-    let report = run_trace(cfg, &trace).expect("run");
+    let report = run(cfg, &trace, Aging::Footprint).expect("run");
     assert_eq!(report.completed, 200);
     // A short run nowhere near 50 P/E cycles retires nothing.
     assert_eq!(report.ftl.blocks_retired, 0);

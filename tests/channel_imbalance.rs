@@ -3,7 +3,7 @@
 //! engine's per-channel utilization recorders.
 
 use networked_ssd::core::Traffic;
-use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig};
 
 #[test]
 fn reads_are_more_imbalanced_than_writes() {
@@ -11,7 +11,7 @@ fn reads_are_more_imbalanced_than_writes() {
     let mut cfg = SsdConfig::new(Architecture::BaseSsd);
     cfg.gc.policy = GcPolicy::None;
     let trace = PaperWorkload::Exchange1.generate(8_000, cfg.logical_bytes() / 2, 21);
-    let report = run_trace(cfg, &trace).expect("run");
+    let report = run(cfg, &trace, Aging::Footprint).expect("run");
     let read_cov = report.channel_util.imbalance(Traffic::HostRead);
     let write_cov = report.channel_util.imbalance(Traffic::HostWrite);
     assert!(
@@ -29,7 +29,7 @@ fn every_channel_sees_traffic() {
     let mut cfg = SsdConfig::new(Architecture::BaseSsd);
     cfg.gc.policy = GcPolicy::None;
     let trace = PaperWorkload::YcsbA.generate(4_000, cfg.logical_bytes() / 2, 22);
-    let report = run_trace(cfg, &trace).expect("run");
+    let report = run(cfg, &trace, Aging::Footprint).expect("run");
     assert_eq!(report.channel_util.read.len(), 8);
     for (ch, windows) in report.channel_util.write.iter().enumerate() {
         let busy: f64 = windows.iter().sum();
@@ -42,7 +42,7 @@ fn utilization_fractions_are_valid() {
     let mut cfg = SsdConfig::new(Architecture::PnSsdSplit);
     cfg.gc.policy = GcPolicy::None;
     let trace = PaperWorkload::WebSearch0.generate(3_000, cfg.logical_bytes() / 2, 23);
-    let report = run_trace(cfg, &trace).expect("run");
+    let report = run(cfg, &trace, Aging::Footprint).expect("run");
     for matrix in [
         &report.channel_util.read,
         &report.channel_util.write,
@@ -68,7 +68,7 @@ fn higher_bus_width_raises_throughput_on_hot_traces() {
         cfg.gc.policy = GcPolicy::None;
         cfg.base_width_bits = width;
         let trace = PaperWorkload::Exchange1.generate(6_000, cfg.logical_bytes() / 2, 24);
-        run_trace(cfg, &trace).expect("run")
+        run(cfg, &trace, Aging::Footprint).expect("run")
     };
     let narrow = run_width(8);
     let wide = run_width(16);

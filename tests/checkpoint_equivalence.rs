@@ -17,7 +17,7 @@
 //! spatial placement state (group rotation and the GC-group mask).
 
 use networked_ssd::core::golden::{canonical_json, matrix};
-use networked_ssd::core::{prepare_closed_loop_preconditioned, Checkpoint};
+use networked_ssd::core::{prepare, Aging, Checkpoint, Drive};
 use networked_ssd::ftl::WayMask;
 use networked_ssd::sim::Pool;
 use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig};
@@ -145,8 +145,7 @@ fn resume_mid_spatial_gc_event_matches_uninterrupted_run() {
         cfg.oracle = true;
         let all = WayMask::all(cfg.geometry.ways);
         let trace = PaperWorkload::YcsbA.generate(600, cfg.logical_bytes() / 2, 13);
-        let (mut sim, drive) =
-            prepare_closed_loop_preconditioned(cfg, trace, 8, 0.85, 0.3).unwrap();
+        let (mut sim, drive) = prepare(cfg, Drive::closed_loop(trace, 8), Aging::PAPER).unwrap();
         sim.start(drive);
         let mut snapshots = Vec::new();
         let mut last_mask = all;

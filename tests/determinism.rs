@@ -2,8 +2,8 @@
 //! across every layer of the stack.
 
 use networked_ssd::{
-    run_closed_loop, run_trace, run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload,
-    SsdConfig, SyntheticPattern, SyntheticSpec,
+    run, Aging, Architecture, Drive, GcPolicy, PaperWorkload, SsdConfig, SyntheticPattern,
+    SyntheticSpec,
 };
 
 #[test]
@@ -22,8 +22,8 @@ fn open_loop_runs_are_identical() {
         let mut cfg = SsdConfig::tiny(arch);
         cfg.gc.policy = GcPolicy::None;
         let trace = PaperWorkload::Exchange0.generate(150, cfg.logical_bytes() / 2, 5);
-        let a = run_trace(cfg, &trace).unwrap();
-        let b = run_trace(cfg, &trace).unwrap();
+        let a = run(cfg, &trace, Aging::Footprint).unwrap();
+        let b = run(cfg, &trace, Aging::Footprint).unwrap();
         assert_eq!(a, b, "{arch}");
     }
 }
@@ -40,8 +40,8 @@ fn closed_loop_runs_are_identical() {
         seed: 9,
     };
     let t = spec.generate();
-    let a = run_closed_loop(cfg, &t, 8).unwrap();
-    let b = run_closed_loop(cfg, &t, 8).unwrap();
+    let a = run(cfg, Drive::closed_loop(&t, 8), Aging::Footprint).unwrap();
+    let b = run(cfg, Drive::closed_loop(&t, 8), Aging::Footprint).unwrap();
     assert_eq!(a, b);
 }
 
@@ -50,8 +50,8 @@ fn gc_runs_are_identical_including_gc_stats() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
     cfg.gc.policy = GcPolicy::Spatial;
     let trace = PaperWorkload::YcsbA.generate(250, cfg.logical_bytes() / 2, 13);
-    let a = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
-    let b = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
+    let a = run(cfg, &trace, Aging::PAPER).unwrap();
+    let b = run(cfg, &trace, Aging::PAPER).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.gc, b.gc);
     assert_eq!(a.ftl, b.ftl);
@@ -70,10 +70,10 @@ fn zero_rate_faults_leave_reports_bit_identical() {
         let mut cfg = SsdConfig::tiny(arch);
         cfg.gc.policy = GcPolicy::None;
         let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 3);
-        let baseline = run_trace(cfg, &trace).unwrap();
+        let baseline = run(cfg, &trace, Aging::Footprint).unwrap();
         let mut seeded = cfg;
         seeded.faults.seed = 0xDEAD_BEEF;
-        let b = run_trace(seeded, &trace).unwrap();
+        let b = run(seeded, &trace, Aging::Footprint).unwrap();
         assert_eq!(baseline, b, "{arch}");
         assert!(!baseline.reliability.any_events());
     }
@@ -86,8 +86,8 @@ fn fault_injected_runs_are_identical() {
     cfg.faults.bit_error.rber = 2e-4;
     cfg.faults.link.ber = 1e-7;
     let trace = PaperWorkload::Exchange0.generate(200, cfg.logical_bytes() / 2, 5);
-    let a = run_trace(cfg, &trace).unwrap();
-    let b = run_trace(cfg, &trace).unwrap();
+    let a = run(cfg, &trace, Aging::Footprint).unwrap();
+    let b = run(cfg, &trace, Aging::Footprint).unwrap();
     assert_eq!(a, b);
     assert_eq!(a.reliability, b.reliability);
     assert!(a.reliability.any_events());
@@ -114,8 +114,8 @@ fn every_topology_and_gc_policy_is_bit_stable() {
             cfg.gc.victims_per_trigger = 2;
             cfg.oracle = true;
             let trace = PaperWorkload::YcsbA.generate(100, cfg.logical_bytes() / 2, 41);
-            let a = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
-            let b = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
+            let a = run(cfg, &trace, Aging::PAPER).unwrap();
+            let b = run(cfg, &trace, Aging::PAPER).unwrap();
             assert_eq!(a, b, "{arch} / {policy}");
             assert!(
                 a.oracle.violations.is_empty(),
@@ -132,7 +132,7 @@ fn different_seeds_produce_different_runs() {
     cfg.gc.policy = GcPolicy::None;
     let t1 = PaperWorkload::YcsbA.generate(200, cfg.logical_bytes() / 2, 1);
     let t2 = PaperWorkload::YcsbA.generate(200, cfg.logical_bytes() / 2, 2);
-    let a = run_trace(cfg, &t1).unwrap();
-    let b = run_trace(cfg, &t2).unwrap();
+    let a = run(cfg, &t1, Aging::Footprint).unwrap();
+    let b = run(cfg, &t2, Aging::Footprint).unwrap();
     assert_ne!(a.all.mean, b.all.mean);
 }

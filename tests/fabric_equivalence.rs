@@ -16,7 +16,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use networked_ssd::core::golden::{canonical_json, matrix};
-use networked_ssd::{run_trace, Architecture, GcPolicy, MixedSpec, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, MixedSpec, SsdConfig};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -71,13 +71,13 @@ fn every_architecture_is_deterministic_on_a_mixed_workload() {
         .iter()
         .map(|&arch| {
             move || {
-                let run = || {
+                let once = || {
                     let mut cfg = SsdConfig::tiny(arch);
                     cfg.gc.policy = GcPolicy::None;
                     let trace = mixed_trace(&cfg, 150, 21);
-                    run_trace(cfg, trace).expect("run succeeds")
+                    run(cfg, trace, Aging::Footprint).expect("run succeeds")
                 };
-                (run(), run())
+                (once(), once())
             }
         })
         .collect();
@@ -103,17 +103,16 @@ fn spatial_gc_through_the_fabric_is_deterministic_everywhere() {
         Architecture::NoSsdUnconstrained,
     ] {
         for policy in [GcPolicy::Parallel, GcPolicy::Spatial] {
-            let run = || {
+            let once = || {
                 let mut cfg = SsdConfig::tiny(arch);
                 cfg.gc.policy = policy;
                 cfg.gc.victims_per_trigger = 2;
                 let trace = mixed_trace(&cfg, 120, 33);
-                networked_ssd::run_trace_preconditioned(cfg, &trace, 0.85, 0.3)
-                    .expect("run succeeds")
+                run(cfg, &trace, Aging::PAPER).expect("run succeeds")
             };
             assert_eq!(
-                canonical_json(&run()),
-                canonical_json(&run()),
+                canonical_json(&once()),
+                canonical_json(&once()),
                 "{arch}/{policy:?}: GC path not deterministic through the fabric"
             );
         }

@@ -4,12 +4,10 @@
 //! without parity loses its live pages while the device continues.
 
 use networked_ssd::core::golden::canonical_json;
-use networked_ssd::core::{prepare_trace, prepare_trace_preconditioned, Checkpoint};
+use networked_ssd::core::{prepare, run, Aging, Checkpoint};
 use networked_ssd::faults::ChipFailureSpec;
 use networked_ssd::sim::SimTime;
-use networked_ssd::{
-    run_trace, run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace,
-};
+use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
 
 fn no_gc_config(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
@@ -25,17 +23,17 @@ fn trace_for(cfg: &SsdConfig, requests: usize) -> Trace {
 fn read_retries_scale_with_rber_and_degrade_latency() {
     let cfg = no_gc_config(Architecture::PSsd);
     let trace = trace_for(&cfg, 300);
-    let run = |rber: f64| {
+    let at_rber = |rber: f64| {
         let mut c = cfg;
         c.faults.bit_error.rber = rber;
-        run_trace(c, &trace).unwrap()
+        run(c, &trace, Aging::Footprint).unwrap()
     };
     // Tiny geometry has 4 KiB pages (32768 bits): RBER 1e-3 means ~33 raw
     // errors per sense — past the 16-bit fast tier, mostly soft-decoded —
     // and 3e-3 (~98 errors) forces retry senses before any tier corrects.
-    let clean = run(0.0);
-    let mild = run(1e-3);
-    let harsh = run(3e-3);
+    let clean = at_rber(0.0);
+    let mild = at_rber(1e-3);
+    let harsh = at_rber(3e-3);
     assert_eq!(clean.reliability.read_retries, 0);
     assert!(
         mild.reliability.read_retries + mild.reliability.soft_decodes
@@ -56,10 +54,10 @@ fn packetized_links_recover_while_base_corrupts_silently() {
     // retransmissions, zero time cost, every timing identical to fault-free.
     let base = no_gc_config(Architecture::BaseSsd);
     let trace = trace_for(&base, requests);
-    let clean = run_trace(base, &trace).unwrap();
+    let clean = run(base, &trace, Aging::Footprint).unwrap();
     let mut faulty = base;
     faulty.faults.link.ber = 1e-6;
-    let silent = run_trace(faulty, &trace).unwrap();
+    let silent = run(faulty, &trace, Aging::Footprint).unwrap();
     assert!(silent.reliability.silent_corruptions > 0);
     assert_eq!(silent.reliability.retransmissions, 0);
     assert_eq!(silent.all, clean.all, "silent corruption must cost no time");
@@ -70,10 +68,10 @@ fn packetized_links_recover_while_base_corrupts_silently() {
     for arch in [Architecture::PSsd, Architecture::PnSsdSplit] {
         let cfg = no_gc_config(arch);
         let trace = trace_for(&cfg, requests);
-        let clean = run_trace(cfg, &trace).unwrap();
+        let clean = run(cfg, &trace, Aging::Footprint).unwrap();
         let mut faulty = cfg;
         faulty.faults.link.ber = 1e-6;
-        let r = run_trace(faulty, &trace).unwrap();
+        let r = run(faulty, &trace, Aging::Footprint).unwrap();
         assert!(r.reliability.retransmissions > 0, "{arch}");
         assert_eq!(r.reliability.silent_corruptions, 0, "{arch}");
         assert!(r.reliability.link_efficiency() < 1.0, "{arch}");
@@ -90,13 +88,13 @@ fn manufacture_bad_blocks_are_retired_up_front() {
     // comfortably above zero for any seed.
     cfg.faults.bad_blocks.manufacture_rate = 0.05;
     let trace = trace_for(&cfg, 200);
-    let r = run_trace(cfg, &trace).unwrap();
+    let r = run(cfg, &trace, Aging::Footprint).unwrap();
     // Factory marking happens before the device serves I/O, so it shows up
     // in the reliability counters (run-scoped FtlStats are reset by
     // preconditioning) — and the device must absorb the lost spares.
     assert!(r.reliability.bad_blocks_manufacture > 0);
     assert_eq!(r.completed, 200);
-    let again = run_trace(cfg, &trace).unwrap();
+    let again = run(cfg, &trace, Aging::Footprint).unwrap();
     assert_eq!(r, again, "factory marking must be deterministic");
 }
 
@@ -106,7 +104,7 @@ fn grown_bad_blocks_retire_during_gc() {
     cfg.gc.policy = GcPolicy::Spatial;
     cfg.faults.bad_blocks.grown_rate = 0.01;
     let trace = PaperWorkload::YcsbA.generate(250, cfg.logical_bytes() / 2, 13);
-    let r = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
+    let r = run(cfg, &trace, Aging::PAPER).unwrap();
     // Every grown defect must be mirrored by an FTL retirement (the
     // deterministic seed fixes how many actually occur).
     assert_eq!(r.ftl.blocks_retired, r.reliability.grown_bad_blocks);
@@ -136,13 +134,13 @@ fn chip_failure_without_parity_loses_pages_under_every_gc_mode() {
                 way: 2,
                 at: trace.records()[REQUESTS / 3].at,
             });
-            let prepare = || match policy {
-                GcPolicy::None => prepare_trace(cfg, &trace),
-                _ => prepare_trace_preconditioned(cfg, &trace, 0.85, 0.3),
+            let aging = match policy {
+                GcPolicy::None => Aging::Footprint,
+                _ => Aging::PAPER,
             };
             let case = format!("{arch} {policy:?}");
 
-            let (mut sim, drive) = prepare().unwrap();
+            let (mut sim, drive) = prepare(cfg, &trace, aging).unwrap();
             sim.start(drive);
             let mut snapshot = None;
             while sim.step() {
@@ -184,5 +182,5 @@ fn chip_failure_outside_geometry_is_rejected() {
         at: SimTime::ZERO,
     });
     let trace = trace_for(&cfg, 10);
-    assert!(run_trace(cfg, &trace).is_err());
+    assert!(run(cfg, &trace, Aging::Footprint).is_err());
 }

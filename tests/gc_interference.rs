@@ -4,8 +4,8 @@
 
 use networked_ssd::ftl::Lpn;
 use networked_ssd::{
-    run_closed_loop_preconditioned, run_tenants_preconditioned, run_trace_preconditioned,
-    Architecture, GcPolicy, PaperWorkload, SchedulerKind, SloClass, SsdConfig, TenantConfig,
+    run, Aging, Architecture, Drive, GcPolicy, PaperWorkload, SchedulerKind, SloClass, SsdConfig,
+    TenantConfig,
 };
 
 fn gc_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
@@ -19,7 +19,7 @@ fn every_policy_reclaims_under_pressure() {
     for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
         let cfg = gc_cfg(Architecture::PnSsd, policy);
         let trace = PaperWorkload::Build0.generate(400, cfg.logical_bytes() / 2, 6);
-        let report = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).expect("run");
+        let report = run(cfg, &trace, Aging::PAPER).expect("run");
         assert_eq!(report.completed, 400, "{policy}");
         assert!(report.gc.events > 0, "{policy}: GC never ran");
         assert!(report.gc.blocks_erased > 0, "{policy}");
@@ -66,19 +66,9 @@ fn gc_preserves_every_logical_page() {
 
 #[test]
 fn spatial_epochs_alternate_groups() {
-    use networked_ssd::core::{Drive, SsdSim};
     let cfg = gc_cfg(Architecture::PnSsd, GcPolicy::Spatial);
     let trace = PaperWorkload::Build0.generate(600, cfg.logical_bytes() / 2, 3);
-    let mut sim = SsdSim::new(cfg).expect("config valid");
-    let mut rng = sim.rng_mut().clone();
-    sim.ftl_mut()
-        .precondition(0.85, 0.3, &mut rng)
-        .expect("precondition");
-    let max_lpn = (sim.ftl().logical_pages() as f64 * 0.85) as u64;
-    sim.ftl_mut()
-        .pressurize(max_lpn, &mut rng)
-        .expect("pressurize");
-    let report = sim.run(Drive::OpenLoop(trace.records().to_vec()));
+    let report = run(cfg, &trace, Aging::PAPER).expect("run");
     // Multiple GC events must have completed, each one an epoch swap.
     assert!(
         report.gc.events >= 2,
@@ -95,8 +85,8 @@ fn preemptive_gc_interferes_less_than_parallel_on_base_ssd() {
         |cfg: &SsdConfig| PaperWorkload::DevTools0.generate(400, cfg.logical_bytes() / 2, 12);
     let pagc_cfg = gc_cfg(Architecture::BaseSsd, GcPolicy::Parallel);
     let pre_cfg = gc_cfg(Architecture::BaseSsd, GcPolicy::Preemptive);
-    let pagc = run_trace_preconditioned(pagc_cfg, trace_for(&pagc_cfg), 0.85, 0.3).unwrap();
-    let pre = run_trace_preconditioned(pre_cfg, trace_for(&pre_cfg), 0.85, 0.3).unwrap();
+    let pagc = run(pagc_cfg, trace_for(&pagc_cfg), Aging::PAPER).unwrap();
+    let pre = run(pre_cfg, trace_for(&pre_cfg), Aging::PAPER).unwrap();
     assert!(pagc.gc.events > 0 && pre.gc.events > 0);
     assert!(
         pre.all.mean <= pagc.all.mean,
@@ -113,7 +103,7 @@ fn spatial_gc_levels_wear_across_ways() {
     // epochs, per-way mean erase counts must be within a reasonable band.
     let cfg = gc_cfg(Architecture::PnSsd, GcPolicy::Spatial);
     let trace = PaperWorkload::Build0.generate(1200, cfg.logical_bytes() / 2, 77);
-    let report = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).expect("run");
+    let report = run(cfg, &trace, Aging::PAPER).expect("run");
     assert!(
         report.gc.events >= 4,
         "need several epochs: {}",
@@ -134,10 +124,17 @@ fn write_amplification_grows_with_utilization() {
     let run_at = |fill: f64| {
         let cfg = gc_cfg(Architecture::BaseSsd, GcPolicy::Parallel);
         let trace = PaperWorkload::Build0.generate(500, cfg.logical_bytes() / 4, 4);
-        run_trace_preconditioned(cfg, &trace, fill, 0.3)
-            .expect("run")
-            .ftl
-            .write_amplification()
+        run(
+            cfg,
+            &trace,
+            Aging::Aged {
+                fill,
+                overwrite: 0.3,
+            },
+        )
+        .expect("run")
+        .ftl
+        .write_amplification()
     };
     let low = run_at(0.5);
     let high = run_at(0.85);
@@ -160,23 +157,21 @@ fn out_of_range_aging_fractions_are_errors_naming_the_argument() {
     ] {
         let tenant = TenantConfig::new("t0", 1, SloClass::Throughput);
         for (runner, result) in [
-            (
-                "trace",
-                run_trace_preconditioned(cfg, &trace, fill, overwrite),
-            ),
+            ("trace", run(cfg, &trace, Aging::Aged { fill, overwrite })),
             (
                 "closed loop",
-                run_closed_loop_preconditioned(cfg, &trace, 4, fill, overwrite),
+                run(
+                    cfg,
+                    Drive::closed_loop(&trace, 4),
+                    Aging::Aged { fill, overwrite },
+                ),
             ),
             (
                 "tenants",
-                run_tenants_preconditioned(
+                run(
                     cfg,
-                    vec![(tenant, &trace)],
-                    SchedulerKind::RoundRobin,
-                    4,
-                    fill,
-                    overwrite,
+                    Drive::tenants(vec![(tenant, &trace)], SchedulerKind::RoundRobin, 4),
+                    Aging::Aged { fill, overwrite },
                 ),
             ),
         ] {

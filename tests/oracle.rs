@@ -13,9 +13,7 @@ use networked_ssd::ftl::{Ftl, FtlConfig, GcStream, Lpn, WayMask};
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{DetRng, SimTime};
-use networked_ssd::{
-    run_trace, run_trace_preconditioned, Architecture, GcPolicy, PaperWorkload, SsdConfig,
-};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig};
 
 fn oracle_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
@@ -30,7 +28,7 @@ fn clean_runs_have_zero_violations_on_every_architecture() {
     for arch in Architecture::all() {
         let cfg = oracle_cfg(arch, GcPolicy::None);
         let trace = PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 21);
-        let report = run_trace(cfg, &trace).unwrap();
+        let report = run(cfg, &trace, Aging::Footprint).unwrap();
         assert!(report.oracle.enabled, "{arch}");
         assert!(report.oracle.checks > 0, "{arch}");
         assert!(
@@ -46,7 +44,7 @@ fn clean_runs_have_zero_violations_under_every_gc_policy() {
     for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
         let cfg = oracle_cfg(Architecture::PnSsd, policy);
         let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 23);
-        let report = run_trace_preconditioned(cfg, &trace, 0.85, 0.3).unwrap();
+        let report = run(cfg, &trace, Aging::PAPER).unwrap();
         assert!(report.gc.events > 0, "{policy}: GC never ran");
         assert!(
             report.oracle.violations.is_empty(),
@@ -61,7 +59,7 @@ fn oracle_off_by_default_and_report_says_so() {
     let cfg = SsdConfig::tiny(Architecture::BaseSsd);
     assert!(!cfg.oracle);
     let trace = PaperWorkload::YcsbA.generate(30, cfg.logical_bytes() / 2, 2);
-    let report = run_trace(cfg, &trace).unwrap();
+    let report = run(cfg, &trace, Aging::Footprint).unwrap();
     assert!(!report.oracle.enabled);
     assert_eq!(report.oracle.checks, 0);
 }
@@ -162,7 +160,7 @@ fn functional_digest_is_identical_across_interconnect_backends() {
     ]
     .into_iter()
     .map(|arch| {
-        let report = run_trace(oracle_cfg(arch, GcPolicy::None), &trace).unwrap();
+        let report = run(oracle_cfg(arch, GcPolicy::None), &trace, Aging::Footprint).unwrap();
         assert!(report.oracle.violations.is_empty(), "{arch}");
         report.oracle.functional_digest
     })
@@ -183,11 +181,10 @@ fn functional_digest_is_identical_across_gc_policies() {
     let digests: Vec<u64> = [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial]
         .into_iter()
         .map(|policy| {
-            let report = run_trace_preconditioned(
+            let report = run(
                 oracle_cfg(Architecture::PnSsd, policy),
                 &trace,
-                0.85,
-                0.3,
+                Aging::PAPER,
             )
             .unwrap();
             assert!(report.oracle.violations.is_empty(), "{policy}");

@@ -12,9 +12,7 @@
 //! must cancel out of device semantics.
 
 use networked_ssd::core::golden::canonical_json;
-use networked_ssd::{
-    run_trace_preconditioned, Architecture, GcPlanSpec, GcPolicy, PaperWorkload, SsdConfig,
-};
+use networked_ssd::{run, Aging, Architecture, GcPlanSpec, GcPolicy, PaperWorkload, SsdConfig};
 
 fn cfg_with(arch: Architecture, policy: GcPolicy, plan: Option<GcPlanSpec>) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
@@ -36,11 +34,8 @@ fn explicit_plan_matches_legacy_policy_byte_for_byte() {
             let spec =
                 GcPlanSpec::from_policy(policy, cfg_with(arch, policy, None).gc.victim_policy)
                     .expect("enabled policies decompose");
-            let legacy =
-                run_trace_preconditioned(cfg_with(arch, policy, None), &trace, 0.85, 0.3).unwrap();
-            let composed =
-                run_trace_preconditioned(cfg_with(arch, policy, Some(spec)), &trace, 0.85, 0.3)
-                    .unwrap();
+            let legacy = run(cfg_with(arch, policy, None), &trace, Aging::PAPER).unwrap();
+            let composed = run(cfg_with(arch, policy, Some(spec)), &trace, Aging::PAPER).unwrap();
             assert!(legacy.gc.events > 0, "{arch}/{policy}: GC never ran");
             assert_eq!(
                 canonical_json(&legacy),
@@ -57,20 +52,18 @@ fn new_plans_preserve_functional_digest_and_oracle_cleanliness() {
         let cfg = cfg_with(Architecture::PnSsd, GcPolicy::Parallel, None);
         PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 23)
     };
-    let baseline = run_trace_preconditioned(
+    let baseline = run(
         cfg_with(Architecture::PnSsd, GcPolicy::Parallel, None),
         &trace,
-        0.85,
-        0.3,
+        Aging::PAPER,
     )
     .unwrap();
     assert!(baseline.gc.events > 0, "PaGC baseline: GC never ran");
     for spec in [GcPlanSpec::hot_cold(), GcPlanSpec::wear_aware()] {
-        let report = run_trace_preconditioned(
+        let report = run(
             cfg_with(Architecture::PnSsd, GcPolicy::Parallel, Some(spec)),
             &trace,
-            0.85,
-            0.3,
+            Aging::PAPER,
         )
         .unwrap();
         assert!(report.gc.events > 0, "{spec}: GC never ran");
@@ -92,24 +85,22 @@ fn new_plans_report_wear_detail_and_legacy_plans_do_not() {
         let cfg = cfg_with(Architecture::PnSsd, GcPolicy::Parallel, None);
         PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 13)
     };
-    let legacy = run_trace_preconditioned(
+    let legacy = run(
         cfg_with(Architecture::PnSsd, GcPolicy::Parallel, None),
         &trace,
-        0.85,
-        0.3,
+        Aging::PAPER,
     )
     .unwrap();
     assert!(!legacy.wear_tracked, "legacy PaGC must not track wear");
     assert!(!canonical_json(&legacy).contains("wear_detail"));
-    let wear = run_trace_preconditioned(
+    let wear = run(
         cfg_with(
             Architecture::PnSsd,
             GcPolicy::Parallel,
             Some(GcPlanSpec::wear_aware()),
         ),
         &trace,
-        0.85,
-        0.3,
+        Aging::PAPER,
     )
     .unwrap();
     assert!(wear.wear_tracked && wear.gc.events > 0);

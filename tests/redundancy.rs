@@ -5,13 +5,13 @@
 //! cleanly, and the whole subsystem checkpoints mid-rebuild.
 
 use networked_ssd::core::golden::canonical_json;
-use networked_ssd::core::{prepare_closed_loop_preconditioned, Checkpoint, Drive, SsdSim};
+use networked_ssd::core::{prepare, run, Aging, Checkpoint, Drive, SsdSim};
 use networked_ssd::faults::ChipFailureSpec;
 use networked_ssd::flash::Geometry;
 use networked_ssd::ftl::{Ftl, FtlConfig, GcStream, Lpn, RedundancyConfig, WayMask};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{Pool, SimTime};
-use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
+use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
 
 fn redundant_cfg(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
@@ -40,7 +40,7 @@ fn degraded_reads_reconstruct_and_rebuild_reprotects_every_fabric() {
     ] {
         let cfg = redundant_cfg(arch);
         let trace = trace_for(&cfg, 150, 29);
-        let r = run_trace(cfg, &trace).unwrap();
+        let r = run(cfg, &trace, Aging::Footprint).unwrap();
         assert_eq!(r.completed, 150, "{arch}: device must finish degraded");
         assert_eq!(r.reliability.chip_failures, 1, "{arch}");
         assert!(
@@ -79,7 +79,7 @@ fn fail_stop_without_parity_loses_pages_while_redundancy_recovers() {
 
     // Without parity the dead chip's live pages are gone, and reads of
     // them come back as host-visible I/O errors.
-    let bare = run_trace(bare_cfg, &trace).unwrap();
+    let bare = run(bare_cfg, &trace, Aging::Footprint).unwrap();
     assert!(bare.reliability.pages_lost > 0);
     assert!(
         bare.reliability.host_io_errors > 0,
@@ -95,7 +95,7 @@ fn fail_stop_without_parity_loses_pages_while_redundancy_recovers() {
 
     // Parity makes the same failure loss-free: a stripe serves those reads
     // by reconstruction.
-    let redundant = run_trace(redundant_cfg, &trace).unwrap();
+    let redundant = run(redundant_cfg, &trace, Aging::Footprint).unwrap();
     assert_eq!(redundant.reliability.pages_lost, 0);
     assert_eq!(redundant.reliability.host_io_errors, 0);
     assert!(redundant.reliability.reconstructed_reads > 0);
@@ -111,7 +111,7 @@ fn link_retry_exhaustion_is_a_host_visible_error() {
     cfg.faults.link.ber = 1e-4;
     cfg.faults.link.max_retries = 1;
     let trace = trace_for(&cfg, 300, 31);
-    let r = run_trace(cfg, &trace).unwrap();
+    let r = run(cfg, &trace, Aging::Footprint).unwrap();
     assert!(r.reliability.unrecovered_transfers > 0);
     assert!(
         r.reliability.host_io_errors > 0,
@@ -124,7 +124,7 @@ fn link_retry_exhaustion_is_a_host_visible_error() {
     // transfers: the error accounting must not depend on the gap shape.
     let mut backoff = cfg;
     backoff.faults.link.backoff_multiplier = Some(2.0);
-    let b = run_trace(backoff, &trace).unwrap();
+    let b = run(backoff, &trace, Aging::Footprint).unwrap();
     assert_eq!(
         b.reliability.unrecovered_transfers,
         r.reliability.unrecovered_transfers
@@ -300,7 +300,7 @@ fn fail_during_gc(cfg: SsdConfig, requests: usize, seed: u64) {
         cfg.faults.chip_failure.expect("a failure is configured").at
     );
     let trace = PaperWorkload::YcsbA.generate(requests, cfg.logical_bytes() / 2, seed);
-    let (mut sim, drive) = prepare_closed_loop_preconditioned(cfg, trace, 8, 0.85, 0.3).unwrap();
+    let (mut sim, drive) = prepare(cfg, Drive::closed_loop(trace, 8), Aging::PAPER).unwrap();
     sim.start(drive);
     let mut snapshot = None;
     loop {

@@ -11,8 +11,8 @@
 
 use networked_ssd::core::golden::canonical_json;
 use networked_ssd::{
-    run_tenants, run_trace, Architecture, MixedSpec, PaperWorkload, SchedulerKind, SimReport,
-    SloClass, SsdConfig, TenantMix, TenantSpec, TenantWorkload,
+    run, Aging, Architecture, Drive, MixedSpec, PaperWorkload, SchedulerKind, SimReport, SloClass,
+    SsdConfig, TenantMix, TenantSpec, TenantWorkload,
 };
 
 const DEPTH: usize = 8;
@@ -51,7 +51,12 @@ fn backlogged_mix(weights: &[(&'static str, u32)]) -> TenantMix {
 fn run_mix(mix: &TenantMix, scheduler: SchedulerKind) -> SimReport {
     let cfg = cfg();
     let streams = mix.generate(cfg.logical_bytes() / 2, 42);
-    run_tenants(cfg, streams, scheduler, DEPTH).expect("tenant run")
+    run(
+        cfg,
+        Drive::tenants(streams, scheduler, DEPTH),
+        Aging::Footprint,
+    )
+    .expect("tenant run")
 }
 
 #[test]
@@ -111,7 +116,12 @@ fn slo_violations_count_exactly_the_late_completions() {
             )
         })
         .collect();
-    let report = run_tenants(cfg(), impossible, SchedulerKind::RoundRobin, DEPTH).unwrap();
+    let report = run(
+        cfg(),
+        Drive::tenants(impossible, SchedulerKind::RoundRobin, DEPTH),
+        Aging::Footprint,
+    )
+    .unwrap();
     for t in &report.tenants {
         assert_eq!(t.slo_violations, t.completed, "{}: impossible SLO", t.name);
         assert!((t.slo_violation_rate() - 1.0).abs() < 1e-12);
@@ -127,7 +137,12 @@ fn slo_violations_count_exactly_the_late_completions() {
             )
         })
         .collect();
-    let report = run_tenants(cfg(), generous, SchedulerKind::RoundRobin, DEPTH).unwrap();
+    let report = run(
+        cfg(),
+        Drive::tenants(generous, SchedulerKind::RoundRobin, DEPTH),
+        Aging::Footprint,
+    )
+    .unwrap();
     for t in &report.tenants {
         assert_eq!(t.slo_violations, 0, "{}: generous SLO", t.name);
         assert_eq!(t.slo_violation_rate(), 0.0);
@@ -190,7 +205,11 @@ fn paper_workload_tenants_run_end_to_end() {
 #[test]
 fn empty_tenant_streams_are_an_error_not_a_panic() {
     let streams = Vec::<(networked_ssd::TenantConfig, networked_ssd::workloads::Trace)>::new();
-    let r = run_tenants(cfg(), streams, SchedulerKind::RoundRobin, DEPTH);
+    let r = run(
+        cfg(),
+        Drive::tenants(streams, SchedulerKind::RoundRobin, DEPTH),
+        Aging::Footprint,
+    );
     let err = r.expect_err("empty streams must be rejected");
     assert!(err.contains("tenant"), "{err}");
 }
@@ -199,7 +218,7 @@ fn empty_tenant_streams_are_an_error_not_a_panic() {
 fn classic_runs_report_no_tenants() {
     let cfg = cfg();
     let trace = PaperWorkload::YcsbA.generate(100, cfg.logical_bytes() / 2, 5);
-    let report = run_trace(cfg, trace).expect("classic run");
+    let report = run(cfg, trace, Aging::Footprint).expect("classic run");
     assert!(
         report.tenants.is_empty(),
         "single-tenant runs must not grow tenant rows"

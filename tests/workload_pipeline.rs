@@ -2,7 +2,7 @@
 //! serialization, import, characterization — feeding the simulator.
 
 use networked_ssd::workloads::{import_msr, MsrImportOptions, TraceStats};
-use networked_ssd::{run_trace, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
+use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
 
 fn cfg() -> SsdConfig {
     let mut cfg = SsdConfig::tiny(Architecture::PSsd);
@@ -15,8 +15,8 @@ fn text_roundtrip_preserves_simulation_results() {
     let cfg = cfg();
     let original = PaperWorkload::Exchange0.generate(200, cfg.logical_bytes() / 2, 40);
     let reloaded: Trace = original.to_text().parse().expect("parse");
-    let a = run_trace(cfg, &original).unwrap();
-    let b = run_trace(cfg, &reloaded).unwrap();
+    let a = run(cfg, &original, Aging::Footprint).unwrap();
+    let b = run(cfg, &reloaded, Aging::Footprint).unwrap();
     assert_eq!(a, b, "round-tripped trace must simulate identically");
 }
 
@@ -38,7 +38,7 @@ fn msr_import_replays_end_to_end() {
     }
     let imported = import_msr(&csv, "synth", MsrImportOptions::default()).expect("import");
     assert_eq!(imported.len(), source.len());
-    let report = run_trace(cfg, &imported).unwrap();
+    let report = run(cfg, &imported, Aging::Footprint).unwrap();
     assert_eq!(report.completed, 150);
     assert_eq!(report.unmapped_reads, 0);
 }
@@ -48,7 +48,7 @@ fn stats_reflect_what_the_simulator_sees() {
     let cfg = cfg();
     let trace = PaperWorkload::WebSearch0.generate(500, cfg.logical_bytes() / 2, 42);
     let stats = TraceStats::measure(&trace);
-    let report = run_trace(cfg, &trace).unwrap();
+    let report = run(cfg, &trace, Aging::Footprint).unwrap();
     // The report's read/write split must agree with the trace's.
     let measured_reads = report.read.count as f64 / report.completed as f64;
     assert!(
@@ -69,7 +69,7 @@ fn every_suite_workload_replays_on_every_architecture_without_unmapped_reads() {
         for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
             let mut c = SsdConfig::tiny(arch);
             c.gc.policy = GcPolicy::None;
-            let report = run_trace(c, &trace).unwrap();
+            let report = run(c, &trace, Aging::Footprint).unwrap();
             assert_eq!(report.unmapped_reads, 0, "{} on {arch}", workload.name());
         }
     }

@@ -6,22 +6,21 @@
 //! serving reads while its writes fail host-visibly.
 
 use networked_ssd::core::golden::canonical_json;
-use networked_ssd::core::{prepare_closed_loop_preconditioned, Checkpoint, Drive, SsdSim};
+use networked_ssd::core::{prepare, Aging, Checkpoint, Drive, SsdSim};
 use networked_ssd::ftl::Lpn;
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::sim::{DetRng, Rng, SimTime};
 use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig};
 
-/// A tiny device aged to 0.85 fill plus 0.3x overwrites, driven closed
-/// loop at depth 16 over YCSB-A, with the oracle on.
+/// A tiny device aged per `Aging::PAPER`, driven closed loop at depth 16
+/// over YCSB-A, with the oracle on.
 fn aged(arch: Architecture, policy: GcPolicy) -> (SsdConfig, SsdSim, Drive) {
     let mut cfg = SsdConfig::tiny(arch);
     cfg.gc.policy = policy;
     cfg.oracle = true;
     cfg.seed = 13;
     let trace = PaperWorkload::YcsbA.generate(3_000, cfg.logical_bytes() * 4 / 5, 13);
-    let (sim, drive) =
-        prepare_closed_loop_preconditioned(cfg, trace, 16, 0.85, 0.3).expect("prepare");
+    let (sim, drive) = prepare(cfg, Drive::closed_loop(trace, 16), Aging::PAPER).expect("prepare");
     (cfg, sim, drive)
 }
 
