@@ -107,9 +107,9 @@ pub fn run(cfg: SsdConfig, drive: impl Into<Drive>, aging: Aging) -> Result<SimR
 ///
 /// # Errors
 ///
-/// Returns a message for a zero depth or an empty tenant list, an aging
-/// fraction out of range, an invalid configuration, or a footprint that
-/// does not fit.
+/// Returns a message for a zero depth, an empty or oversized tenant list,
+/// a tenant of weight 0, an aging fraction out of range, an invalid
+/// configuration, or a footprint that does not fit.
 pub fn prepare(
     cfg: SsdConfig,
     drive: impl Into<Drive>,
@@ -172,15 +172,26 @@ pub fn prepare_tenants_preconditioned(
     )
 }
 
+/// Refuses what the engine would otherwise panic on or a checkpoint of the
+/// run would refuse to resume.
 fn check_drive(drive: &Drive) -> Result<(), String> {
     match drive {
-        Drive::MultiTenant { tenants, .. } if tenants.is_empty() => {
-            Err("multi-tenant run needs at least one tenant stream".into())
-        }
         Drive::ClosedLoop { depth: 0, .. } | Drive::MultiTenant { depth: 0, .. } => {
             Err("queue depth 0: a closed-loop or multi-tenant drive needs at least 1".into())
         }
-        _ => Ok(()),
+        Drive::MultiTenant { tenants, .. } if tenants.is_empty() => {
+            Err("multi-tenant run needs at least one tenant stream".into())
+        }
+        Drive::MultiTenant { tenants, .. } if tenants.len() > u16::MAX as usize => Err(format!(
+            "{} tenant streams; the per-request tag holds at most {}",
+            tenants.len(),
+            u16::MAX
+        )),
+        Drive::MultiTenant { tenants, .. } => match tenants.iter().find(|(c, _)| c.weight == 0) {
+            Some((c, _)) => Err(format!("tenant {} has weight 0", c.name)),
+            None => Ok(()),
+        },
+        Drive::OpenLoop(_) | Drive::ClosedLoop { .. } => Ok(()),
     }
 }
 
@@ -266,67 +277,35 @@ mod tests {
     #[test]
     fn prepare_refuses_each_bad_input_with_a_message() {
         let cfg = SsdConfig::tiny(Architecture::BaseSsd);
-        let at = |offset| vec![IoRequest::new(IoOp::Read, offset, 4096, SimTime::ZERO)];
-        let inside = || at(0);
-        let tenant = || TenantConfig::new("t0", 1, SloClass::Throughput);
+        let read = |offset| vec![IoRequest::new(IoOp::Read, offset, 4096, SimTime::ZERO)];
+        let open = |offset| Drive::from(read(offset));
+        let closed = |depth| Drive::closed_loop(read(0), depth);
+        let tenants = |streams, depth| Drive::tenants(streams, SchedulerKind::RoundRobin, depth);
+        let t0 = TenantConfig::new("t0", 1, SloClass::Throughput);
+        let one = vec![(t0.clone(), read(0))];
+        let too_many = vec![(t0.clone(), vec![]); u16::MAX as usize + 1];
+        let weightless = vec![(TenantConfig { weight: 0, ..t0 }, read(0))];
         let aged = |fill, overwrite| Aging::Aged { fill, overwrite };
-        let cases: [(&str, Drive, Aging, &str); 8] = [
+        let (full, past_aged) = (cfg.logical_bytes(), cfg.logical_bytes() * 9 / 10);
+        let cases = [
+            (open(0), aged(f64::NAN, 0.3), "fill fraction NaN"),
+            (open(0), aged(1.5, 0.3), "fill fraction 1.5"),
+            (open(0), aged(0.85, 2.5), "overwrite fraction 2.5"),
+            (open(past_aged), Aging::PAPER, "preconditioned region"),
+            (open(full), Aging::Footprint, "logical capacity"),
+            (tenants(vec![], 4), Aging::Footprint, "one tenant stream"),
             (
-                "NaN fill",
-                inside().into(),
-                aged(f64::NAN, 0.3),
-                "fill fraction NaN",
-            ),
-            (
-                "fill 1.5",
-                inside().into(),
-                aged(1.5, 0.3),
-                "fill fraction 1.5",
-            ),
-            (
-                "overwrite 2.5",
-                inside().into(),
-                aged(0.85, 2.5),
-                "overwrite fraction 2.5",
-            ),
-            (
-                "footprint past the aged region",
-                at(cfg.logical_bytes() * 9 / 10).into(),
-                Aging::PAPER,
-                "exceeds the preconditioned region",
-            ),
-            (
-                "footprint past logical capacity",
-                at(cfg.logical_bytes()).into(),
+                tenants(too_many, 4),
                 Aging::Footprint,
-                "exceeds logical capacity",
+                "65536 tenant streams",
             ),
-            (
-                "empty tenant list",
-                Drive::tenants(
-                    Vec::<(TenantConfig, Vec<IoRequest>)>::new(),
-                    SchedulerKind::RoundRobin,
-                    4,
-                ),
-                Aging::Footprint,
-                "at least one tenant stream",
-            ),
-            (
-                "closed-loop depth 0",
-                Drive::closed_loop(inside(), 0),
-                Aging::Footprint,
-                "queue depth 0",
-            ),
-            (
-                "tenant depth 0",
-                Drive::tenants(vec![(tenant(), inside())], SchedulerKind::RoundRobin, 0),
-                Aging::PAPER,
-                "queue depth 0",
-            ),
+            (tenants(weightless, 4), Aging::Footprint, "t0 has weight 0"),
+            (closed(0), Aging::Footprint, "queue depth 0"),
+            (tenants(one, 0), Aging::PAPER, "queue depth 0"),
         ];
-        for (what, drive, aging, message) in cases {
-            let err = prepare(cfg, drive, aging).expect_err(what);
-            assert!(err.contains(message), "{what}: {err}");
+        for (drive, aging, message) in cases {
+            let err = prepare(cfg, drive, aging).expect_err(message);
+            assert!(err.contains(message), "expected {message:?}, got {err:?}");
         }
     }
 }
