@@ -68,7 +68,8 @@ impl TenantScenario {
 pub struct GoldenCase {
     /// Architecture simulated.
     pub architecture: Architecture,
-    /// GC policy (with [`GcPolicy::None`] the device is not preconditioned).
+    /// GC policy. With [`GcPolicy::None`] the device starts mapped over the
+    /// trace footprint, otherwise aged per [`Aging::PAPER`].
     pub gc_policy: GcPolicy,
     /// Workload driving the run (ignored under [`GoldenDrive::Tenants`]).
     pub workload: PaperWorkload,
