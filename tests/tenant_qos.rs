@@ -1,7 +1,7 @@
 //! Integration gate for the multi-tenant host frontend.
 //!
 //! Everything here runs real simulations end-to-end through
-//! [`networked_ssd::run_tenants`] on the tiny geometry, and checks the
+//! [`networked_ssd::Drive::tenants`] on the tiny geometry, and checks the
 //! QoS-visible contract: arbitration weight actually shapes latency, SLO
 //! accounting counts what it claims to count, per-tenant rollups conserve
 //! the aggregate totals, and the whole path is deterministic. The pinned
