@@ -3,7 +3,7 @@
 //! channel-sliced strawman.
 
 use nssd_core::{run, Aging, Architecture, EccConfig, SsdConfig};
-use nssd_ftl::GcPolicy;
+use nssd_ftl::GcPlanSpec;
 use nssd_workloads::PaperWorkload;
 
 use crate::experiments::Experiment;
@@ -82,7 +82,7 @@ pub fn ext_hybrid_ecc() -> Experiment {
         .map(|&ecc| {
             move || {
                 let mut cfg: SsdConfig =
-                    setup::gc_config(Architecture::PnSsdSplit, GcPolicy::Spatial);
+                    setup::gc_config(Architecture::PnSsdSplit, GcPlanSpec::spatial());
                 cfg.ecc = ecc;
                 let trace = PaperWorkload::RocksDb0.generate(
                     requests,

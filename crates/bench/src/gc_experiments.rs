@@ -4,8 +4,7 @@ use std::sync::OnceLock;
 
 use nssd_core::{run, Aging, Architecture, Drive, SimReport};
 use nssd_ftl::{
-    GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec,
-    DEFAULT_WEAR_WEIGHT,
+    GcPlanSpec, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec, DEFAULT_WEAR_WEIGHT,
 };
 use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec};
 
@@ -22,10 +21,14 @@ pub fn gc_architectures() -> [Architecture; 3] {
     ]
 }
 
-/// The GC policies compared in Fig 19.
-pub fn gc_policies() -> [GcPolicy; 3] {
-    [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial]
-}
+/// The GC plans compared in Fig 19, with their table labels.
+pub const GC_PLANS: [(GcPlanSpec, &str); 3] = [
+    (GcPlanSpec::pagc(), "PaGC"),
+    (GcPlanSpec::preemptive(), "preemptive"),
+    (GcPlanSpec::spatial(), "SpGC"),
+];
+const PAGC: (GcPlanSpec, &str) = GC_PLANS[0];
+const SPGC: (GcPlanSpec, &str) = GC_PLANS[2];
 
 /// Fig 18: synthetic I/O performance while GC is triggered.
 pub fn fig18_gc_synthetic() -> Experiment {
@@ -46,8 +49,8 @@ pub fn fig18_gc_synthetic() -> Experiment {
         ("write", SyntheticPattern::RandomWrite, false),
     ] {
         for arch in gc_architectures() {
-            for policy in [GcPolicy::Parallel, GcPolicy::Spatial] {
-                let cfg = setup::gc_config(arch, policy);
+            for (plan, label) in [PAGC, SPGC] {
+                let cfg = setup::gc_config(arch, plan);
                 let footprint = setup::gc_footprint(&cfg);
                 let trace = if write_frac_note {
                     // A deterministic 70/30 read/write mix from the two pure
@@ -64,7 +67,7 @@ pub fn fig18_gc_synthetic() -> Experiment {
                 } else {
                     SyntheticSpec::paper(pattern, requests, footprint).generate()
                 };
-                cells.push((metric, arch, policy, cfg, trace));
+                cells.push((metric, arch, label, cfg, trace));
             }
         }
     }
@@ -78,18 +81,18 @@ pub fn fig18_gc_synthetic() -> Experiment {
         .collect();
     let reports = nssd_sim::scoped_map(jobs);
     let mut base_mean = 0.0f64;
-    for ((metric, arch, policy, _, _), r) in cells.iter().zip(&reports) {
+    for ((metric, arch, label, _, _), r) in cells.iter().zip(&reports) {
         let mean = if *metric == "read" {
             r.read.mean.as_ns() as f64
         } else {
             r.write.mean.as_ns() as f64
         };
-        if *arch == Architecture::BaseSsd && *policy == GcPolicy::Parallel {
+        if *arch == Architecture::BaseSsd && *label == PAGC.1 {
             base_mean = mean;
         }
         t.row(vec![
             metric.to_string(),
-            format!("{} + {}", arch.label(), policy),
+            format!("{} + {label}", arch.label()),
             fmt_us(mean as u64),
             fmt_ratio(base_mean / mean.max(1.0)),
         ]);
@@ -106,29 +109,29 @@ pub fn fig18_gc_synthetic() -> Experiment {
     }
 }
 
-type GcRunKey = (PaperWorkload, Architecture, GcPolicy);
+type GcRunKey = (PaperWorkload, Architecture, GcPlanSpec);
 
 fn gc_trace_reports() -> &'static Vec<(GcRunKey, SimReport)> {
     static CACHE: OnceLock<Vec<(GcRunKey, SimReport)>> = OnceLock::new();
     CACHE.get_or_init(|| {
         let requests = setup::gc_requests_per_run();
-        // The 72-cell (workload × arch × policy) preconditioned matrix is
+        // The 72-cell (workload × arch × plan) preconditioned matrix is
         // the most expensive cache in the harness; every cell is
         // independent, so fan it across the pool. Traces are generated
         // inside the jobs and move into the engine by value.
         let mut keys: Vec<GcRunKey> = Vec::new();
         for workload in PaperWorkload::all() {
             for arch in gc_architectures() {
-                for policy in gc_policies() {
-                    keys.push((workload, arch, policy));
+                for (plan, _) in GC_PLANS {
+                    keys.push((workload, arch, plan));
                 }
             }
         }
         let jobs: Vec<_> = keys
             .iter()
-            .map(|&(workload, arch, policy)| {
+            .map(|&(workload, arch, plan)| {
                 move || {
-                    let cfg = setup::gc_config(arch, policy);
+                    let cfg = setup::gc_config(arch, plan);
                     let trace = workload.generate(
                         requests,
                         setup::gc_footprint(&cfg),
@@ -155,19 +158,19 @@ fn lookup(key: GcRunKey) -> &'static SimReport {
 pub fn fig19_gc_traces() -> Experiment {
     let mut headers = vec!["workload".to_string()];
     for arch in gc_architectures() {
-        for policy in gc_policies() {
-            headers.push(format!("{}+{}", arch.label(), policy));
+        for (_, label) in GC_PLANS {
+            headers.push(format!("{}+{label}", arch.label()));
         }
     }
     let mut t = Table::new(headers);
     let mut ratio_cols: Vec<Vec<f64>> = vec![Vec::new(); 9];
     for workload in PaperWorkload::all() {
-        let base = lookup((workload, Architecture::BaseSsd, GcPolicy::Parallel));
+        let base = lookup((workload, Architecture::BaseSsd, PAGC.0));
         let mut row = vec![workload.name().to_string()];
         let mut col = 0;
         for arch in gc_architectures() {
-            for policy in gc_policies() {
-                let r = lookup((workload, arch, policy));
+            for (plan, _) in GC_PLANS {
+                let r = lookup((workload, arch, plan));
                 let ratio = r.speedup_vs(base);
                 ratio_cols[col].push(ratio);
                 row.push(fmt_ratio(ratio));
@@ -193,6 +196,17 @@ pub fn fig19_gc_traces() -> Experiment {
     }
 }
 
+/// The cells of Figs 20(a) and 20(b): baseSSD under PaGC, then SpGC on
+/// each architecture of the GC study.
+fn fig20_cells() -> [(Architecture, (GcPlanSpec, &'static str)); 4] {
+    [
+        (Architecture::BaseSsd, PAGC),
+        (Architecture::BaseSsd, SPGC),
+        (Architecture::PSsd, SPGC),
+        (Architecture::PnSsdSplit, SPGC),
+    ]
+}
+
 /// Fig 20(a): tail latency on rocksdb-0.
 pub fn fig20a_tail_latency() -> Experiment {
     let mut t = Table::new(vec![
@@ -203,22 +217,13 @@ pub fn fig20a_tail_latency() -> Experiment {
         "p99.9".to_string(),
         "max".to_string(),
     ]);
-    let base = lookup((
-        PaperWorkload::RocksDb0,
-        Architecture::BaseSsd,
-        GcPolicy::Parallel,
-    ));
+    let base = lookup((PaperWorkload::RocksDb0, Architecture::BaseSsd, PAGC.0));
     let mut p99s = Vec::new();
-    for (arch, policy) in [
-        (Architecture::BaseSsd, GcPolicy::Parallel),
-        (Architecture::BaseSsd, GcPolicy::Spatial),
-        (Architecture::PSsd, GcPolicy::Spatial),
-        (Architecture::PnSsdSplit, GcPolicy::Spatial),
-    ] {
-        let r = lookup((PaperWorkload::RocksDb0, arch, policy));
-        p99s.push((format!("{}+{}", arch.label(), policy), r.all.p99));
+    for (arch, (plan, label)) in fig20_cells() {
+        let r = lookup((PaperWorkload::RocksDb0, arch, plan));
+        p99s.push((format!("{}+{label}", arch.label()), r.all.p99));
         t.row(vec![
-            format!("{}+{}", arch.label(), policy),
+            format!("{}+{label}", arch.label()),
             fmt_us(r.all.p50.as_ns()),
             fmt_us(r.all.p95.as_ns()),
             fmt_us(r.all.p99.as_ns()),
@@ -241,8 +246,8 @@ pub fn fig20a_tail_latency() -> Experiment {
 /// Composed-plan ablation: the full victim × placement × preemption grid on
 /// pnSSD(+split) over the YCSB-A trace, every combination assembled from
 /// components (the watermark trigger is the only trigger family),
-/// normalized to the greedy/unconstrained/run-to-completion tuple (legacy
-/// PaGC), which is the grid's first row.
+/// normalized to the greedy/unconstrained/run-to-completion tuple (PaGC),
+/// which is the grid's first row.
 pub fn plan_ablation() -> Experiment {
     let mut grid = Vec::new();
     for victim in [
@@ -271,8 +276,7 @@ pub fn plan_ablation() -> Experiment {
         .iter()
         .map(|&spec| {
             move || {
-                let mut cfg = setup::gc_config(Architecture::PnSsdSplit, GcPolicy::Parallel);
-                cfg.gc.plan = Some(spec);
+                let cfg = setup::gc_config(Architecture::PnSsdSplit, spec);
                 let trace = PaperWorkload::YcsbA.generate(
                     requests,
                     setup::gc_footprint(&cfg),
@@ -312,8 +316,7 @@ pub fn plan_ablation() -> Experiment {
         tables: vec![(String::new(), t)],
         notes: vec![
             "victim × placement × preemption grid assembled from components; \
-             greedy-free-run is byte-identical to legacy PaGC, greedy-spatial-run to SpGC, \
-             greedy-free-yield to preemptive GC"
+             greedy-free-run is PaGC, greedy-spatial-run SpGC, greedy-free-yield preemptive GC"
                 .into(),
         ],
     }
@@ -327,23 +330,18 @@ pub fn fig20b_gc_time() -> Experiment {
         "mean event time".to_string(),
         "pages copied".to_string(),
     ]);
-    for (arch, policy) in [
-        (Architecture::BaseSsd, GcPolicy::Parallel),
-        (Architecture::BaseSsd, GcPolicy::Spatial),
-        (Architecture::PSsd, GcPolicy::Spatial),
-        (Architecture::PnSsdSplit, GcPolicy::Spatial),
-    ] {
+    for (arch, (plan, label)) in fig20_cells() {
         let mut events = 0u64;
         let mut total_ns = 0u64;
         let mut copied = 0u64;
         for workload in PaperWorkload::all() {
-            let r = lookup((workload, arch, policy));
+            let r = lookup((workload, arch, plan));
             events += r.gc.events;
             total_ns += r.gc.total_time.as_ns();
             copied += r.gc.pages_copied;
         }
         t.row(vec![
-            format!("{}+{}", arch.label(), policy),
+            format!("{}+{label}", arch.label()),
             events.to_string(),
             fmt_us(total_ns.checked_div(events).unwrap_or(0)),
             copied.to_string(),

@@ -2,7 +2,7 @@
 //! instantiation, and run-scale knobs.
 
 use nssd_core::{Aging, Architecture, SsdConfig};
-use nssd_ftl::GcPolicy;
+use nssd_ftl::GcPlanSpec;
 use nssd_sim::env_count;
 use nssd_workloads::{PaperWorkload, Trace};
 
@@ -25,16 +25,17 @@ pub fn gc_requests_per_run() -> usize {
 /// geometry, PCWD allocation).
 pub fn io_config(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::new(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg.seed = EXPERIMENT_SEED;
     cfg
 }
 
-/// Standard GC-experiment configuration (a further capacity-scaled
-/// geometry, so that the many aged cells of a GC figure run in seconds).
-pub fn gc_config(arch: Architecture, policy: GcPolicy) -> SsdConfig {
+/// Standard GC-experiment configuration running `plan` (a further
+/// capacity-scaled geometry, so that the many aged cells of a GC figure run
+/// in seconds).
+pub fn gc_config(arch: Architecture, plan: GcPlanSpec) -> SsdConfig {
     let mut cfg = SsdConfig::gc_scaled(arch);
-    cfg.gc.policy = policy;
+    cfg.gc.plan = Some(plan);
     cfg.seed = EXPERIMENT_SEED;
     cfg
 }
@@ -87,7 +88,7 @@ mod tests {
     fn configs_validate() {
         for arch in Architecture::all() {
             io_config(arch).validate().unwrap();
-            for p in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
+            for p in GcPlanSpec::PAPER {
                 gc_config(arch, p).validate().unwrap();
             }
         }
@@ -97,7 +98,7 @@ mod tests {
     fn footprints_fit_capacity() {
         let cfg = io_config(Architecture::BaseSsd);
         assert!(io_footprint(&cfg) < cfg.logical_bytes());
-        let gcc = gc_config(Architecture::BaseSsd, GcPolicy::Spatial);
+        let gcc = gc_config(Architecture::BaseSsd, GcPlanSpec::spatial());
         assert!(gc_footprint(&gcc) < (gcc.logical_bytes() as f64 * PAPER_FILL) as u64);
     }
 

@@ -9,7 +9,7 @@
 //! `NSSD_TENANT_REQUESTS` (per tenant, default 2000).
 
 use nssd_core::{run, Aging, Architecture, Drive, SchedulerKind, SimReport, TenantSummary};
-use nssd_ftl::GcPolicy;
+use nssd_ftl::GcPlanSpec;
 use nssd_workloads::{tail_resolvable, TenantMix};
 
 use crate::experiments::Experiment;
@@ -40,7 +40,7 @@ pub fn tenant_cells() -> Vec<(Architecture, SchedulerKind)> {
 }
 
 fn run_cell(arch: Architecture, sched: SchedulerKind, requests: usize) -> SimReport {
-    let cfg = setup::gc_config(arch, GcPolicy::Parallel);
+    let cfg = setup::gc_config(arch, GcPlanSpec::pagc());
     let streams = TenantMix::interference(requests)
         .generate(setup::gc_footprint(&cfg), setup::EXPERIMENT_SEED);
     run(

@@ -421,6 +421,16 @@ impl SsdConfig {
         if self.ftl_cores == 0 {
             return Err("ftl_cores must be nonzero".into());
         }
+        // A NaN or infinite constant turns the energy report into NaN, which
+        // the canonical JSON cannot represent.
+        for (name, pj) in [
+            ("pj_per_byte_channel", self.pj_per_byte_channel),
+            ("pj_per_byte_hop", self.pj_per_byte_hop),
+        ] {
+            if !(pj.is_finite() && pj >= 0.0) {
+                return Err(format!("{name} must be finite and non-negative, got {pj}"));
+            }
+        }
         self.redundancy.validate(&self.geometry)?;
         self.faults.validate()?;
         if let Some(spec) = self.faults.chip_failure {
@@ -506,6 +516,24 @@ mod tests {
         let mut c = SsdConfig::new(Architecture::BaseSsd);
         c.channel_mts = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn energy_constants_must_be_finite_and_non_negative() {
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut c = SsdConfig::tiny(Architecture::NoSsdUnconstrained);
+            c.pj_per_byte_channel = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("pj_per_byte_channel must be finite"), "{err}");
+            let mut c = SsdConfig::tiny(Architecture::NoSsdUnconstrained);
+            c.pj_per_byte_hop = bad;
+            let err = c.validate().unwrap_err();
+            assert!(err.contains("pj_per_byte_hop must be finite"), "{err}");
+        }
+        let mut c = SsdConfig::tiny(Architecture::NoSsdUnconstrained);
+        c.pj_per_byte_channel = 0.0;
+        c.pj_per_byte_hop = 0.0;
+        c.validate().unwrap();
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! the destination, and finally the victim erase. The plan decides
 //! everything policy-like, one field at a time:
 //!
-//! * **victim** — [`VictimSpec::select`](nssd_ftl::VictimSpec::select)
-//!   picks the blocks;
+//! * **victim** — [`select_victims`](nssd_ftl::select_victims) picks the
+//!   blocks;
 //! * **trigger** — the FTL's watermarks arm ([`Ftl::needs_gc`]), chain
 //!   (free ratio below `stop_free_ratio`) and force
 //!   ([`Ftl::critically_low`]) events;
@@ -27,8 +27,8 @@
 
 use nssd_flash::{Geometry, Pbn, Ppn};
 use nssd_ftl::{
-    BlockState, GcConfig, GcPlanSpec, Lpn, OutOfSpace, PlacementSpec, PreemptionSpec,
-    SpatialGroups, WayMask,
+    select_victims, BlockState, GcConfig, GcPlanSpec, Lpn, OutOfSpace, PlacementSpec,
+    PreemptionSpec, SpatialGroups, WayMask,
 };
 use nssd_sim::{CkptError, CkptReader, CkptWriter, SimTime};
 
@@ -103,7 +103,7 @@ impl GcRuntime {
     /// groups; the FTL configuration check has already rejected spatial
     /// placement on fewer than two ways.
     pub(crate) fn new(cfg: &GcConfig, total_ways: u32) -> Self {
-        let spec = cfg.effective_plan();
+        let spec = cfg.plan;
         let groups = spec
             .is_some_and(|s| s.placement == PlacementSpec::Spatial)
             .then(|| SpatialGroups::new(total_ways, cfg.gc_group_fraction));
@@ -222,10 +222,11 @@ impl SsdSim {
         let spec = self.gc.spec.expect("GC enabled");
         let victim_mask = self.begin_gc_event();
         self.ftl.note_gc_trigger();
-        let mut victims = spec.victim.select(
+        let mut victims = select_victims(
             self.ftl.blocks(),
             self.cfg.gc.victims_per_trigger as usize,
             victim_mask,
+            spec.victim,
             &mut self.rng,
         );
         self.ftl.drop_dead_chip_victims(&mut victims);
@@ -807,7 +808,7 @@ impl GcRuntime {
 
 #[cfg(test)]
 mod tests {
-    use nssd_ftl::{GcPolicy, Lpn, WayMask};
+    use nssd_ftl::{GcPlanSpec, Lpn, WayMask};
 
     use crate::{Architecture, SsdConfig, SsdSim};
 
@@ -817,7 +818,7 @@ mod tests {
     #[test]
     fn spatial_event_confines_writes_and_swaps_groups() {
         let mut cfg = SsdConfig::tiny(Architecture::BaseSsd);
-        cfg.gc.policy = GcPolicy::Spatial;
+        cfg.gc.plan = Some(GcPlanSpec::spatial());
         let ways = cfg.geometry.ways;
         let mut sim = SsdSim::new(cfg).unwrap();
         let gc_mask = sim.begin_gc_event();
@@ -836,7 +837,7 @@ mod tests {
         assert_eq!(groups.epochs(), 1);
         assert_eq!(groups.gc_ways(), io_mask, "the groups swap");
 
-        cfg.gc.policy = GcPolicy::Parallel;
+        cfg.gc.plan = Some(GcPlanSpec::pagc());
         let mut sim = SsdSim::new(cfg).unwrap();
         assert_eq!(sim.begin_gc_event(), WayMask::all(ways));
         assert_eq!(sim.gc.confinement, None);

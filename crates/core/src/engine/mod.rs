@@ -321,6 +321,8 @@ impl SsdSim {
         faults.note_manufacture_bad(marked as u64);
 
         let oracle = cfg.oracle.then(|| Oracle::new(g, ftl.logical_pages()));
+        // The FTL's copy of the GC configuration holds the plan it resolved.
+        let gc = GcRuntime::new(&ftl.config().gc, g.ways);
 
         let chips = (0..g.chip_count())
             .map(|_| FlashChip::new(&g, cfg.timing))
@@ -372,7 +374,7 @@ impl SsdSim {
             parked: VecDeque::new(),
             end_of_life: None,
             inflight_io: 0,
-            gc: GcRuntime::new(&cfg.gc, g.ways),
+            gc,
             rebuild: RebuildRuntime::new(),
             parity_pending: if cfg.redundancy.enabled {
                 vec![0; cfg.redundancy.group_count(&g) as usize]
@@ -1029,7 +1031,7 @@ mod tests {
     #[test]
     fn slot_pools_stay_bounded_across_a_run() {
         let mut cfg = SsdConfig::tiny(crate::Architecture::BaseSsd);
-        cfg.gc.policy = nssd_ftl::GcPolicy::None;
+        cfg.gc.plan = None;
         cfg.seed = 42;
         let page = cfg.geometry.page_bytes;
         let mut sim = SsdSim::new(cfg).unwrap();

@@ -3,7 +3,7 @@
 //! A [`SimReport`] rendered through [`canonical_json`] is byte-stable for a
 //! fixed configuration and seed: every field is serialized in a fixed key
 //! order, floats through Rust's shortest-roundtrip formatter, times as
-//! integer nanoseconds. The pinned [`matrix`] of (topology × GC policy ×
+//! integer nanoseconds. The pinned [`matrix`] of (topology × GC plan ×
 //! workload × seed) runs is committed under `tests/golden/`; the
 //! `golden_report` integration test re-runs the matrix and diffs against
 //! the committed files, so *any* behavioural drift — timing, GC accounting,
@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 
 use nssd_faults::ChipFailureSpec;
-use nssd_ftl::{GcPlanSpec, GcPolicy, RedundancyConfig};
+use nssd_ftl::{GcPlanSpec, RedundancyConfig};
 use nssd_sim::SimTime;
 use nssd_workloads::{PaperWorkload, TenantMix};
 
@@ -68,9 +68,11 @@ impl TenantScenario {
 pub struct GoldenCase {
     /// Architecture simulated.
     pub architecture: Architecture,
-    /// GC policy. With [`GcPolicy::None`] the device starts mapped over the
-    /// trace footprint, otherwise aged per [`Aging::PAPER`].
-    pub gc_policy: GcPolicy,
+    /// The GC plan, or `None` for GC off. With GC off the device starts
+    /// mapped over the trace footprint, otherwise aged per
+    /// [`Aging::PAPER`]. The paper's three collectors name the file `pagc`,
+    /// `preempt` or `spatial`, any other plan `plan-<slug>`.
+    pub plan: Option<GcPlanSpec>,
     /// Workload driving the run (ignored under [`GoldenDrive::Tenants`]).
     pub workload: PaperWorkload,
     /// Trace and simulator seed.
@@ -79,9 +81,6 @@ pub struct GoldenCase {
     pub requests: usize,
     /// How the requests are issued.
     pub drive: GoldenDrive,
-    /// When set, overrides `gc_policy` with an explicit composed GC plan
-    /// (the plan's slug replaces the policy slug in the file name).
-    pub plan: Option<GcPlanSpec>,
     /// When set, enables parity redundancy of this stripe width *and*
     /// schedules a fail-stop failure of chip (0, 0) mid-run, pinning the
     /// degraded-read reconstruction path and the fabric-routed rebuild.
@@ -100,15 +99,12 @@ impl GoldenCase {
             Architecture::NoSsdPinConstrained => "nossd-pin",
             Architecture::NoSsdUnconstrained => "nossd",
         };
-        let policy = match self.plan {
-            Some(plan) => format!("plan-{plan}"),
-            None => match self.gc_policy {
-                GcPolicy::None => "nogc",
-                GcPolicy::Parallel => "pagc",
-                GcPolicy::Preemptive => "preempt",
-                GcPolicy::Spatial => "spatial",
-            }
-            .to_string(),
+        let gc = match self.plan {
+            None => "nogc".to_string(),
+            Some(p) if p == GcPlanSpec::pagc() => "pagc".to_string(),
+            Some(p) if p == GcPlanSpec::preemptive() => "preempt".to_string(),
+            Some(p) if p == GcPlanSpec::spatial() => "spatial".to_string(),
+            Some(p) => format!("plan-{p}"),
         };
         let workload: String = match self.drive {
             GoldenDrive::Tenants(scenario) => scenario.slug().to_string(),
@@ -133,14 +129,13 @@ impl GoldenCase {
             Some(w) => format!("_red{w}"),
             None => String::new(),
         };
-        format!("{arch}_{policy}_{workload}{red}{depth}_s{}.json", self.seed)
+        format!("{arch}_{gc}_{workload}{red}{depth}_s{}.json", self.seed)
     }
 
     /// The configuration this case runs under: the tiny geometry with the
     /// shadow oracle enabled, so every golden run is also an invariant run.
     pub fn config(&self) -> SsdConfig {
         let mut cfg = SsdConfig::tiny(self.architecture);
-        cfg.gc.policy = self.gc_policy;
         cfg.gc.plan = self.plan;
         cfg.gc.victims_per_trigger = 2;
         cfg.seed = self.seed;
@@ -194,11 +189,11 @@ impl GoldenCase {
                 Drive::tenants(streams, SchedulerKind::WeightedFair, 8)
             }
         };
-        // GC cases start from an aged device so the policies actually fire
+        // GC cases start from an aged device so the plans actually fire
         // within the pinned request budget.
-        let aging = match self.gc_policy {
-            GcPolicy::None => Aging::Footprint,
-            _ => Aging::PAPER,
+        let aging = match self.plan {
+            None => Aging::Footprint,
+            Some(_) => Aging::PAPER,
         };
         prepare(cfg, drive, aging)
     }
@@ -208,8 +203,8 @@ impl GoldenCase {
 ///
 /// Interconnect sweep: every evaluated topology under a read-skewed and a
 /// mixed workload with GC off — pure interconnect behaviour. GC sweep: the
-/// conventional bus and the paper's pnSSD under all three GC policies on an
-/// aged device. Then composed GC plans, closed loop, multi-tenant and
+/// conventional bus and the paper's pnSSD under all three paper GC plans on
+/// an aged device. Then composed GC plans, closed loop, multi-tenant and
 /// parity-rebuild cases. Small request counts keep the whole matrix a debug-mode
 /// test, not a benchmark.
 pub fn matrix() -> Vec<GoldenCase> {
@@ -224,42 +219,39 @@ pub fn matrix() -> Vec<GoldenCase> {
         for workload in [PaperWorkload::YcsbA, PaperWorkload::WebSearch0] {
             cases.push(GoldenCase {
                 architecture,
-                gc_policy: GcPolicy::None,
+                plan: None,
                 workload,
                 seed: 7,
                 requests: 120,
                 drive: GoldenDrive::OpenLoop,
-                plan: None,
                 redundancy: None,
             });
         }
     }
     for architecture in [Architecture::BaseSsd, Architecture::PnSsd] {
-        for gc_policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
+        for plan in GcPlanSpec::PAPER {
             cases.push(GoldenCase {
                 architecture,
-                gc_policy,
+                plan: Some(plan),
                 workload: PaperWorkload::YcsbA,
                 seed: 13,
                 requests: 120,
                 drive: GoldenDrive::OpenLoop,
-                plan: None,
                 redundancy: None,
             });
         }
     }
-    // Composed-plan sweep: the two plans with no legacy-policy equivalent —
-    // hot/cold generational placement and wear-aware victim scoring — on the
-    // paper's pnSSD over the same aged-device YCSB-A trace as the GC sweep.
+    // Composed-plan sweep: the two plans beyond the paper's three — hot/cold
+    // generational placement and wear-aware victim scoring — on the paper's
+    // pnSSD over the same aged-device YCSB-A trace as the GC sweep.
     for plan in [GcPlanSpec::hot_cold(), GcPlanSpec::wear_aware()] {
         cases.push(GoldenCase {
             architecture: Architecture::PnSsd,
-            gc_policy: GcPolicy::Parallel,
+            plan: Some(plan),
             workload: PaperWorkload::YcsbA,
             seed: 13,
             requests: 120,
             drive: GoldenDrive::OpenLoop,
-            plan: Some(plan),
             redundancy: None,
         });
     }
@@ -267,19 +259,18 @@ pub fn matrix() -> Vec<GoldenCase> {
     // device, with the paper's baseline GC on the conventional bus and
     // spatial GC on the split pnSSD, and once on a footprint-mapped device
     // with GC off.
-    for (architecture, gc_policy) in [
-        (Architecture::BaseSsd, GcPolicy::Parallel),
-        (Architecture::PnSsdSplit, GcPolicy::Spatial),
-        (Architecture::BaseSsd, GcPolicy::None),
+    for (architecture, plan) in [
+        (Architecture::BaseSsd, Some(GcPlanSpec::pagc())),
+        (Architecture::PnSsdSplit, Some(GcPlanSpec::spatial())),
+        (Architecture::BaseSsd, None),
     ] {
         cases.push(GoldenCase {
             architecture,
-            gc_policy,
+            plan,
             workload: PaperWorkload::YcsbA,
             seed: 13,
             requests: 120,
             drive: GoldenDrive::ClosedLoop { depth: 8 },
-            plan: None,
             redundancy: None,
         });
     }
@@ -288,20 +279,20 @@ pub fn matrix() -> Vec<GoldenCase> {
     // conventional bus, the packetized bus, and the paper's pnSSD, and on
     // the conventional bus once more with a footprint-mapped device and GC
     // off.
-    for (architecture, gc_policy) in [
-        (Architecture::BaseSsd, GcPolicy::Parallel),
-        (Architecture::PSsd, GcPolicy::Parallel),
-        (Architecture::PnSsd, GcPolicy::Parallel),
-        (Architecture::BaseSsd, GcPolicy::None),
+    let pagc = Some(GcPlanSpec::pagc());
+    for (architecture, plan) in [
+        (Architecture::BaseSsd, pagc),
+        (Architecture::PSsd, pagc),
+        (Architecture::PnSsd, pagc),
+        (Architecture::BaseSsd, None),
     ] {
         cases.push(GoldenCase {
             architecture,
-            gc_policy,
+            plan,
             workload: PaperWorkload::YcsbA, // unused: the scenario drives it
             seed: 21,
             requests: 60,
             drive: GoldenDrive::Tenants(TenantScenario::InterferenceWfq),
-            plan: None,
             redundancy: None,
         });
     }
@@ -312,12 +303,11 @@ pub fn matrix() -> Vec<GoldenCase> {
     for architecture in [Architecture::BaseSsd, Architecture::PnSsd] {
         cases.push(GoldenCase {
             architecture,
-            gc_policy: GcPolicy::None,
+            plan: None,
             workload: PaperWorkload::YcsbA,
             seed: 29,
             requests: 120,
             drive: GoldenDrive::OpenLoop,
-            plan: None,
             redundancy: Some(2),
         });
     }
@@ -482,7 +472,7 @@ pub fn canonical_json(r: &SimReport) -> String {
         jlist(&r.wear.per_way_mean, |x| jf(*x))
     );
     // Emitted only for wear-observing GC plans that actually ran GC: the
-    // legacy-policy snapshots predate the block and must stay byte-identical.
+    // paper-plan snapshots predate the block and must stay byte-identical.
     if r.wear_tracked && r.gc.events > 0 {
         let _ = write!(
             s,

@@ -4,8 +4,8 @@
 //! This crate assembles the paper's contribution from the workspace
 //! substrates: the six evaluated [`Architecture`]s (conventional baseSSD,
 //! NoSSD meshes, packetized pSSD, and Omnibus pnSSD with and without page
-//! *split*), the three garbage-collection policies (PaGC, semi-preemptive,
-//! and the paper's spatial GC), and the reports every experiment in
+//! *split*), the three garbage collectors (PaGC, semi-preemptive, and the
+//! paper's spatial GC, as `nssd_ftl::GcPlanSpec` plans), and the reports every experiment in
 //! `nssd-bench` is built on.
 //!
 //! Every run is a [`Drive`] (open loop, closed loop or tenants) on a device
@@ -56,7 +56,7 @@ pub use runner::*;
 mod tests {
     use super::*;
     use crate::EccConfig;
-    use nssd_ftl::GcPolicy;
+    use nssd_ftl::GcPlanSpec;
     use nssd_host::{IoOp, IoRequest};
     use nssd_sim::SimTime;
     use nssd_workloads::{PaperWorkload, SyntheticPattern, SyntheticSpec, Trace};
@@ -68,7 +68,7 @@ mod tests {
     /// Tiny config with GC disabled, for pure interconnect studies.
     fn io_cfg(arch: Architecture) -> SsdConfig {
         let mut cfg = SsdConfig::tiny(arch);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         cfg
     }
 
@@ -201,9 +201,9 @@ mod tests {
 
     #[test]
     fn gc_triggers_under_write_pressure() {
-        for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
+        for plan in GcPlanSpec::PAPER {
             let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-            cfg.gc.policy = policy;
+            cfg.gc.plan = Some(plan);
             cfg.gc.victims_per_trigger = 2;
             let spec = SyntheticSpec {
                 pattern: SyntheticPattern::RandomWrite,
@@ -214,10 +214,10 @@ mod tests {
             };
             let t = spec.generate();
             let report = run(cfg, Drive::closed_loop(&t, 8), Aging::PAPER).unwrap();
-            assert_eq!(report.completed, 600, "{policy}");
-            assert!(report.gc.events > 0, "{policy}: GC never triggered");
-            assert!(report.gc.pages_copied > 0, "{policy}");
-            assert!(report.gc.blocks_erased > 0, "{policy}");
+            assert_eq!(report.completed, 600, "{plan}");
+            assert!(report.gc.events > 0, "{plan}: GC never triggered");
+            assert!(report.gc.pages_copied > 0, "{plan}");
+            assert!(report.gc.blocks_erased > 0, "{plan}");
         }
     }
 
@@ -228,15 +228,11 @@ mod tests {
         // host, so overall latency under GC must beat PaGC. This needs the
         // full 8×8 topology (the tiny 2-way geometry cannot split groups
         // meaningfully), so it uses the GC-scaled configuration.
-        let mk = |policy| {
-            let mut cfg = SsdConfig::gc_scaled(Architecture::PnSsdSplit);
-            cfg.gc.policy = policy;
-            cfg
-        };
-        let cfg = mk(GcPolicy::Parallel);
+        let mut cfg = SsdConfig::gc_scaled(Architecture::PnSsdSplit);
         let t = PaperWorkload::YcsbA.generate(800, cfg.logical_bytes() / 2, 4);
-        let pagc = run(mk(GcPolicy::Parallel), &t, Aging::PAPER).unwrap();
-        let spgc = run(mk(GcPolicy::Spatial), &t, Aging::PAPER).unwrap();
+        let pagc = run(cfg, &t, Aging::PAPER).unwrap();
+        cfg.gc.plan = Some(GcPlanSpec::spatial());
+        let spgc = run(cfg, &t, Aging::PAPER).unwrap();
         assert!(pagc.gc.events > 0 && spgc.gc.events > 0);
         assert!(
             spgc.all.mean < pagc.all.mean,
@@ -280,7 +276,7 @@ mod tests {
     #[test]
     fn channel_sliced_supports_spatial_gc_f2f() {
         let mut cfg = SsdConfig::tiny(Architecture::ChannelSliced);
-        cfg.gc.policy = GcPolicy::Spatial;
+        cfg.gc.plan = Some(GcPlanSpec::spatial());
         let trace = PaperWorkload::Build0.generate(300, cfg.logical_bytes() / 2, 16);
         let report = run(cfg, &trace, Aging::PAPER).unwrap();
         assert_eq!(report.completed, 300);
@@ -364,7 +360,7 @@ mod tests {
     fn strict_ecc_disables_f2f_and_slows_spatial_gc() {
         let mk = |ecc: EccConfig| {
             let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-            cfg.gc.policy = GcPolicy::Spatial;
+            cfg.gc.plan = Some(GcPlanSpec::spatial());
             cfg.ecc = ecc;
             cfg
         };
@@ -420,7 +416,7 @@ const CASES: usize = if cfg!(feature = "heavy-tests") {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use nssd_ftl::GcPolicy;
+    use nssd_ftl::GcPlanSpec;
     use nssd_host::{IoOp, IoRequest};
     use nssd_sim::{DetRng, Rng, SimTime};
     use nssd_workloads::Trace;
@@ -435,7 +431,7 @@ mod proptests {
             let arch_idx = rng.gen_range(0..7usize);
             let arch = Architecture::with_strawmen()[arch_idx];
             let mut cfg = SsdConfig::tiny(arch);
-            cfg.gc.policy = GcPolicy::None;
+            cfg.gc.plan = None;
             let page = cfg.geometry.page_bytes as u64;
             let logical_pages = cfg.logical_bytes() / page;
             let mut t = Trace::new("prop");
@@ -474,7 +470,7 @@ mod proptests {
         for _ in 0..CASES {
             let seed = rng.gen_range(0..64u64);
             let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-            cfg.gc.policy = GcPolicy::Spatial;
+            cfg.gc.plan = Some(GcPlanSpec::spatial());
             cfg.seed = seed;
             let trace =
                 nssd_workloads::PaperWorkload::Build0.generate(150, cfg.logical_bytes() / 2, seed);

@@ -209,8 +209,18 @@ impl FaultConfig {
         if !(0.0..=1e-2).contains(&be.rber) {
             return Err("bit_error.rber must be in [0, 1e-2]".into());
         }
-        if be.pe_cycle_slope < 0.0 || be.retention_slope < 0.0 {
-            return Err("bit_error slopes must be non-negative".into());
+        // A NaN slope, or an infinite one times zero cycles or zero
+        // retention, makes the effective RBER NaN, and sampling errors at a
+        // NaN mean never terminates.
+        for (name, slope) in [
+            ("pe_cycle_slope", be.pe_cycle_slope),
+            ("retention_slope", be.retention_slope),
+        ] {
+            if !(slope.is_finite() && slope >= 0.0) {
+                return Err(format!(
+                    "bit_error.{name} must be finite and non-negative, got {slope}"
+                ));
+            }
         }
         if be.fast_correct_bits > be.soft_correct_bits {
             return Err("fast_correct_bits must not exceed soft_correct_bits".into());
@@ -890,6 +900,22 @@ mod tests {
         let mut cfg = FaultConfig::off();
         cfg.bad_blocks.grown_rate = 0.5;
         assert!(cfg.validate().is_err());
+        for bad in [-1e-6, f64::NAN, f64::INFINITY] {
+            let mut cfg = FaultConfig::off();
+            cfg.bit_error.pe_cycle_slope = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                err.contains("bit_error.pe_cycle_slope must be finite"),
+                "{err}"
+            );
+            let mut cfg = FaultConfig::off();
+            cfg.bit_error.retention_slope = bad;
+            let err = cfg.validate().unwrap_err();
+            assert!(
+                err.contains("bit_error.retention_slope must be finite"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@ use nssd_sim::{CkptError, CkptReader, CkptWriter, Rng};
 
 use crate::{
     select_victims, AllocPolicy, BlockState, BlockTable, GcConfig, Lpn, MappingTable, OutOfSpace,
-    PageAllocator, PlacementSpec, RedundancyConfig, WayMask,
+    PageAllocator, PlacementSpec, RedundancyConfig, VictimSpec, WayMask,
 };
 
 /// FTL configuration.
@@ -64,7 +64,7 @@ impl FtlConfig {
         self.gc.validate().map_err(FtlError::Config)?;
         let spatial = self
             .gc
-            .effective_plan()
+            .plan
             .is_some_and(|p| p.placement == PlacementSpec::Spatial);
         if spatial && self.geometry.ways < 2 {
             return Err(FtlError::Config(format!(
@@ -258,7 +258,11 @@ impl Ftl {
     /// # Errors
     ///
     /// Returns [`FtlError`] if the configuration is invalid.
-    pub fn new(config: FtlConfig) -> Result<Self, FtlError> {
+    pub fn new(mut config: FtlConfig) -> Result<Self, FtlError> {
+        // The benchmark's GC-off switch, read here and nowhere else.
+        if config.gc.policy == crate::GcPolicy::None {
+            config.gc.plan = None;
+        }
         config.validate()?;
         let geometry = config.geometry;
         let mut logical_pages =
@@ -277,7 +281,7 @@ impl Ftl {
         let cold_alloc = PageAllocator::new(&geometry, AllocPolicy::Cwdp);
         let generational = config
             .gc
-            .effective_plan()
+            .plan
             .is_some_and(|p| p.placement == PlacementSpec::HotCold);
         let reloc_gen = if generational {
             vec![0u8; logical_pages as usize]
@@ -540,22 +544,6 @@ impl Ftl {
         self.stats.gc_triggers += 1;
     }
 
-    /// Selects victim blocks for one GC trigger, restricted to `mask`
-    /// (pass `WayMask::all` for non-spatial policies), and counts the
-    /// trigger.
-    pub fn select_gc_victims<R: Rng>(&mut self, mask: WayMask, rng: &mut R) -> Vec<Pbn> {
-        self.note_gc_trigger();
-        let mut victims = select_victims(
-            &self.blocks,
-            self.config.gc.victims_per_trigger as usize,
-            mask,
-            self.config.gc.victim_policy,
-            rng,
-        );
-        self.drop_dead_chip_victims(&mut victims);
-        victims
-    }
-
     /// Removes blocks of the dead chip from a GC victim list. They look
     /// like attractive victims (lots of garbage) but their array is
     /// unreadable, and erasing one would return it to the free pool on a
@@ -666,8 +654,12 @@ impl Ftl {
 
     /// Runs GC to completion instantly (no timing), reclaiming until the
     /// free ratio exceeds the trigger watermark or no block has any garbage
-    /// left to collect. Used for preconditioning and by tests; the timed
-    /// engine drives GC step-by-step instead.
+    /// left to collect. Used for preconditioning, for the watermark reclaim
+    /// of GC-off runs, and by tests; the timed engine runs the configured
+    /// plan step by step instead. Victims are always greedy, whatever the
+    /// plan's victim axis, so aging is a property of the device: a device
+    /// ages to the same state under every plan, and `rng` is never drawn
+    /// from.
     ///
     /// # Errors
     ///
@@ -694,8 +686,11 @@ impl Ftl {
         // A failed relocation drops the buffer; the next collection
         // starts a new one.
         let mut pages = std::mem::take(&mut self.gc_pages);
+        let n = self.config.gc.victims_per_trigger as usize;
         while self.needs_gc() {
-            let victims = self.select_gc_victims(all, rng);
+            self.note_gc_trigger();
+            let mut victims = select_victims(&self.blocks, n, all, VictimSpec::Greedy, rng);
+            self.drop_dead_chip_victims(&mut victims);
             if victims.is_empty() {
                 // Nothing reclaimable: every full block is fully valid.
                 // Yield rather than fail — open blocks may still have room.
@@ -1102,7 +1097,7 @@ impl Ftl {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GcPlanSpec, GcPolicy};
+    use crate::GcPlanSpec;
     use nssd_flash::Geometry;
     use nssd_sim::DetRng;
 
@@ -1180,9 +1175,8 @@ mod tests {
         cfg.geometry = Geometry::tiny();
         cfg.geometry.ways = 1;
         cfg.gc.victims_per_trigger = 1;
-        cfg.gc.policy = GcPolicy::Parallel;
         Ftl::new(cfg).expect("PaGC runs on one way");
-        cfg.gc.policy = GcPolicy::Spatial;
+        cfg.gc.plan = Some(GcPlanSpec::spatial());
         let err = Ftl::new(cfg).unwrap_err().to_string();
         assert!(err.contains("at least 2 ways; the geometry has 1"), "{err}");
     }

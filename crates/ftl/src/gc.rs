@@ -1,53 +1,21 @@
-//! Garbage-collection policies and configuration.
+//! Garbage-collection configuration and spatial-GC way groups.
 //!
-//! Three reclamation policies from the paper's evaluation (§VII-C):
-//!
-//! * [`GcPolicy::Parallel`] — PaGC (Shahidi et al., SC'16): all chips
-//!   reclaim concurrently; foreground I/O queues behind GC traffic.
-//! * [`GcPolicy::Preemptive`] — semi-preemptive GC (Lee et al., ISPASS'11):
-//!   GC page copies yield to pending I/O until a hard free-space watermark
-//!   forces progress.
-//! * [`GcPolicy::Spatial`] — the paper's SpGC (§VI): the ways are split into
-//!   an I/O group and a GC group; user writes are confined to the I/O
-//!   group, victims and copy destinations to the GC group, and the groups
-//!   swap every epoch to level wear.
-
-use core::fmt;
+//! [`GcConfig`] holds the collector as one [`GcPlanSpec`] (`None` turns GC
+//! off) next to the watermarks and sizes every plan shares. The paper's
+//! collectors (§VII-C) are [`GcPlanSpec::pagc`] (the default),
+//! [`GcPlanSpec::preemptive`] and [`GcPlanSpec::spatial`];
+//! [`SpatialGroups`] is the I/O-group / GC-group bookkeeping of the last.
 
 use nssd_sim::{CkptError, CkptReader, CkptWriter};
 
-use crate::{GcPlanSpec, VictimPolicy, WayMask};
-
-/// Which garbage-collection policy the FTL runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum GcPolicy {
-    /// GC disabled (for the no-GC I/O experiments, Figs 14–17).
-    None,
-    /// Parallel GC (PaGC), the paper's baseline.
-    Parallel,
-    /// Semi-preemptive GC.
-    Preemptive,
-    /// Spatial GC (the paper's contribution).
-    Spatial,
-}
-
-impl fmt::Display for GcPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            GcPolicy::None => "no-GC",
-            GcPolicy::Parallel => "PaGC",
-            GcPolicy::Preemptive => "preemptive",
-            GcPolicy::Spatial => "SpGC",
-        };
-        f.write_str(s)
-    }
-}
+use crate::{GcPlanSpec, WayMask};
 
 /// Garbage-collection tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
-    /// Reclamation policy.
-    pub policy: GcPolicy,
+    /// The collector, or `None` with GC disabled (the no-GC I/O
+    /// experiments, Figs 14–17). Defaults to [`GcPlanSpec::pagc`].
+    pub plan: Option<GcPlanSpec>,
     /// Start GC when the free-block ratio drops to this value.
     pub trigger_free_ratio: f64,
     /// Keep chaining GC events until the free-block ratio recovers to this
@@ -55,50 +23,42 @@ pub struct GcConfig {
     /// cycle under sustained writes).
     pub stop_free_ratio: f64,
     /// Victim blocks reclaimed per GC event (total across the device; the
-    /// same total is used for every policy, per §VII-A).
+    /// same total is used for every plan, per §VII-A).
     pub victims_per_trigger: u32,
     /// Fraction of ways assigned to the GC group under spatial GC.
     pub gc_group_fraction: f64,
     /// Below this free ratio, preemptive GC stops yielding to I/O.
     pub hard_free_ratio: f64,
-    /// Victim-selection policy.
-    pub victim_policy: VictimPolicy,
-    /// Explicit component-level GC plan. When set it overrides `policy` —
-    /// the collector runs exactly these components; when `None` the legacy
-    /// `policy`/`victim_policy` pair decomposes into its equivalent plan
-    /// via [`GcPlanSpec::from_policy`].
-    pub plan: Option<GcPlanSpec>,
+    /// A second GC-off switch that only the `benchmark/` package sets; the
+    /// FTL folds it into `plan` once, in `Ftl::new`. The next change to
+    /// the benchmark turns GC off through `plan` and deletes this field.
+    #[doc(hidden)]
+    pub policy: GcPolicy,
+}
+
+/// The value type of the benchmark-only GC-off switch
+/// (`GcConfig::policy`); the next change to the benchmark deletes it.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum GcPolicy {
+    /// GC runs `GcConfig::plan`.
+    Plan,
+    /// GC is off whatever `GcConfig::plan` holds.
+    None,
 }
 
 impl GcConfig {
-    /// The evaluation defaults: greedy victims, trigger at 10% free blocks,
-    /// 8 victims per event, half/half spatial groups, 2.5% hard watermark.
+    /// The evaluation defaults: PaGC, trigger at 10% free blocks, 8 victims
+    /// per event, half/half spatial groups, 2.5% hard watermark.
     pub fn evaluation_defaults() -> Self {
         GcConfig {
-            policy: GcPolicy::Parallel,
+            plan: Some(GcPlanSpec::pagc()),
             trigger_free_ratio: 0.10,
             stop_free_ratio: 0.105,
             victims_per_trigger: 8,
             gc_group_fraction: 0.5,
             hard_free_ratio: 0.025,
-            victim_policy: VictimPolicy::Greedy,
-            plan: None,
-        }
-    }
-
-    /// The plan the collector actually runs: the explicit [`GcConfig::plan`]
-    /// when set, otherwise the decomposition of the legacy policy pair.
-    /// `None` means GC is disabled.
-    pub fn effective_plan(&self) -> Option<GcPlanSpec> {
-        self.plan
-            .or_else(|| GcPlanSpec::from_policy(self.policy, self.victim_policy))
-    }
-
-    /// Same defaults with a different policy.
-    pub fn with_policy(policy: GcPolicy) -> Self {
-        GcConfig {
-            policy,
-            ..GcConfig::evaluation_defaults()
+            policy: GcPolicy::Plan,
         }
     }
 
@@ -243,8 +203,10 @@ mod tests {
 
     #[test]
     fn defaults_validate() {
-        GcConfig::evaluation_defaults().validate().unwrap();
-        GcConfig::with_policy(GcPolicy::Spatial).validate().unwrap();
+        let mut c = GcConfig::evaluation_defaults();
+        c.validate().unwrap();
+        c.plan = Some(GcPlanSpec::spatial());
+        c.validate().unwrap();
     }
 
     #[test]
@@ -274,21 +236,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.stop_free_ratio = c.trigger_free_ratio + 0.001;
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn effective_plan_resolves_policy_and_override() {
-        let c = GcConfig::evaluation_defaults();
-        let spec = c.effective_plan().unwrap();
-        assert_eq!(
-            Some(spec),
-            GcPlanSpec::from_policy(GcPolicy::Parallel, VictimPolicy::Greedy)
-        );
-        let mut c = GcConfig::with_policy(GcPolicy::None);
-        assert_eq!(c.effective_plan(), None);
-        // An explicit plan overrides the legacy policy, even `None`.
-        c.plan = Some(GcPlanSpec::hot_cold());
-        assert_eq!(c.effective_plan(), Some(GcPlanSpec::hot_cold()));
     }
 
     #[test]
@@ -327,11 +274,5 @@ mod tests {
         assert_eq!(g.gc_ways().count(), 1);
         let g = SpatialGroups::new(4, 0.99);
         assert_eq!(g.gc_ways().count(), 3);
-    }
-
-    #[test]
-    fn policy_display() {
-        assert_eq!(GcPolicy::Spatial.to_string(), "SpGC");
-        assert_eq!(GcPolicy::Parallel.to_string(), "PaGC");
     }
 }

@@ -9,23 +9,23 @@
 //! * [`PageAllocator`] — striping write allocation with the paper's
 //!   [`AllocPolicy::Pcwd`]/[`AllocPolicy::Pwcd`] schemes and the
 //!   [`WayMask`] restriction spatial GC uses to confine user writes.
-//! * [`select_victims`] — greedy (and random) victim selection.
-//! * [`GcConfig`]/[`GcPolicy`]/[`SpatialGroups`] — the three evaluated
-//!   reclamation policies and the I/O-vs-GC group bookkeeping of Fig 12.
-//! * [`GcPlanSpec`] — the plan the engine actually runs: every policy is a
-//!   (victim, trigger, placement, preemption) tuple, and a new collector is
-//!   a different setting on one axis.
+//! * [`select_victims`] — greedy, random, cost-benefit and wear-aware
+//!   victim selection.
+//! * [`GcPlanSpec`] — the one description of a collector: a (victim,
+//!   trigger, placement, preemption) tuple. The paper's PaGC,
+//!   semi-preemptive and spatial GC are [`GcPlanSpec::pagc`],
+//!   [`GcPlanSpec::preemptive`] and [`GcPlanSpec::spatial`], and a new
+//!   collector is a different setting on one axis.
+//! * [`GcConfig`]/[`SpatialGroups`] — the plan with its watermarks, and the
+//!   I/O-vs-GC group bookkeeping of Fig 12.
 //! * [`Ftl`] — the facade combining all of the above, plus instant-GC
 //!   preconditioning for experiments.
 //!
 //! ```
-//! use nssd_ftl::{Ftl, FtlConfig, GcPolicy, Lpn, PlacementSpec, SpatialGroups};
+//! use nssd_ftl::{Ftl, FtlConfig, GcPlanSpec, Lpn, SpatialGroups};
 //!
 //! let mut cfg = FtlConfig::evaluation_defaults();
-//! cfg.gc.policy = GcPolicy::Spatial;
-//! // SpGC is one setting per axis; its placement is spatial.
-//! let plan = cfg.gc.effective_plan().expect("GC enabled");
-//! assert_eq!(plan.placement, PlacementSpec::Spatial);
+//! cfg.gc.plan = Some(GcPlanSpec::spatial());
 //!
 //! // While an SpGC event runs, user writes are confined to the I/O group
 //! // and the GC group is left to the collector.

@@ -1,9 +1,9 @@
 //! Garbage-collection plans as data.
 //!
-//! The three evaluated policies (PaGC, semi-preemptive, SpGC) are not
-//! monoliths: each is one setting on each of four orthogonal axes, in the
+//! A collector is one setting on each of four orthogonal axes, in the
 //! style of MMTk's plan/policy decomposition. A [`GcPlanSpec`] is that
-//! tuple, and it is the plan the engine runs (`nssd-core`'s
+//! tuple and the only description of GC: [`GcConfig::plan`] holds one (or
+//! `None` for GC off), and the engine runs it (`nssd-core`'s
 //! `engine::gcrun` matches on its fields):
 //!
 //! * **victim** ([`VictimSpec`]) — which full blocks to reclaim;
@@ -14,23 +14,28 @@
 //! * **preemption** ([`PreemptionSpec`]) — how the copy backlog is
 //!   dispatched against foreground I/O.
 //!
-//! The legacy [`GcPolicy`](crate::GcPolicy) values map onto tuples via
-//! [`GcPlanSpec::from_policy`]:
+//! The paper's three collectors (§VI, §VII-C) are three constructors, all
+//! with greedy victims and the watermark trigger:
 //!
-//! | policy | victim | trigger | placement | preemption |
-//! |---|---|---|---|---|
-//! | PaGC | configured | watermark | unconstrained | run-to-completion |
-//! | preemptive | configured | watermark | unconstrained | yield-to-I/O |
-//! | SpGC | configured | watermark | spatial | run-to-completion |
+//! * [`GcPlanSpec::pagc`] — PaGC, the baseline and the default;
+//! * [`GcPlanSpec::preemptive`] — semi-preemptive GC (copies yield to I/O);
+//! * [`GcPlanSpec::spatial`] — the paper's SpGC (spatial placement).
 //!
-//! Two settings have no legacy policy: [`VictimSpec::WearAware`] (victim
-//! scoring that folds per-block erase counts into the greedy cost) and
-//! [`PlacementSpec::HotCold`] (generational separation — pages that keep
-//! surviving GC are routed to a dedicated cold relocation stream).
+//! [`GcPlanSpec::wear_aware`] and [`GcPlanSpec::hot_cold`] each change one
+//! axis of PaGC: victim scoring that folds per-block erase counts into the
+//! greedy cost, and generational placement (pages that keep surviving GC
+//! relocate through a dedicated cold stream).
+//!
+//! The victim axis governs the engine's timed collector only. Aging
+//! ([`Ftl::precondition`]) and the watermark reclaim of GC-off runs use the
+//! FTL's untimed collector ([`Ftl::instant_gc`]), which always takes greedy
+//! victims, so a device ages the same way under every plan.
+//!
+//! [`GcConfig::plan`]: crate::GcConfig::plan
+//! [`Ftl::precondition`]: crate::Ftl::precondition
+//! [`Ftl::instant_gc`]: crate::Ftl::instant_gc
 
 use core::fmt;
-
-use crate::{GcPolicy, VictimPolicy};
 
 /// Declarative victim-selection choice.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -39,7 +44,8 @@ pub enum VictimSpec {
     Greedy,
     /// Uniform random over eligible blocks (ablation).
     Random,
-    /// Cost-benefit (Rosenblum & Ousterhout).
+    /// Cost-benefit (Rosenblum & Ousterhout): maximize
+    /// `(1 - u) / (2u) × age`, preferring cold, mostly-invalid blocks.
     CostBenefit,
     /// Greedy extended with a wear term over per-block erase counts:
     /// score `valid_count × VALID_PAGE_WEIGHT + erase_count × wear_weight`,
@@ -53,15 +59,6 @@ pub enum VictimSpec {
 }
 
 impl VictimSpec {
-    /// Maps a legacy [`VictimPolicy`] onto its spec.
-    pub fn from_policy(policy: VictimPolicy) -> Self {
-        match policy {
-            VictimPolicy::Greedy => VictimSpec::Greedy,
-            VictimPolicy::Random => VictimSpec::Random,
-            VictimPolicy::CostBenefit => VictimSpec::CostBenefit,
-        }
-    }
-
     fn slug(&self) -> &'static str {
         match self {
             VictimSpec::Greedy => "greedy",
@@ -117,48 +114,59 @@ pub struct GcPlanSpec {
 }
 
 impl GcPlanSpec {
-    /// The component tuple a legacy [`GcPolicy`] decomposes into, or `None`
-    /// for [`GcPolicy::None`] (GC disabled is the absence of a plan).
-    pub fn from_policy(policy: GcPolicy, victim_policy: VictimPolicy) -> Option<Self> {
-        let victim = VictimSpec::from_policy(victim_policy);
-        let (placement, preemption) = match policy {
-            GcPolicy::None => return None,
-            GcPolicy::Parallel => (
-                PlacementSpec::Unconstrained,
-                PreemptionSpec::RunToCompletion,
-            ),
-            GcPolicy::Preemptive => (PlacementSpec::Unconstrained, PreemptionSpec::YieldToIo),
-            GcPolicy::Spatial => (PlacementSpec::Spatial, PreemptionSpec::RunToCompletion),
-        };
-        Some(GcPlanSpec {
-            victim,
-            trigger: TriggerSpec::Watermark,
-            placement,
-            preemption,
-        })
-    }
-
-    /// The hot/cold (generational) separation plan.
-    pub fn hot_cold() -> Self {
+    /// PaGC (Shahidi et al., SC'16), the paper's baseline and the default:
+    /// greedy victims, all chips reclaim concurrently, and foreground I/O
+    /// queues behind GC traffic.
+    pub const fn pagc() -> Self {
         GcPlanSpec {
             victim: VictimSpec::Greedy,
-            trigger: TriggerSpec::Watermark,
-            placement: PlacementSpec::HotCold,
-            preemption: PreemptionSpec::RunToCompletion,
-        }
-    }
-
-    /// The wear-aware victim-scoring plan with the default wear weight.
-    pub fn wear_aware() -> Self {
-        GcPlanSpec {
-            victim: VictimSpec::WearAware {
-                wear_weight: DEFAULT_WEAR_WEIGHT,
-            },
             trigger: TriggerSpec::Watermark,
             placement: PlacementSpec::Unconstrained,
             preemption: PreemptionSpec::RunToCompletion,
         }
     }
+
+    /// Semi-preemptive GC (Lee et al., ISPASS'11): PaGC whose page copies
+    /// yield to pending I/O until the hard free-space watermark forces
+    /// progress.
+    pub const fn preemptive() -> Self {
+        GcPlanSpec {
+            preemption: PreemptionSpec::YieldToIo,
+            ..Self::pagc()
+        }
+    }
+
+    /// Spatial GC, the paper's SpGC (§VI): the ways split into an I/O group
+    /// and a GC group; user writes stay in the I/O group, victims and copy
+    /// destinations in the GC group, and the groups swap every epoch to
+    /// level wear.
+    pub const fn spatial() -> Self {
+        GcPlanSpec {
+            placement: PlacementSpec::Spatial,
+            ..Self::pagc()
+        }
+    }
+
+    /// The hot/cold (generational) separation plan.
+    pub const fn hot_cold() -> Self {
+        GcPlanSpec {
+            placement: PlacementSpec::HotCold,
+            ..Self::pagc()
+        }
+    }
+
+    /// The wear-aware victim-scoring plan with the default wear weight.
+    pub const fn wear_aware() -> Self {
+        GcPlanSpec {
+            victim: VictimSpec::WearAware {
+                wear_weight: DEFAULT_WEAR_WEIGHT,
+            },
+            ..Self::pagc()
+        }
+    }
+
+    /// The paper's three collectors, in the order its figures list them.
+    pub const PAPER: [GcPlanSpec; 3] = [Self::pagc(), Self::preemptive(), Self::spatial()];
 
     /// Whether this plan observes per-block wear (its results are judged by
     /// the wear-detail report block).
@@ -199,29 +207,16 @@ mod tests {
     use super::*;
 
     #[test]
-    fn legacy_policies_map_to_component_tuples() {
-        let pagc = GcPlanSpec::from_policy(GcPolicy::Parallel, VictimPolicy::Greedy).unwrap();
-        assert_eq!(pagc.placement, PlacementSpec::Unconstrained);
-        assert_eq!(pagc.preemption, PreemptionSpec::RunToCompletion);
-        let pre = GcPlanSpec::from_policy(GcPolicy::Preemptive, VictimPolicy::Random).unwrap();
-        assert_eq!(pre.victim, VictimSpec::Random);
-        assert_eq!(pre.preemption, PreemptionSpec::YieldToIo);
-        let sp = GcPlanSpec::from_policy(GcPolicy::Spatial, VictimPolicy::Greedy).unwrap();
-        assert_eq!(sp.placement, PlacementSpec::Spatial);
-        assert_eq!(
-            GcPlanSpec::from_policy(GcPolicy::None, VictimPolicy::Greedy),
-            None
-        );
-    }
-
-    #[test]
     fn spec_slugs_are_distinct_and_stable() {
         assert_eq!(GcPlanSpec::hot_cold().slug(), "greedy-hotcold-run");
         assert_eq!(GcPlanSpec::wear_aware().slug(), "wearaware-free-run");
-        let pagc = GcPlanSpec::from_policy(GcPolicy::Parallel, VictimPolicy::Greedy).unwrap();
-        assert_eq!(pagc.slug(), "greedy-free-run");
+        let slugs = GcPlanSpec::PAPER.map(|p| p.slug());
+        assert_eq!(
+            slugs,
+            ["greedy-free-run", "greedy-free-yield", "greedy-spatial-run"]
+        );
         assert!(GcPlanSpec::hot_cold().tracks_wear());
         assert!(GcPlanSpec::wear_aware().tracks_wear());
-        assert!(!pagc.tracks_wear());
+        assert!(!GcPlanSpec::pagc().tracks_wear());
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! The paper's baseline uses greedy selection — the full block with the
 //! fewest valid pages (§VII-A). Uniform-random and cost-benefit selection
-//! are ablation points, and wear-aware scoring is the victim axis of the
-//! composed GC plans ([`VictimSpec::select`]).
+//! are ablation points, and wear-aware scoring folds erase counts into the
+//! greedy cost. [`select_victims`] runs any [`VictimSpec`].
 
 use nssd_flash::Pbn;
 use nssd_sim::Rng;
@@ -14,17 +14,10 @@ use crate::{BlockState, BlockTable, VictimSpec, WayMask};
 /// [`VictimSpec::WearAware`] is weighed against this.
 pub const VALID_PAGE_WEIGHT: u64 = 8;
 
-/// Victim-block selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum VictimPolicy {
-    /// Minimum-valid-count ("greedy"), the paper's baseline.
-    Greedy,
-    /// Uniform random over eligible blocks (ablation).
-    Random,
-    /// Cost-benefit (Rosenblum & Ousterhout): maximize
-    /// `(1 - u) / (2u) × age`, preferring cold, mostly-invalid blocks.
-    CostBenefit,
-}
+/// The old name of [`VictimSpec`], kept only because `benchmark/` still
+/// imports it; the next change to the benchmark deletes it.
+#[doc(hidden)]
+pub type VictimPolicy = VictimSpec;
 
 /// Whether a block may be reclaimed: it must be fully written (never steal
 /// an open block from the allocator) and have at least one invalid page.
@@ -36,38 +29,39 @@ pub(crate) fn eligible(blocks: &BlockTable, pbn: Pbn, mask: WayMask) -> bool {
         && mask.contains(g.block_addr(pbn).way)
 }
 
-/// Selects up to `n` victim blocks within `mask`'s ways.
+/// Selects up to `n` victim blocks within `mask`'s ways by `victim`.
 ///
 /// Greedy selection orders by `(valid_count, pbn)` so results are
 /// deterministic, and reads the block table's victim index, so it costs
-/// the blocks it visits rather than the device; random selection consumes
-/// `rng`.
+/// the blocks it visits rather than the device. The other specs scan the
+/// eligible blocks. For a given block-table state and RNG state the result
+/// is fixed; only [`VictimSpec::Random`] draws from `rng`.
 ///
 /// # Examples
 ///
 /// ```
 /// use nssd_flash::Geometry;
-/// use nssd_ftl::{select_victims, BlockTable, VictimPolicy, WayMask};
+/// use nssd_ftl::{select_victims, BlockTable, VictimSpec, WayMask};
 /// use nssd_sim::DetRng;
 ///
 /// let g = Geometry::tiny();
 /// let blocks = BlockTable::new(&g);
 /// let mut rng = DetRng::seed_from_u64(7);
 /// // A fresh device has no full blocks, hence no victims.
-/// let v = select_victims(&blocks, 4, WayMask::all(g.ways), VictimPolicy::Greedy, &mut rng);
+/// let v = select_victims(&blocks, 4, WayMask::all(g.ways), VictimSpec::Greedy, &mut rng);
 /// assert!(v.is_empty());
 /// ```
 pub fn select_victims<R: Rng>(
     blocks: &BlockTable,
     n: usize,
     mask: WayMask,
-    policy: VictimPolicy,
+    victim: VictimSpec,
     rng: &mut R,
 ) -> Vec<Pbn> {
     if n == 0 {
         return Vec::new();
     }
-    if policy == VictimPolicy::Greedy {
+    if victim == VictimSpec::Greedy {
         // The index holds exactly the Full blocks with an invalid page, in
         // `(valid_count, pbn)` order: the first `n` inside the mask are the
         // greedy victims.
@@ -86,9 +80,9 @@ pub fn select_victims<R: Rng>(
         .filter(|(pbn, _)| eligible(blocks, *pbn, mask))
         .map(|(pbn, _)| pbn)
         .collect();
-    match policy {
-        VictimPolicy::Greedy => unreachable!("handled above"),
-        VictimPolicy::Random => {
+    match victim {
+        VictimSpec::Greedy => unreachable!("handled above"),
+        VictimSpec::Random => {
             let mut out = Vec::with_capacity(n.min(candidates.len()));
             for _ in 0..n.min(candidates.len()) {
                 let i = rng.gen_range(0..candidates.len());
@@ -96,7 +90,7 @@ pub fn select_victims<R: Rng>(
             }
             out
         }
-        VictimPolicy::CostBenefit => {
+        VictimSpec::CostBenefit => {
             let g = blocks.geometry();
             let now = blocks.op_clock();
             let score = |pbn: Pbn| -> f64 {
@@ -118,37 +112,11 @@ pub fn select_victims<R: Rng>(
             candidates.truncate(n);
             candidates
         }
-    }
-}
-
-impl VictimSpec {
-    /// Selects up to `n` victims within `mask`'s ways. For a given
-    /// block-table state and RNG state the result is fixed; only
-    /// [`VictimSpec::Random`] draws from `rng`, exactly as
-    /// [`select_victims`] does for [`VictimPolicy::Random`].
-    pub fn select<R: Rng>(
-        &self,
-        blocks: &BlockTable,
-        n: usize,
-        mask: WayMask,
-        rng: &mut R,
-    ) -> Vec<Pbn> {
-        let policy = match *self {
-            VictimSpec::Greedy => VictimPolicy::Greedy,
-            VictimSpec::Random => VictimPolicy::Random,
-            VictimSpec::CostBenefit => VictimPolicy::CostBenefit,
-            VictimSpec::WearAware { wear_weight } => {
-                let mut candidates: Vec<Pbn> = blocks
-                    .iter()
-                    .filter(|(pbn, _)| eligible(blocks, *pbn, mask))
-                    .map(|(pbn, _)| pbn)
-                    .collect();
-                candidates.sort_by_key(|&pbn| (wear_score(blocks, pbn, wear_weight), pbn));
-                candidates.truncate(n);
-                return candidates;
-            }
-        };
-        select_victims(blocks, n, mask, policy, rng)
+        VictimSpec::WearAware { wear_weight } => {
+            candidates.sort_by_key(|&pbn| (wear_score(blocks, pbn, wear_weight), pbn));
+            candidates.truncate(n);
+            candidates
+        }
     }
 }
 
@@ -274,7 +242,7 @@ mod tests {
                 } else {
                     random_mask(&mut rng, g.ways)
                 };
-                let got = select_victims(&blocks, n, mask, VictimPolicy::Greedy, &mut rng);
+                let got = select_victims(&blocks, n, mask, VictimSpec::Greedy, &mut rng);
                 selected += got.len();
                 assert_eq!(
                     got,
@@ -311,14 +279,9 @@ mod tests {
     #[test]
     fn greedy_picks_lowest_valid_counts() {
         let (g, blocks) = build_fragmented();
+        let all = WayMask::all(g.ways);
         let mut rng = DetRng::seed_from_u64(1);
-        let victims = select_victims(
-            &blocks,
-            3,
-            WayMask::all(g.ways),
-            VictimPolicy::Greedy,
-            &mut rng,
-        );
+        let victims = select_victims(&blocks, 3, all, VictimSpec::Greedy, &mut rng);
         assert!(!victims.is_empty());
         let worst_chosen = victims
             .iter()
@@ -339,22 +302,11 @@ mod tests {
     #[test]
     fn greedy_is_deterministic() {
         let (g, blocks) = build_fragmented();
+        let all = WayMask::all(g.ways);
         let mut r1 = DetRng::seed_from_u64(1);
         let mut r2 = DetRng::seed_from_u64(999);
-        let a = select_victims(
-            &blocks,
-            4,
-            WayMask::all(g.ways),
-            VictimPolicy::Greedy,
-            &mut r1,
-        );
-        let b = select_victims(
-            &blocks,
-            4,
-            WayMask::all(g.ways),
-            VictimPolicy::Greedy,
-            &mut r2,
-        );
+        let a = select_victims(&blocks, 4, all, VictimSpec::Greedy, &mut r1);
+        let b = select_victims(&blocks, 4, all, VictimSpec::Greedy, &mut r2);
         assert_eq!(a, b);
     }
 
@@ -363,7 +315,7 @@ mod tests {
         let (g, blocks) = build_fragmented();
         let mut rng = DetRng::seed_from_u64(1);
         let mask = WayMask::from_ways([1u32]);
-        let victims = select_victims(&blocks, 10, mask, VictimPolicy::Greedy, &mut rng);
+        let victims = select_victims(&blocks, 10, mask, VictimSpec::Greedy, &mut rng);
         for v in victims {
             assert_eq!(g.block_addr(v).way, 1);
         }
@@ -372,28 +324,18 @@ mod tests {
     #[test]
     fn random_policy_is_seed_deterministic() {
         let (g, blocks) = build_fragmented();
+        let all = WayMask::all(g.ways);
         let mut r1 = DetRng::seed_from_u64(5);
         let mut r2 = DetRng::seed_from_u64(5);
-        let a = select_victims(
-            &blocks,
-            3,
-            WayMask::all(g.ways),
-            VictimPolicy::Random,
-            &mut r1,
-        );
-        let b = select_victims(
-            &blocks,
-            3,
-            WayMask::all(g.ways),
-            VictimPolicy::Random,
-            &mut r2,
-        );
+        let a = select_victims(&blocks, 3, all, VictimSpec::Random, &mut r1);
+        let b = select_victims(&blocks, 3, all, VictimSpec::Random, &mut r2);
         assert_eq!(a, b);
     }
 
     #[test]
     fn cost_benefit_prefers_cold_sparse_blocks() {
         let (g, mut blocks) = build_fragmented();
+        let all = WayMask::all(g.ways);
         let mut rng = DetRng::seed_from_u64(4);
         // Age a fresh block by writing after the fragmented fill: newly
         // programmed blocks are "hot" and should rank below old sparse ones.
@@ -401,13 +343,7 @@ mod tests {
         for _ in 0..g.pages_per_block {
             alloc.allocate(&mut blocks, WayMask::all(g.ways)).unwrap();
         }
-        let cb = select_victims(
-            &blocks,
-            3,
-            WayMask::all(g.ways),
-            VictimPolicy::CostBenefit,
-            &mut rng,
-        );
+        let cb = select_victims(&blocks, 3, all, VictimSpec::CostBenefit, &mut rng);
         assert!(!cb.is_empty());
         let now = blocks.op_clock();
         for v in &cb {
@@ -415,27 +351,16 @@ mod tests {
             assert!(now - blocks.meta(*v).last_program() > 0);
         }
         // Deterministic for a fixed state.
-        let cb2 = select_victims(
-            &blocks,
-            3,
-            WayMask::all(g.ways),
-            VictimPolicy::CostBenefit,
-            &mut rng,
-        );
+        let cb2 = select_victims(&blocks, 3, all, VictimSpec::CostBenefit, &mut rng);
         assert_eq!(cb, cb2);
     }
 
     #[test]
     fn never_selects_open_or_fully_valid_blocks() {
         let (g, blocks) = build_fragmented();
+        let all = WayMask::all(g.ways);
         let mut rng = DetRng::seed_from_u64(2);
-        let victims = select_victims(
-            &blocks,
-            64,
-            WayMask::all(g.ways),
-            VictimPolicy::Greedy,
-            &mut rng,
-        );
+        let victims = select_victims(&blocks, 64, all, VictimSpec::Greedy, &mut rng);
         for v in &victims {
             let meta = blocks.meta(*v);
             assert_eq!(meta.state(), BlockState::Full);
@@ -450,8 +375,8 @@ mod tests {
         let mut rng = DetRng::seed_from_u64(3);
         // With zero wear everywhere, wear-aware degenerates to greedy.
         let wa = VictimSpec::WearAware { wear_weight: 2 };
-        let greedy = select_victims(&blocks, 4, all, VictimPolicy::Greedy, &mut rng);
-        assert_eq!(wa.select(&blocks, 4, all, &mut rng), greedy);
+        let greedy = select_victims(&blocks, 4, all, VictimSpec::Greedy, &mut rng);
+        assert_eq!(select_victims(&blocks, 4, all, wa, &mut rng), greedy);
         // Now age the greedy favourite far past everyone else: cycle it
         // through erase/refill until its wear term outweighs any
         // valid-count advantage, so the wear term must demote it.
@@ -470,31 +395,12 @@ mod tests {
         // Leave it some garbage so it stays eligible.
         let one = blocks.valid_pages(favourite)[0];
         blocks.invalidate(one);
-        let again = wa.select(&blocks, 4, all, &mut rng);
+        let again = select_victims(&blocks, 4, all, wa, &mut rng);
         assert!(
             !again.contains(&favourite),
             "worn block {favourite} must rank below fresher candidates"
         );
         // And the scoring itself is monotone in wear.
         assert!(wear_score(&blocks, favourite, 5) > wear_score(&blocks, again[0], 5));
-    }
-
-    #[test]
-    fn legacy_victim_specs_select_as_their_policies() {
-        let (g, blocks) = build_fragmented();
-        let all = WayMask::all(g.ways);
-        for (spec, policy) in [
-            (VictimSpec::Greedy, VictimPolicy::Greedy),
-            (VictimSpec::Random, VictimPolicy::Random),
-            (VictimSpec::CostBenefit, VictimPolicy::CostBenefit),
-        ] {
-            let mut r1 = DetRng::seed_from_u64(9);
-            let mut r2 = DetRng::seed_from_u64(9);
-            assert_eq!(
-                spec.select(&blocks, 3, all, &mut r1),
-                select_victims(&blocks, 3, all, policy, &mut r2),
-                "{spec:?}"
-            );
-        }
     }
 }

@@ -1,7 +1,7 @@
 //! Reference-model test for instant garbage collection.
 //!
-//! `Ftl::instant_gc` finds greedy victims through the block table's victim
-//! index and relocates each victim's live pages in stripe runs through the
+//! `Ftl::instant_gc` finds greedy victims, whatever the plan's victim axis,
+//! through the block table's victim index and relocates each victim's live pages in stripe runs through the
 //! open GC frontiers, sending only the pages that open a block through the
 //! per-page path. The reference collects with public calls one page at a
 //! time: a greedy scan over `blocks().iter()`, `note_gc_trigger`,
@@ -9,7 +9,8 @@
 //! with `precondition` up to twice their logical capacity of overwrites,
 //! and run `instant_gc` on its own on a pressurized device, over every
 //! allocation policy, odd geometries, factory-bad blocks, parity, the
-//! hot/cold plan, a narrowed write mask, an endurance limit that retires
+//! hot/cold plan, random and cost-benefit victim plans, a narrowed write
+//! mask, an endurance limit that retires
 //! blocks during aging and a dead chip. Both sides must give equal
 //! results, equal checkpoint bytes, equal random-number streams, and (for
 //! `instant_gc` on its own) the same relocation and erase hooks in the
@@ -17,8 +18,8 @@
 
 use nssd_flash::{Geometry, Pbn};
 use nssd_ftl::{
-    select_victims, AllocPolicy, BlockState, Ftl, FtlConfig, FtlError, GcPlanSpec, GcStream, Lpn,
-    RedundancyConfig, Relocation, VictimPolicy, WayMask,
+    AllocPolicy, BlockState, Ftl, FtlConfig, FtlError, GcPlanSpec, GcStream, Lpn, RedundancyConfig,
+    Relocation, VictimSpec, WayMask,
 };
 use nssd_sim::{CkptWriter, DetRng, Rng};
 
@@ -51,17 +52,12 @@ fn scan_greedy(ftl: &Ftl, n: usize) -> Vec<Pbn> {
 }
 
 /// `Ftl::instant_gc_with` one page at a time, from public calls only.
-fn reference_gc(ftl: &mut Ftl, rng: &mut DetRng, hooks: &mut Vec<Hook>) -> Result<(), FtlError> {
+fn reference_gc(ftl: &mut Ftl, hooks: &mut Vec<Hook>) -> Result<(), FtlError> {
     let all = WayMask::all(ftl.geometry().ways);
-    let gc = ftl.config().gc;
-    let n = gc.victims_per_trigger as usize;
+    let n = ftl.config().gc.victims_per_trigger as usize;
     while ftl.needs_gc() {
         ftl.note_gc_trigger();
-        let mut victims = match gc.victim_policy {
-            VictimPolicy::Greedy => scan_greedy(ftl, n),
-            // The other policies scan in `select_victims` itself.
-            policy => select_victims(ftl.blocks(), n, all, policy, rng),
-        };
+        let mut victims = scan_greedy(ftl, n);
         ftl.drop_dead_chip_victims(&mut victims);
         if victims.is_empty() {
             return Ok(());
@@ -80,14 +76,14 @@ fn reference_gc(ftl: &mut Ftl, rng: &mut DetRng, hooks: &mut Vec<Hook>) -> Resul
 }
 
 /// One page written with collection around it, as `precondition` does.
-fn write_collecting(ftl: &mut Ftl, lpn: Lpn, rng: &mut DetRng) -> Result<(), FtlError> {
+fn write_collecting(ftl: &mut Ftl, lpn: Lpn) -> Result<(), FtlError> {
     if ftl.needs_gc() {
-        reference_gc(ftl, rng, &mut Vec::new())?;
+        reference_gc(ftl, &mut Vec::new())?;
     }
     match ftl.write(lpn) {
         Ok(_) => Ok(()),
         Err(FtlError::OutOfSpace) => {
-            reference_gc(ftl, rng, &mut Vec::new())?;
+            reference_gc(ftl, &mut Vec::new())?;
             ftl.write(lpn).map(|_| ())
         }
         Err(e) => Err(e),
@@ -103,12 +99,12 @@ fn reference_precondition(
 ) -> Result<(), FtlError> {
     let filled = (ftl.logical_pages() as f64 * fill) as u64;
     for l in 0..filled {
-        write_collecting(ftl, Lpn::new(l), rng)?;
+        write_collecting(ftl, Lpn::new(l))?;
     }
     let overwrites = (ftl.logical_pages() as f64 * overwrite) as u64;
     for _ in 0..overwrites {
         let l = rng.gen_range(0..filled.max(1));
-        write_collecting(ftl, Lpn::new(l), rng)?;
+        write_collecting(ftl, Lpn::new(l))?;
     }
     // A precondition of nothing writes nothing and draws nothing: it only
     // clears the counters, as the full one ends.
@@ -152,8 +148,10 @@ fn instant_gc_matches_the_per_page_reference() {
             cfg.gc.plan = Some(GcPlanSpec::hot_cold());
         }
         if gen.gen_bool(0.15) {
-            cfg.gc.victim_policy =
-                [VictimPolicy::Random, VictimPolicy::CostBenefit][gen.gen_range(0..2usize)];
+            // A plan's victim axis is the timed collector's; instant GC
+            // stays greedy under it.
+            let plan = cfg.gc.plan.as_mut().expect("GC on");
+            plan.victim = [VictimSpec::Random, VictimSpec::CostBenefit][gen.gen_range(0..2usize)];
         }
         let dead_chip = gen.gen_bool(0.2);
         if dead_chip || gen.gen_bool(0.2) {
@@ -179,7 +177,7 @@ fn instant_gc_matches_the_per_page_reference() {
         let label = format!(
             "case {case}: {policy} {g:?} {:?} endurance {:?} redundancy {} dead chip {dead_chip} \
              fill {fill} overwrite {overwrite}",
-            cfg.gc.victim_policy, cfg.endurance_limit, cfg.redundancy.enabled
+            cfg.gc.plan, cfg.endurance_limit, cfg.redundancy.enabled
         );
 
         let mut model = ftl.clone();
@@ -240,7 +238,7 @@ fn instant_gc_matches_the_per_page_reference() {
             )
         };
         let mut model_hooks = Vec::new();
-        let want = reference_gc(&mut model, &mut model_rng, &mut model_hooks);
+        let want = reference_gc(&mut model, &mut model_hooks);
         assert_eq!(got, want, "{label}: instant_gc");
         assert_eq!(hooks, model_hooks, "{label}: hooks");
         assert_eq!(ftl.stats(), model.stats(), "{label}: counters");

@@ -6,9 +6,7 @@
 //! ```
 
 use networked_ssd::ftl::AllocPolicy;
-use networked_ssd::{
-    run, Aging, Architecture, Drive, GcPolicy, SsdConfig, SyntheticPattern, SyntheticSpec,
-};
+use networked_ssd::{run, Aging, Architecture, Drive, SsdConfig, SyntheticPattern, SyntheticSpec};
 
 fn main() -> Result<(), String> {
     println!("sequential reads, 64KB each, 16 concurrent — by placement policy:\n");
@@ -25,7 +23,7 @@ fn main() -> Result<(), String> {
         let mut row = format!("{:<24}", arch.label());
         for policy in [AllocPolicy::Pcwd, AllocPolicy::Pwcd] {
             let mut cfg = SsdConfig::new(arch);
-            cfg.gc.policy = GcPolicy::None;
+            cfg.gc.plan = None;
             cfg.alloc_policy = policy;
             let spec = SyntheticSpec::paper(
                 SyntheticPattern::SequentialRead,

@@ -8,7 +8,7 @@
 //! ```
 
 use networked_ssd::workloads::{import_msr, MsrImportOptions, TraceStats};
-use networked_ssd::{run, Aging, Architecture, GcPolicy, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, SsdConfig};
 
 /// A miniature MSR-format snippet (the real collection's `usr_0` volume
 /// has millions of rows in exactly this shape).
@@ -26,7 +26,7 @@ const SAMPLE: &str = "\
 
 fn main() -> Result<(), String> {
     let mut cfg = SsdConfig::new(Architecture::BaseSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
 
     let text = match std::env::args().nth(1) {
         Some(path) => std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?,
@@ -53,7 +53,7 @@ fn main() -> Result<(), String> {
 
     let base = run(cfg, &trace, Aging::Footprint)?;
     let mut pn_cfg = SsdConfig::new(Architecture::PnSsdSplit);
-    pn_cfg.gc.policy = GcPolicy::None;
+    pn_cfg.gc.plan = None;
     let pnssd = run(pn_cfg, &trace, Aging::Footprint)?;
 
     println!(

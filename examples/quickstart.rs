@@ -5,12 +5,12 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, PaperWorkload, SsdConfig};
 
 fn main() -> Result<(), String> {
     // A capacity-scaled device with the paper's 8-channel × 8-way topology.
     let mut base_cfg = SsdConfig::new(Architecture::BaseSsd);
-    base_cfg.gc.policy = GcPolicy::None; // pure interconnect comparison
+    base_cfg.gc.plan = None; // pure interconnect comparison
 
     // 20k requests of a mail-server-like trace over half the device.
     let trace = PaperWorkload::Exchange1.generate(20_000, base_cfg.logical_bytes() / 2, 42);
@@ -25,7 +25,7 @@ fn main() -> Result<(), String> {
     println!("\nbaseSSD:\n{base}");
 
     let mut pn_cfg = SsdConfig::new(Architecture::PnSsdSplit);
-    pn_cfg.gc.policy = GcPolicy::None;
+    pn_cfg.gc.plan = None;
     let pnssd = run(pn_cfg, &trace, Aging::Footprint)?;
     println!("pnSSD (+split):\n{pnssd}");
 

@@ -1,20 +1,24 @@
 //! Spatial garbage collection in action: precondition a device until GC
-//! must run, then compare the three reclamation policies on pnSSD.
+//! must run, then compare the paper's three collectors on pnSSD.
 //!
 //! ```sh
 //! cargo run --release --example spatial_gc
 //! ```
 
-use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPlanSpec, PaperWorkload, SsdConfig};
 
 fn main() -> Result<(), String> {
-    let policies = [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial];
+    let plans = [
+        ("PaGC", GcPlanSpec::pagc()),
+        ("preemptive", GcPlanSpec::preemptive()),
+        ("SpGC", GcPlanSpec::spatial()),
+    ];
     println!("pnSSD(+split) under write pressure, rocksdb-0, preconditioned to the GC trigger:\n");
 
     let mut baseline_mean = None;
-    for policy in policies {
+    for (name, plan) in plans {
         let mut cfg = SsdConfig::gc_scaled(Architecture::PnSsdSplit);
-        cfg.gc.policy = policy;
+        cfg.gc.plan = Some(plan);
         let trace = PaperWorkload::RocksDb0.generate(8_000, cfg.logical_bytes() / 2, 7);
         // 85% full with 0.3×logical random overwrites, then pushed to the
         // trigger watermark so GC runs throughout the measurement.
@@ -29,7 +33,7 @@ fn main() -> Result<(), String> {
             baseline_mean = Some(mean);
         }
         println!(
-            "{policy:<12} mean={mean}  p99={}  gc-events={}  pages-copied={}  ({vs})",
+            "{name:<12} mean={mean}  p99={}  gc-events={}  pages-copied={}  ({vs})",
             report.all.p99, report.gc.events, report.gc.pages_copied
         );
     }

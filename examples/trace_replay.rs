@@ -6,11 +6,11 @@
 //! cargo run --release --example trace_replay
 //! ```
 
-use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
+use networked_ssd::{run, Aging, Architecture, PaperWorkload, SsdConfig, Trace};
 
 fn main() -> Result<(), String> {
     let mut cfg = SsdConfig::new(Architecture::PSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
 
     // 1. Generate (or bring your own `<ns> <R|W> <offset> <len>` file).
     let original = PaperWorkload::WebSearch0.generate(5_000, cfg.logical_bytes() / 4, 11);

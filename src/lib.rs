@@ -41,7 +41,7 @@
 //! | [`sim`] | `nssd-sim` | Discrete-event kernel, resources, statistics |
 //! | [`flash`] | `nssd-flash` | Geometry, timing, commands, chip model |
 //! | [`interconnect`] | `nssd-interconnect` | Packets, buses, Omnibus, NoSSD mesh |
-//! | [`ftl`] | `nssd-ftl` | Mapping, allocation, victim selection, GC policies |
+//! | [`ftl`] | `nssd-ftl` | Mapping, allocation, victim selection, GC plans |
 //! | [`host`] | `nssd-host` | Requests, host-side bandwidth pipes |
 //! | [`workloads`] | `nssd-workloads` | Traces, Zipf, synthetic + named suites |
 //! | [`faults`] | `nssd-faults` | Deterministic fault injection, reliability counters |
@@ -66,7 +66,7 @@ pub use nssd_core::{
     prepare, run, Aging, Architecture, Drive, FaultConfig, GoldenCase, OracleSummary,
     ReliabilityStats, SchedulerKind, SimReport, SloClass, SsdConfig, TenantConfig, TenantSummary,
 };
-pub use nssd_ftl::{GcPlanSpec, GcPolicy, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec};
+pub use nssd_ftl::{GcPlanSpec, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec};
 pub use nssd_workloads::{
     MixedSpec, PaperWorkload, SyntheticPattern, SyntheticSpec, TenantMix, TenantSpec,
     TenantWorkload, Trace,

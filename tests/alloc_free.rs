@@ -20,7 +20,7 @@ use networked_ssd::core::{prepare, Aging, Architecture, ChipFailureSpec, Drive, 
 use networked_ssd::flash::{Geometry, Pbn};
 use networked_ssd::ftl::{BlockTable, Ftl, FtlConfig, RedundancyConfig};
 use networked_ssd::sim::{DetRng, EventQueue, Rng, SimTime};
-use networked_ssd::{GcPolicy, PaperWorkload};
+use networked_ssd::PaperWorkload;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -166,7 +166,7 @@ fn engine_hot_loop_is_allocation_free_on_every_fabric_family() {
         Architecture::NoSsdUnconstrained,
     ] {
         let mut cfg = SsdConfig::new(arch);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         let trace = PaperWorkload::YcsbA.generate(20_000, cfg.logical_bytes() / 2, 7);
         let (mut sim, drive) = prepare(cfg, trace, Aging::Footprint).expect("prepare");
         let before = allocs();
@@ -194,7 +194,6 @@ fn stalled_writes_on_an_aged_device_do_not_allocate() {
         unreachable!("the paper's aging fills the device")
     };
     let mut cfg = SsdConfig::gc_scaled(Architecture::BaseSsd);
-    cfg.gc.policy = GcPolicy::Parallel;
     cfg.seed = SEED;
     let footprint = (cfg.logical_bytes() as f64 * (fill - 0.05)) as u64;
     let trace = PaperWorkload::YcsbA.generate(50_000, footprint, SEED);
@@ -227,7 +226,6 @@ fn degraded_reads_and_the_parity_rebuild_do_not_allocate() {
     // through the arrivals.
     for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
         let mut cfg = SsdConfig::new(arch);
-        cfg.gc.policy = GcPolicy::Parallel;
         cfg.redundancy = RedundancyConfig::with_stripe(2);
         cfg.oracle = true;
         let trace = PaperWorkload::WebSearch0.generate(30_000, cfg.logical_bytes() / 2, 7);

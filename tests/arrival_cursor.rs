@@ -19,11 +19,11 @@ use networked_ssd::faults::ChipFailureSpec;
 use networked_ssd::ftl::RedundancyConfig;
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::sim::{DetRng, Rng, SimTime};
-use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{Architecture, PaperWorkload, SsdConfig};
 
 fn no_gc(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg
 }
 
@@ -164,7 +164,7 @@ fn checkpoint_between_same_instant_arrivals_resumes_to_the_continuous_run() {
 #[test]
 fn pending_events_stay_bounded_by_in_flight_work() {
     let mut cfg = SsdConfig::new(Architecture::PnSsdSplit);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let page = cfg.geometry.page_bytes;
     let trace = PaperWorkload::WebSearch0.generate(20_000, cfg.logical_bytes() / 4, 11);
     let mut arrivals: Vec<SimTime> = trace.records().iter().map(|r| r.at).collect();

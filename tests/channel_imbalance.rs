@@ -3,13 +3,13 @@
 //! engine's per-channel utilization recorders.
 
 use networked_ssd::core::Traffic;
-use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, PaperWorkload, SsdConfig};
 
 #[test]
 fn reads_are_more_imbalanced_than_writes() {
     // The scaled 8-channel geometry, as in the paper's Fig 3 setup.
     let mut cfg = SsdConfig::new(Architecture::BaseSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let trace = PaperWorkload::Exchange1.generate(8_000, cfg.logical_bytes() / 2, 21);
     let report = run(cfg, &trace, Aging::Footprint).expect("run");
     let read_cov = report.channel_util.imbalance(Traffic::HostRead);
@@ -27,7 +27,7 @@ fn reads_are_more_imbalanced_than_writes() {
 #[test]
 fn every_channel_sees_traffic() {
     let mut cfg = SsdConfig::new(Architecture::BaseSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let trace = PaperWorkload::YcsbA.generate(4_000, cfg.logical_bytes() / 2, 22);
     let report = run(cfg, &trace, Aging::Footprint).expect("run");
     assert_eq!(report.channel_util.read.len(), 8);
@@ -40,7 +40,7 @@ fn every_channel_sees_traffic() {
 #[test]
 fn utilization_fractions_are_valid() {
     let mut cfg = SsdConfig::new(Architecture::PnSsdSplit);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let trace = PaperWorkload::WebSearch0.generate(3_000, cfg.logical_bytes() / 2, 23);
     let report = run(cfg, &trace, Aging::Footprint).expect("run");
     for matrix in [
@@ -65,7 +65,7 @@ fn higher_bus_width_raises_throughput_on_hot_traces() {
     // hurts and measurably helps a bus-bound workload.
     let run_width = |width: u32| {
         let mut cfg = SsdConfig::new(Architecture::BaseSsd);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         cfg.base_width_bits = width;
         let trace = PaperWorkload::Exchange1.generate(6_000, cfg.logical_bytes() / 2, 24);
         run(cfg, &trace, Aging::Footprint).expect("run")

@@ -20,7 +20,7 @@ use networked_ssd::core::golden::{canonical_json, matrix};
 use networked_ssd::core::{prepare, Aging, Checkpoint, Drive};
 use networked_ssd::ftl::WayMask;
 use networked_ssd::sim::Pool;
-use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{Architecture, GcPlanSpec, PaperWorkload, SsdConfig};
 
 /// Event counts at which each case is snapshotted. Every golden case
 /// schedules well over 512 events, so at least two of these land mid-run;
@@ -141,7 +141,7 @@ fn oracle_digest_is_live_across_the_matrix() {
 fn resume_mid_spatial_gc_event_matches_uninterrupted_run() {
     for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
         let mut cfg = SsdConfig::tiny(arch);
-        cfg.gc.policy = GcPolicy::Spatial;
+        cfg.gc.plan = Some(GcPlanSpec::spatial());
         cfg.oracle = true;
         let all = WayMask::all(cfg.geometry.ways);
         let trace = PaperWorkload::YcsbA.generate(600, cfg.logical_bytes() / 2, 13);

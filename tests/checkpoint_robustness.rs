@@ -16,7 +16,6 @@
 use networked_ssd::core::{Architecture, Checkpoint, Drive, SsdConfig, SsdSim};
 use networked_ssd::host::{IoOp, IoRequest, SchedulerKind, TenantConfig};
 use networked_ssd::sim::SimTime;
-use networked_ssd::GcPolicy;
 
 /// A mid-run checkpoint with live GC, oracle, in-flight writes, and a
 /// nonempty event queue — the densest state the codec serializes.
@@ -276,7 +275,7 @@ fn closed_loop_checkpoint_keeps_only_the_unissued_requests() {
     // its first k requests have completed (the next token is queued, its
     // request not started) ...
     let mut cfg = SsdConfig::tiny(Architecture::BaseSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let (k, rest) = (40, 60);
     let mut whole = SsdSim::new(cfg).unwrap();
     whole.start(Drive::ClosedLoop {

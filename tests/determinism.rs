@@ -2,7 +2,7 @@
 //! across every layer of the stack.
 
 use networked_ssd::{
-    run, Aging, Architecture, Drive, GcPolicy, PaperWorkload, SsdConfig, SyntheticPattern,
+    run, Aging, Architecture, Drive, GcPlanSpec, PaperWorkload, SsdConfig, SyntheticPattern,
     SyntheticSpec,
 };
 
@@ -20,7 +20,7 @@ fn trace_generation_is_bit_stable() {
 fn open_loop_runs_are_identical() {
     for arch in Architecture::all() {
         let mut cfg = SsdConfig::tiny(arch);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         let trace = PaperWorkload::Exchange0.generate(150, cfg.logical_bytes() / 2, 5);
         let a = run(cfg, &trace, Aging::Footprint).unwrap();
         let b = run(cfg, &trace, Aging::Footprint).unwrap();
@@ -31,7 +31,7 @@ fn open_loop_runs_are_identical() {
 #[test]
 fn closed_loop_runs_are_identical() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsdSplit);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let spec = SyntheticSpec {
         pattern: SyntheticPattern::RandomWrite,
         request_bytes: 8192,
@@ -48,7 +48,7 @@ fn closed_loop_runs_are_identical() {
 #[test]
 fn gc_runs_are_identical_including_gc_stats() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-    cfg.gc.policy = GcPolicy::Spatial;
+    cfg.gc.plan = Some(GcPlanSpec::spatial());
     let trace = PaperWorkload::YcsbA.generate(250, cfg.logical_bytes() / 2, 13);
     let a = run(cfg, &trace, Aging::PAPER).unwrap();
     let b = run(cfg, &trace, Aging::PAPER).unwrap();
@@ -68,7 +68,7 @@ fn zero_rate_faults_leave_reports_bit_identical() {
         Architecture::PnSsdSplit,
     ] {
         let mut cfg = SsdConfig::tiny(arch);
-        cfg.gc.policy = GcPolicy::None;
+        cfg.gc.plan = None;
         let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 3);
         let baseline = run(cfg, &trace, Aging::Footprint).unwrap();
         let mut seeded = cfg;
@@ -82,7 +82,7 @@ fn zero_rate_faults_leave_reports_bit_identical() {
 #[test]
 fn fault_injected_runs_are_identical() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsdSplit);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg.faults.bit_error.rber = 2e-4;
     cfg.faults.link.ber = 1e-7;
     let trace = PaperWorkload::Exchange0.generate(200, cfg.logical_bytes() / 2, 5);
@@ -93,7 +93,7 @@ fn fault_injected_runs_are_identical() {
     assert!(a.reliability.any_events());
 }
 
-/// Full matrix: every topology × every GC policy, each preconditioned run
+/// Full matrix: every topology × every paper GC plan, each preconditioned run
 /// executed twice with the same seed and compared as whole reports (latency
 /// distributions, GC accounting, wear, energy, reliability, oracle digest —
 /// `SimReport` derives `PartialEq` over all of it).
@@ -106,20 +106,19 @@ fn every_topology_and_gc_policy_is_bit_stable() {
         Architecture::PnSsdSplit,
         Architecture::NoSsdUnconstrained,
     ];
-    let policies = [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial];
     for arch in topologies {
-        for policy in policies {
+        for plan in GcPlanSpec::PAPER {
             let mut cfg = SsdConfig::tiny(arch);
-            cfg.gc.policy = policy;
+            cfg.gc.plan = Some(plan);
             cfg.gc.victims_per_trigger = 2;
             cfg.oracle = true;
             let trace = PaperWorkload::YcsbA.generate(100, cfg.logical_bytes() / 2, 41);
             let a = run(cfg, &trace, Aging::PAPER).unwrap();
             let b = run(cfg, &trace, Aging::PAPER).unwrap();
-            assert_eq!(a, b, "{arch} / {policy}");
+            assert_eq!(a, b, "{arch} / {plan}");
             assert!(
                 a.oracle.violations.is_empty(),
-                "{arch} / {policy}: {:?}",
+                "{arch} / {plan}: {:?}",
                 a.oracle.violations
             );
         }
@@ -129,7 +128,7 @@ fn every_topology_and_gc_policy_is_bit_stable() {
 #[test]
 fn different_seeds_produce_different_runs() {
     let mut cfg = SsdConfig::tiny(Architecture::BaseSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let t1 = PaperWorkload::YcsbA.generate(200, cfg.logical_bytes() / 2, 1);
     let t2 = PaperWorkload::YcsbA.generate(200, cfg.logical_bytes() / 2, 2);
     let a = run(cfg, &t1, Aging::Footprint).unwrap();

@@ -7,7 +7,7 @@
 
 use networked_ssd::core::golden::{matrix, GoldenCase, GoldenDrive};
 use networked_ssd::core::{Checkpoint, EngineSummary};
-use networked_ssd::GcPolicy;
+use networked_ssd::GcPlanSpec;
 
 fn slot(kind: &str) -> usize {
     EngineSummary::EVENT_KINDS
@@ -47,7 +47,7 @@ fn counts_sum_to_scheduled_events_and_survive_a_resume() {
     let gc = cases
         .iter()
         .find(|c| {
-            c.gc_policy == GcPolicy::Parallel
+            c.plan == Some(GcPlanSpec::pagc())
                 && c.redundancy.is_none()
                 && !matches!(c.drive, GoldenDrive::Tenants(_))
         })

@@ -16,7 +16,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use networked_ssd::core::golden::{canonical_json, matrix};
-use networked_ssd::{run, Aging, Architecture, GcPolicy, MixedSpec, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPlanSpec, MixedSpec, SsdConfig};
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
@@ -73,7 +73,7 @@ fn every_architecture_is_deterministic_on_a_mixed_workload() {
             move || {
                 let once = || {
                     let mut cfg = SsdConfig::tiny(arch);
-                    cfg.gc.policy = GcPolicy::None;
+                    cfg.gc.plan = None;
                     let trace = mixed_trace(&cfg, 150, 21);
                     run(cfg, trace, Aging::Footprint).expect("run succeeds")
                 };
@@ -95,17 +95,17 @@ fn every_architecture_is_deterministic_on_a_mixed_workload() {
 fn spatial_gc_through_the_fabric_is_deterministic_everywhere() {
     // The GC path exercises the fabric differently (f2f copies, v-channel
     // confinement, staging) — pin determinism for the architectures where
-    // the policies diverge most.
+    // the plans diverge most.
     for arch in [
         Architecture::BaseSsd,
         Architecture::ChannelSliced,
         Architecture::PnSsd,
         Architecture::NoSsdUnconstrained,
     ] {
-        for policy in [GcPolicy::Parallel, GcPolicy::Spatial] {
+        for plan in [GcPlanSpec::pagc(), GcPlanSpec::spatial()] {
             let once = || {
                 let mut cfg = SsdConfig::tiny(arch);
-                cfg.gc.policy = policy;
+                cfg.gc.plan = Some(plan);
                 cfg.gc.victims_per_trigger = 2;
                 let trace = mixed_trace(&cfg, 120, 33);
                 run(cfg, &trace, Aging::PAPER).expect("run succeeds")
@@ -113,7 +113,7 @@ fn spatial_gc_through_the_fabric_is_deterministic_everywhere() {
             assert_eq!(
                 canonical_json(&once()),
                 canonical_json(&once()),
-                "{arch}/{policy:?}: GC path not deterministic through the fabric"
+                "{arch}/{plan}: GC path not deterministic through the fabric"
             );
         }
     }

@@ -7,11 +7,11 @@ use networked_ssd::core::golden::canonical_json;
 use networked_ssd::core::{prepare, run, Aging, Checkpoint};
 use networked_ssd::faults::ChipFailureSpec;
 use networked_ssd::sim::SimTime;
-use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
+use networked_ssd::{Architecture, GcPlanSpec, PaperWorkload, SsdConfig, Trace};
 
 fn no_gc_config(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg
 }
 
@@ -101,7 +101,7 @@ fn manufacture_bad_blocks_are_retired_up_front() {
 #[test]
 fn grown_bad_blocks_retire_during_gc() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
-    cfg.gc.policy = GcPolicy::Spatial;
+    cfg.gc.plan = Some(GcPlanSpec::spatial());
     cfg.faults.bad_blocks.grown_rate = 0.01;
     let trace = PaperWorkload::YcsbA.generate(250, cfg.logical_bytes() / 2, 13);
     let r = run(cfg, &trace, Aging::PAPER).unwrap();
@@ -120,13 +120,13 @@ fn grown_bad_blocks_retire_during_gc() {
 fn chip_failure_without_parity_loses_pages_under_every_gc_mode() {
     const REQUESTS: usize = 600;
     for arch in [Architecture::BaseSsd, Architecture::PnSsd] {
-        for policy in [GcPolicy::None, GcPolicy::Parallel, GcPolicy::Spatial] {
+        for plan in [None, Some(GcPlanSpec::pagc()), Some(GcPlanSpec::spatial())] {
             let mut cfg = SsdConfig::tiny(arch);
             // 16 chips: one failure takes 1/16 of the device, not the
             // quarter the 4-chip tiny geometry would lose.
             cfg.geometry.channels = 4;
             cfg.geometry.ways = 4;
-            cfg.gc.policy = policy;
+            cfg.gc.plan = plan;
             cfg.oracle = true;
             let trace = PaperWorkload::YcsbA.generate(REQUESTS, cfg.logical_bytes() * 3 / 4, 17);
             cfg.faults.chip_failure = Some(ChipFailureSpec {
@@ -134,11 +134,11 @@ fn chip_failure_without_parity_loses_pages_under_every_gc_mode() {
                 way: 2,
                 at: trace.records()[REQUESTS / 3].at,
             });
-            let aging = match policy {
-                GcPolicy::None => Aging::Footprint,
-                _ => Aging::PAPER,
+            let aging = match plan {
+                None => Aging::Footprint,
+                Some(_) => Aging::PAPER,
             };
-            let case = format!("{arch} {policy:?}");
+            let case = format!("{arch} {plan:?}");
 
             let (mut sim, drive) = prepare(cfg, &trace, aging).unwrap();
             sim.start(drive);

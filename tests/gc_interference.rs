@@ -4,37 +4,37 @@
 
 use networked_ssd::ftl::Lpn;
 use networked_ssd::{
-    run, Aging, Architecture, Drive, GcPolicy, PaperWorkload, SchedulerKind, SloClass, SsdConfig,
+    run, Aging, Architecture, Drive, GcPlanSpec, PaperWorkload, SchedulerKind, SloClass, SsdConfig,
     TenantConfig,
 };
 
-fn gc_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
+fn gc_cfg(arch: Architecture, plan: GcPlanSpec) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = policy;
+    cfg.gc.plan = Some(plan);
     cfg
 }
 
 #[test]
 fn every_policy_reclaims_under_pressure() {
-    for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
-        let cfg = gc_cfg(Architecture::PnSsd, policy);
+    for plan in GcPlanSpec::PAPER {
+        let cfg = gc_cfg(Architecture::PnSsd, plan);
         let trace = PaperWorkload::Build0.generate(400, cfg.logical_bytes() / 2, 6);
         let report = run(cfg, &trace, Aging::PAPER).expect("run");
-        assert_eq!(report.completed, 400, "{policy}");
-        assert!(report.gc.events > 0, "{policy}: GC never ran");
-        assert!(report.gc.blocks_erased > 0, "{policy}");
+        assert_eq!(report.completed, 400, "{plan}");
+        assert!(report.gc.events > 0, "{plan}: GC never ran");
+        assert!(report.gc.blocks_erased > 0, "{plan}");
         assert!(
             report.gc.pages_copied >= report.gc.blocks_erased,
-            "{policy}: erased blocks must have had their live pages moved"
+            "{plan}: erased blocks must have had their live pages moved"
         );
-        assert!(report.ftl.write_amplification() > 1.0, "{policy}");
+        assert!(report.ftl.write_amplification() > 1.0, "{plan}");
     }
 }
 
 #[test]
 fn gc_preserves_every_logical_page() {
     use networked_ssd::core::{Drive, SsdSim};
-    let cfg = gc_cfg(Architecture::PnSsdSplit, GcPolicy::Spatial);
+    let cfg = gc_cfg(Architecture::PnSsdSplit, GcPlanSpec::spatial());
     let trace = PaperWorkload::YcsbA.generate(400, cfg.logical_bytes() / 2, 2);
     let mut sim = SsdSim::new(cfg).expect("config valid");
     let mut rng = sim.rng_mut().clone();
@@ -66,7 +66,7 @@ fn gc_preserves_every_logical_page() {
 
 #[test]
 fn spatial_epochs_alternate_groups() {
-    let cfg = gc_cfg(Architecture::PnSsd, GcPolicy::Spatial);
+    let cfg = gc_cfg(Architecture::PnSsd, GcPlanSpec::spatial());
     let trace = PaperWorkload::Build0.generate(600, cfg.logical_bytes() / 2, 3);
     let report = run(cfg, &trace, Aging::PAPER).expect("run");
     // Multiple GC events must have completed, each one an epoch swap.
@@ -83,8 +83,8 @@ fn preemptive_gc_interferes_less_than_parallel_on_base_ssd() {
     // in idle windows; PaGC does not even try.
     let trace_for =
         |cfg: &SsdConfig| PaperWorkload::DevTools0.generate(400, cfg.logical_bytes() / 2, 12);
-    let pagc_cfg = gc_cfg(Architecture::BaseSsd, GcPolicy::Parallel);
-    let pre_cfg = gc_cfg(Architecture::BaseSsd, GcPolicy::Preemptive);
+    let pagc_cfg = gc_cfg(Architecture::BaseSsd, GcPlanSpec::pagc());
+    let pre_cfg = gc_cfg(Architecture::BaseSsd, GcPlanSpec::preemptive());
     let pagc = run(pagc_cfg, trace_for(&pagc_cfg), Aging::PAPER).unwrap();
     let pre = run(pre_cfg, trace_for(&pre_cfg), Aging::PAPER).unwrap();
     assert!(pagc.gc.events > 0 && pre.gc.events > 0);
@@ -101,7 +101,7 @@ fn spatial_gc_levels_wear_across_ways() {
     // §VI-A: swapping the I/O and GC groups each epoch "uniformly
     // increases the age (or P/E cycles) of the flash memory". After many
     // epochs, per-way mean erase counts must be within a reasonable band.
-    let cfg = gc_cfg(Architecture::PnSsd, GcPolicy::Spatial);
+    let cfg = gc_cfg(Architecture::PnSsd, GcPlanSpec::spatial());
     let trace = PaperWorkload::Build0.generate(1200, cfg.logical_bytes() / 2, 77);
     let report = run(cfg, &trace, Aging::PAPER).expect("run");
     assert!(
@@ -122,7 +122,7 @@ fn spatial_gc_levels_wear_across_ways() {
 #[test]
 fn write_amplification_grows_with_utilization() {
     let run_at = |fill: f64| {
-        let cfg = gc_cfg(Architecture::BaseSsd, GcPolicy::Parallel);
+        let cfg = gc_cfg(Architecture::BaseSsd, GcPlanSpec::pagc());
         let trace = PaperWorkload::Build0.generate(500, cfg.logical_bytes() / 4, 4);
         run(
             cfg,
@@ -146,7 +146,7 @@ fn write_amplification_grows_with_utilization() {
 
 #[test]
 fn out_of_range_aging_fractions_are_errors_naming_the_argument() {
-    let cfg = gc_cfg(Architecture::BaseSsd, GcPolicy::Parallel);
+    let cfg = gc_cfg(Architecture::BaseSsd, GcPlanSpec::pagc());
     let trace = PaperWorkload::Build0.generate(50, cfg.logical_bytes() / 4, 6);
     for (fill, overwrite, named) in [
         (1.5, 0.3, "fill fraction"),

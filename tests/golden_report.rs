@@ -80,7 +80,7 @@ fn golden_serialization_is_byte_stable_across_consecutive_runs() {
     // yields byte-identical canonical JSON, GC case included.
     let case = matrix()
         .into_iter()
-        .find(|c| c.gc_policy != networked_ssd::GcPolicy::None)
+        .find(|c| c.plan.is_some())
         .expect("matrix contains GC cases");
     let a = canonical_json(&case.run().unwrap());
     let b = canonical_json(&case.run().unwrap());
@@ -94,7 +94,7 @@ fn closed_loop_cases_collect_garbage() {
     let cases: Vec<_> = matrix()
         .into_iter()
         .filter(|c| matches!(c.drive, GoldenDrive::ClosedLoop { .. }))
-        .filter(|c| c.gc_policy != networked_ssd::GcPolicy::None)
+        .filter(|c| c.plan.is_some())
         .collect();
     assert!(
         cases.len() >= 2,

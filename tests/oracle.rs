@@ -13,11 +13,11 @@ use networked_ssd::ftl::{Ftl, FtlConfig, GcStream, Lpn, WayMask};
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{DetRng, SimTime};
-use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{run, Aging, Architecture, GcPlanSpec, PaperWorkload, SsdConfig};
 
-fn oracle_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
+fn oracle_cfg(arch: Architecture, plan: Option<GcPlanSpec>) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = policy;
+    cfg.gc.plan = plan;
     cfg.gc.victims_per_trigger = 2;
     cfg.oracle = true;
     cfg
@@ -26,7 +26,7 @@ fn oracle_cfg(arch: Architecture, policy: GcPolicy) -> SsdConfig {
 #[test]
 fn clean_runs_have_zero_violations_on_every_architecture() {
     for arch in Architecture::all() {
-        let cfg = oracle_cfg(arch, GcPolicy::None);
+        let cfg = oracle_cfg(arch, None);
         let trace = PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 21);
         let report = run(cfg, &trace, Aging::Footprint).unwrap();
         assert!(report.oracle.enabled, "{arch}");
@@ -41,14 +41,14 @@ fn clean_runs_have_zero_violations_on_every_architecture() {
 
 #[test]
 fn clean_runs_have_zero_violations_under_every_gc_policy() {
-    for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
-        let cfg = oracle_cfg(Architecture::PnSsd, policy);
+    for plan in GcPlanSpec::PAPER {
+        let cfg = oracle_cfg(Architecture::PnSsd, Some(plan));
         let trace = PaperWorkload::YcsbA.generate(150, cfg.logical_bytes() / 2, 23);
         let report = run(cfg, &trace, Aging::PAPER).unwrap();
-        assert!(report.gc.events > 0, "{policy}: GC never ran");
+        assert!(report.gc.events > 0, "{plan}: GC never ran");
         assert!(
             report.oracle.violations.is_empty(),
-            "{policy}: {:?}",
+            "{plan}: {:?}",
             report.oracle.violations
         );
     }
@@ -69,7 +69,7 @@ fn oracle_off_by_default_and_report_says_so() {
 /// reverse tables mutually consistent, so only the shadow model can see it.
 #[test]
 fn mutated_mapping_entry_fires_the_oracle_end_to_end() {
-    let cfg = oracle_cfg(Architecture::BaseSsd, GcPolicy::None);
+    let cfg = oracle_cfg(Architecture::BaseSsd, None);
     let page = cfg.geometry.page_bytes as u64;
     let mut sim = SsdSim::new(cfg).unwrap();
     let mut rng = DetRng::seed_from_u64(17);
@@ -150,7 +150,7 @@ fn functional_digest_is_identical_across_interconnect_backends() {
     // Omnibus (pnSSD) place and time pages completely differently; the
     // functional outcome of the same logical workload must not differ.
     let trace = {
-        let cfg = oracle_cfg(Architecture::BaseSsd, GcPolicy::None);
+        let cfg = oracle_cfg(Architecture::BaseSsd, None);
         PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 31)
     };
     let digests: Vec<u64> = [
@@ -160,7 +160,7 @@ fn functional_digest_is_identical_across_interconnect_backends() {
     ]
     .into_iter()
     .map(|arch| {
-        let report = run(oracle_cfg(arch, GcPolicy::None), &trace, Aging::Footprint).unwrap();
+        let report = run(oracle_cfg(arch, None), &trace, Aging::Footprint).unwrap();
         assert!(report.oracle.violations.is_empty(), "{arch}");
         report.oracle.functional_digest
     })
@@ -171,23 +171,23 @@ fn functional_digest_is_identical_across_interconnect_backends() {
 
 #[test]
 fn functional_digest_is_identical_across_gc_policies() {
-    // GC policies relocate different pages at different times onto
+    // GC plans relocate different pages at different times onto
     // different planes — pure placement/timing choices that must cancel
     // out of the functional digest.
     let trace = {
-        let cfg = oracle_cfg(Architecture::PnSsd, GcPolicy::Parallel);
+        let cfg = oracle_cfg(Architecture::PnSsd, None);
         PaperWorkload::YcsbA.generate(120, cfg.logical_bytes() / 2, 37)
     };
-    let digests: Vec<u64> = [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial]
+    let digests: Vec<u64> = GcPlanSpec::PAPER
         .into_iter()
-        .map(|policy| {
+        .map(|plan| {
             let report = run(
-                oracle_cfg(Architecture::PnSsd, policy),
+                oracle_cfg(Architecture::PnSsd, Some(plan)),
                 &trace,
                 Aging::PAPER,
             )
             .unwrap();
-            assert!(report.oracle.violations.is_empty(), "{policy}");
+            assert!(report.oracle.violations.is_empty(), "{plan}");
             report.oracle.functional_digest
         })
         .collect();

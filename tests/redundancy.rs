@@ -11,11 +11,11 @@ use networked_ssd::flash::Geometry;
 use networked_ssd::ftl::{Ftl, FtlConfig, GcStream, Lpn, RedundancyConfig, WayMask};
 use networked_ssd::oracle::Oracle;
 use networked_ssd::sim::{Pool, SimTime};
-use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
+use networked_ssd::{Architecture, GcPlanSpec, PaperWorkload, SsdConfig, Trace};
 
 fn redundant_cfg(arch: Architecture) -> SsdConfig {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg.redundancy = RedundancyConfig::with_stripe(2);
     cfg.oracle = true;
     cfg.faults.chip_failure = Some(ChipFailureSpec {
@@ -104,7 +104,7 @@ fn fail_stop_without_parity_loses_pages_while_redundancy_recovers() {
 #[test]
 fn link_retry_exhaustion_is_a_host_visible_error() {
     let mut cfg = SsdConfig::tiny(Architecture::PSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     // Wire noise hot enough that the shrunk retry budget gives up on some
     // transfers: each abandoned transfer must surface as a per-request
     // I/O error, not vanish into a silently-completed read.
@@ -293,9 +293,9 @@ fn checkpoint_mid_rebuild_resumes_to_the_continuous_run() {
 /// failure resumes to the same canonical report.
 fn fail_during_gc(cfg: SsdConfig, requests: usize, seed: u64) {
     let label = format!(
-        "{} {} parity={} chip-fail@{}",
+        "{} {:?} parity={} chip-fail@{}",
         cfg.architecture,
-        cfg.gc.policy,
+        cfg.gc.plan,
         cfg.redundancy.enabled,
         cfg.faults.chip_failure.expect("a failure is configured").at
     );
@@ -353,12 +353,12 @@ fn chip_failure_during_gc_hands_victims_to_the_failure_model() {
     let default_seed = SsdConfig::tiny(Architecture::BaseSsd).seed;
     for (parity, seed) in [(true, default_seed), (false, 17)] {
         for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
-            for policy in [GcPolicy::Parallel, GcPolicy::Preemptive, GcPolicy::Spatial] {
+            for plan in GcPlanSpec::PAPER {
                 for at_us in [500, 1000] {
                     let mut cfg = SsdConfig::tiny(arch);
                     cfg.geometry.channels = 4;
                     cfg.geometry.ways = 4;
-                    cfg.gc.policy = policy;
+                    cfg.gc.plan = Some(plan);
                     if parity {
                         cfg.redundancy = RedundancyConfig::with_stripe(2);
                     }

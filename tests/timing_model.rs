@@ -4,7 +4,7 @@
 
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::sim::SimTime;
-use networked_ssd::{run, Aging, Architecture, GcPolicy, SsdConfig, Trace};
+use networked_ssd::{run, Aging, Architecture, SsdConfig, Trace};
 
 /// Tiny geometry: 4 KB pages, 8 GB/s host pipes (floored), 1000 MT/s bus.
 const PAGE: u64 = 4096;
@@ -17,7 +17,7 @@ fn one_request(op: IoOp, len: u32) -> Trace {
 
 fn run_one(arch: Architecture, op: IoOp, len: u32) -> u64 {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     let report = run(cfg, one_request(op, len), Aging::Footprint).expect("run");
     assert_eq!(report.completed, 1);
     report.all.mean.as_ns()

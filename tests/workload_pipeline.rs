@@ -2,11 +2,11 @@
 //! serialization, import, characterization — feeding the simulator.
 
 use networked_ssd::workloads::{import_msr, MsrImportOptions, TraceStats};
-use networked_ssd::{run, Aging, Architecture, GcPolicy, PaperWorkload, SsdConfig, Trace};
+use networked_ssd::{run, Aging, Architecture, PaperWorkload, SsdConfig, Trace};
 
 fn cfg() -> SsdConfig {
     let mut cfg = SsdConfig::tiny(Architecture::PSsd);
-    cfg.gc.policy = GcPolicy::None;
+    cfg.gc.plan = None;
     cfg
 }
 
@@ -68,7 +68,7 @@ fn every_suite_workload_replays_on_every_architecture_without_unmapped_reads() {
         let trace = workload.generate(60, cfg.logical_bytes() / 2, 43);
         for arch in [Architecture::BaseSsd, Architecture::PnSsdSplit] {
             let mut c = SsdConfig::tiny(arch);
-            c.gc.policy = GcPolicy::None;
+            c.gc.plan = None;
             let report = run(c, &trace, Aging::Footprint).unwrap();
             assert_eq!(report.unmapped_reads, 0, "{} on {arch}", workload.name());
         }

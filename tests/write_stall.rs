@@ -10,13 +10,13 @@ use networked_ssd::core::{prepare, Aging, Checkpoint, Drive, SsdSim};
 use networked_ssd::ftl::Lpn;
 use networked_ssd::host::{IoOp, IoRequest};
 use networked_ssd::sim::{DetRng, Rng, SimTime};
-use networked_ssd::{Architecture, GcPolicy, PaperWorkload, SsdConfig};
+use networked_ssd::{Architecture, GcPlanSpec, PaperWorkload, SsdConfig};
 
 /// A tiny device aged per `Aging::PAPER`, driven closed loop at depth 16
 /// over YCSB-A, with the oracle on.
-fn aged(arch: Architecture, policy: GcPolicy) -> (SsdConfig, SsdSim, Drive) {
+fn aged(arch: Architecture, plan: GcPlanSpec) -> (SsdConfig, SsdSim, Drive) {
     let mut cfg = SsdConfig::tiny(arch);
-    cfg.gc.policy = policy;
+    cfg.gc.plan = Some(plan);
     cfg.oracle = true;
     cfg.seed = 13;
     let trace = PaperWorkload::YcsbA.generate(3_000, cfg.logical_bytes() * 4 / 5, 13);
@@ -26,11 +26,11 @@ fn aged(arch: Architecture, policy: GcPolicy) -> (SsdConfig, SsdSim, Drive) {
 
 #[test]
 fn checkpoint_while_writes_are_parked_resumes_to_the_continuous_run() {
-    for (arch, policy) in [
-        (Architecture::BaseSsd, GcPolicy::Parallel),
-        (Architecture::PnSsdSplit, GcPolicy::Spatial),
+    for (arch, plan) in [
+        (Architecture::BaseSsd, GcPlanSpec::pagc()),
+        (Architecture::PnSsdSplit, GcPlanSpec::spatial()),
     ] {
-        let (cfg, mut sim, drive) = aged(arch, policy);
+        let (cfg, mut sim, drive) = aged(arch, plan);
         sim.start(drive);
         while sim.parked_writes() < 2 {
             assert!(sim.step(), "{arch}: no two writes ever parked");
@@ -57,7 +57,6 @@ fn stalled_writes_issue_in_arrival_order() {
     // Fresh pages above the preconditioned region: each maps exactly when
     // its write issues, and GC never moves a page before that.
     let mut cfg = SsdConfig::tiny(Architecture::BaseSsd);
-    cfg.gc.policy = GcPolicy::Parallel;
     cfg.oracle = true;
     let mut sim = SsdSim::new(cfg).unwrap();
     let logical = sim.ftl().logical_pages();
@@ -99,7 +98,6 @@ fn a_worn_out_device_fails_writes_and_keeps_serving_reads() {
     // with GC idle and no block left that would free a page.
     for endurance in [12, 10] {
         let mut cfg = SsdConfig::tiny(Architecture::BaseSsd);
-        cfg.gc.policy = GcPolicy::Parallel;
         cfg.endurance_limit = Some(endurance);
         cfg.oracle = true;
         wear_out_then_check(cfg, 7);
