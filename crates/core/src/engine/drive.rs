@@ -47,9 +47,6 @@ struct Tenants {
     /// Owning tenant per request (parallel to [`DriveState::requests`]).
     tags: Vec<u16>,
     frontend: HostFrontend,
-    /// The arbitration policy the frontend was built with (retained so a
-    /// checkpoint can rebuild an identical frontend).
-    scheduler: SchedulerKind,
     /// Outstanding-request budget ([`SsdSim::inflight_io`] ceiling).
     depth: usize,
     stats: Vec<TenantStats>,
@@ -142,11 +139,7 @@ impl DriveState {
                     w.put_u32(c.weight);
                     w.put_time(c.slo_latency);
                 }
-                w.put_u8(match t.scheduler {
-                    SchedulerKind::RoundRobin => 0,
-                    SchedulerKind::StrictPriority => 1,
-                    SchedulerKind::WeightedFair => 2,
-                });
+                t.frontend.kind().ckpt_save(w);
                 w.put_usize(t.depth);
                 t.frontend.ckpt_save(w);
                 for st in &t.stats {
@@ -275,7 +268,6 @@ impl Tenants {
         let tenants = Tenants {
             tags,
             frontend: HostFrontend::new(configs, scheduler),
-            scheduler,
             depth,
             stats,
         };
@@ -303,12 +295,7 @@ impl Tenants {
                 slo_latency,
             });
         }
-        let scheduler = match r.take_u8()? {
-            0 => SchedulerKind::RoundRobin,
-            1 => SchedulerKind::StrictPriority,
-            2 => SchedulerKind::WeightedFair,
-            t => return Err(CkptError::Invalid(format!("unknown scheduler tag {t}"))),
-        };
+        let scheduler = SchedulerKind::ckpt_load(r)?;
         let depth = r.take_usize()?;
         if depth == 0 {
             return Err(CkptError::Invalid("zero multi-tenant depth".into()));
@@ -332,7 +319,6 @@ impl Tenants {
         Ok(Tenants {
             tags: Vec::new(),
             frontend,
-            scheduler,
             depth,
             stats,
         })

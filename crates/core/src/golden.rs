@@ -40,27 +40,10 @@ pub enum GoldenDrive {
         /// Outstanding requests.
         depth: usize,
     },
-    /// A multi-tenant scenario through the submission frontend (the
-    /// `workload` field is unused).
-    Tenants(TenantScenario),
-}
-
-/// The pinned multi-tenant scenarios a golden case can run instead of a
-/// single workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TenantScenario {
     /// [`TenantMix::interference`] — a GC-heavy write-burst tenant against
-    /// a read-latency-sensitive neighbor — under weighted-fair arbitration.
-    InterferenceWfq,
-}
-
-impl TenantScenario {
-    /// File-name slug standing in for the workload name.
-    fn slug(self) -> &'static str {
-        match self {
-            TenantScenario::InterferenceWfq => "mt-interference-wfq",
-        }
-    }
+    /// a read-latency-sensitive neighbor — through the submission frontend
+    /// under weighted-fair arbitration (the `workload` field is unused).
+    Tenants,
 }
 
 /// One pinned run of the golden matrix.
@@ -107,7 +90,7 @@ impl GoldenCase {
             Some(p) => format!("plan-{p}"),
         };
         let workload: String = match self.drive {
-            GoldenDrive::Tenants(scenario) => scenario.slug().to_string(),
+            GoldenDrive::Tenants => "mt-interference-wfq".to_string(),
             GoldenDrive::OpenLoop | GoldenDrive::ClosedLoop { .. } => self
                 .workload
                 .name()
@@ -123,7 +106,7 @@ impl GoldenCase {
         };
         let depth = match self.drive {
             GoldenDrive::ClosedLoop { depth } => format!("_cl{depth}"),
-            GoldenDrive::OpenLoop | GoldenDrive::Tenants(_) => String::new(),
+            GoldenDrive::OpenLoop | GoldenDrive::Tenants => String::new(),
         };
         let red = match self.redundancy {
             Some(w) => format!("_red{w}"),
@@ -181,7 +164,7 @@ impl GoldenCase {
         let drive = match self.drive {
             GoldenDrive::OpenLoop => Drive::from(trace()),
             GoldenDrive::ClosedLoop { depth } => Drive::closed_loop(trace(), depth),
-            GoldenDrive::Tenants(TenantScenario::InterferenceWfq) => {
+            GoldenDrive::Tenants => {
                 // 3/4 of logical space: inside the paper's filled region,
                 // split into per-tenant partitions by the mix.
                 let mix = TenantMix::interference(self.requests);
@@ -292,7 +275,7 @@ pub fn matrix() -> Vec<GoldenCase> {
             workload: PaperWorkload::YcsbA, // unused: the scenario drives it
             seed: 21,
             requests: 60,
-            drive: GoldenDrive::Tenants(TenantScenario::InterferenceWfq),
+            drive: GoldenDrive::Tenants,
             redundancy: None,
         });
     }

@@ -38,7 +38,7 @@ mod runner;
 pub use ckpt::{config_fingerprint, Checkpoint};
 pub use config::{Architecture, EccConfig, EccMode, SsdConfig, Traffic};
 pub use engine::{Drive, SsdSim};
-pub use golden::{GoldenCase, GoldenDrive, TenantScenario};
+pub use golden::{GoldenCase, GoldenDrive};
 pub use nssd_faults::{
     BadBlockConfig, BitErrorConfig, ChipFailureSpec, FaultConfig, LinkFaultConfig, ReliabilityStats,
 };

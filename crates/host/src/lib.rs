@@ -4,10 +4,10 @@
 //!   every workload produces and the engine consumes.
 //! * [`HostParams`]/[`HostPipes`] — the NVMe/PCIe link, SoC system bus and
 //!   internal DRAM as bandwidth pipes, provisioned per Table II.
-//! * [`HostFrontend`]/[`QueueScheduler`]/[`TenantConfig`] — the NVMe-style
+//! * [`HostFrontend`]/[`SchedulerKind`]/[`TenantConfig`] — the NVMe-style
 //!   multi-tenant submission layer: weighted per-tenant queues, SLO
-//!   classes, and pluggable arbitration (round-robin, strict priority,
-//!   weighted-fair).
+//!   classes, and one of three arbitration policies (round-robin, strict
+//!   priority, weighted-fair).
 //!
 //! ```
 //! use nssd_host::{HostParams, HostPipes, IoOp, IoRequest};
@@ -27,10 +27,7 @@ mod qos;
 mod request;
 
 pub use pipes::{HostParams, HostPipes};
-pub use qos::{
-    HostFrontend, QueueScheduler, RoundRobin, SchedulerKind, SloClass, StrictPriority,
-    SubmissionQueue, TenantConfig, WeightedFair,
-};
+pub use qos::{HostFrontend, SchedulerKind, SloClass, TenantConfig};
 pub use request::{IoOp, IoRequest, RequestId};
 
 #[cfg(test)]

@@ -2,12 +2,14 @@
 //!
 //! Real deployments of a high-bandwidth SSD serve many tenants through
 //! multi-queue submission with per-tenant quality of service. This module
-//! models that layer: each tenant owns a weighted [`SubmissionQueue`] with
-//! an SLO class, and a pluggable [`QueueScheduler`] — round-robin, strict
-//! priority, or weighted-fair, mirroring NVMe's arbitration classes —
-//! decides which queue the device pulls from next. The scheduler is one
-//! trait behind one construction-time dispatch ([`SchedulerKind::build`]),
-//! the same shape as the engine's fabric-backend extraction.
+//! models that layer: [`HostFrontend`] gives each tenant a weighted FIFO
+//! submission queue with an SLO class, and one of three arbitration
+//! policies ([`SchedulerKind`]: round-robin, strict priority, or
+//! weighted-fair, mirroring NVMe's arbitration classes) decides which
+//! queue the device pulls from next. The policy is a closed enum that the
+//! frontend matches on, and the frontend holds the only state the
+//! policies have: a round-robin cursor, and the weighted-fair virtual
+//! clock with its per-queue finish times.
 //!
 //! Everything here is untimed and deterministic: the engine drives
 //! [`HostFrontend::pop_next`] whenever it has an outstanding-request slot
@@ -28,6 +30,7 @@
 //! ```
 
 use core::fmt;
+use std::cmp::Reverse;
 use std::collections::VecDeque;
 
 use nssd_sim::{CkptError, CkptReader, CkptWriter, SimTime};
@@ -55,15 +58,6 @@ impl SloClass {
             SloClass::LatencySensitive => SimTime::from_ms(1),
             SloClass::Throughput => SimTime::from_ms(20),
             SloClass::BestEffort => SimTime::from_ms(100),
-        }
-    }
-
-    /// Short label used in experiment tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            SloClass::LatencySensitive => "latency",
-            SloClass::Throughput => "throughput",
-            SloClass::BestEffort => "best-effort",
         }
     }
 }
@@ -103,228 +97,25 @@ impl TenantConfig {
     }
 }
 
-/// One tenant's FIFO submission queue.
-#[derive(Debug)]
-pub struct SubmissionQueue {
-    config: TenantConfig,
-    fifo: VecDeque<IoRequest>,
-}
-
-impl SubmissionQueue {
-    fn new(config: TenantConfig) -> Self {
-        SubmissionQueue {
-            config,
-            fifo: VecDeque::new(),
-        }
-    }
-
-    /// The owning tenant's configuration.
-    pub fn config(&self) -> &TenantConfig {
-        &self.config
-    }
-
-    /// Queued (not yet dispatched) requests.
-    pub fn len(&self) -> usize {
-        self.fifo.len()
-    }
-
-    /// Whether no requests are queued.
-    pub fn is_empty(&self) -> bool {
-        self.fifo.is_empty()
-    }
-
-    /// The request the scheduler would dispatch next from this queue.
-    pub fn front(&self) -> Option<&IoRequest> {
-        self.fifo.front()
-    }
-}
-
-/// Queue-arbitration policy: given the submission queues, picks which one
-/// the device services next.
+/// The queue-arbitration policies, mirroring NVMe's arbitration classes.
 ///
-/// Implementations must be deterministic — same queue states, same pick —
-/// and must only return the index of a non-empty queue. Ties break toward
-/// the lower index by convention, so reports are independent of everything
-/// but the request streams.
-pub trait QueueScheduler: fmt::Debug + Send {
-    /// Short label used in experiment tables.
-    fn label(&self) -> &'static str;
-
-    /// The index of the next queue to service, or `None` when all queues
-    /// are empty.
-    fn pick(&mut self, queues: &[SubmissionQueue]) -> Option<usize>;
-
-    /// Observes a dispatch of `bytes` from `queue` (whose configured weight
-    /// is `weight`) — the hook stateful policies account service with.
-    fn note_dispatch(&mut self, _queue: usize, _weight: u32, _bytes: u32) {}
-
-    /// The policy's mutable state as a flat word vector, for checkpointing.
-    /// Stateless policies return the default empty vector.
-    fn export_state(&self) -> Vec<u128> {
-        Vec::new()
-    }
-
-    /// Restores state captured by [`QueueScheduler::export_state`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the vector does not match the policy's shape.
-    fn import_state(&mut self, state: &[u128]) -> Result<(), String> {
-        if state.is_empty() {
-            Ok(())
-        } else {
-            Err(format!(
-                "{} scheduler carries no state, got {} words",
-                self.label(),
-                state.len()
-            ))
-        }
-    }
-}
-
-/// Round-robin arbitration: rotate over non-empty queues, one request each.
-#[derive(Debug, Default)]
-pub struct RoundRobin {
-    next: usize,
-}
-
-impl QueueScheduler for RoundRobin {
-    fn label(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn pick(&mut self, queues: &[SubmissionQueue]) -> Option<usize> {
-        let n = queues.len();
-        for off in 0..n {
-            let i = (self.next + off) % n;
-            if !queues[i].is_empty() {
-                self.next = (i + 1) % n;
-                return Some(i);
-            }
-        }
-        None
-    }
-
-    fn export_state(&self) -> Vec<u128> {
-        vec![self.next as u128]
-    }
-
-    fn import_state(&mut self, state: &[u128]) -> Result<(), String> {
-        match state {
-            [next] => {
-                self.next = usize::try_from(*next)
-                    .map_err(|_| "round-robin cursor overflows usize".to_string())?;
-                Ok(())
-            }
-            _ => Err(format!(
-                "round-robin state must be one word, got {}",
-                state.len()
-            )),
-        }
-    }
-}
-
-/// Strict-priority arbitration: always the highest-weight non-empty queue
-/// (ties toward the lower index); lower-weight tenants are served only when
-/// every heavier queue is drained.
-#[derive(Debug, Default)]
-pub struct StrictPriority;
-
-impl QueueScheduler for StrictPriority {
-    fn label(&self) -> &'static str {
-        "strict-priority"
-    }
-
-    fn pick(&mut self, queues: &[SubmissionQueue]) -> Option<usize> {
-        queues
-            .iter()
-            .enumerate()
-            .filter(|(_, q)| !q.is_empty())
-            .max_by(|(i, a), (j, b)| {
-                // max_by keeps the *last* maximal element; order equal
-                // weights by descending index so the lower index wins.
-                (a.config.weight, std::cmp::Reverse(*i)).cmp(&(b.config.weight, Reverse(*j)))
-            })
-            .map(|(i, _)| i)
-    }
-}
-
-use std::cmp::Reverse;
-
-/// Weighted-fair queueing via integer virtual finish times.
-///
-/// Each queue carries a virtual finish time that advances by
-/// `bytes × SCALE / weight` per dispatch; the scheduler always serves the
-/// smallest clamped finish time, so over any backlogged interval each
-/// tenant's byte share converges on `weight / Σweights`. All arithmetic is
-/// `u128` integer — no floats, so the schedule is exactly reproducible.
-#[derive(Debug, Default)]
-pub struct WeightedFair {
-    /// Global virtual clock: the start tag of the last dispatch, so queues
-    /// going idle do not bank credit against active ones.
-    vclock: u128,
-    /// Per-queue virtual finish time.
-    vft: Vec<u128>,
-}
-
-impl WeightedFair {
-    /// Fixed-point scale for the byte/weight quotient (keeps small
-    /// requests from rounding to a zero-length virtual slice).
-    const SCALE: u128 = 1 << 20;
-
-    fn key(&self, i: usize) -> u128 {
-        self.vft.get(i).copied().unwrap_or(0).max(self.vclock)
-    }
-}
-
-impl QueueScheduler for WeightedFair {
-    fn label(&self) -> &'static str {
-        "weighted-fair"
-    }
-
-    fn pick(&mut self, queues: &[SubmissionQueue]) -> Option<usize> {
-        (0..queues.len())
-            .filter(|&i| !queues[i].is_empty())
-            .min_by_key(|&i| (self.key(i), i))
-    }
-
-    fn note_dispatch(&mut self, queue: usize, weight: u32, bytes: u32) {
-        if self.vft.len() <= queue {
-            self.vft.resize(queue + 1, 0);
-        }
-        let start = self.vft[queue].max(self.vclock);
-        self.vclock = start;
-        self.vft[queue] = start + bytes as u128 * Self::SCALE / weight.max(1) as u128;
-    }
-
-    fn export_state(&self) -> Vec<u128> {
-        let mut state = Vec::with_capacity(1 + self.vft.len());
-        state.push(self.vclock);
-        state.extend_from_slice(&self.vft);
-        state
-    }
-
-    fn import_state(&mut self, state: &[u128]) -> Result<(), String> {
-        match state.split_first() {
-            Some((&vclock, vft)) => {
-                self.vclock = vclock;
-                self.vft = vft.to_vec();
-                Ok(())
-            }
-            None => Err("weighted-fair state needs at least the virtual clock".into()),
-        }
-    }
-}
-
-/// The available queue schedulers, for configuration surfaces (experiment
-/// matrices, golden cases) where a boxed trait object cannot travel.
+/// Every policy is deterministic — same queue states, same pick — and ties
+/// between queues break toward the lower index, so reports depend on
+/// nothing but the request streams.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// [`RoundRobin`].
+    /// Rotate over the non-empty queues, one request each.
     RoundRobin,
-    /// [`StrictPriority`].
+    /// Always the highest-weight non-empty queue (ties toward the lower
+    /// index); lower-weight tenants are served only when every heavier
+    /// queue is drained.
     StrictPriority,
-    /// [`WeightedFair`].
+    /// Weighted-fair queueing via integer virtual finish times. Each
+    /// queue's finish time advances by `bytes × SCALE / weight` per
+    /// dispatch and the smallest clamped finish time is served next, so
+    /// over any backlogged interval each tenant's byte share converges on
+    /// `weight / Σweights`. All arithmetic is `u128` integer — no floats,
+    /// so the schedule is exactly reproducible.
     WeightedFair,
 }
 
@@ -338,16 +129,6 @@ impl SchedulerKind {
         ]
     }
 
-    /// Constructs the scheduler — the single point of per-policy dispatch,
-    /// mirroring the engine's fabric-backend construction.
-    pub fn build(self) -> Box<dyn QueueScheduler> {
-        match self {
-            SchedulerKind::RoundRobin => Box::new(RoundRobin::default()),
-            SchedulerKind::StrictPriority => Box::new(StrictPriority),
-            SchedulerKind::WeightedFair => Box::new(WeightedFair::default()),
-        }
-    }
-
     /// Short label used in experiment tables and file names.
     pub fn label(self) -> &'static str {
         match self {
@@ -355,6 +136,25 @@ impl SchedulerKind {
             SchedulerKind::StrictPriority => "strict-priority",
             SchedulerKind::WeightedFair => "weighted-fair",
         }
+    }
+
+    /// Writes the kind as its one-byte checkpoint tag (its declaration
+    /// index: round-robin 0, strict priority 1, weighted-fair 2).
+    pub fn ckpt_save(self, w: &mut CkptWriter) {
+        w.put_u8(self as u8);
+    }
+
+    /// Reads a kind written by [`SchedulerKind::ckpt_save`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on truncation or an unknown tag.
+    pub fn ckpt_load(r: &mut CkptReader) -> Result<Self, CkptError> {
+        let tag = r.take_u8()?;
+        Self::all()
+            .into_iter()
+            .find(|&k| k as u8 == tag)
+            .ok_or_else(|| CkptError::Invalid(format!("unknown scheduler tag {tag}")))
     }
 }
 
@@ -364,31 +164,60 @@ impl fmt::Display for SchedulerKind {
     }
 }
 
-/// The multi-queue submission frontend: one [`SubmissionQueue`] per tenant
-/// plus the arbitration policy between them.
+/// One tenant's FIFO submission queue.
+#[derive(Debug)]
+struct Queue {
+    config: TenantConfig,
+    fifo: VecDeque<IoRequest>,
+}
+
+/// The multi-queue submission frontend: one FIFO per tenant, the
+/// arbitration policy between them, and that policy's state.
 #[derive(Debug)]
 pub struct HostFrontend {
-    queues: Vec<SubmissionQueue>,
-    scheduler: Box<dyn QueueScheduler>,
+    kind: SchedulerKind,
+    queues: Vec<Queue>,
+    /// Round-robin: the queue the next rotation starts from (always below
+    /// the tenant count).
+    cursor: usize,
+    /// Weighted-fair: the start tag of the last dispatch, so queues going
+    /// idle do not bank credit against active ones.
+    vclock: u128,
+    /// Weighted-fair: per-queue virtual finish times, grown to cover a
+    /// queue on its first dispatch.
+    finish: Vec<u128>,
 }
 
 impl HostFrontend {
+    /// Weighted-fair fixed-point scale for the byte/weight quotient (keeps
+    /// small requests from rounding to a zero-length virtual slice).
+    const SCALE: u128 = 1 << 20;
+
     /// Builds the frontend with one queue per tenant.
     ///
     /// # Panics
     ///
     /// Panics if `tenants` is empty.
-    pub fn new(tenants: Vec<TenantConfig>, scheduler: SchedulerKind) -> Self {
+    pub fn new(tenants: Vec<TenantConfig>, kind: SchedulerKind) -> Self {
         assert!(!tenants.is_empty(), "at least one tenant required");
         HostFrontend {
-            queues: tenants.into_iter().map(SubmissionQueue::new).collect(),
-            scheduler: scheduler.build(),
+            kind,
+            queues: tenants
+                .into_iter()
+                .map(|config| Queue {
+                    config,
+                    fifo: VecDeque::new(),
+                })
+                .collect(),
+            cursor: 0,
+            vclock: 0,
+            finish: Vec::new(),
         }
     }
 
-    /// Number of tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.queues.len()
+    /// The arbitration policy.
+    pub fn kind(&self) -> SchedulerKind {
+        self.kind
     }
 
     /// Tenant `i`'s configuration.
@@ -397,7 +226,7 @@ impl HostFrontend {
     ///
     /// Panics if `tenant` is out of range.
     pub fn config(&self, tenant: usize) -> &TenantConfig {
-        self.queues[tenant].config()
+        &self.queues[tenant].config
     }
 
     /// Enqueues a request on `tenant`'s submission queue.
@@ -412,29 +241,52 @@ impl HostFrontend {
     /// Dispatches the next request per the arbitration policy, returning
     /// the owning tenant's index with it; `None` when every queue is empty.
     pub fn pop_next(&mut self) -> Option<(usize, IoRequest)> {
-        let i = self.scheduler.pick(&self.queues)?;
+        let i = self.pick()?;
         let req = self.queues[i]
             .fifo
             .pop_front()
-            .expect("scheduler picked an empty queue");
-        let weight = self.queues[i].config.weight;
-        self.scheduler.note_dispatch(i, weight, req.len);
+            .expect("picked a backlogged queue");
         Some((i, req))
     }
 
-    /// Total requests queued across all tenants.
-    pub fn pending(&self) -> usize {
-        self.queues.iter().map(SubmissionQueue::len).sum()
+    /// The index of the next queue to service, with the dispatch of its
+    /// front request charged to the policy's state; `None` when every
+    /// queue is empty.
+    fn pick(&mut self) -> Option<usize> {
+        let n = self.queues.len();
+        let backlogged = |i: &usize| !self.queues[*i].fifo.is_empty();
+        match self.kind {
+            SchedulerKind::RoundRobin => {
+                let i = (0..n).map(|off| (self.cursor + off) % n).find(backlogged)?;
+                self.cursor = (i + 1) % n;
+                Some(i)
+            }
+            SchedulerKind::StrictPriority => (0..n)
+                .filter(backlogged)
+                .max_by_key(|&i| (self.queues[i].config.weight, Reverse(i))),
+            SchedulerKind::WeightedFair => {
+                let start = |i: usize| self.finish.get(i).copied().unwrap_or(0).max(self.vclock);
+                let i = (0..n).filter(backlogged).min_by_key(|&i| (start(i), i))?;
+                self.vclock = start(i);
+                let q = &self.queues[i];
+                let slice =
+                    u128::from(q.fifo[0].len) * Self::SCALE / u128::from(q.config.weight.max(1));
+                if self.finish.len() <= i {
+                    self.finish.resize(i + 1, 0);
+                }
+                // Saturating: a real run adds at most 2^52 per dispatch, so
+                // only a corrupt checkpoint's clock comes near the bound.
+                self.finish[i] = self.vclock.saturating_add(slice);
+                Some(i)
+            }
+        }
     }
 
-    /// Whether every queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queues.iter().all(SubmissionQueue::is_empty)
-    }
-
-    /// Serializes the queued requests and the arbitration policy's state.
-    /// Tenant configurations are not written — restore targets a frontend
-    /// built from the same tenants and [`SchedulerKind`].
+    /// Serializes the queued requests and the policy's state: a
+    /// count-prefixed word list, `[cursor]` under round-robin, empty under
+    /// strict priority, `[vclock, finish…]` under weighted-fair. Tenant
+    /// configurations and the kind are not written — restore targets a
+    /// frontend built from the same tenants and [`SchedulerKind`].
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.put_usize(self.queues.len());
         for q in &self.queues {
@@ -443,10 +295,19 @@ impl HostFrontend {
                 req.ckpt_save(w);
             }
         }
-        let state = self.scheduler.export_state();
-        w.put_usize(state.len());
-        for word in state {
-            w.put_u128(word);
+        match self.kind {
+            SchedulerKind::RoundRobin => {
+                w.put_usize(1);
+                w.put_u128(self.cursor as u128);
+            }
+            SchedulerKind::StrictPriority => w.put_usize(0),
+            SchedulerKind::WeightedFair => {
+                w.put_usize(1 + self.finish.len());
+                w.put_u128(self.vclock);
+                for &f in &self.finish {
+                    w.put_u128(f);
+                }
+            }
         }
     }
 
@@ -454,8 +315,9 @@ impl HostFrontend {
     ///
     /// # Errors
     ///
-    /// Returns an error on truncation, a tenant-count mismatch, or
-    /// scheduler state of the wrong shape for the configured policy.
+    /// Returns an error on truncation, a tenant-count mismatch, policy
+    /// state of the wrong shape, a round-robin cursor outside the tenants,
+    /// or more weighted-fair finish times than tenants.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let n = r.take_count(8)?;
         if n != self.queues.len() {
@@ -473,13 +335,41 @@ impl HostFrontend {
             q.fifo = fifo;
         }
         let words = r.take_count(16)?;
-        let mut state = Vec::with_capacity(words);
-        for _ in 0..words {
-            state.push(r.take_u128()?);
+        let invalid = |msg: String| Err(CkptError::Invalid(msg));
+        match self.kind {
+            SchedulerKind::RoundRobin => {
+                if words != 1 {
+                    return invalid(format!("round-robin state must be one word, got {words}"));
+                }
+                let cursor = r.take_u128()?;
+                if cursor >= n as u128 {
+                    return invalid(format!("round-robin cursor {cursor} not below {n} tenants"));
+                }
+                self.cursor = cursor as usize;
+            }
+            SchedulerKind::StrictPriority => {
+                if words != 0 {
+                    return invalid(format!(
+                        "strict-priority state must be empty, got {words} words"
+                    ));
+                }
+            }
+            SchedulerKind::WeightedFair => {
+                let Some(finish) = words.checked_sub(1) else {
+                    return invalid("weighted-fair state needs at least the virtual clock".into());
+                };
+                if finish > n {
+                    return invalid(format!(
+                        "{finish} weighted-fair finish times for {n} tenants"
+                    ));
+                }
+                self.vclock = r.take_u128()?;
+                self.finish = (0..finish)
+                    .map(|_| r.take_u128())
+                    .collect::<Result<_, _>>()?;
+            }
         }
-        self.scheduler
-            .import_state(&state)
-            .map_err(CkptError::Invalid)
+        Ok(())
     }
 }
 
@@ -510,7 +400,7 @@ mod tests {
         for _ in 0..dispatches {
             for t in 0..weights.len() {
                 // Top queues up so no tenant ever runs dry mid-test.
-                while fe.queues[t].len() < 4 {
+                while fe.queues[t].fifo.len() < 4 {
                     fe.push(t, req(16 * 1024));
                 }
             }
@@ -531,7 +421,6 @@ mod tests {
         // Queue 1 is empty and must be skipped without losing the rotation.
         let order: Vec<usize> = std::iter::from_fn(|| fe.pop_next().map(|(t, _)| t)).collect();
         assert_eq!(order, vec![0, 2, 0, 2, 0, 2]);
-        assert!(fe.is_empty());
         assert_eq!(fe.pop_next(), None);
     }
 
@@ -647,13 +536,94 @@ mod tests {
     #[test]
     fn frontend_reports_queue_state() {
         let mut fe = frontend(&[1, 1], SchedulerKind::RoundRobin);
-        assert_eq!(fe.tenant_count(), 2);
+        assert_eq!(fe.kind(), SchedulerKind::RoundRobin);
         assert_eq!(fe.config(1).name, "t1");
         fe.push(1, req(4096));
-        assert_eq!(fe.pending(), 1);
-        assert!(!fe.is_empty());
-        assert_eq!(fe.queues[1].front().unwrap().len, 4096);
+        assert_eq!(fe.queues[1].fifo[0].len, 4096);
         assert_eq!(fe.pop_next().unwrap().0, 1);
-        assert_eq!(fe.pending(), 0);
+        assert_eq!(fe.pop_next(), None);
+    }
+
+    /// Saves a two-tenant frontend of `kind` with one request queued per
+    /// tenant, after `dispatches` dispatches.
+    fn saved(kind: SchedulerKind, dispatches: usize) -> Vec<u8> {
+        let mut fe = frontend(&[2, 1], kind);
+        for _ in 0..dispatches {
+            fe.push(1, req(4096));
+            fe.pop_next();
+        }
+        fe.push(0, req(4096));
+        fe.push(1, req(4096));
+        let mut w = CkptWriter::new();
+        fe.ckpt_save(&mut w);
+        w.into_bytes()
+    }
+
+    /// Loads `bytes` into a fresh two-tenant frontend of `kind` and drains
+    /// it, returning the dispatch order.
+    fn load_and_drain(kind: SchedulerKind, bytes: &[u8]) -> Result<Vec<usize>, CkptError> {
+        let mut fe = frontend(&[2, 1], kind);
+        fe.ckpt_load(&mut CkptReader::new(bytes))?;
+        Ok(std::iter::from_fn(|| fe.pop_next().map(|(t, _)| t)).collect())
+    }
+
+    /// Byte offset of the policy state's word count: two queues of one
+    /// request each, behind the queue count and their lengths.
+    const STATE_AT: usize = 8 + 2 * (8 + IoRequest::CKPT_MIN_BYTES);
+
+    fn word(bytes: &mut [u8], i: usize) -> &mut [u8] {
+        let at = STATE_AT + 8 + 16 * i;
+        &mut bytes[at..at + 16]
+    }
+
+    #[test]
+    fn huge_round_robin_cursor_is_refused() {
+        let mut bytes = saved(SchedulerKind::RoundRobin, 1);
+        assert_eq!(
+            load_and_drain(SchedulerKind::RoundRobin, &bytes).unwrap(),
+            [0, 1]
+        );
+        word(&mut bytes, 0).copy_from_slice(&u128::from(u64::MAX).to_le_bytes());
+        let err = load_and_drain(SchedulerKind::RoundRobin, &bytes).unwrap_err();
+        assert!(err.to_string().contains("cursor"), "{err}");
+        word(&mut bytes, 0).copy_from_slice(&2u128.to_le_bytes());
+        assert!(load_and_drain(SchedulerKind::RoundRobin, &bytes).is_err());
+    }
+
+    #[test]
+    fn huge_weighted_fair_clock_dispatches_without_panicking() {
+        let mut bytes = saved(SchedulerKind::WeightedFair, 1);
+        word(&mut bytes, 0).copy_from_slice(&u128::MAX.to_le_bytes());
+        let order = load_and_drain(SchedulerKind::WeightedFair, &bytes).unwrap();
+        assert_eq!(order, [0, 1]);
+    }
+
+    #[test]
+    fn overlong_weighted_fair_tag_list_is_refused() {
+        let mut bytes = saved(SchedulerKind::WeightedFair, 1);
+        // [vclock, finish(0), finish(1)]: tenant 1 dispatched once.
+        let words = STATE_AT..STATE_AT + 8;
+        assert_eq!(bytes[words.clone()], 3u64.to_le_bytes());
+        bytes[words].copy_from_slice(&5u64.to_le_bytes());
+        bytes.extend_from_slice(&[0; 32]);
+        let err = load_and_drain(SchedulerKind::WeightedFair, &bytes).unwrap_err();
+        assert!(
+            err.to_string().contains("finish times for 2 tenants"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn misshapen_policy_state_and_unknown_kinds_are_refused() {
+        for (kind, other) in [
+            (SchedulerKind::RoundRobin, SchedulerKind::StrictPriority),
+            (SchedulerKind::StrictPriority, SchedulerKind::RoundRobin),
+            (SchedulerKind::WeightedFair, SchedulerKind::StrictPriority),
+        ] {
+            let err = load_and_drain(kind, &saved(other, 1)).unwrap_err();
+            assert!(err.to_string().contains(kind.label()), "{kind}: {err}");
+        }
+        let err = SchedulerKind::ckpt_load(&mut CkptReader::new(&[3])).unwrap_err();
+        assert!(err.to_string().contains("scheduler tag 3"), "{err}");
     }
 }

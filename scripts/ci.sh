@@ -79,11 +79,13 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> experiment smoke"
 # One figure run, one CSV per table in target/experiments/ (the artifact):
-# tenants (NVMe-style frontend, all three schedulers), fault_sweep (RBER
-# retry ladder, wire-BER recovery, chip failure without parity), plans
-# (every composed GC plan), rebuild (parity rebuild on every fabric family;
-# fails on any oracle violation) and lifetime (checkpointed segments to end
-# of life; fails unless save∘resume is byte-identical at every boundary).
+# tenants (NVMe-style frontend, all three schedulers; every request
+# completes, and strict priority queues the latency tenant least),
+# fault_sweep (RBER retry ladder, wire-BER recovery, chip failure without
+# parity), plans (every composed GC plan), rebuild (parity rebuild on every
+# fabric family; fails on any oracle violation) and lifetime (checkpointed
+# segments to end of life; fails unless save∘resume is byte-identical at
+# every boundary).
 NSSD_REQUESTS=2000 NSSD_TENANT_REQUESTS=200 cargo run --release -q -p nssd-bench --bin figure -- \
     --csv target/experiments tenants fault_sweep plans rebuild lifetime
 python3 - <<'EOF'
@@ -130,6 +132,19 @@ for r in runs:
     # reports a completed rebuild and zero lost pages.
     assert int(r['rebuild pages']) > 0 and r['rebuild time'] != '-', r
     assert int(r['pages lost']) == 0 and int(r['host I/O errors']) == 0, r
+EOF
+python3 - <<'EOF'
+import csv
+rows = list(csv.DictReader(l for l in open('target/experiments/tenants.csv') if l[0] != '#'))
+assert len(rows) == 18, rows  # 3 architectures x 3 schedulers x 2 tenants
+for r in rows:
+    assert int(r['done']) == 200, r  # NSSD_TENANT_REQUESTS: every request completes
+for arch in {r['arch'] for r in rows}:
+    delay = {r['tenant']: float(r['queue delay'].removesuffix('us'))
+             for r in rows if r['arch'] == arch and r['scheduler'] == 'strict-priority'}
+    # Strict priority serves the weight-3 latency tenant ahead of the
+    # weight-1 write bursts, so it waits less in its submission queue.
+    assert delay['latency'] < delay['writeburst'], (arch, delay)
 EOF
 
 echo "==> oracle mutation self-test"

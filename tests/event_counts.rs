@@ -49,7 +49,7 @@ fn counts_sum_to_scheduled_events_and_survive_a_resume() {
         .find(|c| {
             c.plan == Some(GcPlanSpec::pagc())
                 && c.redundancy.is_none()
-                && !matches!(c.drive, GoldenDrive::Tenants(_))
+                && !matches!(c.drive, GoldenDrive::Tenants)
         })
         .expect("the matrix has a PaGC case");
     let rebuild = cases

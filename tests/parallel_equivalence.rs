@@ -38,7 +38,7 @@ fn matrix_exercises_the_multi_tenant_engine_path() {
     // bookkeeping rather than aggregate latency).
     let tenant_cases = matrix()
         .iter()
-        .filter(|c| matches!(c.drive, GoldenDrive::Tenants(_)))
+        .filter(|c| matches!(c.drive, GoldenDrive::Tenants))
         .count();
     assert!(
         tenant_cases >= 3,
