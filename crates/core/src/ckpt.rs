@@ -5,7 +5,7 @@
 //! | field        | bytes | contents                                        |
 //! |--------------|-------|-------------------------------------------------|
 //! | magic        | 8     | `b"NSSDCKPT"`                                   |
-//! | version      | 4     | format version, currently 8                     |
+//! | version      | 4     | format version, currently 9                     |
 //! | fingerprint  | 8     | checksum of the configuration's `Debug` text    |
 //! | payload\_len | 8     | length of the payload that follows              |
 //! | payload      | n     | [`SsdSim`] state (see `engine::ckpt`)           |
@@ -29,8 +29,11 @@
 //! checkpoint no longer carries the requests it has already issued; version
 //! 8 writes the shadow oracle as dense slices (the owner of every physical
 //! page, no content tokens) and no utilization bins for v-channels or
-//! reservation counters for any resource. Older checkpoints are refused
-//! with a message naming their version.
+//! reservation counters for any resource; version 9 writes every large
+//! array — page maps, the valid bitmap, recorder bins, the oracle's slices
+//! and the unissued requests, as columns — in `nssd-sim`'s delta codec
+//! (zigzag deltas in LEB128, runs of equal entries as one length). Older
+//! checkpoints are refused with a message naming their version.
 
 use nssd_sim::{CkptReader, CkptWriter};
 
@@ -38,7 +41,7 @@ use crate::engine::SsdSim;
 use crate::SsdConfig;
 
 const MAGIC: &[u8; 8] = b"NSSDCKPT";
-const VERSION: u32 = 8;
+const VERSION: u32 = 9;
 /// Offset of the payload-length field: magic + version + fingerprint.
 const LEN_AT: usize = 8 + 4 + 8;
 /// Envelope bytes before the payload.

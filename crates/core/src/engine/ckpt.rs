@@ -23,7 +23,7 @@
 use std::collections::VecDeque;
 
 use nssd_host::IoOp;
-use nssd_sim::ckpt::{put_u32_slice, take_u32_vec_exact};
+use nssd_sim::ckpt::{put_u32_slice, take_u32_slice};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, Histogram, SimTime};
 
 use super::{DriveState, EngineSummary, Event, PendingSpan, ReqState, SsdSim, TransState};
@@ -429,8 +429,8 @@ impl SsdSim {
         self.gc.ckpt_load(r, &g, self.ftl.logical_pages())?;
         self.rebuild
             .ckpt_load(r, g.page_count(), self.ftl.logical_pages())?;
-        self.parity_pending = take_u32_vec_exact(r, self.parity_pending.len(), "parity_pending")?;
-        self.parity_rot = take_u32_vec_exact(r, self.parity_rot.len(), "parity_rot")?;
+        take_u32_slice(r, &mut self.parity_pending, "parity_pending")?;
+        take_u32_slice(r, &mut self.parity_rot, "parity_rot")?;
         let n = r.take_count(8)?;
         let mut lost_pages = Vec::with_capacity(n);
         for _ in 0..n {

@@ -122,9 +122,11 @@ impl DriveState {
     }
 
     /// Writes the drive: its tag, a multi-tenant drive's frontend and
-    /// accounting, then the unissued requests (and their tenants). No
-    /// cursor is written, so a resumed drive (cursor 0) re-saves the same
-    /// bytes; neither is closed loop's token count.
+    /// accounting, then the unissued requests as columns in the delta
+    /// codec — arrival (no runs), offset, length, op (0 read, 1 write) and,
+    /// for tenants, the tenant tag. No cursor is written, so a resumed
+    /// drive (cursor 0) re-saves the same bytes; neither is closed loop's
+    /// token count.
     pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
         let unissued = &self.requests[self.cursor..];
         match &self.mode {
@@ -156,13 +158,12 @@ impl DriveState {
             }
         }
         w.put_usize(unissued.len());
-        for r in unissued {
-            r.ckpt_save(w);
-        }
+        w.put_deltas(unissued.iter().map(|r| r.at.as_ns()), false);
+        w.put_deltas(unissued.iter().map(|r| r.offset), true);
+        w.put_deltas(unissued.iter().map(|r| r.len as u64), true);
+        w.put_deltas(unissued.iter().map(|r| u64::from(!r.op.is_read())), true);
         if let Mode::Tenants(t) = &self.mode {
-            for &tag in &t.tags[self.cursor..] {
-                w.put_u32(tag as u32);
-            }
+            w.put_deltas(t.tags[self.cursor..].iter().map(|&tag| tag as u64), true);
         }
     }
 
@@ -182,22 +183,50 @@ impl DriveState {
             2 => Mode::Tenants(Tenants::ckpt_load(r)?),
             t => return Err(CkptError::Invalid(format!("unknown drive tag {t}"))),
         };
-        let n = r.take_count(IoRequest::CKPT_MIN_BYTES)?;
+        // The arrival column has no runs, so each request costs at least
+        // a byte of it.
+        let n = r.take_count(1)?;
         let mut requests = Vec::with_capacity(n);
-        for _ in 0..n {
-            requests.push(IoRequest::ckpt_load(r)?);
-        }
+        r.take_deltas(n, false, |_, at| {
+            requests.push(IoRequest {
+                op: IoOp::Read,
+                offset: 0,
+                len: 0,
+                at: SimTime::from_ns(at),
+            });
+            Ok(())
+        })?;
+        r.take_deltas(n, true, |i, offset| {
+            requests[i].offset = offset;
+            Ok(())
+        })?;
+        r.take_deltas(n, true, |i, len| {
+            requests[i].len = match u32::try_from(len) {
+                Ok(len @ 1..) => len,
+                _ => return Err(CkptError::Invalid(format!("request length {len}"))),
+            };
+            Ok(())
+        })?;
+        r.take_deltas(n, true, |i, op| {
+            requests[i].op = match op {
+                0 => IoOp::Read,
+                1 => IoOp::Write,
+                t => return Err(CkptError::Invalid(format!("unknown io op tag {t}"))),
+            };
+            Ok(())
+        })?;
         if let Mode::Tenants(t) = &mut mode {
+            let tenants = t.stats.len() as u64;
             t.tags = Vec::with_capacity(n);
-            for _ in 0..n {
-                let tag = r.take_u32()?;
-                if tag as usize >= t.stats.len() {
+            r.take_deltas(n, true, |_, tag| {
+                if tag >= tenants {
                     return Err(CkptError::Invalid(format!(
                         "request tenant {tag} out of range"
                     )));
                 }
                 t.tags.push(tag as u16);
-            }
+                Ok(())
+            })?;
         }
         // Closed loop ignores timestamps; the others issue by them.
         if !matches!(mode, Mode::ClosedLoop { .. })
@@ -509,5 +538,80 @@ impl SsdSim {
                 self.mt_dispatch();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An open-loop drive written by hand: tag, count, then the arrival
+    /// column without runs and the offset, length and op columns with.
+    fn timed(cols: [&[u64]; 4]) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        w.put_u8(0);
+        w.put_usize(cols[0].len());
+        w.put_deltas(cols[0].iter().copied(), false);
+        for col in &cols[1..] {
+            w.put_deltas(col.iter().copied(), true);
+        }
+        w.into_bytes()
+    }
+
+    fn load(bytes: &[u8]) -> Result<DriveState, CkptError> {
+        let mut r = CkptReader::new(bytes);
+        let drive = DriveState::ckpt_load(&mut r, SimTime::ZERO)?;
+        r.finish()?;
+        Ok(drive)
+    }
+
+    #[test]
+    fn unissued_requests_are_written_as_columns() {
+        let at = SimTime::from_ns;
+        let drive = DriveState {
+            requests: vec![
+                IoRequest::new(IoOp::Write, 0, 4096, at(1)),
+                IoRequest::new(IoOp::Read, 4096, 4096, at(5)),
+                IoRequest::new(IoOp::Write, 0, 8192, at(9)),
+            ],
+            cursor: 1,
+            mode: Mode::Timed,
+        };
+        let mut w = CkptWriter::new();
+        drive.ckpt_save(&mut w);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, timed([&[5, 9], &[4096, 0], &[4096, 8192], &[0, 1]]));
+        let back = load(&bytes).unwrap();
+        assert_eq!(back.requests, drive.requests[1..]);
+        let mut again = CkptWriter::new();
+        back.ckpt_save(&mut again);
+        assert_eq!(again.into_bytes(), bytes);
+    }
+
+    #[test]
+    fn bad_request_columns_are_refused() {
+        for (cols, message) in [
+            ([&[5u64][..], &[0], &[0], &[0]], "request length 0"),
+            (
+                [&[5][..], &[0], &[1 << 32], &[0]],
+                "request length 4294967296",
+            ),
+            ([&[5][..], &[0], &[4096], &[2]], "unknown io op tag 2"),
+            (
+                [&[9, 5][..], &[0, 0], &[1, 1], &[0, 0]],
+                "not in time order",
+            ),
+        ] {
+            let err = load(&timed(cols)).expect_err("refused");
+            assert!(err.to_string().contains(message), "{message}: got {err}");
+        }
+        // A count the arrival column cannot hold fails before allocating.
+        let mut w = CkptWriter::new();
+        w.put_u8(0);
+        w.put_u64(u64::MAX / 2);
+        assert!(matches!(
+            load(&w.into_bytes()),
+            Err(CkptError::Truncated { .. })
+        ));
     }
 }

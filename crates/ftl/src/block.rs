@@ -763,7 +763,7 @@ impl BlockTable {
                 )));
             }
         }
-        self.valid = ckpt::take_u64_vec_exact(r, self.valid.len(), "valid bitmap")?;
+        ckpt::take_u64_slice(r, &mut self.valid, "valid bitmap")?;
         let planes = r.take_usize()?;
         if planes != self.free.len() {
             return Err(CkptError::Invalid(format!(

@@ -189,37 +189,39 @@ impl MappingTable {
     }
 
     /// Restores state saved by [`MappingTable::ckpt_save`] into a table of
-    /// the same dimensions.
+    /// the same dimensions, decoding in place.
     ///
     /// # Errors
     ///
     /// Returns an error on truncation, a dimension mismatch, or a table
-    /// that fails the forward/reverse consistency invariant.
+    /// that fails the forward/reverse consistency invariant. The table may
+    /// then be partly restored and must be discarded.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let l2p = ckpt::take_u32_vec_exact(r, self.l2p.len(), "l2p table")?;
-        let p2l = ckpt::take_u32_vec_exact(r, self.p2l.len(), "p2l table")?;
-        let mapped = r.take_u64()?;
+        ckpt::take_u32_slice(r, &mut self.l2p, "l2p table")?;
+        ckpt::take_u32_slice(r, &mut self.p2l, "p2l table")?;
+        self.mapped = r.take_u64()?;
         // Range-check raw entries first so check_consistency cannot index
         // out of bounds on corrupt input.
-        if l2p
+        let (logical, physical) = (self.l2p.len(), self.p2l.len());
+        if self
+            .l2p
             .iter()
-            .any(|&p| p != UNMAPPED && p as usize >= p2l.len())
+            .any(|&p| p != UNMAPPED && p as usize >= physical)
         {
             return Err(CkptError::Invalid("l2p entry out of physical range".into()));
         }
-        if p2l
+        if self
+            .p2l
             .iter()
-            .any(|&l| l != UNMAPPED && l as usize >= l2p.len())
+            .any(|&l| l != UNMAPPED && l as usize >= logical)
         {
             return Err(CkptError::Invalid("p2l entry out of logical range".into()));
         }
-        let restored = MappingTable { l2p, p2l, mapped };
-        if !restored.check_consistency() {
+        if !self.check_consistency() {
             return Err(CkptError::Invalid(
                 "mapping table fails forward/reverse consistency".into(),
             ));
         }
-        *self = restored;
         Ok(())
     }
 

@@ -10,7 +10,7 @@
 
 use nssd_flash::{Geometry, Pbn, Ppn};
 use nssd_ftl::{BlockState, BlockTable, Lpn, MappingTable};
-use nssd_sim::{CkptReader, CkptWriter, DetRng, Rng};
+use nssd_sim::{put_u32_slice, CkptReader, CkptWriter, DetRng, Rng};
 
 /// Random operation sequences; deep under `heavy-tests`.
 const CASES: usize = if cfg!(feature = "heavy-tests") {
@@ -200,9 +200,18 @@ impl Harness {
         let map_bytes = w.len();
         self.blocks.ckpt_save(&mut w);
         let bytes = w.into_bytes();
-        // Two length-prefixed u32 maps plus the mapped count.
-        let entries = self.map.logical_pages() + self.map.physical_pages();
-        assert_eq!(map_bytes as u64, 8 + 8 + 4 * entries + 8);
+        // The model's two maps as 32-bit entries in the slice codec, plus
+        // the mapped count.
+        let narrow = |t: &[u64]| -> Vec<u32> {
+            t.iter()
+                .map(|&v| if v == NONE { u32::MAX } else { v as u32 })
+                .collect()
+        };
+        let mut model = CkptWriter::new();
+        put_u32_slice(&mut model, &narrow(&self.model.l2p));
+        put_u32_slice(&mut model, &narrow(&self.model.p2l));
+        model.put_u64(self.model.l2p.iter().filter(|&&p| p != NONE).count() as u64);
+        assert_eq!(bytes[..map_bytes], model.into_bytes()[..], "map bytes");
         let mut map = MappingTable::new(self.map.logical_pages(), self.map.physical_pages());
         let mut blocks = BlockTable::new(&self.g);
         let mut r = CkptReader::new(&bytes);

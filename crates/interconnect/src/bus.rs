@@ -68,9 +68,13 @@ impl BusParams {
 
     /// Time to move `beats` transfer beats, rounded up to whole ns.
     fn beats_time(&self, beats: u64) -> SimTime {
-        // beat time = 1000/MT ns; total = beats * 1000 / MT, rounded up.
-        let ns = (beats as u128 * 1000).div_ceil(self.mega_transfers as u128);
-        SimTime::from_ns(ns as u64)
+        // beat time = 1000/MT ns; total = beats * 1000 / MT, rounded up, in
+        // u64 unless the product overflows it.
+        let ns = match beats.checked_mul(1000) {
+            Some(n) => n.div_ceil(self.mega_transfers),
+            None => (beats as u128 * 1000).div_ceil(self.mega_transfers as u128) as u64,
+        };
+        SimTime::from_ns(ns)
     }
 
     /// Wire time for `bytes` of raw payload on this bus.
@@ -169,6 +173,30 @@ impl PacketBus {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn u64_beat_math_matches_u128_across_the_overflow_edge() {
+        let edge = u64::MAX / 1000;
+        let beats = (0..2000)
+            .chain(edge - 3..=edge + 3)
+            .chain(u64::MAX - 2..=u64::MAX)
+            .chain((0..64).map(|k| 1u64 << k))
+            .chain((1..64).map(|k| (1u64 << k) - 1));
+        for beats in beats {
+            for mega_transfers in [1, 3, 667, 800, 1000, 1200, 1600, 4800, u64::MAX] {
+                let params = BusParams {
+                    mega_transfers,
+                    width_bits: 8,
+                };
+                let wide = (beats as u128 * 1000).div_ceil(mega_transfers as u128) as u64;
+                assert_eq!(
+                    params.beats_time(beats),
+                    SimTime::from_ns(wide),
+                    "{beats} beats at {mega_transfers} MT/s"
+                );
+            }
+        }
+    }
 
     #[test]
     fn bandwidths_match_table2() {

@@ -334,18 +334,19 @@ impl Oracle {
     }
 
     /// Restores state saved by [`Oracle::ckpt_save`] into a shadow model of
-    /// the same geometry.
+    /// the same geometry, decoding in place.
     ///
     /// # Errors
     ///
     /// Returns an error on truncation, a slice whose length does not match
     /// the geometry, a shadow home beyond the device, or a page owner
-    /// beyond the logical space.
+    /// beyond the logical space. The model may then be partly restored and
+    /// must be discarded.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let logical = self.logical_pages as usize;
         let page_count = self.geometry.page_count();
-        let l2p = ckpt::take_u32_vec_exact(r, logical, "oracle l2p")?;
-        if let Some((l, &ppn)) = l2p
+        ckpt::take_u32_slice(r, &mut self.l2p, "oracle l2p")?;
+        if let Some((l, &ppn)) = self
+            .l2p
             .iter()
             .enumerate()
             .find(|&(_, &p)| p != UNMAPPED && p as u64 >= page_count)
@@ -354,9 +355,10 @@ impl Oracle {
                 "oracle shadow home ppn{ppn} of lpn{l} beyond device capacity {page_count}"
             )));
         }
-        let writes = ckpt::take_u64_vec_exact(r, logical, "oracle write counts")?;
-        let phys = ckpt::take_u32_vec_exact(r, page_count as usize, "oracle shadow pages")?;
-        if let Some((ppn, &owner)) = phys
+        ckpt::take_u64_slice(r, &mut self.writes, "oracle write counts")?;
+        ckpt::take_u32_slice(r, &mut self.phys, "oracle shadow pages")?;
+        if let Some((ppn, &owner)) = self
+            .phys
             .iter()
             .enumerate()
             .find(|&(_, &o)| o != UNMAPPED && o as u64 >= self.logical_pages)
@@ -366,16 +368,9 @@ impl Oracle {
                 self.logical_pages
             )));
         }
-        let last_erase_counts =
-            ckpt::take_u32_vec_exact(r, self.last_erase_counts.len(), "oracle erase snapshot")?;
-        let checks = r.take_u64()?;
-        let log = ViolationLog::ckpt_load(r)?;
-        self.l2p = l2p;
-        self.writes = writes;
-        self.phys = phys;
-        self.last_erase_counts = last_erase_counts;
-        self.checks = checks;
-        self.log = log;
+        ckpt::take_u32_slice(r, &mut self.last_erase_counts, "oracle erase snapshot")?;
+        self.checks = r.take_u64()?;
+        self.log = ViolationLog::ckpt_load(r)?;
         Ok(())
     }
 
@@ -568,32 +563,62 @@ mod tests {
         w.into_bytes()
     }
 
+    /// Decodes a saved oracle as four slices of the geometry's lengths —
+    /// L2P and write counts per logical page, owners per physical page,
+    /// erase counts per block — then the check count and violation log.
+    fn dense_slices(bytes: &[u8], g: &Geometry, logical: usize) -> (Vec<u32>, Vec<u64>, Vec<u32>) {
+        let mut r = CkptReader::new(bytes);
+        let (mut l2p, mut writes) = (vec![0; logical], vec![0; logical]);
+        let mut phys = vec![0; g.page_count() as usize];
+        let mut erases = vec![0; g.block_count() as usize];
+        ckpt::take_u32_slice(&mut r, &mut l2p, "l2p").unwrap();
+        ckpt::take_u64_slice(&mut r, &mut writes, "writes").unwrap();
+        ckpt::take_u32_slice(&mut r, &mut phys, "owners").unwrap();
+        ckpt::take_u32_slice(&mut r, &mut erases, "erases").unwrap();
+        r.take_u64().unwrap();
+        ViolationLog::ckpt_load(&mut r).unwrap();
+        r.finish().unwrap();
+        (l2p, writes, phys)
+    }
+
     #[test]
     fn checkpoint_is_dense_however_many_pages_are_mapped() {
         let (mut ftl, mut oracle) = tiny_pair();
         let g = *ftl.geometry();
         let logical = ftl.logical_pages() as usize;
-        let (pages, blocks) = (g.page_count() as usize, g.block_count() as usize);
+        let check = |oracle: &Oracle, what: &str| {
+            let bytes = saved(oracle);
+            let (l2p, writes, phys) = dense_slices(&bytes, &g, logical);
+            assert_eq!(
+                (l2p, writes, phys),
+                (
+                    oracle.l2p.clone(),
+                    oracle.writes.clone(),
+                    oracle.phys.clone()
+                ),
+                "{what}"
+            );
+            let mut back = Oracle::new(g, logical as u64);
+            back.ckpt_load(&mut CkptReader::new(&bytes)).unwrap();
+            assert_eq!(saved(&back), bytes, "{what}");
+            bytes.len()
+        };
+        // Nothing mapped: each slice is its length and one run (at most
+        // a first entry, a zero and a run length: 5 + 1 + 4 bytes).
         let mut log = CkptWriter::new();
         ViolationLog::new().ckpt_save(&mut log);
-        // Four slice lengths, the erase snapshot, the check count and an
-        // empty violation log.
-        let fixed = 4 * 8 + 4 * blocks + 8 + log.len();
-        let dense = 4 * logical + 8 * logical + 4 * pages + fixed;
-        assert_eq!(saved(&oracle).len(), dense, "nothing mapped");
+        let empty = check(&oracle, "nothing mapped");
+        assert!(empty <= 4 * (8 + 10) + 8 + log.len(), "{empty} bytes");
         for l in 0..logical as u64 / 2 {
             let out = ftl.write(Lpn::new(l)).unwrap();
             oracle.note_host_write(Lpn::new(l), out.ppn, SimTime::ZERO);
         }
-        assert_eq!(saved(&oracle).len(), dense, "half mapped");
+        let half = check(&oracle, "half mapped");
         let mut rng = DetRng::seed_from_u64(3);
         ftl.precondition(1.0, 0.5, &mut rng).unwrap();
         oracle.sync_from_ftl(&ftl);
-        let bytes = saved(&oracle);
-        assert_eq!(bytes.len(), dense, "all mapped");
-        let mut back = Oracle::new(g, logical as u64);
-        back.ckpt_load(&mut CkptReader::new(&bytes)).unwrap();
-        assert_eq!(saved(&back), bytes);
+        let all = check(&oracle, "all mapped");
+        assert!(empty < half && half < all, "{empty} {half} {all}");
     }
 
     #[test]
@@ -601,23 +626,24 @@ mod tests {
         let (mut ftl, mut oracle) = tiny_pair();
         let out = ftl.write(Lpn::new(0)).unwrap();
         oracle.note_host_write(Lpn::new(0), out.ppn, SimTime::ZERO);
-        let bytes = saved(&oracle);
-        let logical = ftl.logical_pages() as usize;
-        let pages = ftl.geometry().page_count() as u32;
-        // lpn0's shadow home opens the L2P slice; the owner slice follows
-        // the L2P and write-count slices.
-        let home = 8;
-        let owner = 8 + 4 * logical + 8 + 8 * logical + 8 + 4 * out.ppn.raw() as usize;
-        assert_eq!(bytes[home..home + 4], (out.ppn.raw() as u32).to_le_bytes());
-        assert_eq!(bytes[owner..owner + 4], 0u32.to_le_bytes());
-        for (at, value, message) in [
-            (home, pages, "beyond device capacity"),
-            (owner, logical as u32, "beyond logical space"),
+        let logical = ftl.logical_pages();
+        let pages = ftl.geometry().page_count();
+        let ppn = out.ppn.raw() as usize;
+        assert_eq!((oracle.l2p[0], oracle.phys[ppn]), (ppn as u32, 0));
+        // lpn0's shadow home, then ppn's owner, each pushed just out of
+        // range and saved through the codec.
+        let mut far_home = oracle.clone();
+        far_home.l2p[0] = pages as u32;
+        let mut far_owner = oracle.clone();
+        far_owner.phys[ppn] = logical as u32;
+        for (corrupt, message) in [
+            (far_home, "beyond device capacity"),
+            (far_owner, "beyond logical space"),
         ] {
-            let mut corrupt = bytes.clone();
-            corrupt[at..at + 4].copy_from_slice(&value.to_le_bytes());
-            let mut back = Oracle::new(*ftl.geometry(), logical as u64);
-            let err = back.ckpt_load(&mut CkptReader::new(&corrupt)).unwrap_err();
+            let mut back = Oracle::new(*ftl.geometry(), logical);
+            let err = back
+                .ckpt_load(&mut CkptReader::new(&saved(&corrupt)))
+                .unwrap_err();
             assert!(err.to_string().contains(message), "got {err}");
         }
     }

@@ -274,10 +274,9 @@ impl Reference {
     }
 
     fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        let logical = self.logical_pages as usize;
-        self.l2p = ckpt::take_u32_vec_exact(r, logical, "oracle l2p")?;
-        self.token = ckpt::take_u64_vec_exact(r, logical, "oracle tokens")?;
-        self.writes = ckpt::take_u64_vec_exact(r, logical, "oracle write counts")?;
+        ckpt::take_u32_slice(r, &mut self.l2p, "oracle l2p")?;
+        ckpt::take_u64_slice(r, &mut self.token, "oracle tokens")?;
+        ckpt::take_u64_slice(r, &mut self.writes, "oracle write counts")?;
         let n = r.take_count(24)?;
         self.phys = HashMap::with_capacity(n);
         for _ in 0..n {
@@ -286,8 +285,7 @@ impl Reference {
             let tok = r.take_u64()?;
             self.phys.insert(ppn, (lpn, tok));
         }
-        let blocks = self.last_erase_counts.len();
-        self.last_erase_counts = ckpt::take_u32_vec_exact(r, blocks, "oracle erase snapshot")?;
+        ckpt::take_u32_slice(r, &mut self.last_erase_counts, "oracle erase snapshot")?;
         self.write_seq = r.take_u64()?;
         self.checks = r.take_u64()?;
         self.log = ViolationLog::ckpt_load(r)?;

@@ -66,8 +66,8 @@ mod wheel;
 
 pub use check::{Violation, ViolationLog};
 pub use ckpt::{
-    put_u32_slice, put_u64_slice, take_u32_vec_exact, take_u64_vec, take_u64_vec_exact, CkptError,
-    CkptReader, CkptWriter,
+    put_u32_slice, put_u64_seq, put_u64_slice, take_u32_slice, take_u64_seq, take_u64_slice,
+    CkptError, CkptReader, CkptWriter,
 };
 pub use event::EventQueue;
 pub use pool::{env_count, jobs_from_env, scoped_map, Pool};

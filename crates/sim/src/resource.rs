@@ -186,8 +186,12 @@ impl BandwidthPipe {
 
     /// Serialization time for `bytes` at this pipe's bandwidth (rounded up).
     pub fn transfer_time(&self, bytes: u64) -> SimTime {
-        let ns = (bytes as u128 * 1_000_000_000u128).div_ceil(self.bytes_per_sec as u128);
-        SimTime::from_ns(ns as u64)
+        // In u64 unless the product overflows it.
+        let ns = match bytes.checked_mul(1_000_000_000) {
+            Some(n) => n.div_ceil(self.bytes_per_sec),
+            None => (bytes as u128 * 1_000_000_000).div_ceil(self.bytes_per_sec as u128) as u64,
+        };
+        SimTime::from_ns(ns)
     }
 
     /// Queues a transfer of `bytes` at `now` and returns its reservation.
@@ -224,6 +228,26 @@ impl BandwidthPipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn u64_transfer_math_matches_u128_across_the_overflow_edge() {
+        let edge = u64::MAX / 1_000_000_000;
+        let sizes = (0..2000)
+            .chain(edge - 3..=edge + 3)
+            .chain(u64::MAX - 2..=u64::MAX)
+            .chain((0..64).map(|k| 1u64 << k))
+            .chain((1..64).map(|k| (1u64 << k) - 1));
+        for bytes in sizes {
+            for rate in [1, 7, 1_000_000_000, 3_200_000_000, 16_000_000_000, u64::MAX] {
+                let wide = (bytes as u128 * 1_000_000_000).div_ceil(rate as u128) as u64;
+                assert_eq!(
+                    BandwidthPipe::new(rate).transfer_time(bytes),
+                    SimTime::from_ns(wide),
+                    "{bytes} B at {rate} B/s"
+                );
+            }
+        }
+    }
 
     #[test]
     fn idle_resource_starts_immediately() {

@@ -127,7 +127,7 @@ impl UtilizationRecorder {
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.put_time(self.window);
         w.put_usize(self.tags);
-        ckpt::put_u64_slice(w, &self.bins);
+        ckpt::put_u64_seq(w, &self.bins);
     }
 
     /// Restores bins saved by [`UtilizationRecorder::ckpt_save`] into a
@@ -149,7 +149,7 @@ impl UtilizationRecorder {
                 self.tags
             )));
         }
-        let bins = ckpt::take_u64_vec(r)?;
+        let bins = ckpt::take_u64_seq(r)?;
         if bins.len() % self.tags != 0 {
             return Err(CkptError::Invalid(format!(
                 "recorder bins ({}) not a multiple of tags ({})",

@@ -207,13 +207,15 @@ pub fn generate_trace(
     let mut seq_read_cursor = rng.gen_range(0..pages);
     let mut seq_write_cursor = rng.gen_range(0..pages);
     // Burst phases cycle on a fixed 2 ms period.
-    const BURST_PERIOD_NS: f64 = 2_000_000.0;
+    const BURST_PERIOD_NS: u64 = 2_000_000;
 
     for _ in 0..requests {
         // Arrival process: exponential gaps, modulated by the burst phase.
         let rate_mult = match spec.burst {
             Some((on_fraction, mult)) => {
-                let phase = (now as f64 % BURST_PERIOD_NS) / BURST_PERIOD_NS;
+                // The integer remainder equals `now as f64 % 2e6` while
+                // `now` (ns) is below 2^53, about 104 days.
+                let phase = (now % BURST_PERIOD_NS) as f64 / BURST_PERIOD_NS as f64;
                 if phase < on_fraction {
                     mult
                 } else {

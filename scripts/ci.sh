@@ -102,9 +102,10 @@ for end in ends:
     assert eol == '-' or float(eol) > 0, end
     for seg in rows:
         assert int(seg['checkpoint bytes']) > 0 and int(seg['completed']) > 0, seg
-        # A drained drive carries no requests: every checkpoint is smaller
-        # than one segment's list of 6,000 requests at 21 B each.
-        assert int(seg['checkpoint bytes']) < 6000 * 21, seg
+        # A drained drive carries no requests, and the delta codec writes
+        # the small device's maps, bitmap and bins in 21-25 kB, under the
+        # 37-45 kB those took at full width.
+        assert int(seg['checkpoint bytes']) < 32_000, seg
     # Segment 1's window holds exactly that segment, so its window tails
     # are the segment's own.
     first = next(s for s in rows if s['segment'] == '1')
