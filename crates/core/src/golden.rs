@@ -294,6 +294,43 @@ pub fn matrix() -> Vec<GoldenCase> {
             redundancy: Some(2),
         });
     }
+    // Rebuild × GC sweep: the same chip failure while garbage collection
+    // runs, so GC's and the rebuild's paced copies share the fabric — open
+    // loop under yielding GC on the conventional bus, closed loop under
+    // spatial GC on the split pnSSD, and the tenant mix under PaGC.
+    for (architecture, plan, seed, requests, drive) in [
+        (
+            Architecture::BaseSsd,
+            GcPlanSpec::preemptive(),
+            29,
+            120,
+            GoldenDrive::OpenLoop,
+        ),
+        (
+            Architecture::PnSsdSplit,
+            GcPlanSpec::spatial(),
+            29,
+            120,
+            GoldenDrive::ClosedLoop { depth: 8 },
+        ),
+        (
+            Architecture::BaseSsd,
+            GcPlanSpec::pagc(),
+            21,
+            60,
+            GoldenDrive::Tenants,
+        ),
+    ] {
+        cases.push(GoldenCase {
+            architecture,
+            plan: Some(plan),
+            workload: PaperWorkload::YcsbA,
+            seed,
+            requests,
+            drive,
+            redundancy: Some(2),
+        });
+    }
     cases
 }
 

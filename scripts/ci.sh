@@ -67,9 +67,16 @@ cargo test --release -q -p nssd-oracle --features heavy-tests
 
 echo "==> golden snapshot gate"
 # The golden_report suite re-runs the pinned matrix and compares byte-for-byte
-# against tests/golden/; the git check catches a bless that was never committed.
+# against tests/golden/; the git check catches a bless that was never committed,
+# a modified snapshot and a new, untracked one alike (`git diff` would miss the
+# latter).
 cargo test --release -q --test golden_report
-git diff --exit-code -- tests/golden
+golden_status=$(git status --porcelain -- tests/golden)
+if [ -n "$golden_status" ]; then
+    echo "uncommitted golden snapshots:" >&2
+    echo "$golden_status" >&2
+    exit 1
+fi
 
 echo "==> benchmark smoke test"
 # The benchmark package (outside the workspace) measures the simulator's

@@ -107,6 +107,29 @@ fn closed_loop_cases_collect_garbage() {
 }
 
 #[test]
+fn rebuild_cases_under_gc_collect_and_finish() {
+    // The rebuild × GC cases pin the instant where GC's and the rebuild's
+    // paced copies meet; they are only worth their bytes while both movers
+    // actually run, and the rebuild closes its degraded window.
+    let cases: Vec<_> = matrix()
+        .into_iter()
+        .filter(|c| c.redundancy.is_some() && c.plan.is_some())
+        .collect();
+    assert!(
+        cases.len() >= 3,
+        "rebuild × GC cases dropped from the matrix"
+    );
+    for case in cases {
+        let name = case.file_name();
+        let report = case.run().unwrap();
+        assert!(report.gc.events > 0, "{name}: no GC event");
+        let red = report.redundancy.expect("redundancy summary");
+        assert!(red.rebuild_pages > 0, "{name}: nothing rebuilt");
+        assert!(red.rebuild_time().is_some(), "{name}: rebuild unfinished");
+    }
+}
+
+#[test]
 fn golden_file_set_matches_matrix_exactly() {
     // No stale snapshots: every committed file corresponds to a live case
     // (renames and matrix edits must prune their leftovers).
