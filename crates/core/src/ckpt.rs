@@ -5,7 +5,7 @@
 //! | field        | bytes | contents                                        |
 //! |--------------|-------|-------------------------------------------------|
 //! | magic        | 8     | `b"NSSDCKPT"`                                   |
-//! | version      | 4     | format version, currently 9                     |
+//! | version      | 4     | format version, currently 10                    |
 //! | fingerprint  | 8     | checksum of the configuration's `Debug` text    |
 //! | payload\_len | 8     | length of the payload that follows              |
 //! | payload      | n     | [`SsdSim`] state (see `engine::ckpt`)           |
@@ -32,8 +32,10 @@
 //! reservation counters for any resource; version 9 writes every large
 //! array — page maps, the valid bitmap, recorder bins, the oracle's slices
 //! and the unissued requests, as columns — in `nssd-sim`'s delta codec
-//! (zigzag deltas in LEB128, runs of equal entries as one length). Older
-//! checkpoints are refused with a message naming their version.
+//! (zigzag deltas in LEB128, runs of equal entries as one length); version
+//! 10 writes GC and the parity rebuild through one copy-backlog codec (GC's
+//! packets no longer name their victim). Older checkpoints are refused with
+//! a message naming their version.
 
 use nssd_sim::{CkptReader, CkptWriter};
 
@@ -41,7 +43,7 @@ use crate::engine::SsdSim;
 use crate::SsdConfig;
 
 const MAGIC: &[u8; 8] = b"NSSDCKPT";
-const VERSION: u32 = 9;
+const VERSION: u32 = 10;
 /// Offset of the payload-length field: magic + version + fingerprint.
 const LEN_AT: usize = 8 + 4 + 8;
 /// Envelope bytes before the payload.

@@ -26,7 +26,9 @@ use nssd_host::IoOp;
 use nssd_sim::ckpt::{put_u32_slice, take_u32_slice};
 use nssd_sim::{CkptError, CkptReader, CkptWriter, DetRng, Histogram, SimTime};
 
-use super::{DriveState, EngineSummary, Event, PendingSpan, ReqState, SsdSim, TransState};
+use super::{
+    DriveState, EngineSummary, Event, Mover, MoverCopy, PendingSpan, ReqState, SsdSim, TransState,
+};
 
 /// Serialized floor of one record of each variable-length collection, for
 /// [`CkptReader::take_count`] allocation caps.
@@ -43,12 +45,9 @@ fn enc_event(w: &mut CkptWriter, ev: &Event) {
         | Event::XferHalfDone(i)
         | Event::PageDone(i)
         | Event::GcCopyReadDone(i)
-        | Event::GcCopyXferDone(i)
-        | Event::GcCopyProgDone(i)
-        | Event::GcEraseDone(i)
-        | Event::RebuildXferDone(i)
-        | Event::RebuildProgDone(i) => w.put_usize(i),
-        Event::Arrive | Event::GcPump | Event::ChipFail | Event::RebuildPump | Event::GcRetry => {}
+        | Event::GcEraseDone(i) => w.put_usize(i),
+        Event::CopyXferDone(mc) | Event::CopyProgDone(mc) => w.put_usize(mc.index()),
+        Event::Arrive | Event::Pump(_) | Event::ChipFail | Event::GcRetry => {}
     }
 }
 
@@ -58,9 +57,8 @@ fn enc_event(w: &mut CkptWriter, ev: &Event) {
 struct EventBounds {
     requests: usize,
     trans: usize,
-    gc_copies: usize,
+    copies: [usize; 2],
     gc_victims: usize,
-    rebuild_copies: usize,
     chip_failure: bool,
 }
 
@@ -75,6 +73,9 @@ fn dec_event(r: &mut CkptReader, b: EventBounds) -> Result<Event, CkptError> {
         }
         Ok(i)
     };
+    let copy = |r: &mut CkptReader, m: Mover| -> Result<MoverCopy, CkptError> {
+        Ok(MoverCopy::new(m, idx(r, b.copies[m as usize], m.name())?))
+    };
     Ok(match tag {
         0 => Event::Arrive,
         1 => Event::IssuePages(idx(r, b.requests, "request")?),
@@ -82,10 +83,10 @@ fn dec_event(r: &mut CkptReader, b: EventBounds) -> Result<Event, CkptError> {
         3 => Event::ArrayDone(idx(r, b.trans, "transaction")?),
         4 => Event::XferHalfDone(idx(r, b.trans, "transaction")?),
         5 => Event::PageDone(idx(r, b.trans, "transaction")?),
-        6 => Event::GcPump,
-        7 => Event::GcCopyReadDone(idx(r, b.gc_copies, "gc copy")?),
-        8 => Event::GcCopyXferDone(idx(r, b.gc_copies, "gc copy")?),
-        9 => Event::GcCopyProgDone(idx(r, b.gc_copies, "gc copy")?),
+        6 => Event::Pump(Mover::Gc),
+        7 => Event::GcCopyReadDone(copy(r, Mover::Gc)?.index()),
+        8 => Event::CopyXferDone(copy(r, Mover::Gc)?),
+        9 => Event::CopyProgDone(copy(r, Mover::Gc)?),
         10 => Event::GcEraseDone(idx(r, b.gc_victims, "gc victim")?),
         11 => {
             if !b.chip_failure {
@@ -95,9 +96,9 @@ fn dec_event(r: &mut CkptReader, b: EventBounds) -> Result<Event, CkptError> {
             }
             Event::ChipFail
         }
-        12 => Event::RebuildPump,
-        13 => Event::RebuildXferDone(idx(r, b.rebuild_copies, "rebuild copy")?),
-        14 => Event::RebuildProgDone(idx(r, b.rebuild_copies, "rebuild copy")?),
+        12 => Event::Pump(Mover::Rebuild),
+        13 => Event::CopyXferDone(copy(r, Mover::Rebuild)?),
+        14 => Event::CopyProgDone(copy(r, Mover::Rebuild)?),
         15 => Event::GcRetry,
         t => return Err(CkptError::Invalid(format!("unknown event tag {t}"))),
     })
@@ -483,17 +484,41 @@ impl SsdSim {
         let bounds = EventBounds {
             requests: requests.len(),
             trans: trans.len(),
-            gc_copies: self.gc.copy_count(),
+            copies: Mover::ALL.map(|m| self.backlog(m).copies.len()),
             gc_victims: self.gc.victim_count(),
-            rebuild_copies: self.rebuild.copy_count(),
             chip_failure: self.cfg.faults.chip_failure.is_some(),
         };
+        // Every copy a mover counts as outstanding is an event in the queue
+        // (GC's parked copies wait outside it), and every copy past its read
+        // has a destination: the copy tail relies on both.
+        let backlogs = [&self.gc.backlog, &self.rebuild.backlog];
+        let mut in_flight = [self.gc.parked.len(), 0];
         let mut tokens = 0;
         self.queue.ckpt_load(r, |r| {
             let ev = dec_event(r, bounds)?;
-            tokens += usize::from(matches!(ev, Event::Arrive));
+            match ev {
+                Event::Arrive => tokens += 1,
+                Event::GcCopyReadDone(_) => in_flight[Mover::Gc as usize] += 1,
+                Event::CopyXferDone(mc) | Event::CopyProgDone(mc) => {
+                    let (m, c) = (mc.mover(), mc.index());
+                    in_flight[m as usize] += 1;
+                    if backlogs[m as usize].copies[c].dst.is_none() {
+                        return Err(CkptError::Invalid(format!(
+                            "{} {c} is past its read with no destination",
+                            m.name()
+                        )));
+                    }
+                }
+                _ => {}
+            }
             Ok(ev)
         })?;
+        let outstanding = backlogs.map(|b| b.outstanding);
+        if outstanding != in_flight {
+            return Err(CkptError::Invalid(format!(
+                "gc and rebuild count {outstanding:?} copies outstanding, but {in_flight:?} are in flight"
+            )));
+        }
         self.drive.restore_tokens(tokens)?;
 
         self.event_counts = event_counts;
@@ -506,5 +531,63 @@ impl SsdSim {
         self.end_of_life = end_of_life;
         self.inflight_io = inflight_io;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Mover;
+    use crate::golden::matrix;
+    use crate::{Checkpoint, SsdConfig, SsdSim};
+
+    /// The first matrix case that runs mover `m`, stepped until one of its
+    /// copies is past the read (the rebuild's are from launch on).
+    fn copy_in_flight(m: Mover) -> (SsdConfig, SsdSim) {
+        let case = matrix()
+            .into_iter()
+            .find(|c| match m {
+                Mover::Gc => c.plan.is_some(),
+                Mover::Rebuild => c.redundancy.is_some(),
+            })
+            .expect("the matrix runs both movers");
+        let (mut sim, drive) = case.prepare().unwrap();
+        sim.start(drive);
+        while !sim.backlog(m).copies.iter().any(|p| p.dst.is_some())
+            || sim.backlog(m).outstanding == 0
+        {
+            assert!(
+                sim.step(),
+                "drained before a {} copy was in flight",
+                m.name()
+            );
+        }
+        (case.config(), sim)
+    }
+
+    /// A checkpoint whose in-flight accounting disagrees with its queue would
+    /// underflow `outstanding` or find no destination mid-copy once resumed;
+    /// it is refused with a message instead.
+    #[test]
+    fn inconsistent_in_flight_accounting_is_refused() {
+        for m in Mover::ALL {
+            let (cfg, mut sim) = copy_in_flight(m);
+            let resume = |sim: &SsdSim| Checkpoint::resume(cfg, &Checkpoint::save(sim));
+            assert!(
+                resume(&sim).is_ok(),
+                "{}: consistent state refused",
+                m.name()
+            );
+
+            sim.backlog_mut(m).outstanding -= 1;
+            let err = resume(&sim).expect_err("outstanding below the copies in flight");
+            assert!(err.contains("copies outstanding"), "{}: {err}", m.name());
+            sim.backlog_mut(m).outstanding += 1;
+
+            for p in &mut sim.backlog_mut(m).copies {
+                p.dst = None;
+            }
+            let err = resume(&sim).expect_err("a copy past its read without a destination");
+            assert!(err.contains("no destination"), "{}: {err}", m.name());
+        }
     }
 }

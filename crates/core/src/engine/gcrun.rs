@@ -17,7 +17,8 @@
 //!   [`SpatialGroups`] rotation and the GC-group mask of the running
 //!   event; the relocation stream comes from [`Ftl::gc_stream`];
 //! * **preemption** — run-to-completion chains copies per victim, yielding
-//!   launches a small batch into foreground-idle gaps.
+//!   launches them through the paced [`super::mover`], GC's batch into
+//!   foreground-idle gaps.
 //!
 //! The fabric decides how bytes move.
 //!
@@ -25,45 +26,30 @@
 //! [`Ftl::critically_low`]: nssd_ftl::Ftl::critically_low
 //! [`Ftl::gc_stream`]: nssd_ftl::Ftl::gc_stream
 
-use nssd_flash::{Geometry, Pbn, Ppn};
+use nssd_flash::{Geometry, Pbn};
 use nssd_ftl::{
-    select_victims, BlockState, GcConfig, GcPlanSpec, Lpn, OutOfSpace, PlacementSpec,
-    PreemptionSpec, SpatialGroups, WayMask,
+    select_victims, BlockState, GcConfig, GcPlanSpec, OutOfSpace, PlacementSpec, PreemptionSpec,
+    SpatialGroups, WayMask,
 };
 use nssd_sim::{CkptError, CkptReader, CkptWriter, SimTime};
 
+use super::mover::{CopyBacklog, CopyPacket, Mover, MoverCopy};
 use super::{Event, SsdSim};
 use crate::Traffic;
-
-/// Copies a yielding plan keeps in flight at most.
-const YIELD_BATCH: usize = 4;
-/// Re-poll interval while foreground traffic blocks a yielding plan's next
-/// copy.
-const YIELD_POLL: SimTime = SimTime::from_us(20);
-
-/// One schedulable unit of GC work: relocate `lpn` away from `src`. The
-/// destination is bound mid-flight, once the copy's read completes.
-#[derive(Debug)]
-struct CopyPacket {
-    victim: usize,
-    lpn: Lpn,
-    src: Ppn,
-    dst: Option<Ppn>,
-}
 
 #[derive(Debug)]
 struct VictimState {
     pbn: Pbn,
     copies_left: u32,
-    /// This victim's slice of the global packet backlog.
-    range_start: usize,
+    /// The victim's next packet for a run-to-completion chain, and the end
+    /// of its slice of the backlog. The victims' slices tile the backlog in
+    /// order, so a packet's victim is the block it is copied from.
+    next: usize,
     range_end: usize,
-    /// Packets of this victim already handed to `launch_copy`.
-    launched: usize,
 }
 
 /// Runtime state of the garbage collector.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct GcRuntime {
     /// The plan being run, or `None` when GC is disabled.
     spec: Option<GcPlanSpec>,
@@ -75,21 +61,19 @@ pub(crate) struct GcRuntime {
     confinement: Option<WayMask>,
     active: bool,
     started_at: SimTime,
-    copies: Vec<CopyPacket>,
-    next_copy: usize,
-    outstanding: usize,
+    /// Every live page of the event's victims, victim by victim. GC binds
+    /// each destination mid-flight, once the copy's read completes.
+    pub(crate) backlog: CopyBacklog,
     victims: Vec<VictimState>,
     victims_left: usize,
     /// Do not re-trigger before this time after a starved (victimless)
     /// trigger.
     starved_until: SimTime,
-    /// Whether a poll-for-gap pump is already queued (dedup).
-    pump_scheduled: bool,
     /// Whether a `GcRetry` is queued for `starved_until` (dedup).
     retry_scheduled: bool,
     /// Copies whose read finished but which found no free page anywhere,
     /// oldest first; they resume when an erase frees space.
-    parked: Vec<usize>,
+    pub(crate) parked: Vec<usize>,
     pub(crate) events_completed: u64,
     pub(crate) total_time: SimTime,
     pub(crate) pages_copied: u64,
@@ -110,23 +94,7 @@ impl GcRuntime {
         GcRuntime {
             spec,
             groups,
-            confinement: None,
-            active: false,
-            started_at: SimTime::ZERO,
-            copies: Vec::new(),
-            next_copy: 0,
-            outstanding: 0,
-            victims: Vec::new(),
-            victims_left: 0,
-            starved_until: SimTime::ZERO,
-            pump_scheduled: false,
-            retry_scheduled: false,
-            parked: Vec::new(),
-            events_completed: 0,
-            total_time: SimTime::ZERO,
-            pages_copied: 0,
-            blocks_erased: 0,
-            dest_fallbacks: 0,
+            ..GcRuntime::default()
         }
     }
 
@@ -140,12 +108,6 @@ impl GcRuntime {
         self.spec
     }
 
-    /// Copies tracked by the current (or last) GC event, for checkpoint
-    /// event-index validation.
-    pub(crate) fn copy_count(&self) -> usize {
-        self.copies.len()
-    }
-
     /// Victims tracked by the current (or last) GC event.
     pub(crate) fn victim_count(&self) -> usize {
         self.victims.len()
@@ -157,9 +119,15 @@ impl GcRuntime {
             .is_some_and(|s| s.preemption == PreemptionSpec::YieldToIo)
     }
 
-    /// Whether a pump event would make progress (paced launching).
-    pub(crate) fn wants_pump(&self) -> bool {
-        self.active && self.yields() && self.next_copy < self.copies.len()
+    /// Whether an event is running under a yielding plan, its copies
+    /// launched by the paced mover.
+    pub(crate) fn paced(&self) -> bool {
+        self.active && self.yields()
+    }
+
+    /// The victim copy `c` relocates from: the one whose slice holds it.
+    fn victim_of(&self, c: usize) -> usize {
+        self.victims.partition_point(|v| v.range_end <= c)
     }
 }
 
@@ -191,9 +159,7 @@ impl SsdSim {
     /// rebuild retiring dead-chip blocks changes which victims that finds.
     pub(crate) fn await_space(&mut self) -> bool {
         self.maybe_start_gc();
-        if self.gc.wants_pump() {
-            self.queue.schedule(self.now, Event::GcPump);
-        }
+        self.pump_if_wanted(Mover::Gc);
         if self.gc.active {
             return !self.gc_stuck();
         }
@@ -237,32 +203,22 @@ impl SsdSim {
         }
         self.gc.active = true;
         self.gc.started_at = self.now;
-        self.gc.copies.clear();
+        self.gc.backlog.reset();
         self.gc.victims.clear();
-        self.gc.next_copy = 0;
-        self.gc.outstanding = 0;
 
         // Expand the victims into the packet backlog, streaming each
         // block's live pages straight into the reusable `copies` buffer.
         for pbn in victims {
-            let victim_idx = self.gc.victims.len();
-            let range_start = self.gc.copies.len();
-            let copies = &mut self.gc.copies;
-            self.ftl.for_each_live_page(pbn, |lpn, src| {
-                copies.push(CopyPacket {
-                    victim: victim_idx,
-                    lpn,
-                    src,
-                    dst: None,
-                });
-            });
-            let range_end = self.gc.copies.len();
+            let range_start = self.gc.backlog.copies.len();
+            let copies = &mut self.gc.backlog.copies;
+            self.ftl
+                .for_each_live_page(pbn, |lpn, src| copies.push(CopyPacket::new(lpn, src)));
+            let range_end = self.gc.backlog.copies.len();
             self.gc.victims.push(VictimState {
                 pbn,
                 copies_left: (range_end - range_start) as u32,
-                range_start,
+                next: range_start,
                 range_end,
-                launched: 0,
             });
         }
         self.gc.victims_left = self.gc.victims.len();
@@ -313,80 +269,35 @@ impl SsdSim {
                     self.advance_victim(v);
                 }
             }
-            PreemptionSpec::YieldToIo => self.gc_pump(),
+            PreemptionSpec::YieldToIo => self.pump(Mover::Gc),
         }
     }
 
-    /// Hands the next queued packet of `victim` to `launch_copy`, if any.
+    /// Hands the next queued packet of `victim` to `launch_gc_copy`, if any.
     fn advance_victim(&mut self, victim: usize) {
         let v = &mut self.gc.victims[victim];
-        let next = v.range_start + v.launched;
+        let next = v.next;
         if next < v.range_end {
-            v.launched += 1;
-            self.launch_copy(next);
+            v.next += 1;
+            self.launch_gc_copy(next);
         }
-    }
-
-    /// Paced dispatch (Lee et al., ISPASS'11): once triggered, GC makes
-    /// progress in the *gaps* — a packet launches only when its source
-    /// channel is idle right now, so foreground I/O keeps bus priority at
-    /// page-copy granularity. When free space is critically low the yield
-    /// is suspended and GC proceeds unconditionally.
-    pub(crate) fn gc_pump(&mut self) {
-        self.gc.pump_scheduled = false;
-        if !(self.gc.active && self.gc.yields()) {
-            // A pump can also race a finished event; re-check the trigger.
-            self.maybe_start_gc();
-            return;
-        }
-        let forced = self.ftl.critically_low();
-        while self.gc.next_copy < self.gc.copies.len() && self.gc.outstanding < YIELD_BATCH {
-            let c = self.gc.next_copy;
-            if forced || self.gc_source_idle(c) {
-                self.gc.next_copy += 1;
-                self.launch_copy(c);
-            } else {
-                // Busy right now: poll for the next gap.
-                if !self.gc.pump_scheduled {
-                    self.gc.pump_scheduled = true;
-                    self.queue
-                        .schedule_after(self.now, YIELD_POLL, Event::GcPump);
-                }
-                break;
-            }
-        }
-    }
-
-    /// Whether the resources a packet's *source read* needs are free right
-    /// now (the preemption check): the source plane, plus whatever channel
-    /// the fabric would route the readout over.
-    fn gc_source_idle(&mut self, c: usize) -> bool {
-        let src = self.gc.copies[c].src;
-        let addr = self.cfg.geometry.page_addr(src);
-        let chip = self.cfg.geometry.chip_index(addr.channel, addr.way);
-        if !self.chips[chip].plane_idle_at(addr.die, addr.plane, self.now) {
-            return false;
-        }
-        let use_v = self.gc_uses_v_channel();
-        let now = self.now;
-        let (fabric, ctx) = self.fabric_parts();
-        fabric.source_idle(&ctx, addr, use_v, now)
     }
 
     /// Whether GC command/readout traffic rides the v-channels on the
     /// *source* side (spatial placement, on a topology that offers them).
-    fn gc_uses_v_channel(&self) -> bool {
+    pub(crate) fn gc_uses_v_channel(&self) -> bool {
         self.gc.groups.is_some() && self.fabric.gc_can_use_v()
     }
 
-    fn launch_copy(&mut self, c: usize) {
-        let (lpn, src) = (self.gc.copies[c].lpn, self.gc.copies[c].src);
-        self.gc.outstanding += 1;
+    /// GC's source: the copy's command and read of its source page.
+    pub(crate) fn launch_gc_copy(&mut self, c: usize) {
+        let CopyPacket { lpn, src, .. } = self.gc.backlog.copies[c];
+        self.gc.backlog.outstanding += 1;
         if self.ftl.lookup(lpn) != Some(src) || self.ftl.is_degraded_page(src) {
             // The host overwrote the page after victim selection, or its
             // chip fail-stopped since: the rebuild, not GC, re-places the
             // dead chip's pages.
-            self.copy_finished(c);
+            self.copy_finished(Mover::Gc, c);
             return;
         }
         let addr = self.cfg.geometry.page_addr(src);
@@ -432,7 +343,7 @@ impl SsdSim {
     /// freed): allocate its destination and start the transfer, or park the
     /// copy until an erase frees space.
     pub(crate) fn gc_copy_read_done(&mut self, c: usize) {
-        let (lpn, src) = (self.gc.copies[c].lpn, self.gc.copies[c].src);
+        let CopyPacket { lpn, src, .. } = self.gc.backlog.copies[c];
         let src_addr = self.cfg.geometry.page_addr(src);
         // Allocate the destination now, with graceful mask widening.
         let primary = self.gc_dest_mask(src_addr.way);
@@ -456,7 +367,7 @@ impl SsdSim {
                 }
                 Ok(None) => {
                     // Host overwrote the page mid-copy; nothing to move.
-                    self.copy_finished(c);
+                    self.copy_finished(Mover::Gc, c);
                     return;
                 }
                 Err(OutOfSpace) => continue,
@@ -467,13 +378,11 @@ impl SsdSim {
             // yielding plan launches its next copies meanwhile (one may find
             // its page overwritten and finish a victim).
             self.gc.parked.push(c);
-            if self.gc.wants_pump() {
-                self.queue.schedule(self.now, Event::GcPump);
-            }
+            self.pump_if_wanted(Mover::Gc);
             self.end_life_if_gc_stuck();
             return;
         };
-        self.gc.copies[c].dst = Some(rel.dst);
+        self.gc.backlog.copies[c].dst = Some(rel.dst);
         if let Some(oracle) = self.oracle.as_mut() {
             // The mapping commits at relocate_to() above, so the shadow map
             // must move now — not at program completion — to stay lockstep
@@ -488,28 +397,14 @@ impl SsdSim {
         let now = self.now;
         let (fabric, mut ctx) = self.fabric_parts();
         let xfer_end = fabric.reserve_f2f_copy(&mut ctx, src_addr, dst_addr, page, ecc, now, tag);
-        self.queue.schedule(xfer_end, Event::GcCopyXferDone(c));
+        self.queue
+            .schedule(xfer_end, Event::CopyXferDone(MoverCopy::new(Mover::Gc, c)));
     }
 
-    pub(crate) fn gc_copy_xfer_done(&mut self, c: usize) {
-        let dst = self.gc.copies[c].dst.expect("destination allocated");
-        let addr = self.cfg.geometry.page_addr(dst);
-        let chip = self.chip_index(addr);
-        let prog = self.chips[chip].reserve_program(addr.die, addr.plane, self.now);
-        self.queue.schedule(prog.end, Event::GcCopyProgDone(c));
-    }
-
-    pub(crate) fn gc_copy_prog_done(&mut self, c: usize) {
-        let dst = self.gc.copies[c].dst.expect("destination allocated");
-        let pbn = self.cfg.geometry.pbn_of(dst);
-        self.note_programmed(pbn, self.now);
-        self.gc.pages_copied += 1;
-        self.copy_finished(c);
-    }
-
-    fn copy_finished(&mut self, c: usize) {
-        self.gc.outstanding -= 1;
-        let victim = self.gc.copies[c].victim;
+    /// GC's completion: a victim whose last copy is done is erased; a
+    /// run-to-completion victim chains its next copy.
+    pub(crate) fn gc_copy_finished(&mut self, c: usize) {
+        let victim = self.gc.victim_of(c);
         let v = &mut self.gc.victims[victim];
         debug_assert!(v.copies_left > 0);
         v.copies_left -= 1;
@@ -518,9 +413,7 @@ impl SsdSim {
         } else if !self.gc.yields() {
             self.advance_victim(victim);
         }
-        if self.gc.wants_pump() {
-            self.queue.schedule(self.now, Event::GcPump);
-        }
+        self.pump_if_wanted(Mover::Gc);
         self.end_life_if_gc_stuck();
     }
 
@@ -560,12 +453,12 @@ impl SsdSim {
     /// waits for a free page, no victim erase is pending, and no further
     /// copy can launch. Only an erase would free a page for them.
     fn gc_stuck(&self) -> bool {
-        let gc = &self.gc;
+        let (gc, b) = (&self.gc, &self.gc.backlog);
         // Victims with no copy left are erased or erasing; the erased ones
         // no longer count in `victims_left`.
         gc.active
-            && gc.parked.len() == gc.outstanding
-            && (!gc.yields() || gc.outstanding >= YIELD_BATCH || gc.next_copy == gc.copies.len())
+            && gc.parked.len() == b.outstanding
+            && (!gc.yields() || b.outstanding >= Mover::Gc.batch() || b.next_copy == b.copies.len())
             && gc.victims.iter().filter(|v| v.copies_left == 0).count()
                 == gc.victims.len() - gc.victims_left
     }
@@ -629,9 +522,8 @@ impl SsdSim {
 }
 
 impl GcRuntime {
-    /// Serialized floor of one copy / one victim record, for count caps.
-    const COPY_MIN_BYTES: usize = 8 + 8 + 8 + 1;
-    const VICTIM_MIN_BYTES: usize = 8 + 4 + 8 + 8 + 8;
+    /// Serialized floor of one victim record, for count caps.
+    const VICTIM_MIN_BYTES: usize = 8 + 4 + 8 + 8;
 
     /// Serializes the collector's runtime state, including spatial
     /// placement's (group rotation, then the GC-group mask of the running
@@ -640,22 +532,13 @@ impl GcRuntime {
     pub(crate) fn ckpt_save(&self, w: &mut CkptWriter) {
         w.put_bool(self.active);
         w.put_time(self.started_at);
-        w.put_usize(self.copies.len());
-        for c in &self.copies {
-            w.put_usize(c.victim);
-            w.put_u64(c.lpn.raw());
-            w.put_u64(c.src.raw());
-            w.put_opt_u64(c.dst.map(Ppn::raw));
-        }
-        w.put_usize(self.next_copy);
-        w.put_usize(self.outstanding);
+        self.backlog.ckpt_save(w);
         w.put_usize(self.victims.len());
         for v in &self.victims {
             w.put_u64(v.pbn.raw());
             w.put_u32(v.copies_left);
-            w.put_usize(v.range_start);
+            w.put_usize(v.next);
             w.put_usize(v.range_end);
-            w.put_usize(v.launched);
         }
         w.put_usize(self.victims_left);
         if let Some(groups) = &self.groups {
@@ -663,7 +546,6 @@ impl GcRuntime {
             w.put_opt_u64(self.confinement.map(|m| m.bits()));
         }
         w.put_time(self.starved_until);
-        w.put_bool(self.pump_scheduled);
         w.put_bool(self.retry_scheduled);
         w.put_usize(self.parked.len());
         for &c in &self.parked {
@@ -689,74 +571,41 @@ impl GcRuntime {
         g: &Geometry,
         logical_pages: u64,
     ) -> Result<(), CkptError> {
-        let (page_count, block_count) = (g.page_count(), g.block_count());
         let active = r.take_bool()?;
         let started_at = r.take_time()?;
-        let copy_count = r.take_count(Self::COPY_MIN_BYTES)?;
-        let mut copies = Vec::with_capacity(copy_count);
-        for _ in 0..copy_count {
-            let victim = r.take_usize()?;
-            let lpn = r.take_u64()?;
-            if lpn >= logical_pages {
-                return Err(CkptError::Invalid(format!(
-                    "gc copy lpn {lpn} out of range"
-                )));
-            }
-            let src = r.take_u64()?;
-            if src >= page_count {
-                return Err(CkptError::Invalid(format!(
-                    "gc copy src {src} out of range"
-                )));
-            }
-            let dst = r.take_opt_u64()?;
-            if let Some(d) = dst.filter(|&d| d >= page_count) {
-                return Err(CkptError::Invalid(format!("gc copy dst {d} out of range")));
-            }
-            copies.push(CopyPacket {
-                victim,
-                lpn: Lpn::new(lpn),
-                src: Ppn::new(src),
-                dst: dst.map(Ppn::new),
-            });
-        }
-        let next_copy = r.take_usize()?;
-        let outstanding = r.take_usize()?;
-        if next_copy > copies.len() || outstanding > copies.len() {
-            return Err(CkptError::Invalid(
-                "gc copy cursor exceeds the copy list".into(),
-            ));
-        }
+        let backlog = CopyBacklog::ckpt_load(r, Mover::Gc, g.page_count(), logical_pages)?;
+        let copies = backlog.copies.len();
         let victim_count = r.take_count(Self::VICTIM_MIN_BYTES)?;
         let mut victims = Vec::with_capacity(victim_count);
         for _ in 0..victim_count {
             let pbn = r.take_u64()?;
-            if pbn >= block_count {
+            if pbn >= g.block_count() {
                 return Err(CkptError::Invalid(format!(
                     "gc victim pbn {pbn} out of range"
                 )));
             }
             let copies_left = r.take_u32()?;
-            let range_start = r.take_usize()?;
+            let next = r.take_usize()?;
             let range_end = r.take_usize()?;
-            let launched = r.take_usize()?;
-            if range_start > range_end
-                || range_end > copies.len()
-                || launched > range_end - range_start
-                || copies_left as usize > range_end - range_start
+            // The victims' slices tile the backlog in order.
+            let start = victims.last().map_or(0, |v: &VictimState| v.range_end);
+            if next < start
+                || next > range_end
+                || range_end > copies
+                || copies_left as usize > range_end - start
             {
                 return Err(CkptError::Invalid("gc victim range inconsistent".into()));
             }
             victims.push(VictimState {
                 pbn: Pbn::new(pbn),
                 copies_left,
-                range_start,
+                next,
                 range_end,
-                launched,
             });
         }
-        if copies.iter().any(|c| c.victim >= victims.len()) {
+        if victims.last().map_or(0, |v| v.range_end) != copies {
             return Err(CkptError::Invalid(
-                "gc copy references a victim out of range".into(),
+                "gc victim ranges do not cover the copy list".into(),
             ));
         }
         let victims_left = r.take_usize()?;
@@ -773,13 +622,12 @@ impl GcRuntime {
             };
         }
         let starved_until = r.take_time()?;
-        let pump_scheduled = r.take_bool()?;
         let retry_scheduled = r.take_bool()?;
         let n = r.take_count(8)?;
         let mut parked = Vec::with_capacity(n);
         for _ in 0..n {
             let c = r.take_usize()?;
-            if c >= copies.len() {
+            if c >= copies {
                 return Err(CkptError::Invalid(format!(
                     "parked gc copy {c} out of range"
                 )));
@@ -788,13 +636,10 @@ impl GcRuntime {
         }
         self.active = active;
         self.started_at = started_at;
-        self.copies = copies;
-        self.next_copy = next_copy;
-        self.outstanding = outstanding;
+        self.backlog = backlog;
         self.victims = victims;
         self.victims_left = victims_left;
         self.starved_until = starved_until;
-        self.pump_scheduled = pump_scheduled;
         self.retry_scheduled = retry_scheduled;
         self.parked = parked;
         self.events_completed = r.take_u64()?;

@@ -17,7 +17,7 @@ use nssd_ftl::{FtlError, Lpn, Relocation};
 use nssd_host::{IoOp, IoRequest};
 use nssd_sim::SimTime;
 
-use super::{Event, PendingSpan, ReqState, SsdSim, SurvivorRead, TransState};
+use super::{Event, Mover, PendingSpan, ReqState, SsdSim, SurvivorRead, TransState};
 use crate::Traffic;
 
 /// One functional GC action captured during an instant (untimed)
@@ -419,12 +419,9 @@ impl SsdSim {
             // so nothing references the request slot any more.
             self.req_free.push(req_id);
             self.drive_completed(tenant, op, served);
-            // Preemptive GC (and rebuild) wait for I/O quiescence.
-            if self.gc.wants_pump() {
-                self.queue.schedule(self.now, Event::GcPump);
-            }
-            if self.rebuild.wants_pump() {
-                self.queue.schedule(self.now, Event::RebuildPump);
+            // Preemptive GC and the rebuild wait for I/O quiescence.
+            for m in Mover::ALL {
+                self.pump_if_wanted(m);
             }
         }
     }

@@ -11,6 +11,7 @@ mod drive;
 mod fabric;
 mod gcrun;
 mod iopath;
+mod mover;
 mod rebuild;
 mod stall;
 
@@ -32,6 +33,7 @@ use crate::{
 use drive::DriveState;
 pub(crate) use fabric::{FabricBackend, FabricCtx, GcEcc, SurvivorRead};
 pub(crate) use gcrun::GcRuntime;
+use mover::{Mover, MoverCopy};
 pub(crate) use rebuild::RebuildRuntime;
 
 /// Events driving the simulation.
@@ -52,27 +54,22 @@ enum Event {
     XferHalfDone(usize),
     /// A page transaction fully completed (including host DMA for reads).
     PageDone(usize),
-    /// Advance garbage-collection work (preemptive pacing / start checks).
-    GcPump,
+    /// Advance a background mover's paced launching (GC also re-checks its
+    /// trigger).
+    Pump(Mover),
     /// Retry a starved GC trigger at `starved_until` on behalf of the
     /// writes waiting for space (one per starved period, not one per write).
     GcRetry,
     /// GC copy: source page read into the page register.
     GcCopyReadDone(usize),
-    /// GC copy: data arrived at the destination chip / controller buffer.
-    GcCopyXferDone(usize),
-    /// GC copy: destination program finished.
-    GcCopyProgDone(usize),
+    /// Mover copy: data arrived at the destination chip.
+    CopyXferDone(MoverCopy),
+    /// Mover copy: destination program finished.
+    CopyProgDone(MoverCopy),
     /// GC: victim block erase finished.
     GcEraseDone(usize),
     /// The configured whole-chip failure fires.
     ChipFail,
-    /// Advance the background rebuild (pacing / start checks).
-    RebuildPump,
-    /// Rebuild copy: reconstructed data arrived at the destination chip.
-    RebuildXferDone(usize),
-    /// Rebuild copy: destination program finished.
-    RebuildProgDone(usize),
 }
 
 /// [`EngineSummary::events_by_kind`] slot of arrivals issued from the
@@ -91,15 +88,15 @@ impl Event {
             Event::ArrayDone(_) => 3,
             Event::XferHalfDone(_) => 4,
             Event::PageDone(_) => 5,
-            Event::GcPump => 6,
+            Event::Pump(Mover::Gc) => 6,
             Event::GcCopyReadDone(_) => 7,
-            Event::GcCopyXferDone(_) => 8,
-            Event::GcCopyProgDone(_) => 9,
+            Event::CopyXferDone(mc) if mc.mover() == Mover::Gc => 8,
+            Event::CopyProgDone(mc) if mc.mover() == Mover::Gc => 9,
             Event::GcEraseDone(_) => 10,
             Event::ChipFail => 11,
-            Event::RebuildPump => 12,
-            Event::RebuildXferDone(_) => 13,
-            Event::RebuildProgDone(_) => 14,
+            Event::Pump(Mover::Rebuild) => 12,
+            Event::CopyXferDone(_) => 13,
+            Event::CopyProgDone(_) => 14,
             Event::GcRetry => 15,
         }
     }
@@ -375,7 +372,7 @@ impl SsdSim {
             end_of_life: None,
             inflight_io: 0,
             gc,
-            rebuild: RebuildRuntime::new(),
+            rebuild: RebuildRuntime::default(),
             parity_pending: if cfg.redundancy.enabled {
                 vec![0; cfg.redundancy.group_count(&g) as usize]
             } else {
@@ -687,16 +684,13 @@ impl SsdSim {
             Event::ArrayDone(t) => self.on_array_done(t),
             Event::XferHalfDone(t) => self.on_xfer_half_done(t),
             Event::PageDone(t) => self.on_page_done(t),
-            Event::GcPump => self.gc_pump(),
+            Event::Pump(m) => self.pump(m),
             Event::GcRetry => self.gc_retry(),
             Event::GcCopyReadDone(c) => self.gc_copy_read_done(c),
-            Event::GcCopyXferDone(c) => self.gc_copy_xfer_done(c),
-            Event::GcCopyProgDone(c) => self.gc_copy_prog_done(c),
+            Event::CopyXferDone(mc) => self.copy_xfer_done(mc.mover(), mc.index()),
+            Event::CopyProgDone(mc) => self.copy_prog_done(mc.mover(), mc.index()),
             Event::GcEraseDone(v) => self.gc_erase_done(v),
             Event::ChipFail => self.on_chip_fail(),
-            Event::RebuildPump => self.rebuild_pump(),
-            Event::RebuildXferDone(c) => self.rebuild_xfer_done(c),
-            Event::RebuildProgDone(c) => self.rebuild_prog_done(c),
         }
     }
 
@@ -943,7 +937,7 @@ impl SsdSim {
             redundancy: self.cfg.redundancy.enabled.then(|| RedundancySummary {
                 stripe_width: self.cfg.redundancy.stripe_width,
                 degraded: LatencySummary::from_histogram(&self.degraded_lat),
-                rebuild_pages: self.rebuild.pages_rebuilt,
+                rebuild_pages: self.faults.stats().rebuild_pages,
                 rebuild_started: self.rebuild.started_at,
                 rebuild_completed: self.rebuild.finished_at,
             }),
