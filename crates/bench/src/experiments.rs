@@ -167,7 +167,11 @@ pub fn table2_parameters() -> Experiment {
         (
             "flash bus",
             "1000 MT/s × 8 bits".into(),
-            format!("{} MT/s × {} bits", ours.channel_mts, ours.base_width_bits),
+            format!(
+                "{} MT/s × {} bits",
+                SsdConfig::CHANNEL_MTS,
+                ours.base_width_bits
+            ),
         ),
         (
             "pSSD bus",

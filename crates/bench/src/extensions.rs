@@ -2,7 +2,7 @@
 //! motivation arguments: interconnect energy, hybrid ECC, and the Fig 9(b)
 //! channel-sliced strawman.
 
-use nssd_core::{run, Aging, Architecture, EccConfig, SsdConfig};
+use nssd_core::{run, Aging, Architecture, EccMode, SsdConfig};
 use nssd_ftl::GcPlanSpec;
 use nssd_workloads::PaperWorkload;
 
@@ -72,11 +72,7 @@ pub fn ext_hybrid_ecc() -> Experiment {
         "gc mean event".to_string(),
         "h-channel GC busy".to_string(),
     ]);
-    let modes = [
-        EccConfig::ideal(),
-        EccConfig::hybrid(),
-        EccConfig::controller_strict(),
-    ];
+    let modes = [EccMode::Ideal, EccMode::Hybrid, EccMode::ControllerStrict];
     let jobs: Vec<_> = modes
         .iter()
         .map(|&ecc| {
@@ -96,7 +92,7 @@ pub fn ext_hybrid_ecc() -> Experiment {
     for (ecc, r) in modes.iter().zip(nssd_sim::scoped_map(jobs).iter()) {
         let h_gc_busy: f64 = r.channel_util.gc.iter().flatten().sum();
         t.row(vec![
-            ecc.mode.to_string(),
+            ecc.to_string(),
             fmt_us(r.read.mean.as_ns()),
             fmt_us(r.all.mean.as_ns()),
             fmt_us(r.gc.mean_time.as_ns()),

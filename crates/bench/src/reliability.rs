@@ -31,7 +31,7 @@ pub fn fault_architectures() -> [Architecture; 3] {
 
 fn faulty_config(arch: Architecture, rber: f64, link_ber: f64) -> SsdConfig {
     let mut cfg = setup::io_config(arch);
-    cfg.faults.bit_error.rber = rber;
+    cfg.faults.rber = rber;
     cfg.faults.link.ber = link_ber;
     cfg
 }

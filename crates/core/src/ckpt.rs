@@ -5,7 +5,7 @@
 //! | field        | bytes | contents                                        |
 //! |--------------|-------|-------------------------------------------------|
 //! | magic        | 8     | `b"NSSDCKPT"`                                   |
-//! | version      | 4     | format version, currently 10                    |
+//! | version      | 4     | format version, currently 11                    |
 //! | fingerprint  | 8     | checksum of the configuration's `Debug` text    |
 //! | payload\_len | 8     | length of the payload that follows              |
 //! | payload      | n     | [`SsdSim`] state (see `engine::ckpt`)           |
@@ -34,8 +34,9 @@
 //! and the unissued requests, as columns — in `nssd-sim`'s delta codec
 //! (zigzag deltas in LEB128, runs of equal entries as one length); version
 //! 10 writes GC and the parity rebuild through one copy-backlog codec (GC's
-//! packets no longer name their victim). Older checkpoints are refused with
-//! a message naming their version.
+//! packets no longer name their victim); version 11 drops the per-block
+//! program timestamps, which only a retention term of the bit-error model
+//! read. Older checkpoints are refused with a message naming their version.
 
 use nssd_sim::{CkptReader, CkptWriter};
 
@@ -43,7 +44,7 @@ use crate::engine::SsdSim;
 use crate::SsdConfig;
 
 const MAGIC: &[u8; 8] = b"NSSDCKPT";
-const VERSION: u32 = 10;
+const VERSION: u32 = 11;
 /// Offset of the payload-length field: magic + version + fingerprint.
 const LEN_AT: usize = 8 + 4 + 8;
 /// Envelope bytes before the payload.

@@ -80,10 +80,6 @@ impl FabricBackend for MeshFabric {
         self.mesh.link_count()
     }
 
-    fn is_mesh(&self) -> bool {
-        true
-    }
-
     fn control_handshake(
         &self,
         ctx: &mut FabricCtx,

@@ -110,7 +110,7 @@ impl XferPlan {
 }
 
 /// ECC charges a GC copy must pay, resolved by the engine from
-/// [`crate::EccConfig`] before the call (the backend only routes them).
+/// [`crate::EccMode`] before the call (the backend only routes them).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct GcEcc {
     /// Decode + re-encode when the copy stages through the controller.
@@ -141,27 +141,18 @@ pub(crate) trait FabricBackend: fmt::Debug + Send + Sync {
         0
     }
 
-    /// Number of mesh links the engine must allocate.
+    /// Number of mesh links the engine must allocate; nonzero only on a
+    /// NoSSD mesh, whose utilization is reported by edge column instead of
+    /// by h-channel.
     fn mesh_link_count(&self) -> usize {
         0
     }
 
     /// The Omnibus topology, where one exists (GC destination masking and
-    /// the spatial-GC column groups consult it).
+    /// the spatial-GC column groups consult it, and only there can GC
+    /// traffic be steered onto vertical channels).
     fn omnibus(&self) -> Option<Omnibus> {
         None
-    }
-
-    /// Whether this fabric is a NoSSD mesh (drives utilization reporting
-    /// by edge column instead of by h-channel).
-    fn is_mesh(&self) -> bool {
-        false
-    }
-
-    /// Whether GC traffic can be steered onto vertical channels (spatial
-    /// GC keeps even its command flits off the h-channels where possible).
-    fn gc_can_use_v(&self) -> bool {
-        false
     }
 
     /// Sends one command toward the chip at `addr` and returns when it has
@@ -302,7 +293,6 @@ pub(crate) fn build(cfg: &SsdConfig) -> Box<dyn FabricBackend> {
                 Omnibus::new(g.channels, g.ways, g.channels),
                 routing,
                 cfg.ctrl_msg_latency,
-                cfg.channel_mts,
                 cfg.base_width_bits,
             ))
         }

@@ -13,6 +13,7 @@ use super::{
     reconstruct_staged, staged_copy_packetized, CmdStart, FabricBackend, FabricCtx, GcEcc,
     SurvivorRead, XferPlan,
 };
+use crate::SsdConfig;
 
 /// How host I/O data is routed across the two path classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -34,7 +35,6 @@ pub(crate) struct OmnibusFabric {
     omni: Omnibus,
     routing: HostRouting,
     ctrl_msg_latency: SimTime,
-    channel_mts: u64,
     base_width_bits: u32,
 }
 
@@ -52,7 +52,6 @@ impl OmnibusFabric {
         omni: Omnibus,
         routing: HostRouting,
         ctrl_msg_latency: SimTime,
-        channel_mts: u64,
         base_width_bits: u32,
     ) -> Self {
         OmnibusFabric {
@@ -61,7 +60,6 @@ impl OmnibusFabric {
             omni,
             routing,
             ctrl_msg_latency,
-            channel_mts,
             base_width_bits,
         }
     }
@@ -112,7 +110,8 @@ impl OmnibusFabric {
         let v_start = ctx.v_channels[v].earliest_start(v_at);
         // Both channels move ~1 byte per ns (8-bit @ 1000 MT/s); equalize
         // finish times: h_start + bytes_h = v_start + (page - bytes_h).
-        let ns_per_byte = 1_000.0 / (self.channel_mts as f64 * self.base_width_bits as f64 / 8.0);
+        let ns_per_byte =
+            1_000.0 / (SsdConfig::CHANNEL_MTS as f64 * self.base_width_bits as f64 / 8.0);
         let skew_bytes = (v_start.as_ns() as f64 - h_start.as_ns() as f64) / ns_per_byte;
         let bytes_h = ((page as f64 + skew_bytes) / 2.0)
             .round()
@@ -256,10 +255,6 @@ impl FabricBackend for OmnibusFabric {
 
     fn omnibus(&self) -> Option<Omnibus> {
         Some(self.omni)
-    }
-
-    fn gc_can_use_v(&self) -> bool {
-        true
     }
 
     fn control_handshake(

@@ -286,7 +286,7 @@ impl SsdSim {
     /// Whether GC command/readout traffic rides the v-channels on the
     /// *source* side (spatial placement, on a topology that offers them).
     pub(crate) fn gc_uses_v_channel(&self) -> bool {
-        self.gc.groups.is_some() && self.fabric.gc_can_use_v()
+        self.gc.groups.is_some() && self.fabric.omnibus().is_some()
     }
 
     /// GC's source: the copy's command and read of its source page.
@@ -310,7 +310,7 @@ impl SsdSim {
         let (fabric, mut ctx) = self.fabric_parts();
         let cmd_end = fabric.gc_read_command(&mut ctx, addr, use_v, now, tag);
         let chip = self.chip_index(addr);
-        let fault = self.sample_read_fault(addr);
+        let fault = self.sample_read_fault();
         let read = self.chips[chip].reserve_read(addr.die, addr.plane, cmd_end);
         let ready = self.apply_read_fault(chip, addr, read.end, fault);
         self.queue.schedule(ready, Event::GcCopyReadDone(c));

@@ -57,7 +57,7 @@ impl SsdSim {
         let cmd = fabric.control_handshake(&mut ctx, addr, FlashCommand::ReadPage, now, tag);
         self.trans[t].mesh_ctrl = cmd.ctrl;
         let chip = self.chip_index(addr);
-        let fault = self.sample_read_fault(addr);
+        let fault = self.sample_read_fault();
         let read = self.chips[chip].reserve_read(addr.die, addr.plane, cmd.end);
         let ready = self.apply_read_fault(chip, addr, read.end, fault);
         self.queue.schedule(ready, Event::ArrayDone(t));
@@ -106,7 +106,7 @@ impl SsdSim {
                 }
             };
             let chip = self.chip_index(s);
-            let fault = self.sample_read_fault(s);
+            let fault = self.sample_read_fault();
             let read = self.chips[chip].reserve_read(s.die, s.plane, cmd_end);
             let ready = self.apply_read_fault(chip, s, read.end, fault);
             reads.push(SurvivorRead {

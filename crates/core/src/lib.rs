@@ -36,11 +36,11 @@ mod report;
 mod runner;
 
 pub use ckpt::{config_fingerprint, Checkpoint};
-pub use config::{Architecture, EccConfig, EccMode, SsdConfig, Traffic};
+pub use config::{Architecture, EccMode, SsdConfig, Traffic};
 pub use engine::{Drive, SsdSim};
 pub use golden::{GoldenCase, GoldenDrive};
 pub use nssd_faults::{
-    BadBlockConfig, BitErrorConfig, ChipFailureSpec, FaultConfig, LinkFaultConfig, ReliabilityStats,
+    BadBlockConfig, ChipFailureSpec, FaultConfig, LinkFaultConfig, ReliabilityStats,
 };
 pub use nssd_host::{SchedulerKind, SloClass, TenantConfig};
 pub use nssd_oracle::{Oracle, OracleSummary};
@@ -55,7 +55,6 @@ pub use runner::*;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::EccConfig;
     use nssd_ftl::GcPlanSpec;
     use nssd_host::{IoOp, IoRequest};
     use nssd_sim::SimTime;
@@ -345,7 +344,7 @@ mod tests {
         };
         let ideal = run(io_cfg(Architecture::PSsd), &trace, Aging::Footprint).unwrap();
         let mut cfg = io_cfg(Architecture::PSsd);
-        cfg.ecc = EccConfig::hybrid();
+        cfg.ecc = EccMode::Hybrid;
         let hybrid = run(cfg, &trace, Aging::Footprint).unwrap();
         let added = hybrid.read.mean.saturating_sub(ideal.read.mean);
         // Roughly one controller decode per page read (2us), allowing for
@@ -358,18 +357,18 @@ mod tests {
 
     #[test]
     fn strict_ecc_disables_f2f_and_slows_spatial_gc() {
-        let mk = |ecc: EccConfig| {
+        let mk = |ecc: EccMode| {
             let mut cfg = SsdConfig::tiny(Architecture::PnSsd);
             cfg.gc.plan = Some(GcPlanSpec::spatial());
             cfg.ecc = ecc;
             cfg
         };
         let trace = {
-            let cfg = mk(EccConfig::ideal());
+            let cfg = mk(EccMode::Ideal);
             PaperWorkload::Build0.generate(300, cfg.logical_bytes() / 2, 20)
         };
-        let hybrid = run(mk(EccConfig::hybrid()), &trace, Aging::PAPER).unwrap();
-        let strict = run(mk(EccConfig::controller_strict()), &trace, Aging::PAPER).unwrap();
+        let hybrid = run(mk(EccMode::Hybrid), &trace, Aging::PAPER).unwrap();
+        let strict = run(mk(EccMode::ControllerStrict), &trace, Aging::PAPER).unwrap();
         assert!(hybrid.gc.events > 0 && strict.gc.events > 0);
         // Strict mode stages every copy through the controller, putting GC
         // traffic back onto the h-channels; hybrid keeps GC on the
@@ -399,10 +398,6 @@ mod tests {
             slow.all.mean,
             fast.all.mean
         );
-        // And zero cores is rejected.
-        let mut bad = io_cfg(Architecture::PSsd);
-        bad.ftl_cores = 0;
-        assert!(bad.validate().is_err());
     }
 }
 

@@ -347,10 +347,10 @@ impl Ftl {
     }
 
     /// Whether free space is critically low (preemptive GC must stop
-    /// yielding): either the hard watermark is breached or user writes are
-    /// already blocked on the GC reserve.
+    /// yielding): either the hard watermark ([`crate::HARD_FREE_RATIO`]) is
+    /// breached or user writes are already blocked on the GC reserve.
     pub fn critically_low(&self) -> bool {
-        self.free_ratio() <= self.config.gc.hard_free_ratio
+        self.free_ratio() <= crate::HARD_FREE_RATIO
             || self.blocks.free_blocks() <= self.gc_reserve_blocks() + 1
     }
 

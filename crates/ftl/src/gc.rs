@@ -10,6 +10,11 @@ use nssd_sim::{CkptError, CkptReader, CkptWriter};
 
 use crate::{GcPlanSpec, WayMask};
 
+/// Below this free-block ratio, preemptive GC stops yielding to I/O
+/// ([`crate::Ftl::critically_low`]). [`GcConfig::validate`] refuses a
+/// trigger watermark below it.
+pub const HARD_FREE_RATIO: f64 = 0.025;
+
 /// Garbage-collection tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GcConfig {
@@ -27,8 +32,6 @@ pub struct GcConfig {
     pub victims_per_trigger: u32,
     /// Fraction of ways assigned to the GC group under spatial GC.
     pub gc_group_fraction: f64,
-    /// Below this free ratio, preemptive GC stops yielding to I/O.
-    pub hard_free_ratio: f64,
     /// A second GC-off switch that only the `benchmark/` package sets; the
     /// FTL folds it into `plan` once, in `Ftl::new`. The next change to
     /// the benchmark turns GC off through `plan` and deletes this field.
@@ -49,7 +52,7 @@ pub enum GcPolicy {
 
 impl GcConfig {
     /// The evaluation defaults: PaGC, trigger at 10% free blocks, 8 victims
-    /// per event, half/half spatial groups, 2.5% hard watermark.
+    /// per event, half/half spatial groups.
     pub fn evaluation_defaults() -> Self {
         GcConfig {
             plan: Some(GcPlanSpec::pagc()),
@@ -57,7 +60,6 @@ impl GcConfig {
             stop_free_ratio: 0.105,
             victims_per_trigger: 8,
             gc_group_fraction: 0.5,
-            hard_free_ratio: 0.025,
             policy: GcPolicy::Plan,
         }
     }
@@ -77,11 +79,10 @@ impl GcConfig {
         if !(self.stop_free_ratio > self.trigger_free_ratio && self.stop_free_ratio < 1.0) {
             return Err("stop_free_ratio must be in (trigger_free_ratio, 1)".into());
         }
-        if !(0.0..1.0).contains(&self.hard_free_ratio) {
-            return Err("hard_free_ratio must be in [0, 1)".into());
-        }
-        if self.hard_free_ratio > self.trigger_free_ratio {
-            return Err("hard watermark must not exceed the trigger watermark".into());
+        if HARD_FREE_RATIO > self.trigger_free_ratio {
+            return Err(format!(
+                "trigger_free_ratio must not be below the hard watermark {HARD_FREE_RATIO}"
+            ));
         }
         if !(0.0 < self.gc_group_fraction && self.gc_group_fraction < 1.0) {
             return Err("gc_group_fraction must be in (0, 1)".into());
@@ -215,7 +216,7 @@ mod tests {
         c.trigger_free_ratio = 1.5;
         assert!(c.validate().is_err());
         let mut c = GcConfig::evaluation_defaults();
-        c.hard_free_ratio = 0.5;
+        c.trigger_free_ratio = HARD_FREE_RATIO / 2.0;
         assert!(c.validate().is_err());
         let mut c = GcConfig::evaluation_defaults();
         c.gc_group_fraction = 1.0;

@@ -56,7 +56,7 @@ pub use block::{BlockMeta, BlockState, BlockTable, PlaneAccounting, WearSummary}
 pub use ftl::{
     ChipFailureOutcome, Ftl, FtlConfig, FtlError, FtlStats, GcStream, Relocation, WriteOutcome,
 };
-pub use gc::{GcConfig, GcPolicy, SpatialGroups};
+pub use gc::{GcConfig, GcPolicy, SpatialGroups, HARD_FREE_RATIO};
 pub use mapping::{Lpn, MappingTable};
 pub use plan::{
     GcPlanSpec, PlacementSpec, PreemptionSpec, TriggerSpec, VictimSpec, DEFAULT_WEAR_WEIGHT,

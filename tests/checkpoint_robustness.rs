@@ -179,14 +179,14 @@ fn open_loop_checkpoint_round_trips_and_survives_corruption() {
 #[test]
 fn older_envelope_versions_are_refused_by_name() {
     let (cfg, bytes) = busy_checkpoint();
-    for old in 4u32..=9 {
+    for old in 4u32..=10 {
         let mut bytes = bytes.clone();
         // The version field follows the 8-byte magic.
         bytes[8..12].copy_from_slice(&old.to_le_bytes());
         let err = Checkpoint::resume(cfg, &reseal(bytes)).unwrap_err();
         assert!(
             err.contains(&format!(
-                "unsupported checkpoint version {old} (expected 10)"
+                "unsupported checkpoint version {old} (expected 11)"
             )),
             "message must name the found and the expected version, got: {err}"
         );

@@ -83,7 +83,7 @@ fn zero_rate_faults_leave_reports_bit_identical() {
 fn fault_injected_runs_are_identical() {
     let mut cfg = SsdConfig::tiny(Architecture::PnSsdSplit);
     cfg.gc.plan = None;
-    cfg.faults.bit_error.rber = 2e-4;
+    cfg.faults.rber = 2e-4;
     cfg.faults.link.ber = 1e-7;
     let trace = PaperWorkload::Exchange0.generate(200, cfg.logical_bytes() / 2, 5);
     let a = run(cfg, &trace, Aging::Footprint).unwrap();

@@ -25,7 +25,7 @@ fn read_retries_scale_with_rber_and_degrade_latency() {
     let trace = trace_for(&cfg, 300);
     let at_rber = |rber: f64| {
         let mut c = cfg;
-        c.faults.bit_error.rber = rber;
+        c.faults.rber = rber;
         run(c, &trace, Aging::Footprint).unwrap()
     };
     // Tiny geometry has 4 KiB pages (32768 bits): RBER 1e-3 means ~33 raw
