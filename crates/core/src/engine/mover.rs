@@ -107,8 +107,10 @@ pub(crate) struct CopyBacklog {
     pub(crate) next_copy: usize,
     /// Copies launched and not yet finished.
     pub(crate) outstanding: usize,
-    /// Whether a poll-for-gap pump is already queued (dedup).
-    pub(crate) pump_scheduled: bool,
+    /// When the queued poll-for-gap pump fires, if one is queued: a mover
+    /// keeps at most one poll chain however many pumps find its source
+    /// busy.
+    pub(crate) poll_at: Option<SimTime>,
 }
 
 impl CopyBacklog {
@@ -116,7 +118,7 @@ impl CopyBacklog {
     const COPY_MIN_BYTES: usize = 8 + 8 + 1;
 
     /// Empties the backlog for a new batch of work. A queued poll stays
-    /// queued, and its flag with it.
+    /// queued, and `poll_at` with it.
     pub(crate) fn reset(&mut self) {
         self.copies.clear();
         self.next_copy = 0;
@@ -134,7 +136,7 @@ impl CopyBacklog {
         }
         w.put_usize(self.next_copy);
         w.put_usize(self.outstanding);
-        w.put_bool(self.pump_scheduled);
+        w.put_opt_u64(self.poll_at.map(SimTime::as_ns));
     }
 
     /// Restores a backlog saved by [`CopyBacklog::ckpt_save`].
@@ -173,7 +175,7 @@ impl CopyBacklog {
             copies,
             next_copy,
             outstanding,
-            pump_scheduled: r.take_bool()?,
+            poll_at: r.take_opt_u64()?.map(SimTime::from_ns),
         })
     }
 }
@@ -215,7 +217,14 @@ impl SsdSim {
     /// copy's reads could start without stealing a busy resource. GC stops
     /// yielding when free space is critically low.
     pub(crate) fn pump(&mut self, m: Mover) {
-        self.backlog_mut(m).pump_scheduled = false;
+        // The pump at the queued poll's instant ends that poll's chain.
+        // Pumps queued at that instant run behind the poll; a direct call
+        // that runs first leaves the poll a plain pump.
+        let now = self.now;
+        let b = self.backlog_mut(m);
+        if b.poll_at == Some(now) {
+            b.poll_at = None;
+        }
         let forced = match m {
             Mover::Gc if !self.gc.paced() => {
                 // A pump can also race a finished event; re-check the trigger.
@@ -233,10 +242,13 @@ impl SsdSim {
             }
             let c = b.next_copy;
             if !forced && !self.source_idle(m, c) {
-                // Busy right now: poll for the next gap.
-                if !std::mem::replace(&mut self.backlog_mut(m).pump_scheduled, true) {
-                    self.queue
-                        .schedule_after(self.now, m.poll(), Event::Pump(m));
+                // Busy right now: poll for the next gap, unless a poll is
+                // already queued.
+                let at = self.now.saturating_add(m.poll());
+                let b = self.backlog_mut(m);
+                if b.poll_at.is_none() {
+                    b.poll_at = Some(at);
+                    self.queue.schedule(at, Event::Pump(m));
                 }
                 return;
             }

@@ -7,6 +7,7 @@
 
 use networked_ssd::core::golden::{matrix, GoldenCase, GoldenDrive};
 use networked_ssd::core::{Checkpoint, EngineSummary};
+use networked_ssd::sim::SimTime;
 use networked_ssd::GcPlanSpec;
 
 fn slot(kind: &str) -> usize {
@@ -80,5 +81,40 @@ fn counts_sum_to_scheduled_events_and_survive_a_resume() {
             "{name}: a resumed run reports different counts"
         );
         assert_eq!(resumed.scheduled_events, continuous.scheduled_events);
+    }
+}
+
+/// A busy rebuild source is re-polled by one chain of 5 µs polls, however
+/// many completions find it busy: over the rebuild's span the pumps number
+/// at most one per poll interval, plus one for the start and one per event
+/// that queues a pump at its own instant — each host page completion and
+/// each finished rebuild copy, and each GC erase or retry, which can wake a
+/// rebuild waiting for space.
+#[test]
+fn rebuild_pumps_stay_within_one_poll_chain() {
+    const POLL: SimTime = SimTime::from_us(5);
+    let cases = matrix();
+    let rebuilds: Vec<_> = cases.iter().filter(|c| c.redundancy.is_some()).collect();
+    assert_eq!(rebuilds.len(), 5, "the matrix's parity cases");
+    for case in rebuilds {
+        let name = case.file_name();
+        let report = case.run().unwrap_or_else(|e| panic!("{name}: {e}"));
+        let counts = report.engine.events_by_kind;
+        let red = report.redundancy.expect("parity configured");
+        let (Some(start), Some(end)) = (red.rebuild_started, red.rebuild_completed) else {
+            panic!("{name}: the rebuild did not finish");
+        };
+        let polls = (end - start).as_ns().div_ceil(POLL.as_ns());
+        let queued = 1
+            + counts[slot("page_done")]
+            + report.reliability.pages_degraded
+            + counts[slot("gc_erase_done")]
+            + counts[slot("gc_retry")];
+        let pumps = counts[slot("rebuild_pump")];
+        assert!(
+            pumps <= polls + queued,
+            "{name}: {pumps} rebuild pumps over a {} rebuild, bound {polls} polls + {queued}",
+            end - start
+        );
     }
 }
