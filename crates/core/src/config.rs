@@ -205,7 +205,8 @@ pub struct SsdConfig {
     pub base_width_bits: u32,
     /// One control-plane (SoC) message latency for Omnibus handshakes.
     pub ctrl_msg_latency: SimTime,
-    /// Window width for per-channel utilization recording (Fig 3).
+    /// Window width for per-channel utilization recording (Fig 3); at most
+    /// `u32::MAX` ns, the most busy time a recorder's bin holds.
     pub util_window: SimTime,
     /// ECC provisioning (§VIII).
     pub ecc: EccMode,
@@ -264,11 +265,14 @@ impl SsdConfig {
         }
     }
 
-    /// The unscaled Table II configuration: a 2 TB device of 134M pages,
-    /// whose page maps take about 1 GiB of host memory. With the oracle
-    /// off, building it took 0.8 s and aging it to 0.85 fill plus 0.3×
-    /// overwrites (`Ftl::precondition(0.85, 0.3)`) 67 s, 9 s of it the
-    /// fill, at 1002 MiB peak RSS on a 2-vCPU Xeon host.
+    /// The unscaled Table II configuration: a 2 TB device of 134M pages.
+    /// Its page maps allocate a chunk only where a run maps pages, so
+    /// building it allocates only their directories, and the maps reach
+    /// about 1 GiB of host memory once the device is aged. With the oracle
+    /// off and dense maps, which paid that 1 GiB at build, building it took
+    /// 0.8 s and aging it to 0.85 fill plus 0.3× overwrites
+    /// (`Ftl::precondition(0.85, 0.3)`) 67 s, 9 s of it the fill, at
+    /// 1002 MiB peak RSS on a 2-vCPU Xeon host.
     pub fn paper_table2(architecture: Architecture) -> Self {
         SsdConfig {
             geometry: Geometry::paper_table2(),
@@ -375,6 +379,13 @@ impl SsdConfig {
         if self.util_window.is_zero() {
             return Err("util_window must be nonzero".into());
         }
+        if self.util_window.as_ns() > u32::MAX as u64 {
+            return Err(format!(
+                "util_window of {} is wider than the {} ns a u32 utilization bin holds",
+                self.util_window,
+                u32::MAX
+            ));
+        }
         self.redundancy.validate(&self.geometry)?;
         self.faults.validate()?;
         if let Some(spec) = self.faults.chip_failure {
@@ -458,11 +469,14 @@ mod tests {
     #[test]
     fn each_invalid_setting_is_refused_naming_its_field() {
         type Set = fn(&mut SsdConfig);
-        let cases: [(&str, Set); 16] = [
+        let cases: [(&str, Set); 17] = [
             ("op_ratio", |c| c.op_ratio = 0.95),
             ("op_ratio", |c| c.op_ratio = f64::NAN),
             ("base_width_bits", |c| c.base_width_bits = 0),
             ("util_window", |c| c.util_window = SimTime::ZERO),
+            ("util_window", |c| {
+                c.util_window = SimTime::from_ns(u32::MAX as u64 + 1)
+            }),
             ("trigger_free_ratio", |c| c.gc.trigger_free_ratio = 1.5),
             ("trigger_free_ratio", |c| c.gc.trigger_free_ratio = 0.01),
             ("stop_free_ratio", |c| {

@@ -816,48 +816,52 @@ impl SsdSim {
         } else {
             (self.last_completion.as_ns() / self.cfg.util_window.as_ns() + 1) as usize
         };
-        let per_channel = |tag: usize| -> Vec<Vec<f64>> {
-            self.h_channels
-                .iter()
-                .map(|c| {
-                    c.recorder()
-                        .map(|r| r.fractions(tag, windows))
-                        .unwrap_or_default()
-                })
-                .collect()
-        };
-        // Mesh architectures report edge-link utilization per column.
-        let per_channel_mesh = |tag: usize| -> Vec<Vec<f64>> {
+        // Each channel's (or mesh column's) recorders are detached and freed
+        // as soon as their fractions are read, so the report's per-window
+        // vectors never sit beside every recorder's bins.
+        let tags = [
+            Traffic::HostRead.tag(),
+            Traffic::HostWrite.tag(),
+            Traffic::Gc.tag(),
+        ];
+        let mut per_tag: [Vec<Vec<f64>>; 3] = Default::default();
+        if self.fabric.mesh_link_count() > 0 {
+            // Mesh architectures report edge-link utilization per column:
+            // inject link c plus eject link cols + c, window by window.
             let cols = self.cfg.geometry.channels as usize;
-            (0..cols)
-                .map(|c| {
-                    // inject link c and eject link cols + c.
+            for c in 0..cols {
+                let links = [
+                    self.mesh_links[c].take_recorder(),
+                    self.mesh_links[cols + c].take_recorder(),
+                ];
+                for (out, tag) in per_tag.iter_mut().zip(tags) {
                     let mut v = vec![0.0; windows];
-                    for link in [c, cols + c] {
-                        if let Some(r) = self.mesh_links[link].recorder() {
-                            for (w, f) in r.fractions(tag, windows).into_iter().enumerate() {
-                                v[w] += f;
-                            }
+                    for r in links.iter().flatten() {
+                        for (w, f) in v.iter_mut().enumerate() {
+                            *f += r.fraction(w, tag);
                         }
                     }
-                    v
-                })
-                .collect()
-        };
-        let util = if self.fabric.mesh_link_count() > 0 {
-            ChannelUtilSummary {
-                read: per_channel_mesh(Traffic::HostRead.tag()),
-                write: per_channel_mesh(Traffic::HostWrite.tag()),
-                gc: per_channel_mesh(Traffic::Gc.tag()),
-                window: self.cfg.util_window,
+                    out.push(v);
+                }
             }
         } else {
-            ChannelUtilSummary {
-                read: per_channel(Traffic::HostRead.tag()),
-                write: per_channel(Traffic::HostWrite.tag()),
-                gc: per_channel(Traffic::Gc.tag()),
-                window: self.cfg.util_window,
+            for channel in &mut self.h_channels {
+                let rec = channel.take_recorder();
+                for (out, tag) in per_tag.iter_mut().zip(tags) {
+                    out.push(
+                        rec.as_ref()
+                            .map(|r| r.fractions(tag, windows))
+                            .unwrap_or_default(),
+                    );
+                }
             }
+        }
+        let [read, write, gc] = per_tag;
+        let util = ChannelUtilSummary {
+            read,
+            write,
+            gc,
+            window: self.cfg.util_window,
         };
         let pj_to_mj = 1e-9;
         let bytes_of =

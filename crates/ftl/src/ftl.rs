@@ -358,9 +358,15 @@ impl Ftl {
     ///
     /// # Panics
     ///
-    /// Panics if `lpn` is out of logical range.
+    /// Panics if `lpn` is out of logical range, as
+    /// [`MappingTable::lookup`] does.
     pub fn lookup(&self, lpn: Lpn) -> Option<Ppn> {
         self.mapping.lookup(lpn)
+    }
+
+    /// The page mapping table.
+    pub fn mapping(&self) -> &MappingTable {
+        &self.mapping
     }
 
     /// Number of currently mapped logical pages.

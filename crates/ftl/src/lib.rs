@@ -3,7 +3,8 @@
 //! The FTL is the substrate the paper's spatial garbage collection plugs
 //! into:
 //!
-//! * [`MappingTable`] — dense page-level L2P/P2L mapping.
+//! * [`MappingTable`] — page-level L2P/P2L mapping that holds memory only
+//!   for the chunks a run maps into.
 //! * [`BlockTable`] — valid bitmaps, write pointers, wear counters, and
 //!   per-plane free lists.
 //! * [`PageAllocator`] — striping write allocation with the paper's

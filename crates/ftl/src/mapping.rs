@@ -1,15 +1,18 @@
 //! Page-level logical-to-physical mapping.
 //!
-//! A dense forward table (LPN → PPN) plus the reverse table (PPN → LPN) that
+//! A forward table (LPN → PPN) plus the reverse table (PPN → LPN) that
 //! garbage collection needs to find the owner of a valid physical page.
 //! Entries are 32-bit — [`nssd_flash::Geometry::validate`] refuses a device
-//! of `u32::MAX` pages or more — so the two tables cost 8 bytes of host
-//! memory per simulated page, not 16.
+//! of `u32::MAX` pages or more — and both tables are [`ChunkedTable`]s, so
+//! they cost 4 bytes of host memory per entry only in the 1,024-entry
+//! chunks a run has mapped into: a new table holds just its directories,
+//! and a fill of half the logical space pays for that half of the forward
+//! map and for the blocks it programmed in the reverse one.
 
 use core::fmt;
 
 use nssd_flash::Ppn;
-use nssd_sim::{ckpt, CkptError, CkptReader, CkptWriter};
+use nssd_sim::{ChunkedTable, CkptError, CkptReader, CkptWriter};
 
 /// A logical page number (host-visible page index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -39,7 +42,8 @@ impl fmt::Display for Lpn {
 /// fewer than `u32::MAX` pages.
 const UNMAPPED: u32 = u32::MAX;
 
-/// Dense bidirectional page mapping table with 32-bit entries.
+/// Bidirectional page mapping table with 32-bit entries, held in
+/// [`ChunkedTable`]s that allocate only the chunks a run maps into.
 ///
 /// # Examples
 ///
@@ -55,14 +59,14 @@ const UNMAPPED: u32 = u32::MAX;
 /// ```
 #[derive(Debug, Clone)]
 pub struct MappingTable {
-    l2p: Vec<u32>,
-    p2l: Vec<u32>,
+    l2p: ChunkedTable<u32>,
+    p2l: ChunkedTable<u32>,
     mapped: u64,
 }
 
 impl MappingTable {
     /// Creates an empty table for `logical_pages` LPNs and `physical_pages`
-    /// PPNs.
+    /// PPNs. Only the two chunk directories are allocated.
     ///
     /// # Panics
     ///
@@ -75,8 +79,8 @@ impl MappingTable {
              asked for {logical_pages} logical / {physical_pages} physical"
         );
         MappingTable {
-            l2p: vec![UNMAPPED; logical_pages as usize],
-            p2l: vec![UNMAPPED; physical_pages as usize],
+            l2p: ChunkedTable::new(logical_pages as usize, UNMAPPED),
+            p2l: ChunkedTable::new(physical_pages as usize, UNMAPPED),
             mapped: 0,
         }
     }
@@ -96,13 +100,22 @@ impl MappingTable {
         self.mapped
     }
 
+    /// Chunks of [`nssd_sim::table::CHUNK_LEN`] entries the forward and
+    /// the reverse map hold memory for.
+    pub fn chunks_allocated(&self) -> (usize, usize) {
+        (self.l2p.chunks_allocated(), self.p2l.chunks_allocated())
+    }
+
     /// The physical page backing `lpn`, if any.
     ///
     /// # Panics
     ///
-    /// Panics if `lpn` is out of range.
+    /// Panics if `lpn` is out of range, except that a release build reads
+    /// an index past the end but inside the last chunk as unmapped (see
+    /// [`ChunkedTable::get`]).
+    #[inline]
     pub fn lookup(&self, lpn: Lpn) -> Option<Ppn> {
-        let v = self.l2p[lpn.raw() as usize];
+        let v = self.l2p.get(lpn.raw() as usize);
         (v != UNMAPPED).then(|| Ppn::new(v as u64))
     }
 
@@ -110,9 +123,11 @@ impl MappingTable {
     ///
     /// # Panics
     ///
-    /// Panics if `ppn` is out of range.
+    /// Panics if `ppn` is out of range, except that a release build reads
+    /// an index past the end but inside the last chunk as unmapped (see
+    /// [`ChunkedTable::get`]).
     pub fn reverse(&self, ppn: Ppn) -> Option<Lpn> {
-        let v = self.p2l[ppn.raw() as usize];
+        let v = self.p2l.get(ppn.raw() as usize);
         (v != UNMAPPED).then(|| Lpn::new(v as u64))
     }
 
@@ -126,19 +141,20 @@ impl MappingTable {
     pub fn map(&mut self, lpn: Lpn, ppn: Ppn) -> Option<Ppn> {
         // Both indices are bounds-checked below against tables shorter than
         // `u32::MAX`, so the narrowing casts never truncate a valid page.
-        let prev_p = self.p2l[ppn.raw() as usize];
+        let (l, p) = (lpn.raw() as usize, ppn.raw() as usize);
+        let prev_p = self.p2l.get(p);
         assert!(
             prev_p == UNMAPPED || prev_p as u64 == lpn.raw(),
             "physical page {ppn} already owned by lpn{prev_p}"
         );
-        let old = self.l2p[lpn.raw() as usize];
+        let old = self.l2p.get(l);
         if old != UNMAPPED {
-            self.p2l[old as usize] = UNMAPPED;
+            self.p2l.set(old as usize, UNMAPPED);
         } else {
             self.mapped += 1;
         }
-        self.l2p[lpn.raw() as usize] = ppn.raw() as u32;
-        self.p2l[ppn.raw() as usize] = lpn.raw() as u32;
+        self.l2p.set(l, p as u32);
+        self.p2l.set(p, l as u32);
         (old != UNMAPPED).then(|| Ppn::new(old as u64))
     }
 
@@ -148,12 +164,13 @@ impl MappingTable {
     ///
     /// Panics if `lpn` is out of range.
     pub fn unmap(&mut self, lpn: Lpn) -> Option<Ppn> {
-        let old = self.l2p[lpn.raw() as usize];
+        let l = lpn.raw() as usize;
+        let old = self.l2p.get(l);
         if old == UNMAPPED {
             return None;
         }
-        self.l2p[lpn.raw() as usize] = UNMAPPED;
-        self.p2l[old as usize] = UNMAPPED;
+        self.l2p.set(l, UNMAPPED);
+        self.p2l.set(old as usize, UNMAPPED);
         self.mapped -= 1;
         Some(Ppn::new(old as u64))
     }
@@ -168,28 +185,28 @@ impl MappingTable {
     ///
     /// Panics if either LPN is unmapped or out of range.
     pub fn debug_swap(&mut self, a: Lpn, b: Lpn) {
-        let pa = self.l2p[a.raw() as usize];
-        let pb = self.l2p[b.raw() as usize];
+        let (a, b) = (a.raw() as usize, b.raw() as usize);
+        let (pa, pb) = (self.l2p.get(a), self.l2p.get(b));
         assert!(
             pa != UNMAPPED && pb != UNMAPPED,
             "debug_swap requires two mapped LPNs"
         );
-        self.l2p[a.raw() as usize] = pb;
-        self.l2p[b.raw() as usize] = pa;
-        self.p2l[pa as usize] = b.raw() as u32;
-        self.p2l[pb as usize] = a.raw() as u32;
+        self.l2p.set(a, pb);
+        self.l2p.set(b, pa);
+        self.p2l.set(pa as usize, b as u32);
+        self.p2l.set(pb as usize, a as u32);
     }
 
-    /// Serializes both direction tables (as `u32`s, straight from the
-    /// tables) and the mapped count.
+    /// Serializes both direction tables (as dense `u32` slices, the bytes
+    /// [`nssd_sim::put_u32_slice`] writes) and the mapped count.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        ckpt::put_u32_slice(w, &self.l2p);
-        ckpt::put_u32_slice(w, &self.p2l);
+        self.l2p.ckpt_save(w);
+        self.p2l.ckpt_save(w);
         w.put_u64(self.mapped);
     }
 
     /// Restores state saved by [`MappingTable::ckpt_save`] into a table of
-    /// the same dimensions, decoding in place.
+    /// the same dimensions, allocating only the chunks that hold mappings.
     ///
     /// # Errors
     ///
@@ -197,8 +214,8 @@ impl MappingTable {
     /// that fails the forward/reverse consistency invariant. The table may
     /// then be partly restored and must be discarded.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
-        ckpt::take_u32_slice(r, &mut self.l2p, "l2p table")?;
-        ckpt::take_u32_slice(r, &mut self.p2l, "p2l table")?;
+        self.l2p.ckpt_load(r, "l2p table")?;
+        self.p2l.ckpt_load(r, "p2l table")?;
         self.mapped = r.take_u64()?;
         // Range-check raw entries first so check_consistency cannot index
         // out of bounds on corrupt input.
@@ -206,14 +223,14 @@ impl MappingTable {
         if self
             .l2p
             .iter()
-            .any(|&p| p != UNMAPPED && p as usize >= physical)
+            .any(|p| p != UNMAPPED && p as usize >= physical)
         {
             return Err(CkptError::Invalid("l2p entry out of physical range".into()));
         }
         if self
             .p2l
             .iter()
-            .any(|&l| l != UNMAPPED && l as usize >= logical)
+            .any(|l| l != UNMAPPED && l as usize >= logical)
         {
             return Err(CkptError::Invalid("p2l entry out of logical range".into()));
         }
@@ -228,20 +245,19 @@ impl MappingTable {
     /// Checks the forward/reverse consistency invariant; used by tests.
     pub fn check_consistency(&self) -> bool {
         let mut count = 0;
-        for (l, &p) in self.l2p.iter().enumerate() {
-            if p != UNMAPPED {
+        let forward = self.l2p.iter().enumerate().all(|(l, p)| {
+            p == UNMAPPED || {
                 count += 1;
-                if self.p2l[p as usize] as usize != l {
-                    return false;
-                }
+                self.p2l.get(p as usize) as usize == l
             }
-        }
-        for (p, &l) in self.p2l.iter().enumerate() {
-            if l != UNMAPPED && self.l2p[l as usize] as usize != p {
-                return false;
-            }
-        }
-        count == self.mapped
+        });
+        forward
+            && self
+                .p2l
+                .iter()
+                .enumerate()
+                .all(|(p, l)| l == UNMAPPED || self.l2p.get(l as usize) as usize == p)
+            && count == self.mapped
     }
 }
 

@@ -2,7 +2,7 @@
 //!
 //! The engine in `nssd-core` answers *when* — the oracle answers *whether*.
 //! [`Oracle`] maintains an independent reference page map plus the owner
-//! LPN of every physical page (one dense `u32` per page), and is notified,
+//! LPN of every physical page (one `u32` per page), and is notified,
 //! in lockstep, of every functional action the simulator takes: host
 //! writes, host reads, GC relocations, erases, retirements. Each read is
 //! cross-checked against the page its LPN was last written or relocated
@@ -39,7 +39,7 @@
 
 use nssd_flash::{Geometry, Pbn, Ppn};
 use nssd_ftl::{Ftl, Lpn, Relocation};
-use nssd_sim::{ckpt, CkptError, CkptReader, CkptWriter, SimTime, ViolationLog};
+use nssd_sim::{ckpt, ChunkedTable, CkptError, CkptReader, CkptWriter, SimTime, ViolationLog};
 
 /// Shadow sentinel, in both directions: an unmapped L2P entry (the same
 /// 32-bit empty entry as the FTL's map) and a page with no owner.
@@ -87,6 +87,12 @@ pub struct OracleSummary {
 /// The shadow model: reference page map, per-page owners, and the
 /// conservation-invariant checker.
 ///
+/// The three per-page arrays are [`ChunkedTable`]s: they read as dense
+/// arrays of their empty value, but hold memory only for the 1,024-entry
+/// chunks a run writes into, so a new oracle costs the erase-count
+/// snapshot and three chunk directories, and a run pays 4 or 8 bytes per
+/// entry only where it maps or writes pages.
+///
 /// An owner entry is only ever written together with its LPN's L2P entry,
 /// and cleared when that LPN moves, so every LPN owns at most one page, its
 /// shadow home. A page owned by the LPN being read therefore holds that
@@ -98,12 +104,13 @@ pub struct Oracle {
     /// Shadow L2P: raw PPN per LPN, [`UNMAPPED`] when never written. 32-bit
     /// like the FTL's own map (a valid geometry has fewer than `u32::MAX`
     /// pages).
-    l2p: Vec<u32>,
-    /// Host writes observed per LPN (the digest input).
-    writes: Vec<u64>,
+    l2p: ChunkedTable<u32>,
+    /// Host writes observed per LPN (the digest input), 0 when never
+    /// written.
+    writes: ChunkedTable<u64>,
     /// Shadow physical state: the owner raw LPN of each raw PPN,
     /// [`UNMAPPED`] where the shadow holds no content.
-    phys: Vec<u32>,
+    phys: ChunkedTable<u32>,
     /// Erase-count snapshot from the previous invariant sweep.
     last_erase_counts: Vec<u32>,
     checks: u64,
@@ -116,9 +123,9 @@ impl Oracle {
         Oracle {
             geometry,
             logical_pages,
-            l2p: vec![UNMAPPED; logical_pages as usize],
-            writes: vec![0; logical_pages as usize],
-            phys: vec![UNMAPPED; geometry.page_count() as usize],
+            l2p: ChunkedTable::new(logical_pages as usize, UNMAPPED),
+            writes: ChunkedTable::new(logical_pages as usize, 0),
+            phys: ChunkedTable::new(geometry.page_count() as usize, UNMAPPED),
             last_erase_counts: vec![0; geometry.block_count() as usize],
             checks: 0,
             log: ViolationLog::new(),
@@ -130,15 +137,13 @@ impl Oracle {
     /// before `run()`, pages lost with a failed chip). Where two LPNs share
     /// a page, the higher one owns it. Write counters are untouched.
     pub fn sync_from_ftl(&mut self, ftl: &Ftl) {
-        self.phys.fill(UNMAPPED);
-        for (l, home) in self.l2p.iter_mut().enumerate() {
-            *home = match ftl.lookup(Lpn::new(l as u64)) {
-                Some(ppn) => {
-                    self.phys[ppn.raw() as usize] = l as u32;
-                    ppn.raw() as u32
-                }
-                None => UNMAPPED,
-            };
+        self.l2p.reset();
+        self.phys.reset();
+        for l in 0..self.logical_pages {
+            if let Some(ppn) = ftl.lookup(Lpn::new(l)) {
+                self.phys.set(ppn.raw() as usize, l as u32);
+                self.l2p.set(l as usize, ppn.raw() as u32);
+            }
         }
         self.last_erase_counts = ftl.blocks().erase_counts();
     }
@@ -149,21 +154,21 @@ impl Oracle {
     pub fn note_host_write(&mut self, lpn: Lpn, ppn: Ppn, at: SimTime) {
         let l = lpn.raw() as usize;
         let p = ppn.raw() as u32;
-        let owner = self.phys[p as usize];
-        if owner != UNMAPPED && owner as usize != l && self.l2p[owner as usize] == p {
+        let owner = self.phys.get(p as usize);
+        if owner != UNMAPPED && owner as usize != l && self.l2p.get(owner as usize) == p {
             self.log.report(
                 "write-double-alloc",
                 at,
                 format!("{ppn} written for {lpn} but still live for lpn{owner}"),
             );
         }
-        let old = self.l2p[l];
+        let old = self.l2p.get(l);
         if old != UNMAPPED {
-            self.phys[old as usize] = UNMAPPED;
+            self.phys.set(old as usize, UNMAPPED);
         }
-        self.l2p[l] = p;
-        self.writes[l] += 1;
-        self.phys[p as usize] = l as u32;
+        self.l2p.set(l, p);
+        self.writes.set(l, self.writes.get(l) + 1);
+        self.phys.set(p as usize, l as u32);
     }
 
     /// Cross-checks a host read at issue time: the translation the real FTL
@@ -172,7 +177,7 @@ impl Oracle {
     /// data served from the wrong place.
     pub fn check_host_read(&mut self, lpn: Lpn, ppn: Option<Ppn>, at: SimTime) {
         self.checks += 1;
-        let shadow = widen(self.l2p[lpn.raw() as usize]);
+        let shadow = widen(self.l2p.get(lpn.raw() as usize));
         match ppn {
             None if shadow == u64::MAX => {}
             None => self.log.report(
@@ -190,7 +195,7 @@ impl Oracle {
                 at,
                 format!("{lpn} served from {p} but shadow maps it to ppn{shadow}"),
             ),
-            Some(p) => match self.phys[p.raw() as usize] {
+            Some(p) => match self.phys.get(p.raw() as usize) {
                 owner if owner as u64 == lpn.raw() => {}
                 UNMAPPED => self.log.report(
                     "read-content",
@@ -211,7 +216,7 @@ impl Oracle {
     /// moves from the shadow home to the destination.
     pub fn note_relocation(&mut self, rel: Relocation, at: SimTime) {
         let l = rel.lpn.raw() as usize;
-        let shadow = self.l2p[l];
+        let shadow = self.l2p.get(l);
         if widen(shadow) != rel.src.raw() {
             self.log.report(
                 "relocation-source",
@@ -225,10 +230,10 @@ impl Oracle {
             );
         }
         if shadow != UNMAPPED {
-            self.phys[shadow as usize] = UNMAPPED;
+            self.phys.set(shadow as usize, UNMAPPED);
         }
-        self.l2p[l] = rel.dst.raw() as u32;
-        self.phys[rel.dst.raw() as usize] = l as u32;
+        self.l2p.set(l, rel.dst.raw() as u32);
+        self.phys.set(rel.dst.raw() as usize, l as u32);
     }
 
     /// Checks and records a block erase: no page of `pbn` may still be the
@@ -248,14 +253,18 @@ impl Oracle {
         self.checks += 1;
         for ppn in self.geometry.block_ppns(pbn) {
             let p = ppn.raw() as usize;
-            let owner = std::mem::replace(&mut self.phys[p], UNMAPPED);
-            if owner != UNMAPPED && self.l2p[owner as usize] as usize == p {
+            let owner = self.phys.get(p);
+            if owner == UNMAPPED {
+                continue;
+            }
+            self.phys.set(p, UNMAPPED);
+            if self.l2p.get(owner as usize) as usize == p {
                 self.log.report(
                     invariant,
                     at,
                     format!("{pbn} wiped {ppn}, still live for lpn{owner}"),
                 );
-                self.l2p[owner as usize] = UNMAPPED;
+                self.l2p.set(owner as usize, UNMAPPED);
             }
         }
     }
@@ -292,7 +301,7 @@ impl Oracle {
         for l in 0..self.logical_pages {
             let lpn = Lpn::new(l);
             let real = ftl.lookup(lpn).map(Ppn::raw).unwrap_or(u64::MAX);
-            let shadow = widen(self.l2p[l as usize]);
+            let shadow = widen(self.l2p.get(l as usize));
             if real != shadow {
                 self.log.report(
                     "final-mapping",
@@ -308,33 +317,36 @@ impl Oracle {
     /// interleaving between *different* LPNs do not enter, so packetized
     /// and dedicated backends driving the same logical workload must agree.
     pub fn functional_digest(&self) -> u64 {
-        let mut h = mix(self.logical_pages);
-        for l in 0..self.logical_pages as usize {
-            let mapped = (self.l2p[l] != UNMAPPED) as u64;
-            if self.writes[l] != 0 || mapped != 0 {
-                h = mix(h ^ mix(l as u64) ^ mix(self.writes[l].wrapping_mul(3)) ^ mapped);
-            }
-        }
-        h
+        self.writes
+            .iter()
+            .enumerate()
+            .fold(mix(self.logical_pages), |h, (l, writes)| {
+                let mapped = (self.l2p.get(l) != UNMAPPED) as u64;
+                if writes != 0 || mapped != 0 {
+                    mix(h ^ mix(l as u64) ^ mix(writes.wrapping_mul(3)) ^ mapped)
+                } else {
+                    h
+                }
+            })
     }
 
     /// Serializes the shadow model as dense slices — the L2P map, the write
     /// counters, the owner of every physical page and the erase-count
-    /// snapshot — then the check count and the violation log. Its size
-    /// depends on the geometry alone, not on how many pages are mapped.
+    /// snapshot — then the check count and the violation log. Every entry
+    /// is written, whether or not its chunk is allocated.
     /// Geometry and logical-page count are not written — restore targets an
     /// [`Oracle::new`]-built instance of the same shape.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
-        ckpt::put_u32_slice(w, &self.l2p);
-        ckpt::put_u64_slice(w, &self.writes);
-        ckpt::put_u32_slice(w, &self.phys);
+        self.l2p.ckpt_save(w);
+        self.writes.ckpt_save(w);
+        self.phys.ckpt_save(w);
         ckpt::put_u32_slice(w, &self.last_erase_counts);
         w.put_u64(self.checks);
         self.log.ckpt_save(w);
     }
 
     /// Restores state saved by [`Oracle::ckpt_save`] into a shadow model of
-    /// the same geometry, decoding in place.
+    /// the same geometry, allocating only the chunks that hold entries.
     ///
     /// # Errors
     ///
@@ -344,24 +356,24 @@ impl Oracle {
     /// must be discarded.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let page_count = self.geometry.page_count();
-        ckpt::take_u32_slice(r, &mut self.l2p, "oracle l2p")?;
-        if let Some((l, &ppn)) = self
+        self.l2p.ckpt_load(r, "oracle l2p")?;
+        if let Some((l, ppn)) = self
             .l2p
             .iter()
             .enumerate()
-            .find(|&(_, &p)| p != UNMAPPED && p as u64 >= page_count)
+            .find(|&(_, p)| p != UNMAPPED && p as u64 >= page_count)
         {
             return Err(CkptError::Invalid(format!(
                 "oracle shadow home ppn{ppn} of lpn{l} beyond device capacity {page_count}"
             )));
         }
-        ckpt::take_u64_slice(r, &mut self.writes, "oracle write counts")?;
-        ckpt::take_u32_slice(r, &mut self.phys, "oracle shadow pages")?;
-        if let Some((ppn, &owner)) = self
+        self.writes.ckpt_load(r, "oracle write counts")?;
+        self.phys.ckpt_load(r, "oracle shadow pages")?;
+        if let Some((ppn, owner)) = self
             .phys
             .iter()
             .enumerate()
-            .find(|&(_, &o)| o != UNMAPPED && o as u64 >= self.logical_pages)
+            .find(|&(_, o)| o != UNMAPPED && o as u64 >= self.logical_pages)
         {
             return Err(CkptError::Invalid(format!(
                 "oracle shadow owner lpn{owner} of ppn{ppn} beyond logical space {}",
@@ -543,7 +555,7 @@ mod tests {
         assert_ne!(oa.functional_digest(), ob.functional_digest());
         // ...and still differ after trim (write counts are part of history).
         b.trim(decoy).unwrap();
-        ob.l2p[decoy.raw() as usize] = UNMAPPED;
+        ob.l2p.set(decoy.raw() as usize, UNMAPPED);
         assert_ne!(oa.functional_digest(), ob.functional_digest());
         // Identical histories agree despite different physical placement.
         let (mut c, mut oc) = tiny_pair();
@@ -592,9 +604,9 @@ mod tests {
             assert_eq!(
                 (l2p, writes, phys),
                 (
-                    oracle.l2p.clone(),
-                    oracle.writes.clone(),
-                    oracle.phys.clone()
+                    oracle.l2p.iter().collect(),
+                    oracle.writes.iter().collect(),
+                    oracle.phys.iter().collect()
                 ),
                 "{what}"
             );
@@ -629,13 +641,13 @@ mod tests {
         let logical = ftl.logical_pages();
         let pages = ftl.geometry().page_count();
         let ppn = out.ppn.raw() as usize;
-        assert_eq!((oracle.l2p[0], oracle.phys[ppn]), (ppn as u32, 0));
+        assert_eq!((oracle.l2p.get(0), oracle.phys.get(ppn)), (ppn as u32, 0));
         // lpn0's shadow home, then ppn's owner, each pushed just out of
         // range and saved through the codec.
         let mut far_home = oracle.clone();
-        far_home.l2p[0] = pages as u32;
+        far_home.l2p.set(0, pages as u32);
         let mut far_owner = oracle.clone();
-        far_owner.phys[ppn] = logical as u32;
+        far_owner.phys.set(ppn, logical as u32);
         for (corrupt, message) in [
             (far_home, "beyond device capacity"),
             (far_owner, "beyond logical space"),

@@ -13,6 +13,8 @@
 //! * [`Histogram`] / [`RunningStats`] — latency and scalar statistics.
 //! * [`UtilizationRecorder`] — windowed, per-traffic-class busy tracking used
 //!   for the paper's channel-imbalance analysis (Fig 3).
+//! * [`ChunkedTable`] — a dense per-page table that allocates memory only
+//!   for the chunks a run writes (the FTL's page maps, the oracle's shadow).
 //! * [`Pool`] — a scoped-thread job pool that fans independent simulation
 //!   cells across cores and returns results in submission order, so parallel
 //!   experiment matrices render byte-identically to serial runs.
@@ -60,6 +62,7 @@ mod pool;
 mod resource;
 mod rng;
 mod stats;
+pub mod table;
 mod time;
 mod util;
 mod wheel;
@@ -74,6 +77,7 @@ pub use pool::{env_count, jobs_from_env, scoped_map, Pool};
 pub use resource::{BandwidthPipe, Reservation, Resource};
 pub use rng::{DetRng, Rng, SampleRange};
 pub use stats::{Histogram, RunningStats};
+pub use table::ChunkedTable;
 pub use time::SimTime;
 pub use util::UtilizationRecorder;
 
@@ -159,11 +163,15 @@ mod proptests {
             let n = rng.gen_range(1..50usize);
             let mut rec = UtilizationRecorder::new(SimTime::from_ns(window), 1);
             let mut expect = 0u64;
+            // Intervals as a FIFO resource grants them: each starts at or
+            // after the previous one's end (the recorder's contract).
+            let mut free = 0u64;
             for _ in 0..n {
-                let s = rng.gen_range(0..10_000u64);
+                let s = free + rng.gen_range(0..300u64);
                 let d = rng.gen_range(0..1_000u64);
                 rec.record(SimTime::from_ns(s), SimTime::from_ns(s + d), 0);
                 expect += d;
+                free = s + d;
             }
             let windows = rec.num_windows();
             let binned: u64 = (0..windows).map(|w| rec.busy_in_window(w, 0).as_ns()).sum();

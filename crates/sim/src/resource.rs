@@ -107,9 +107,11 @@ impl Resource {
         self.busy_total
     }
 
-    /// The attached utilization recorder, if any.
-    pub fn recorder(&self) -> Option<&UtilizationRecorder> {
-        self.recorder.as_ref()
+    /// Detaches the utilization recorder, if any: reservations made after
+    /// this are no longer recorded, and the caller may free the bins once
+    /// it has read them.
+    pub fn take_recorder(&mut self) -> Option<UtilizationRecorder> {
+        self.recorder.take()
     }
 
     /// Serializes the reservation horizon, the busy total, and (if
@@ -288,9 +290,10 @@ mod tests {
     fn recorder_receives_tagged_busy_time() {
         let mut r = Resource::with_recorder(SimTime::from_ns(100), 2);
         r.reserve_tagged(SimTime::ZERO, SimTime::from_ns(50), 1);
-        let rec = r.recorder().unwrap();
+        let rec = r.take_recorder().unwrap();
         assert_eq!(rec.busy_in_window(0, 1), SimTime::from_ns(50));
         assert_eq!(rec.busy_in_window(0, 0), SimTime::ZERO);
+        assert!(r.take_recorder().is_none(), "the recorder is detached");
     }
 
     #[test]

@@ -4,8 +4,12 @@
 //! traffic class (read vs write). [`UtilizationRecorder`] bins the busy
 //! intervals granted by a [`crate::Resource`] into fixed-width time windows,
 //! with a separate accumulator per traffic tag.
+//!
+//! A bin is a `u32` of busy nanoseconds. A FIFO resource never books two
+//! intervals at once, so it books at most one window's width into a window,
+//! and a window is at most `u32::MAX` ns (about 4.3 s) wide.
 
-use crate::{ckpt, CkptError, CkptReader, CkptWriter, SimTime};
+use crate::{CkptError, CkptReader, CkptWriter, SimTime};
 
 /// Accumulates busy nanoseconds into `(window, tag)` bins.
 ///
@@ -24,8 +28,9 @@ use crate::{ckpt, CkptError, CkptReader, CkptWriter, SimTime};
 pub struct UtilizationRecorder {
     window: SimTime,
     tags: usize,
-    /// Flattened `[window][tag]` busy-nanosecond bins.
-    bins: Vec<u64>,
+    /// Flattened `[window][tag]` busy-nanosecond bins, each at most
+    /// `window`.
+    bins: Vec<u32>,
     /// Index and base time of the most recently written window — a pure
     /// cache that lets the common case (an interval inside the window the
     /// last one hit) skip the division entirely. Not checkpointed.
@@ -39,9 +44,14 @@ impl UtilizationRecorder {
     ///
     /// # Panics
     ///
-    /// Panics if `window` is zero or `tags` is zero.
+    /// Panics if `window` is zero or wider than `u32::MAX` ns, or `tags` is
+    /// zero.
     pub fn new(window: SimTime, tags: usize) -> Self {
         assert!(!window.is_zero(), "window must be nonzero");
+        assert!(
+            window.as_ns() <= u32::MAX as u64,
+            "window of {window} is wider than u32::MAX ns"
+        );
         assert!(tags > 0, "at least one traffic tag is required");
         UtilizationRecorder {
             window,
@@ -53,11 +63,13 @@ impl UtilizationRecorder {
     }
 
     /// Attributes the busy interval `[start, end)` to `tag`, spreading it
-    /// across the windows it overlaps.
+    /// across the windows it overlaps. The intervals given to one tag must
+    /// not overlap, as those a FIFO [`crate::Resource`] grants never do.
     ///
     /// # Panics
     ///
-    /// Panics if `tag` is out of range or `end < start`.
+    /// Panics if `tag` is out of range, `end < start`, or a window's bin
+    /// would pass the window's width (overlapping intervals).
     pub fn record(&mut self, start: SimTime, end: SimTime, tag: usize) {
         assert!(tag < self.tags, "tag {tag} out of range ({})", self.tags);
         assert!(end >= start, "interval end precedes start");
@@ -72,7 +84,7 @@ impl UtilizationRecorder {
         // so the window index is already known.
         let i = self.cached_win * self.tags + tag;
         if cur >= self.cached_base && end <= self.cached_base + w && i < self.bins.len() {
-            self.bins[i] += end - cur;
+            self.add(i, end - cur);
             return;
         }
         let mut win = (cur / w) as usize;
@@ -80,13 +92,24 @@ impl UtilizationRecorder {
         while cur < end {
             let span = end.min(win_end) - cur;
             self.ensure_windows(win + 1);
-            self.bins[win * self.tags + tag] += span;
+            self.add(win * self.tags + tag, span);
             cur += span;
             self.cached_win = win;
             self.cached_base = win_end - w;
             win += 1;
             win_end += w;
         }
+    }
+
+    #[inline]
+    fn add(&mut self, i: usize, span: u64) {
+        let busy = self.bins[i] as u64 + span;
+        assert!(
+            busy <= self.window.as_ns(),
+            "{busy} ns booked into a {} window: overlapping intervals",
+            self.window
+        );
+        self.bins[i] = busy as u32;
     }
 
     fn ensure_windows(&mut self, n: usize) {
@@ -109,7 +132,7 @@ impl UtilizationRecorder {
     pub fn busy_in_window(&self, w: usize, tag: usize) -> SimTime {
         assert!(tag < self.tags, "tag {tag} out of range ({})", self.tags);
         let idx = w * self.tags + tag;
-        SimTime::from_ns(self.bins.get(idx).copied().unwrap_or(0))
+        SimTime::from_ns(self.bins.get(idx).map_or(0, |&b| b as u64))
     }
 
     /// Busy fraction (0..=1) for `tag` in window `w`.
@@ -123,11 +146,13 @@ impl UtilizationRecorder {
         (0..n).map(|w| self.fraction(w, tag)).collect()
     }
 
-    /// Serializes the window/tag configuration and accumulated bins.
+    /// Serializes the window/tag configuration and accumulated bins, the
+    /// bins as [`crate::put_u64_seq`] writes them.
     pub fn ckpt_save(&self, w: &mut CkptWriter) {
         w.put_time(self.window);
         w.put_usize(self.tags);
-        ckpt::put_u64_seq(w, &self.bins);
+        w.put_usize(self.bins.len());
+        w.put_deltas(self.bins.iter().map(|&b| b as u64), false);
     }
 
     /// Restores bins saved by [`UtilizationRecorder::ckpt_save`] into a
@@ -136,7 +161,8 @@ impl UtilizationRecorder {
     /// # Errors
     ///
     /// Returns an error on truncation, a window/tag configuration mismatch,
-    /// or a bins array that is not a whole number of windows.
+    /// a bins array that is not a whole number of windows, or a bin larger
+    /// than its window.
     pub fn ckpt_load(&mut self, r: &mut CkptReader) -> Result<(), CkptError> {
         let window = r.take_time()?;
         let tags = r.take_usize()?;
@@ -149,14 +175,25 @@ impl UtilizationRecorder {
                 self.tags
             )));
         }
-        let bins = ckpt::take_u64_seq(r)?;
-        if bins.len() % self.tags != 0 {
+        // The count is checked against the remaining input before the bins
+        // are allocated, as `take_u64_seq` does.
+        let n = r.take_count(1)?;
+        if n % self.tags != 0 {
             return Err(CkptError::Invalid(format!(
-                "recorder bins ({}) not a multiple of tags ({})",
-                bins.len(),
+                "recorder bins ({n}) not a multiple of tags ({})",
                 self.tags
             )));
         }
+        let mut bins = Vec::with_capacity(n);
+        r.take_deltas(n, false, |i, busy| {
+            if busy > window.as_ns() {
+                return Err(CkptError::Invalid(format!(
+                    "recorder bin {i} holds {busy} ns, more than its {window} window"
+                )));
+            }
+            bins.push(busy as u32);
+            Ok(())
+        })?;
         self.bins = bins;
         Ok(())
     }
@@ -204,6 +241,57 @@ mod tests {
     fn invalid_tag_rejected() {
         let mut rec = UtilizationRecorder::new(SimTime::from_ns(10), 1);
         rec.record(SimTime::ZERO, SimTime::from_ns(1), 3);
+    }
+
+    fn saved(window: u64, bins: &[u64]) -> Vec<u8> {
+        let mut w = CkptWriter::new();
+        w.put_time(SimTime::from_ns(window));
+        w.put_usize(2);
+        crate::put_u64_seq(&mut w, bins);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn checkpoint_round_trips_and_refuses_a_bin_wider_than_its_window() {
+        let mut rec = UtilizationRecorder::new(SimTime::from_ns(10), 2);
+        rec.record(SimTime::from_ns(5), SimTime::from_ns(25), 1);
+        let mut w = CkptWriter::new();
+        rec.ckpt_save(&mut w);
+        let bytes = w.into_bytes();
+        // The u32 bins save as the u64 sequence the format has always held.
+        assert_eq!(bytes, saved(10, &[0, 5, 0, 10, 0, 5]));
+        let mut back = UtilizationRecorder::new(SimTime::from_ns(10), 2);
+        back.ckpt_load(&mut CkptReader::new(&bytes)).unwrap();
+        assert_eq!(back.bins, rec.bins);
+        // A full window loads; one nanosecond more is refused by message.
+        back.ckpt_load(&mut CkptReader::new(&saved(10, &[10, 0])))
+            .unwrap();
+        for bins in [[0, 11], [u32::MAX as u64 + 1, 0]] {
+            let err = back
+                .ckpt_load(&mut CkptReader::new(&saved(10, &bins)))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("more than its"), "{err}");
+        }
+        let err = back.ckpt_load(&mut CkptReader::new(&saved(10, &[1, 2, 3])));
+        assert!(err
+            .unwrap_err()
+            .to_string()
+            .contains("not a multiple of tags"));
+    }
+
+    #[test]
+    #[should_panic(expected = "overlapping intervals")]
+    fn overlapping_intervals_on_one_tag_are_refused() {
+        let mut rec = UtilizationRecorder::new(SimTime::from_ns(10), 1);
+        rec.record(SimTime::ZERO, SimTime::from_ns(8), 0);
+        rec.record(SimTime::from_ns(4), SimTime::from_ns(7), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than u32::MAX ns")]
+    fn a_window_wider_than_a_bin_can_hold_is_refused() {
+        UtilizationRecorder::new(SimTime::from_ns(u32::MAX as u64 + 1), 1);
     }
 
     #[test]

@@ -50,7 +50,7 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace --release -q
 
-echo "==> allocator and oracle equivalence, deep"
+echo "==> allocator, oracle and kernel equivalence, deep"
 # The stripe walk against its reference scan at the heavy-tests iteration
 # count: every call must give the same page, sequence number and checkpoint.
 # The same run drives the compact mapping and block tables against their
@@ -64,6 +64,11 @@ echo "==> allocator and oracle equivalence, deep"
 # (crates/oracle/tests/shadow_reference.rs).
 cargo test --release -q -p nssd-ftl --features heavy-tests
 cargo test --release -q -p nssd-oracle --features heavy-tests
+# The simulation kernel's property suites at the same depth: the event
+# queue's bounded pops against a sorted reference, and the chunked page
+# table against a plain `Vec`, call for call, checkpoint bytes included
+# (crates/sim/src/table.rs).
+cargo test --release -q -p nssd-sim --features heavy-tests
 
 echo "==> golden snapshot gate"
 # The golden_report suite re-runs the pinned matrix and compares byte-for-byte

@@ -6,12 +6,15 @@
 //! writes that cannot get a page park in a FIFO and are woken as erases
 //! free space, and after a chip failure, where degraded reads and the
 //! parity rebuild reconstruct pages from their survivors. The FTL's
-//! per-page state is 4 bytes per mapping entry plus
-//! one valid bit per page, and erasing or retiring a block clears bits in
-//! place. These tests count allocations and the bytes they request with a
-//! wrapping global allocator and assert all of it. The counters are
-//! thread-local, so the test harness's parallel threads never see each
-//! other's allocations.
+//! per-page state is one valid bit per page plus 4 bytes per mapping entry
+//! in the map chunks a run has written: a new FTL holds only the chunk
+//! directories, and a footprint fill of half the device pays for that
+//! half. Erasing or retiring a block clears bits in place. A fresh chunk
+//! costs one allocation per 1,024 newly mapped pages, within the hot
+//! loops' 0.01 allocations per event. These tests count allocations and
+//! the bytes they request with a wrapping global allocator and assert all
+//! of it. The counters are thread-local, so the test harness's parallel
+//! threads never see each other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -19,6 +22,7 @@ use std::cell::Cell;
 use networked_ssd::core::{prepare, Aging, Architecture, ChipFailureSpec, Drive, SsdConfig};
 use networked_ssd::flash::{Geometry, Pbn};
 use networked_ssd::ftl::{BlockTable, Ftl, FtlConfig, RedundancyConfig};
+use networked_ssd::sim::table::CHUNK_LEN;
 use networked_ssd::sim::{DetRng, EventQueue, Rng, SimTime};
 use networked_ssd::PaperWorkload;
 
@@ -72,26 +76,73 @@ fn bytes() -> u64 {
     BYTES.with(Cell::get)
 }
 
+/// Bytes of one chunk-directory slot per [`CHUNK_LEN`] entries.
+const SLOT: u64 = std::mem::size_of::<Box<[u32]>>() as u64;
+
 #[test]
-fn ftl_state_costs_four_bytes_per_map_entry_plus_the_bitmap() {
+fn ftl_new_allocates_the_map_directories_and_the_bitmap_but_no_map_entry() {
     let cfg = FtlConfig::evaluation_defaults();
     let g = cfg.geometry;
     assert_eq!(g, Geometry::scaled());
     let before = bytes();
     let ftl = Ftl::new(cfg).expect("valid configuration");
     let allocated = bytes() - before;
-    let maps = 4 * (ftl.logical_pages() + g.page_count());
+    let chunks =
+        ftl.logical_pages().div_ceil(CHUNK_LEN as u64) + g.page_count().div_ceil(CHUNK_LEN as u64);
+    let directories = SLOT * chunks;
     let bitmap = g.block_count() * g.pages_per_block.div_ceil(64) as u64 * 8;
     // Block records, free lists and allocator frontiers: about 30 B per
-    // block, far below a second set of 4-byte map entries.
+    // block, far below a single chunk of map entries per plane.
     let slack = 48 * g.block_count();
-    let budget = maps + bitmap + slack;
+    let budget = directories + bitmap + slack;
     assert!(
         allocated <= budget,
         "Ftl::new allocated {allocated} B; budget {budget} B \
-         ({maps} B of maps + {bitmap} B of bitmap + {slack} B of slack)"
+         ({directories} B of map directories + {bitmap} B of bitmap + {slack} B of slack)"
     );
+    assert_eq!(ftl.mapping().chunks_allocated(), (0, 0));
     drop(ftl);
+}
+
+#[test]
+fn a_footprint_fill_of_half_the_device_allocates_only_the_chunks_it_maps() {
+    // The benchmark's `nogc-fabrics` shape: YCSB-A over half the logical
+    // space on the scaled device, prepared with the footprint fill.
+    let cfg = SsdConfig::new(Architecture::BaseSsd);
+    let g = cfg.geometry;
+    let trace = PaperWorkload::YcsbA.generate(1_000, cfg.logical_bytes() / 2, 7);
+    let (sim, _) = prepare(cfg, trace, Aging::Footprint).expect("prepare");
+    let ftl = sim.ftl();
+    let chunk = CHUNK_LEN as u64;
+    // The fill maps LPNs 0..mapped in order: that prefix of the forward
+    // map. Its pages fill whole blocks, plane by plane from one end of the
+    // plane, so the reverse map holds the programmed blocks' pages plus at
+    // most one partial chunk per plane.
+    let mapped = ftl.mapped_pages();
+    let logical = ftl.logical_pages();
+    assert!(
+        mapped > logical * 2 / 5 && mapped <= logical / 2 + 1,
+        "{mapped} of {logical} pages mapped"
+    );
+    let programmed = ftl
+        .blocks()
+        .iter()
+        .filter(|(_, m)| m.write_ptr() > 0)
+        .count() as u64;
+    let l2p_bound = mapped.div_ceil(chunk);
+    let p2l_bound = (programmed * g.pages_per_block as u64).div_ceil(chunk) + g.plane_count();
+    let (l2p, p2l) = ftl.mapping().chunks_allocated();
+    let (l2p, p2l) = (l2p as u64, p2l as u64);
+    assert!(l2p <= l2p_bound, "{l2p} forward chunks; bound {l2p_bound}");
+    assert!(p2l <= p2l_bound, "{p2l} reverse chunks; bound {p2l_bound}");
+    // In bytes: the two maps together hold about half of what dense maps
+    // of the whole device would.
+    let held = 4 * chunk * (l2p + p2l);
+    let dense = 4 * (logical + g.page_count());
+    assert!(
+        held <= dense * 6 / 10,
+        "{held} B of map chunks against {dense} B dense"
+    );
 }
 
 #[test]
